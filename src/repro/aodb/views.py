@@ -505,8 +505,6 @@ class ViewRegistry:
                 runtime.scheduler,
                 self._make_send(silo_id),
                 source=silo_id,
-                max_delay=runtime.config.view_delta_max_delay,
-                max_keys=runtime.config.view_delta_max_keys,
             )
             self._coalescers[silo_id] = coalescer
         return coalescer

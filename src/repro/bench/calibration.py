@@ -111,9 +111,7 @@ def calibrated_config(seed: int = 0, fast_path: bool = True) -> RuntimeConfig:
     batching with dispatch-overhead amortization and group-commit
     write-behind).  ``fast_path=False`` reproduces the seed operating
     point — the Figure 6 numbers the paper reports — and is what the BENCH
-    baselines record as the "seed" series.  The directory cache stays on in
-    both variants: it short-circuits per-send lookup work without touching
-    simulated time, so it cannot distort the seed calibration.
+    baselines record as the "seed" series.
     """
     return RuntimeConfig(
         default_method_cost=DEFAULT_METHOD_COST,
@@ -129,7 +127,6 @@ def calibrated_config(seed: int = 0, fast_path: bool = True) -> RuntimeConfig:
         enable_batching=fast_path,
         batch_max_delay=BATCH_MAX_DELAY,
         dispatch_overhead_cost=DISPATCH_OVERHEAD_COST if fast_path else 0.0,
-        enable_directory_cache=True,
         enable_group_commit=fast_path,
         # Same 1 ms window as delivery batching: flushes from one wave's
         # drain collapse into shared BatchWriteItem round trips.

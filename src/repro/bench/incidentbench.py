@@ -33,7 +33,6 @@ Violations raise :class:`IncidentInvariantError`, failing CI loudly.
 from __future__ import annotations
 
 from ..errors import ReproError
-from ..net.faults import PartitionInjector
 from ..obs.health import HealthMonitor, default_slo_rules
 from ..obs.recorder import (
     FlightRecorder,
@@ -42,19 +41,13 @@ from ..obs.recorder import (
     render_postmortem,
 )
 from ..runtime.persistence import WritePolicy
-from ..storage.system_store import SystemStore
-from .chaos import CHAOS_CALL_DEADLINE, CHAOS_RETRY_POLICY
-from .instances import M5_LARGE
 from .partition import (
-    LEASE_SECONDS,
-    MAJORITY_SILOS,
-    MINORITY_SILO,
-    PARTITION_END,
     PARTITION_START,
-    REDO_LAG,
     RUN_DURATION,
+    build_netsplit_deployment,
+    start_netsplit,
 )
-from .workload import build_deployment, provision, synth_value
+from .workload import synth_value
 
 #: Health evaluation cadence: fast enough to catch the quarantine within
 #: one lease, slow enough to stay a rounding error in the event count.
@@ -88,29 +81,10 @@ def run_incident_scenario(sensors: int, seed: int) -> dict:
 
 
 def _run(sensors: int, seed: int) -> dict:
-    deployment = build_deployment(
-        [M5_LARGE, M5_LARGE, M5_LARGE],
-        seed=seed,
-        dedup_ingest=True,
-        tracing=True,
-    )
+    deployment = build_netsplit_deployment(seed, tracing=True)
     scheduler = deployment.scheduler
     runtime = deployment.runtime
     platform = deployment.platform
-
-    system_store = SystemStore(scheduler, lease_seconds=LEASE_SECONDS)
-    runtime.system_store = system_store
-    for silo in runtime.silos():
-        system_store.announce(silo.silo_id, instance_type=silo.instance_type)
-    config = runtime.config
-    config.default_call_deadline = CHAOS_CALL_DEADLINE
-    config.default_retry_policy = CHAOS_RETRY_POLICY
-    config.enable_failure_detection = True
-    config.failure_detection_interval = 0.5
-    config.suspicion_grace = 0.5
-    config.quarantine_on_lease_loss = True
-    config.redo_lag = REDO_LAG
-    runtime.enable_redo_journal()
 
     # The observability stack under test: recorder on the tracer + rings,
     # monitor on the stock rules (goodput rule neutralized — a tiny smoke
@@ -125,24 +99,7 @@ def _run(sensors: int, seed: int) -> dict:
     recorder.attach(runtime, monitor)
     monitor.attach(scheduler, interval=HEALTH_INTERVAL)
 
-    scheduler.run_until_complete(
-        provision(deployment, sensors, sensors_per_org=max(1, sensors // 3))
-    )
-    runtime.start()
-    t0 = scheduler.now
-
-    majority_group = {*MAJORITY_SILOS, "system-store", "client"}
-    runtime.network.inject_partitions(
-        PartitionInjector(
-            [
-                (
-                    [majority_group, {MINORITY_SILO}],
-                    t0 + PARTITION_START,
-                    t0 + PARTITION_END,
-                )
-            ]
-        )
-    )
+    t0 = start_netsplit(deployment, sensors)
 
     sensor_ids = deployment.report.sensor_ids
     counters = {"attempted": 0, "succeeded": 0}

@@ -38,7 +38,7 @@ from ..runtime.persistence import WritePolicy
 from ..storage.system_store import SystemStore
 from .chaos import CHAOS_CALL_DEADLINE, CHAOS_RETRY_POLICY
 from .instances import M5_LARGE
-from .workload import build_deployment, provision, synth_value
+from .workload import Deployment, build_deployment, provision, synth_value
 
 #: Scenario timeline (virtual seconds, relative to the post-provision t0).
 PARTITION_START = 6.0
@@ -107,13 +107,22 @@ def run_partition_scenario(scenario: str, sensors: int, seed: int) -> dict:
             cls.write_interval_seconds = interval
 
 
-def _run(scenario: str, sensors: int, seed: int) -> dict:
+def build_netsplit_deployment(
+    seed: int, quarantine: bool = True, tracing: bool = False
+) -> Deployment:
+    """Three silos on short-lease membership with the redo journal on.
+
+    Shared with the incident bench, which attaches its observability stack
+    between this and :func:`start_netsplit`.
+    """
     deployment = build_deployment(
-        [M5_LARGE, M5_LARGE, M5_LARGE], seed=seed, dedup_ingest=True
+        [M5_LARGE, M5_LARGE, M5_LARGE],
+        seed=seed,
+        dedup_ingest=True,
+        tracing=tracing,
     )
     scheduler = deployment.scheduler
     runtime = deployment.runtime
-    platform = deployment.platform
 
     # Short-lease membership (the chaos-bench pattern): swap the system
     # store before provisioning so fences and leases come from it.
@@ -127,21 +136,30 @@ def _run(scenario: str, sensors: int, seed: int) -> dict:
     config.enable_failure_detection = True
     config.failure_detection_interval = 0.5
     config.suspicion_grace = 0.5
-    config.quarantine_on_lease_loss = scenario != "zombie"
+    config.quarantine_on_lease_loss = quarantine
     config.redo_lag = REDO_LAG
     runtime.enable_redo_journal()
+    return deployment
 
+
+def start_netsplit(
+    deployment: Deployment, sensors: int, client_in_majority: bool = True
+) -> float:
+    """Provision, start the runtime and script the split; returns ``t0``.
+
+    One third of the tenants land on :data:`MINORITY_SILO`, which is cut
+    from the system store (and, with ``client_in_majority``, from the
+    client) during ``[t0 + PARTITION_START, t0 + PARTITION_END)``.
+    """
+    scheduler = deployment.scheduler
+    runtime = deployment.runtime
     scheduler.run_until_complete(
         provision(deployment, sensors, sensors_per_org=max(1, sensors // 3))
     )
     runtime.start()
     t0 = scheduler.now
-
-    # The zombie scenario leaves the client able to reach the minority silo
-    # (that is what makes it a zombie: it keeps serving and acking); the
-    # other two cut the client off with the rest of the majority side.
     majority_group = {*MAJORITY_SILOS, "system-store"}
-    if scenario != "zombie":
+    if client_in_majority:
         majority_group.add("client")
     runtime.network.inject_partitions(
         PartitionInjector(
@@ -154,6 +172,20 @@ def _run(scenario: str, sensors: int, seed: int) -> dict:
             ]
         )
     )
+    return t0
+
+
+def _run(scenario: str, sensors: int, seed: int) -> dict:
+    # The zombie scenario disables self-quarantine and leaves the client
+    # able to reach the minority silo (that is what makes it a zombie: it
+    # keeps serving and acking); the other two cut the client off with the
+    # rest of the majority side.
+    zombie = scenario == "zombie"
+    deployment = build_netsplit_deployment(seed, quarantine=not zombie)
+    scheduler = deployment.scheduler
+    runtime = deployment.runtime
+    platform = deployment.platform
+    t0 = start_netsplit(deployment, sensors, client_in_majority=not zombie)
 
     sensor_ids = deployment.report.sensor_ids
     acked_waves = {sensor_id: 0 for sensor_id in sensor_ids}

@@ -82,7 +82,7 @@ class ConditionalCheckFailedError(StorageError):
 class FencedWriteError(StorageError):
     """A write carried a fence token older than one the store has admitted.
 
-    Raised by the fenced-write path (:meth:`KeyValueStore.fenced_put`) when a
+    Raised by :meth:`KeyValueStore.put` (given a ``fence``) when a
     stale activation — typically a zombie on the minority side of a network
     partition — tries to commit state after its successor already wrote with
     a newer fence.  The rejection is what turns "split brain" into "bounded

@@ -44,9 +44,6 @@ class GatewayStats:
     rejected: int = 0
     dropped: int = 0
     dispatched: int = 0
-    # Envelopes merged into a predecessor's dispatch (fast path): their
-    # readings reached the actor tier aboard another envelope's ingest call.
-    coalesced: int = 0
     parse_errors: int = 0
     shed: int = 0
     throttled: int = 0
@@ -74,24 +71,16 @@ class IngestGateway:
         overflow: str = "reject",
         breaker: CircuitBreaker | None = None,
         shed_watermark: float = 0.5,
-        coalesce_max: int = 1,
     ) -> None:
         if overflow not in ("reject", "drop_oldest"):
             raise ValueError("overflow must be 'reject' or 'drop_oldest'")
         if not 0.0 <= shed_watermark <= 1.0:
             raise ValueError("shed_watermark must be in [0, 1]")
-        if coalesce_max < 1:
-            raise ValueError("coalesce_max must be >= 1")
         self.platform = platform
         self.registry = registry
         self.overflow = overflow
         self.breaker = breaker
         self.shed_watermark = shed_watermark
-        # Fast path: a dispatcher that dequeues an envelope may merge up to
-        # ``coalesce_max - 1`` immediately-queued envelopes *for the same
-        # sensor* into one ingest call.  Only consecutive heads merge, so
-        # queue order — and therefore per-sensor FIFO — is untouched.
-        self.coalesce_max = coalesce_max
         self.stats = GatewayStats()
         self._scheduler: Scheduler = platform.runtime.scheduler
         self._queue: Queue[_Envelope] = Queue(self._scheduler)
@@ -110,7 +99,7 @@ class IngestGateway:
             return
         stats = self.stats
         for name in (
-            "accepted", "rejected", "dropped", "dispatched", "coalesced",
+            "accepted", "rejected", "dropped", "dispatched",
             "parse_errors", "shed", "throttled", "redispatched",
         ):
             registry.register_probe(
@@ -206,7 +195,6 @@ class IngestGateway:
                     max(0.01, self.breaker.seconds_until_probe())
                 )
                 continue
-            merged = self._coalesce_into(envelope)
             span = None
             if tracer.enabled:
                 # Root of the ingest causal tree.  Starting the span at
@@ -249,33 +237,10 @@ class IngestGateway:
                     span, self._scheduler.now, status="error", error=str(exc)
                 )
             else:
-                self.stats.dispatched += 1 + merged
-                self.stats.coalesced += merged
+                self.stats.dispatched += 1
                 tracer.finish(span, self._scheduler.now)
                 if self.breaker is not None:
                     self.breaker.record_success()
-
-    def _coalesce_into(self, envelope: _Envelope) -> int:
-        """Merge queued same-sensor envelopes into ``envelope``; returns count.
-
-        Only *consecutive* heads of the queue merge (stopping at the first
-        envelope for a different sensor), so dispatch order between sensors
-        and reading order within a sensor are both exactly FIFO.  A merged
-        envelope's readings append after the carrier's, matching the order
-        the device uploaded them.
-        """
-        if self.coalesce_max <= 1:
-            return 0
-        merged = 0
-        while merged + 1 < self.coalesce_max:
-            head = self._queue.peek_nowait()
-            if head is None or head.sensor_id != envelope.sensor_id:
-                break
-            self._queue.get_nowait()
-            for channel_id, points in head.batch.items():
-                envelope.batch.setdefault(channel_id, []).extend(points)
-            merged += 1
-        return merged
 
     def _requeue(self, envelope: _Envelope) -> None:
         """Put a throttled envelope back at the tail, dropping if full."""

@@ -7,7 +7,6 @@ and seeded random streams.  No wall-clock time and no :mod:`asyncio`.
 """
 
 from .futures import Future, all_of, any_of, completed, failed
-from .pool import FreeList
 from .resources import CpuResource, TokenBucket
 from .rng import RngRegistry, derive_seed
 from .scheduler import Scheduler, Task, TimerHandle, run
@@ -17,7 +16,6 @@ from .timerwheel import TimerWheel
 __all__ = [
     "CpuResource",
     "Event",
-    "FreeList",
     "Future",
     "Lock",
     "Queue",

@@ -195,10 +195,6 @@ class Queue(Generic[T]):
         self._getters.append(getter)
         return getter
 
-    def peek_nowait(self) -> T | None:
-        """The head item without removing it (None when empty)."""
-        return self._items[0] if self._items else None
-
     def get_nowait(self) -> T:
         """Remove and return the head item; raises IndexError when empty."""
         return self._items.popleft()

@@ -78,12 +78,6 @@ class Network:
         self._overrides: dict[tuple[str, str], LatencyModel] = {}
         self.faults: NetworkFaultInjector | None = None
         self.partitions: PartitionInjector | None = None
-        #: Latched True forever once any fault injector has been attached.
-        #: Consumers that are only safe under exactly-once delivery (the
-        #: runtime's invocation freelist) check this instead of ``faults``,
-        #: because a detached injector may already have duplicated messages
-        #: whose second delivery is still in flight.
-        self.ever_faulted = False
         self.stats = NetworkStats()
         #: Optional flight-recorder ring (duck-typed — see repro.obs.recorder;
         #: the net layer never imports obs).  Partition blocks are recorded.
@@ -91,8 +85,6 @@ class Network:
 
     def inject_faults(self, injector: NetworkFaultInjector | None) -> None:
         """Attach (or, with None, detach) a chaos fault injector."""
-        if injector is not None:
-            self.ever_faulted = True
         self.faults = injector
 
     def inject_partitions(self, injector: PartitionInjector | None) -> None:

@@ -584,7 +584,6 @@ class FlightRecorder:
             runtime.tracer.recorder = self
         kernel = self.journal("kernel")
         runtime.scheduler.journal = kernel
-        runtime._invocation_pool.journal = kernel
         net = self.journal("net")
         runtime.network.journal = net
         if runtime._batcher is not None:

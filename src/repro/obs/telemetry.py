@@ -9,9 +9,9 @@ and therefore queryable online via ordinary asks, placed and traced like
 any tenant's actors.
 
 - :class:`SiloMonitor` — one per silo (keyed by silo id): holds that
-  silo's metric history as bounded time-series windows
-  (:class:`~repro.shm.timeseries.DataWindow`), answering range/latest
-  queries;
+  silo's metric history as bounded raw time-series windows
+  (:class:`~repro.storage.tsblocks.TieredSeries` with sealing off),
+  answering range/latest queries;
 - :class:`TelemetryAggregator` — cluster-level: per-metric bucketed
   statistics (:class:`~repro.shm.timeseries.BucketedAggregates`, the same
   machinery as the SHM :class:`~repro.shm.aggregator.Aggregator`) plus the
@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING, Any
 
 from ..runtime.actor import Actor, actor_method
 from ..shm.model import DataPoint
-from ..shm.timeseries import BucketedAggregates, DataWindow
+from ..shm.timeseries import BucketedAggregates
+from ..storage.tsblocks import TieredSeries
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..kernel.scheduler import Task
@@ -94,7 +95,7 @@ class SiloMonitor(Actor):
 
     def __init__(self, context) -> None:
         super().__init__(context)
-        self._series: dict[str, DataWindow] = {}
+        self._series: dict[str, TieredSeries] = {}
         self._window_capacity = 512
         self._max_series = 512
         self.series_dropped = 0
@@ -123,9 +124,9 @@ class SiloMonitor(Actor):
                     # never let one noisy producer balloon monitor memory.
                     self.series_dropped += 1
                     continue
-                window = DataWindow(self._window_capacity)
+                window = TieredSeries(self._window_capacity, block_size=0)
                 self._series[metric] = window
-            window.append(DataPoint(timestamp, value))
+            window.append(timestamp, value)
             stored += 1
         if self._downstream_id is not None:
             self.context.actor("TelemetryAggregator", self._downstream_id).tell(
@@ -141,14 +142,13 @@ class SiloMonitor(Actor):
         window = self._series.get(metric)
         if window is None:
             return []
-        return [point.as_tuple() for point in window.range(start, end)]
+        return window.range(start, end)
 
     @actor_method(read_only=True)
     async def latest(self, metric: str) -> tuple[float, float] | None:
         """The most recent sample of one metric (None when unknown)."""
         window = self._series.get(metric)
-        point = window.latest() if window is not None else None
-        return None if point is None else point.as_tuple()
+        return window.latest() if window is not None else None
 
     @actor_method(read_only=True)
     async def series_names(self) -> list[str]:

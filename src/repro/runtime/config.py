@@ -49,9 +49,6 @@ class RuntimeConfig:
     # isolation property has been separately verified.
     copy_messages: bool = True
 
-    # Default placement strategy name for actor types that do not choose.
-    default_placement: str = "random"
-
     # Strategy name the prefer_local and pinned strategies fall back to for
     # undecidable cases (client callers, unpinned keys).  The elastic bench
     # sets "power_of_two" so overflow placement is load-aware.
@@ -69,10 +66,9 @@ class RuntimeConfig:
     # the bench calibration turns it on.
     enable_batching: bool = False
 
-    # Envelope bounds: an open envelope departs when it holds
-    # `batch_max_size` messages or `batch_max_delay` virtual seconds after
-    # its first message joined, whichever comes first.
-    batch_max_size: int = 64
+    # An open envelope departs `batch_max_delay` virtual seconds after its
+    # first message joined (or at once when it reaches the batcher's member
+    # cap).
     batch_max_delay: float = 0.0002
 
     # The share of every method's CPU cost that models per-message dispatch
@@ -82,32 +78,10 @@ class RuntimeConfig:
     # point.  0.0 disables the split entirely (cohorts charge full cost).
     dispatch_overhead_cost: float = 0.0
 
-    # Per-endpoint directory lookup caching on the send path, invalidated
-    # through GrainDirectory subscriptions (eviction, migration, repair).
-    enable_directory_cache: bool = True
-
-    # Recycle Invocation envelopes through a bounded freelist instead of
-    # allocating one per message.  Safe only under exactly-once delivery:
-    # the runtime latches pooling off permanently the moment a network
-    # fault injector is attached (duplicated deliveries alias one envelope)
-    # and never recycles deadline-expired asks.
-    pool_invocations: bool = True
-    invocation_pool_capacity: int = 4096
-
-    # Materialized-view delta coalescing (repro.net.deltas): deltas bound
-    # for the same view shard emitted within `view_delta_max_delay` virtual
-    # seconds merge into one sequenced flush; an open buffer also departs
-    # once it spans `view_delta_max_keys` distinct (group, entity, bucket)
-    # keys.  0.0 delay still coalesces same-instant emissions (one
-    # scheduler round trip), mirroring batch_max_delay semantics.
-    view_delta_max_delay: float = 0.0005
-    view_delta_max_keys: int = 128
-
     # Group-commit write-behind: state flushes issued within the same
     # window collapse into one storage round trip (KeyValueStore.put_many)
     # while every caller still awaits real durability before its ack.
     enable_group_commit: bool = False
-    group_commit_max_batch: int = 64
     group_commit_max_delay: float = 0.0
 
     # -- fault tolerance ----------------------------------------------------
@@ -124,12 +98,11 @@ class RuntimeConfig:
     # Failure detector: scan the membership table every
     # `failure_detection_interval` virtual seconds; a silo whose lease has
     # been lapsed for `suspicion_grace` seconds is declared dead, its
-    # directory registrations purged and (if `proactive_reactivation`) its
-    # actors re-placed on surviving silos ahead of demand.
+    # directory registrations purged and its actors re-placed on surviving
+    # silos ahead of demand.
     enable_failure_detection: bool = True
     failure_detection_interval: float = 5.0
     suspicion_grace: float = 5.0
-    proactive_reactivation: bool = True
 
     # -- partition tolerance ------------------------------------------------
 
@@ -177,18 +150,10 @@ class RuntimeConfig:
             raise ValueError("mailbox capacity must be >= 0")
         if self.reminder_tick <= 0:
             raise ValueError("reminder tick must be positive")
-        if self.batch_max_size < 1:
-            raise ValueError("batch_max_size must be >= 1")
         if self.batch_max_delay < 0:
             raise ValueError("batch_max_delay must be >= 0")
         if self.dispatch_overhead_cost < 0:
             raise ValueError("dispatch_overhead_cost must be >= 0")
-        if self.view_delta_max_delay < 0:
-            raise ValueError("view_delta_max_delay must be >= 0")
-        if self.view_delta_max_keys < 1:
-            raise ValueError("view_delta_max_keys must be >= 1")
-        if self.group_commit_max_batch < 1:
-            raise ValueError("group_commit_max_batch must be >= 1")
         if self.group_commit_max_delay < 0:
             raise ValueError("group_commit_max_delay must be >= 0")
         if self.default_call_deadline is not None and self.default_call_deadline <= 0:

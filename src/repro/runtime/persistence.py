@@ -121,18 +121,10 @@ class StateCell:
         if not self.dirty:
             return
         storage_key = self._storage_key
-        if self._writer is not None and not direct:
-            self._etag = await self._writer.put(
-                storage_key, self.document, expected_etag=self._etag, fence=self.fence
-            )
-        elif self.fence is not None:
-            self._etag = await self._store.fenced_put(
-                storage_key, self.document, expected_etag=self._etag, fence=self.fence
-            )
-        else:
-            self._etag = await self._store.put(
-                storage_key, self.document, expected_etag=self._etag
-            )
+        target = self._store if direct or self._writer is None else self._writer
+        self._etag = await target.put(
+            storage_key, self.document, expected_etag=self._etag, fence=self.fence
+        )
         self.dirty = False
         self.flushes += 1
         if self._journal is not None:

@@ -34,7 +34,6 @@ from ..errors import (
 )
 from ..kernel.futures import _PENDING as _F_PENDING
 from ..kernel.futures import Future
-from ..kernel.pool import FreeList
 from ..kernel.rng import RngRegistry
 from ..kernel.scheduler import Scheduler, Task
 from ..net.batching import EnvelopeBatcher
@@ -67,34 +66,9 @@ CLIENT_ENDPOINT = "client"
 # the membership table.  The runtime consults the injector directly for
 # lease refreshes and fence acquisition.
 SYSTEM_STORE_ENDPOINT = "system-store"
-
-
-#: Placeholder target for envelopes parked in the invocation freelist; a
-#: recycled envelope must hold no reference to any real actor key.
-_POOL_KEY = ActorKey("__pool__", "__pool__")
-
-
-def _new_invocation() -> Invocation:
-    """Freelist factory: a blank envelope (fields set by _make_invocation)."""
-    return Invocation(target=_POOL_KEY, method="")
-
-
-def _reset_invocation(invocation: Invocation) -> None:
-    """Freelist reset: scrub *every* field so no state leaks between uses."""
-    invocation.target = _POOL_KEY
-    invocation.method = ""
-    invocation.args = ()
-    invocation.kwargs = {}
-    invocation.caller_endpoint = ""
-    invocation.one_way = False
-    invocation.reply = None
-    invocation.chain = ()
-    invocation.deadline = None
-    invocation.sent_at = 0.0
-    invocation.enqueued_at = 0.0
-    invocation.started_at = 0.0
-    invocation.batch_cohort = 1
-    invocation.span = None
+# Placement strategy for actor types that do not choose one (Orleans'
+# default: random is adequate for load balancing at scale).
+DEFAULT_PLACEMENT = "random"
 
 
 @dataclass
@@ -174,7 +148,6 @@ class AodbRuntime:
             self.group_commit = GroupCommitWriter(
                 self.grain_storage,
                 self.scheduler,
-                max_batch=self.config.group_commit_max_batch,
                 max_delay=self.config.group_commit_max_delay,
             )
         self.directory = GrainDirectory()
@@ -191,7 +164,6 @@ class AodbRuntime:
             self._batcher = EnvelopeBatcher(
                 self.network,
                 self.scheduler,
-                max_size=self.config.batch_max_size,
                 max_delay=self.config.batch_max_delay,
             )
         self.strategies = build_strategies(
@@ -200,15 +172,6 @@ class AodbRuntime:
             fallback=self.config.placement_fallback,
         )
         self.stats = RuntimeStats()
-        # Invocation freelist: recycles message envelopes on the two paths
-        # that are provably last to touch them (see _release_invocation).
-        # Checked against network.ever_faulted before every release because
-        # chaos duplication makes two deliveries alias one envelope.
-        self._invocation_pool: FreeList[Invocation] = FreeList(
-            _new_invocation,
-            _reset_invocation,
-            capacity=self.config.invocation_pool_capacity,
-        )
         self._actor_types: dict[str, type[Actor]] = {}
         self._silos: dict[str, Silo] = {}
         self._collector_task: Task | None = None
@@ -278,13 +241,6 @@ class AodbRuntime:
         registry.register_probe(
             "kernel.timer_cancels", lambda: scheduler.timer_cancels
         )
-        pool = self._invocation_pool
-        registry.register_probe("pool.invocation_hits", lambda: pool.hits)
-        registry.register_probe("pool.invocation_misses", lambda: pool.misses)
-        registry.register_probe(
-            "pool.invocation_hit_rate", lambda: pool.stats()["hit_rate"]
-        )
-        registry.register_probe("pool.invocation_size", lambda: len(pool))
         for name in (
             "asks", "tells", "replies", "errors", "dropped_messages",
             "activations_created", "activations_collected",
@@ -1200,17 +1156,6 @@ class AodbRuntime:
             kwargs = {name: snapshot(value) for name, value in kwargs.items()}
         else:
             kwargs = dict(kwargs)
-        if self.config.pool_invocations and not self.network.ever_faulted:
-            invocation = self._invocation_pool.acquire()
-            invocation.target = key
-            invocation.method = method
-            invocation.args = args
-            invocation.kwargs = kwargs
-            invocation.caller_endpoint = caller_endpoint
-            invocation.one_way = one_way
-            invocation.sent_at = self.scheduler.now
-            invocation.chain = chain
-            return invocation
         return Invocation(
             target=key,
             method=method,
@@ -1221,20 +1166,6 @@ class AodbRuntime:
             sent_at=self.scheduler.now,
             chain=chain,
         )
-
-    def _release_invocation(self, invocation: Invocation) -> None:
-        """Recycle a message envelope once nothing can touch it again.
-
-        Called from exactly two places — the one-way tail of :meth:`_reply`
-        (handling is over the moment the method returns) and the end of the
-        ask reply path (after the reply future resolved).  Deadline-expired
-        asks are deliberately never released: the expiry closure may still
-        hold the envelope.  Pooling latches off forever once a network
-        fault injector has been attached, because duplicated deliveries
-        alias one envelope.
-        """
-        if self.config.pool_invocations and not self.network.ever_faulted:
-            self._invocation_pool.release(invocation)
 
     # -- dispatch ---------------------------------------------------------------------
 
@@ -1249,25 +1180,23 @@ class AodbRuntime:
 
     def _resolve_activation(self, key: ActorKey, caller_endpoint: str) -> Activation:
         """Find or create (synchronously) the activation for ``key``."""
-        cache: DirectoryCache | None = None
-        if self.config.enable_directory_cache:
-            cache = self._directory_caches.get(caller_endpoint)
-            if cache is None:
-                cache = self._directory_cache(caller_endpoint)
-            cached = cache.get(key)
-            if cached is not None:
-                # A hit only short-circuits the *happy* path: the silo must
-                # be up and the activation live.  Anything less drops the
-                # entry and takes the authoritative path below, so crash and
-                # repair semantics are identical with and without the cache.
-                silo = self._silos.get(cached)
-                if silo is not None and not silo.crashed and not silo.quarantined:
-                    activation = silo.get_activation(key)
-                    if activation is not None and not activation.closing:
-                        cache.stats.hits += 1
-                        return activation
-                cache.invalidate(key)
-            cache.stats.misses += 1
+        cache = self._directory_caches.get(caller_endpoint)
+        if cache is None:
+            cache = self._directory_cache(caller_endpoint)
+        cached = cache.get(key)
+        if cached is not None:
+            # A hit only short-circuits the *happy* path: the silo must
+            # be up and the activation live.  Anything less drops the
+            # entry and takes the authoritative path below, so crash and
+            # repair semantics are those of the directory lookup.
+            silo = self._silos.get(cached)
+            if silo is not None and not silo.crashed and not silo.quarantined:
+                activation = silo.get_activation(key)
+                if activation is not None and not activation.closing:
+                    cache.stats.hits += 1
+                    return activation
+            cache.invalidate(key)
+        cache.stats.misses += 1
         silo_id = self.directory.lookup(key)
         predecessor = None
         if silo_id is not None:
@@ -1291,8 +1220,7 @@ class AodbRuntime:
             else:
                 activation = silo.get_activation(key) if silo is not None else None
                 if activation is not None and not activation.closing:
-                    if cache is not None:
-                        cache.put(key, silo_id)
+                    cache.put(key, silo_id)
                     return activation
                 # Stale entry (collected, closing, or silo gone): clear it
                 # and fall through to fresh placement.
@@ -1301,7 +1229,7 @@ class AodbRuntime:
                     silo.remove_activation(key)
                     predecessor = activation
         actor_class = self.actor_type(key.type_name)
-        strategy_name = actor_class.placement or self.config.default_placement
+        strategy_name = actor_class.placement or DEFAULT_PLACEMENT
         strategy = self.strategies.get(strategy_name)
         if strategy is None:
             raise ValueError(
@@ -1346,8 +1274,7 @@ class AodbRuntime:
             if predecessor is None:
                 predecessor = stale
         self.directory.register(key, silo_id)
-        if cache is not None:
-            cache.put(key, silo_id)
+        cache.put(key, silo_id)
         activation = Activation(
             self,
             actor_class,
@@ -1454,17 +1381,12 @@ class AodbRuntime:
                 status="error" if error is not None else "ok",
                 error=str(error) if error is not None else "",
             )
-            self._release_invocation(invocation)
             return
 
         # Pass everything the reply needs as arguments (stored in the
-        # coroutine frame — no closure/cell allocation per reply): once the
-        # reply future resolves, the invocation object may be recycled
-        # through the runtime's freelist and must not be touched, so the
-        # fields are captured here, before any await.
+        # coroutine frame — no closure/cell allocation per reply).
         self.scheduler.spawn(
             self._reply_path(
-                invocation,
                 invocation.reply,
                 invocation.span,
                 invocation.sent_at,
@@ -1478,7 +1400,6 @@ class AodbRuntime:
 
     async def _reply_path(
         self,
-        invocation: Invocation,
         reply: "Future[Any]",
         span: Any,
         sent_at: float,
@@ -1508,7 +1429,6 @@ class AodbRuntime:
             status="error" if error is not None else "ok",
             error=str(error) if error is not None else "",
         )
-        self._release_invocation(invocation)
 
     def _activation_failed(self, activation: Activation, exc: BaseException) -> None:
         self.stats.activation_failures += 1
@@ -1612,9 +1532,9 @@ class AodbRuntime:
 
         Silos whose lease has been lapsed for longer than
         ``config.suspicion_grace`` are declared dead: their membership row
-        is retired, their directory registrations purged, and (when
-        ``config.proactive_reactivation`` is on) their actors re-placed on
-        surviving silos ahead of demand, recovering persisted state.
+        is retired, their directory registrations purged, and their actors
+        re-placed on surviving silos ahead of demand, recovering persisted
+        state.
         Returns the ids of the silos evicted by this pass.
 
         Eviction is a *view change*, and two safeguards keep it from being
@@ -1723,7 +1643,7 @@ class AodbRuntime:
                     "at": self.scheduler.now,
                 },
             )
-        if not (self.config.proactive_reactivation and self._silos):
+        if not self._silos:
             return
         for key in registered:
             try:

@@ -37,7 +37,6 @@ from .timeseries import (
     AccumulatedChange,
     AggregateStats,
     BucketedAggregates,
-    DataWindow,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "AlertRule",
     "BucketedAggregates",
     "DataPoint",
-    "DataWindow",
     "Equation",
     "EquationError",
     "ExpressionEquation",

@@ -73,11 +73,7 @@ class _ChannelBase(Actor):
                 stats=getattr(self.context.runtime, "tsblock_stats", None),
             )
         else:
-            # Legacy raw-pair snapshot (pre-tsblocks state documents).
             self.window = self._new_window(window_capacity, block_size)
-            pairs = [tuple(p) for p in self.state.get("window", ())]
-            if pairs:
-                self.window.append_many(pairs)
         latest = self.window.latest()
         if latest is not None:
             self._last_ts = latest[0]
@@ -97,7 +93,6 @@ class _ChannelBase(Actor):
         window does, so a flush costs no recompression.
         """
         self.state["tsdoc"] = self.window.to_document()
-        self.state.pop("window", None)
         self.state["change"] = self.change.snapshot()
         self.mark_dirty()
 

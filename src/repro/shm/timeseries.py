@@ -1,10 +1,10 @@
-"""Time-series primitives: windows, accumulated change, running aggregates.
+"""Time-series primitives: accumulated change and running aggregates.
 
-Sensor channel actors hold "a window of data points originating in the
-respective data stream" (§4.2); aggregator actors maintain statistical
-summaries per time bucket (§2.1 functional requirement 6).  Both are plain
-non-actor value machinery, kept here so they can be unit- and
-property-tested in isolation.
+Aggregator actors maintain statistical summaries per time bucket (§2.1
+functional requirement 6); channels track accumulated change (requirement
+4).  Both are plain non-actor value machinery, kept here so they can be
+unit- and property-tested in isolation.  The channel's bounded data window
+itself is :class:`repro.storage.tsblocks.TieredSeries`.
 """
 
 from __future__ import annotations
@@ -14,129 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .model import DataPoint
-
-
-class DataWindow:
-    """A bounded, time-ordered window of data points.
-
-    Appends must be in non-decreasing timestamp order (streams are ordered
-    at the source).  When capacity is exceeded, the oldest points are
-    evicted and returned so callers can archive them.
-
-    Internally the window keeps a parallel, always-sorted timestamp list,
-    so :meth:`range` really is a binary search — O(log n + k) for k results
-    — instead of rebuilding the timestamp list per query (the old O(n)
-    behaviour, which made the paper's raw-data requests scale with window
-    capacity rather than answer size).  Evictions advance a head offset and
-    compact lazily, keeping appends amortized O(1).
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("window capacity must be >= 1")
-        self.capacity = capacity
-        self._points: list[DataPoint] = []
-        self._stamps: list[float] = []
-        self._head = 0  # live data is _points[_head:]
-        self.total_appended = 0
-
-    def __len__(self) -> int:
-        return len(self._points) - self._head
-
-    def _compact(self) -> None:
-        # Amortized O(1): shed the dead prefix once it outgrows the live
-        # part, so each element is moved at most O(1) times on average.
-        if self._head > self.capacity and self._head > len(self._points) // 2:
-            del self._points[: self._head]
-            del self._stamps[: self._head]
-            self._head = 0
-
-    #: Shared result for the (overwhelmingly common) no-eviction append.
-    #: Callers must treat the returned list as read-only.
-    _NO_EVICTIONS: list[DataPoint] = []
-
-    def append(self, point: DataPoint) -> list[DataPoint]:
-        """Add one point; returns any evicted (oldest) points.
-
-        The returned list is owned by the window — callers must not mutate
-        it (the empty case is a shared singleton to keep the ingestion hot
-        path allocation-free).
-        """
-        stamps = self._stamps
-        if stamps and point.timestamp < stamps[-1]:
-            raise ValueError(
-                f"out-of-order point: {point.timestamp} after "
-                f"{stamps[-1]}"
-            )
-        self._points.append(point)
-        stamps.append(point.timestamp)
-        self.total_appended += 1
-        if len(self._points) - self._head <= self.capacity:
-            return self._NO_EVICTIONS
-        evicted = []
-        while len(self._points) - self._head > self.capacity:
-            evicted.append(self._points[self._head])
-            self._head += 1
-        self._compact()
-        return evicted
-
-    def extend(self, points: list[DataPoint]) -> list[DataPoint]:
-        """Append many points; returns everything evicted."""
-        evicted: list[DataPoint] = []
-        for point in points:
-            evicted.extend(self.append(point))
-        return evicted
-
-    def append_many(self, points: list[DataPoint]) -> list[DataPoint]:
-        """Bulk :meth:`append` in one frame (the ingestion hot path).
-
-        Semantically identical to appending each point in turn — same order
-        validation, same eviction result — but list ``extend`` replaces the
-        per-point method calls.  The returned list is owned by the window;
-        callers must not mutate it.
-        """
-        if not points:
-            return self._NO_EVICTIONS
-        stamps = self._stamps
-        prev = stamps[-1] if stamps else None
-        for point in points:
-            timestamp = point.timestamp
-            if prev is not None and timestamp < prev:
-                raise ValueError(
-                    f"out-of-order point: {timestamp} after {prev}"
-                )
-            prev = timestamp
-        self._points.extend(points)
-        stamps.extend(point.timestamp for point in points)
-        self.total_appended += len(points)
-        if len(self._points) - self._head <= self.capacity:
-            return self._NO_EVICTIONS
-        evicted = []
-        while len(self._points) - self._head > self.capacity:
-            evicted.append(self._points[self._head])
-            self._head += 1
-        self._compact()
-        return evicted
-
-    def latest(self) -> DataPoint | None:
-        """The most recent point, or None when empty."""
-        return self._points[-1] if len(self) else None
-
-    def range(self, start: float, end: float) -> list[DataPoint]:
-        """Points with start <= timestamp < end (binary searched)."""
-        lo = bisect.bisect_left(self._stamps, start, self._head)
-        hi = bisect.bisect_left(self._stamps, end, lo)
-        return self._points[lo:hi]
-
-    def tail(self, count: int) -> list[DataPoint]:
-        """The most recent ``count`` points."""
-        if count <= 0:
-            return []
-        return self._points[max(self._head, len(self._points) - count):]
-
-    def all_points(self) -> list[DataPoint]:
-        """Every buffered point (oldest first)."""
-        return self._points[self._head:]
 
 
 class AccumulatedChange:

@@ -103,20 +103,7 @@ class ChaosKVStore(KeyValueStore):
         self._check("read")
         return await self._inner.get(key)
 
-    async def put(self, key: str, value: Any, expected_etag: int | None = None) -> int:
-        self._check("write")
-        return await self._inner.put(key, value, expected_etag)
-
-    async def put_many(
-        self, entries: list[tuple[str, Any, int | None]]
-    ) -> list[int | BaseException]:
-        """Batched writes roll the fault dice once, like the round trip they
-        share: a throttle window or injected fault fails the *whole* batch
-        (every group-commit ticket), matching a lost ``BatchWriteItem``."""
-        self._check("write")
-        return await self._inner.put_many(entries)
-
-    async def fenced_put(
+    async def put(
         self,
         key: str,
         value: Any,
@@ -124,13 +111,16 @@ class ChaosKVStore(KeyValueStore):
         fence: int | None = None,
     ) -> int:
         self._check("write")
-        return await self._inner.fenced_put(key, value, expected_etag, fence)
+        return await self._inner.put(key, value, expected_etag, fence)
 
-    async def fenced_put_many(
+    async def put_many(
         self, entries: list[tuple[str, Any, int | None, int | None]]
     ) -> list[int | BaseException]:
+        """Batched writes roll the fault dice once, like the round trip they
+        share: a throttle window or injected fault fails the *whole* batch
+        (every group-commit ticket), matching a lost ``BatchWriteItem``."""
         self._check("write")
-        return await self._inner.fenced_put_many(entries)
+        return await self._inner.put_many(entries)
 
     async def advance_fence(self, key: str, fence: int | None) -> None:
         # Fence-floor advancement is control-plane metadata; chaos windows

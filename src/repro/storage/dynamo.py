@@ -121,39 +121,7 @@ class ProvisionedKVStore(KeyValueStore):
         await self._network_round_trip()
         return item
 
-    async def put(self, key: str, value: Any, expected_etag: int | None = None) -> int:
-        await self._charge(self._write_bucket, self._write_units(value), "write")
-        await self._network_round_trip()
-        return await self._inner.put(key, value, expected_etag)
-
-    async def put_many(
-        self, entries: list[tuple[str, Any, int | None]]
-    ) -> list[int | BaseException]:
-        """Batched puts: full WCU for every item, ONE network round trip.
-
-        Capacity is honest — a 10-item batch consumes 10 items' worth of
-        write units — but the per-request latency (and in the real system,
-        the per-request overhead) is paid once.  A capacity shortfall
-        rejects the whole batch, like a throttled ``BatchWriteItem``;
-        conditional-check failures are isolated per entry.
-        """
-        if not entries:
-            return []
-        units = sum(self._write_units(value) for _key, value, _etag in entries)
-        await self._charge(self._write_bucket, units, "write")
-        await self._network_round_trip()
-        self.write_batches += 1
-        if len(entries) > 1:
-            self.batched_round_trips_saved += len(entries) - 1
-        results: list[int | BaseException] = []
-        for key, value, expected_etag in entries:
-            try:
-                results.append(await self._inner.put(key, value, expected_etag))
-            except Exception as exc:  # noqa: BLE001 - isolated per entry
-                results.append(exc)
-        return results
-
-    async def fenced_put(
+    async def put(
         self,
         key: str,
         value: Any,
@@ -162,13 +130,20 @@ class ProvisionedKVStore(KeyValueStore):
     ) -> int:
         await self._charge(self._write_bucket, self._write_units(value), "write")
         await self._network_round_trip()
-        return await self._inner.fenced_put(key, value, expected_etag, fence)
+        return await self._inner.put(key, value, expected_etag, fence)
 
-    async def fenced_put_many(
+    async def put_many(
         self, entries: list[tuple[str, Any, int | None, int | None]]
     ) -> list[int | BaseException]:
-        """Fenced batch: capacity/latency as :meth:`put_many`, fences checked
-        per entry in the backing store (isolated, like conditional checks)."""
+        """Batched puts: full WCU for every item, ONE network round trip.
+
+        Capacity is honest — a 10-item batch consumes 10 items' worth of
+        write units — but the per-request latency (and in the real system,
+        the per-request overhead) is paid once.  A capacity shortfall
+        rejects the whole batch, like a throttled ``BatchWriteItem``;
+        conditional-check and fence rejections are isolated per entry in
+        the backing store.
+        """
         if not entries:
             return []
         units = sum(self._write_units(value) for _key, value, _etag, _f in entries)
@@ -177,15 +152,7 @@ class ProvisionedKVStore(KeyValueStore):
         self.write_batches += 1
         if len(entries) > 1:
             self.batched_round_trips_saved += len(entries) - 1
-        results: list[int | BaseException] = []
-        for key, value, expected_etag, fence in entries:
-            try:
-                results.append(
-                    await self._inner.fenced_put(key, value, expected_etag, fence)
-                )
-            except Exception as exc:  # noqa: BLE001 - isolated per entry
-                results.append(exc)
-        return results
+        return await self._inner.put_many(entries)
 
     async def advance_fence(self, key: str, fence: int | None) -> None:
         # Fence metadata is a control-plane CAS against the item's attribute,

@@ -103,14 +103,9 @@ class GroupCommitWriter:
             self.batched_writes += size
             self.round_trips_saved += size - 1
         try:
-            if any(fence is not None for _k, _v, _e, fence, _t in batch):
-                results = await self.store.fenced_put_many(
-                    [(key, value, etag, fence) for key, value, etag, fence, _t in batch]
-                )
-            else:
-                results = await self.store.put_many(
-                    [(key, value, etag) for key, value, etag, _fence, _t in batch]
-                )
+            results = await self.store.put_many(
+                [(key, value, etag, fence) for key, value, etag, fence, _t in batch]
+            )
         except BaseException as exc:  # noqa: BLE001 - whole-batch failure
             for *_entry, ticket in batch:
                 if not ticket.done():

@@ -45,32 +45,41 @@ class KeyValueStore:
         except KeyNotFoundError:
             return None
 
-    async def put(self, key: str, value: Any, expected_etag: int | None = None) -> int:
+    async def put(
+        self,
+        key: str,
+        value: Any,
+        expected_etag: int | None = None,
+        fence: int | None = None,
+    ) -> int:
         """Store ``value`` under ``key``; return the new etag.
 
         With ``expected_etag`` the write succeeds only if the current etag
         matches (0 means "must not exist"), else raises
-        :class:`~repro.errors.ConditionalCheckFailedError`.
+        :class:`~repro.errors.ConditionalCheckFailedError`.  With ``fence``
+        the store first admits the token (see :meth:`_admit_fence`) and
+        rejects a stale one with :class:`~repro.errors.FencedWriteError`
+        before the etag check.
         """
         raise NotImplementedError
 
     async def put_many(
-        self, entries: list[tuple[str, Any, int | None]]
+        self, entries: list[tuple[str, Any, int | None, int | None]]
     ) -> list[int | BaseException]:
-        """Store several ``(key, value, expected_etag)`` entries.
+        """Store several ``(key, value, expected_etag, fence)`` entries.
 
         Returns one result per entry *positionally*: the new etag on
-        success, or the exception that write raised (conditional-check
-        failures are isolated per entry, never poisoning the batch).  The
-        base implementation loops over :meth:`put` — one round trip per
-        entry; capacity-modeled stores override it to charge a single round
-        trip for the whole batch (DynamoDB ``BatchWriteItem``), which is the
-        storage half of the ingestion fast path's group commit.
+        success, or the exception that write raised (conditional-check and
+        fence rejections are isolated per entry, never poisoning the
+        batch).  The base implementation loops over :meth:`put` — one round
+        trip per entry; capacity-modeled stores override it to charge a
+        single round trip for the whole batch (DynamoDB ``BatchWriteItem``),
+        which is the storage half of the ingestion fast path's group commit.
         """
         results: list[int | BaseException] = []
-        for key, value, expected_etag in entries:
+        for key, value, expected_etag, fence in entries:
             try:
-                results.append(await self.put(key, value, expected_etag))
+                results.append(await self.put(key, value, expected_etag, fence))
             except Exception as exc:  # noqa: BLE001 - isolated per entry
                 results.append(exc)
         return results
@@ -83,15 +92,11 @@ class KeyValueStore:
         """Return all (key, item) pairs whose key starts with ``prefix``."""
         raise NotImplementedError
 
-    # -- fenced writes -------------------------------------------------------
+    # -- fence tokens --------------------------------------------------------
     #
     # Fence tokens (monotonic per grain, issued by the membership store)
     # piggyback on conditional writes: the store remembers the highest fence
     # admitted per key and rejects anything older with FencedWriteError.
-    # The fence check lives in a *separate* commit API rather than a ``put``
-    # kwarg so that existing KeyValueStore subclasses — including test fakes
-    # that override ``put`` — keep working unmodified: ``fenced_put`` admits
-    # the fence, then delegates to whatever ``put`` the subclass provides.
 
     fenced_writes = 0  # stale writes rejected; shadowed per instance on first use
     #: Optional flight-recorder ring (duck-typed — see repro.obs.recorder;
@@ -123,36 +128,6 @@ class KeyValueStore:
         """
         self._admit_fence(key, fence)
 
-    async def fenced_put(
-        self,
-        key: str,
-        value: Any,
-        expected_etag: int | None = None,
-        fence: int | None = None,
-    ) -> int:
-        """Conditional write that additionally checks the fence token."""
-        self._admit_fence(key, fence)
-        return await self.put(key, value, expected_etag)
-
-    async def fenced_put_many(
-        self, entries: list[tuple[str, Any, int | None, int | None]]
-    ) -> list[int | BaseException]:
-        """Fenced variant of :meth:`put_many` over 4-tuples with fences.
-
-        Per-entry isolation matches :meth:`put_many`: a fence rejection
-        surfaces positionally as :class:`~repro.errors.FencedWriteError`
-        without poisoning the batch.
-        """
-        results: list[int | BaseException] = []
-        for key, value, expected_etag, fence in entries:
-            try:
-                results.append(
-                    await self.fenced_put(key, value, expected_etag, fence)
-                )
-            except Exception as exc:  # noqa: BLE001 - isolated per entry
-                results.append(exc)
-        return results
-
 
 class InMemoryKVStore(KeyValueStore):
     """Dictionary-backed store with etags; zero latency, never throttles."""
@@ -176,7 +151,14 @@ class InMemoryKVStore(KeyValueStore):
             raise KeyNotFoundError(key)
         return Item(snapshot(item.value), item.etag)
 
-    async def put(self, key: str, value: Any, expected_etag: int | None = None) -> int:
+    async def put(
+        self,
+        key: str,
+        value: Any,
+        expected_etag: int | None = None,
+        fence: int | None = None,
+    ) -> int:
+        self._admit_fence(key, fence)
         self.writes += 1
         current = self._items.get(key)
         current_etag = current.etag if current is not None else 0

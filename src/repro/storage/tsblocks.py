@@ -26,7 +26,7 @@ timestamp / min / max / sum), so range queries skip non-overlapping
 blocks without decompression and aggregate folds over fully-covered
 blocks are answered from the summary alone.
 
-:class:`TieredSeries` is the engine: a ``DataWindow``-shaped surface
+:class:`TieredSeries` is the engine: a bounded-window surface
 (append / range / tail / eviction-on-capacity) whose interior is
 head + blocks.  Blocks are plain ``bytes`` + floats, so they ride the
 ordinary actor-state path — group-commit flushes, fencing, the redo
@@ -492,7 +492,7 @@ class BlockStats:
 class TieredSeries:
     """A bounded, time-ordered series tiered into hot head + sealed blocks.
 
-    The contract mirrors :class:`~repro.shm.timeseries.DataWindow` —
+    The contract is that of a bounded raw window —
     appends must be non-decreasing in time, ``capacity`` bounds the total
     retained points, and whatever falls off the old end is returned from
     ``append_many`` so callers can archive it — but the interior is

@@ -135,6 +135,33 @@ def test_gateway_backpressure_absorbs_burst(sched, platform):
     assert gateway.queue_depth == 0
 
 
+def test_gateway_backlog_dispatches_per_sensor_fifo(sched, platform):
+    gateway = IngestGateway(platform, default_registry(), dispatchers=1)
+
+    def upload(sensor_id, t):
+        return {"channels": {channel_id_for(sensor_id, 0): [{"t": t, "v": t}]}}
+
+    async def main():
+        await platform.provision(total_sensors=2)
+        a = sensor_id_for("org-0", 0)
+        b = sensor_id_for("org-0", 1)
+        # A backlog (a, a, b, a, b, b) greets the single dispatcher: each
+        # envelope is its own ingest call, in queue order.
+        for i, sensor in enumerate((a, a, b, a, b, b)):
+            gateway.submit(sensor, "json", upload(sensor, float(i)))
+        gateway.start()
+        await sched.sleep(1)
+        return (
+            await platform.raw_range(channel_id_for(a, 0), 0.0, 10.0),
+            await platform.raw_range(channel_id_for(b, 0), 0.0, 10.0),
+        )
+
+    points_a, points_b = sched.run_until_complete(main())
+    assert [t for t, _v in points_a] == [0.0, 1.0, 3.0]
+    assert [t for t, _v in points_b] == [2.0, 4.0, 5.0]
+    assert gateway.stats.dispatched == 6
+
+
 def test_gateway_bad_sensor_id_counted_not_fatal(sched, platform):
     gateway = IngestGateway(platform, default_registry())
     gateway.start()

@@ -1,22 +1,17 @@
 """Regression tests for the kernel raw-speed overhaul.
 
 Covers the timeout-timer leak (both directions of detachment), clean task
-teardown on ``stop()``, pinned ``gather`` semantics, dispatch-order edge
-cases around cancellation and timer-wheel ties, and the state-scrub
-contract of the freelist pool.
+teardown on ``stop()``, pinned ``gather`` semantics, and dispatch-order
+edge cases around cancellation and timer-wheel ties.
 """
 
 import gc
 import warnings
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.errors import SchedulerStoppedError
 from repro.errors import TimeoutError as KernelTimeoutError
 from repro.kernel.futures import Future
-from repro.kernel.pool import FreeList
 from repro.kernel.scheduler import Scheduler
 
 
@@ -257,63 +252,3 @@ def test_wheel_tie_order_survives_mixed_arming():
     sched.drain()
     assert fired == list(range(20))
 
-
-# -- S4: pooled-object reuse never leaks state (property test) ----------------
-
-
-class _Carrier:
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self) -> None:
-        self.a = 0
-        self.b = ""
-        self.c = None
-
-
-def _reset_carrier(carrier: _Carrier) -> None:
-    carrier.a = 0
-    carrier.b = ""
-    carrier.c = None
-
-
-@given(
-    ops=st.lists(
-        st.tuples(
-            st.sampled_from(["acquire", "release"]),
-            st.integers(min_value=0, max_value=1_000_000),
-            st.text(max_size=8),
-        ),
-        max_size=60,
-    ),
-    capacity=st.integers(min_value=0, max_value=8),
-)
-@settings(max_examples=60, deadline=None)
-def test_freelist_reuse_never_leaks_state(ops, capacity):
-    """Whatever the acquire/release interleaving, an acquired object is
-    always in its factory-fresh state and never aliased with another live
-    acquisition."""
-    pool: FreeList[_Carrier] = FreeList(_Carrier, _reset_carrier, capacity)
-    live: list[_Carrier] = []
-    for action, number, text in ops:
-        if action == "acquire" or not live:
-            carrier = pool.acquire()
-            assert (carrier.a, carrier.b, carrier.c) == (0, "", None)
-            assert all(carrier is not other for other in live)
-            carrier.a = number
-            carrier.b = text
-            carrier.c = [number]
-            live.append(carrier)
-        else:
-            pool.release(live.pop())
-    assert len(pool) <= capacity
-
-
-def test_freelist_absorbs_consecutive_double_release():
-    pool: FreeList[_Carrier] = FreeList(_Carrier, _reset_carrier, 4)
-    carrier = pool.acquire()
-    assert pool.release(carrier) is True
-    assert pool.release(carrier) is False  # absorbed, not double-shelved
-    assert len(pool) == 1
-    first = pool.acquire()
-    second = pool.acquire()
-    assert first is not second

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.bench import percentile
 from repro.cattle import haversine_meters
-from repro.shm import AccumulatedChange, AggregateStats, DataPoint, DataWindow
+from repro.shm import AccumulatedChange, AggregateStats
 from repro.storage import snapshot
+from repro.storage.tsblocks import SealedBlock, TieredSeries
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -99,16 +100,20 @@ def test_accumulated_change_invariants(values):
         st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=150
     ),
     capacity=st.integers(min_value=1, max_value=50),
+    block_size=st.sampled_from([0, 8]),
 )
 @settings(max_examples=15, deadline=None)
-def test_window_capacity_and_order_invariants(timestamps, capacity):
+def test_window_capacity_and_order_invariants(timestamps, capacity, block_size):
     timestamps = sorted(timestamps)
-    window = DataWindow(capacity=capacity)
-    evicted = window.extend([DataPoint(ts, 0.0) for ts in timestamps])
+    window = TieredSeries(capacity, block_size)
+    evicted = window.append_many([(ts, 0.0) for ts in timestamps])
+    evicted_points = sum(
+        item.count if type(item) is SealedBlock else 1 for item in evicted
+    )
     assert len(window) == min(capacity, len(timestamps))
-    assert len(evicted) + len(window) == len(timestamps)
-    points = window.all_points()
-    assert [p.timestamp for p in points] == timestamps[-len(points):]
+    assert evicted_points + len(window) == len(timestamps)
+    pairs = window.all_pairs()
+    assert [ts for ts, _ in pairs] == timestamps[-len(pairs):]
 
 
 @given(
@@ -121,14 +126,15 @@ def test_window_capacity_and_order_invariants(timestamps, capacity):
         st.floats(min_value=0, max_value=1000, allow_nan=False),
         st.floats(min_value=0, max_value=1000, allow_nan=False),
     ),
+    block_size=st.sampled_from([0, 8]),
 )
 @settings(max_examples=15, deadline=None)
-def test_window_range_matches_naive_filter(timestamps, bounds):
+def test_window_range_matches_naive_filter(timestamps, bounds, block_size):
     timestamps = sorted(timestamps)
     start, end = min(bounds), max(bounds)
-    window = DataWindow(capacity=1000)
-    window.extend([DataPoint(ts, ts) for ts in timestamps])
-    got = [p.timestamp for p in window.range(start, end)]
+    window = TieredSeries(1000, block_size)
+    window.append_many([(ts, ts) for ts in timestamps])
+    got = [ts for ts, _ in window.range(start, end)]
     expected = [ts for ts in timestamps if start <= ts < end]
     assert got == expected
 

@@ -19,11 +19,10 @@ from repro.runtime.resilience import RetryPolicy
 from repro.storage import SystemStore
 
 
-def build_runtime(sched, silos=2, lease=None, cache=True, **config_kwargs):
+def build_runtime(sched, silos=2, lease=None, **config_kwargs):
     config = RuntimeConfig(
         default_method_cost=0.0,
         activation_cost=0.0,
-        enable_directory_cache=cache,
         **config_kwargs,
     )
     store = SystemStore(sched, lease_seconds=lease) if lease is not None else None
@@ -110,21 +109,6 @@ def test_repeat_sends_hit_the_cache():
     stats = client_cache(runtime).stats
     assert stats.hits >= 5
     assert stats.misses >= 1  # the first resolution
-
-
-def test_disabled_cache_never_populates():
-    sched = Scheduler()
-    runtime = build_runtime(sched, cache=False)
-    runtime.register_actor(Durable)
-    runtime.pinned_placement.pin_prefix("Durable/", "silo-1")
-
-    async def main():
-        ref = runtime.ref("Durable", "a")
-        await ref.put(1)
-        await ref.get()
-
-    sched.run_until_complete(main())
-    assert runtime._directory_caches == {}
 
 
 def test_explicit_deactivation_invalidates_cached_route():

@@ -17,11 +17,11 @@ class FlakyStore(InMemoryKVStore):
         self.failures = failures
         self.attempts = 0
 
-    async def put(self, key, value, expected_etag=None):
+    async def put(self, key, value, expected_etag=None, fence=None):
         self.attempts += 1
         if self.attempts <= self.failures:
             raise ThrottlingError("synthetic storage failure")
-        return await super().put(key, value, expected_etag)
+        return await super().put(key, value, expected_etag, fence)
 
 
 def build(sched, store, policy, interval=5.0):

@@ -199,7 +199,7 @@ def test_zombie_scram_flush_bounces_off_the_fence_floor(sched):
         key = "state/DurableNote/n"
         successor_fence = runtime.system_store.acquire_fence(key)
         await store.advance_fence(key, successor_fence)
-        await store.fenced_put(key, {"value": "successor"}, fence=successor_fence)
+        await store.put(key, {"value": "successor"}, fence=successor_fence)
         await runtime.quarantine_silo("silo-1")
         item = await store.get(key)
         return item.value, store.fenced_writes

@@ -1,7 +1,5 @@
 """Unit tests for windows, accumulated change and aggregates."""
 
-import math
-
 import pytest
 
 from repro.shm import (
@@ -9,90 +7,102 @@ from repro.shm import (
     AggregateStats,
     BucketedAggregates,
     DataPoint,
-    DataWindow,
 )
+from repro.storage.tsblocks import SealedBlock, TieredSeries
 
 
-# -- DataWindow ---------------------------------------------------------------
+# -- the bounded window (TieredSeries, raw and tiered) --------------------------
 
 
-def test_window_appends_in_order():
-    window = DataWindow(capacity=10)
-    window.append(DataPoint(1.0, 5.0))
-    window.append(DataPoint(2.0, 6.0))
+@pytest.fixture(params=[0, 4], ids=["raw", "tiered"])
+def block_size(request):
+    return request.param
+
+
+def flatten(evicted):
+    """Evicted items as pairs (whole blocks decode to their points)."""
+    pairs = []
+    for item in evicted:
+        pairs.extend(item.decode() if type(item) is SealedBlock else [item])
+    return pairs
+
+
+def test_window_appends_in_order(block_size):
+    window = TieredSeries(10, block_size)
+    window.append(1.0, 5.0)
+    window.append(2.0, 6.0)
     assert len(window) == 2
-    assert window.latest().value == 6.0
+    assert window.latest() == (2.0, 6.0)
 
 
-def test_window_rejects_out_of_order():
-    window = DataWindow()
-    window.append(DataPoint(2.0, 1.0))
+def test_window_rejects_out_of_order(block_size):
+    window = TieredSeries(block_size=block_size)
+    window.append(2.0, 1.0)
     with pytest.raises(ValueError):
-        window.append(DataPoint(1.0, 1.0))
+        window.append(1.0, 1.0)
 
 
-def test_window_allows_equal_timestamps():
-    window = DataWindow()
-    window.append(DataPoint(1.0, 1.0))
-    window.append(DataPoint(1.0, 2.0))
+def test_window_allows_equal_timestamps(block_size):
+    window = TieredSeries(block_size=block_size)
+    window.append(1.0, 1.0)
+    window.append(1.0, 2.0)
     assert len(window) == 2
 
 
-def test_window_evicts_oldest_when_full():
-    window = DataWindow(capacity=3)
-    evicted = window.extend([DataPoint(float(i), i) for i in range(5)])
-    assert [p.timestamp for p in evicted] == [0.0, 1.0]
+def test_window_evicts_oldest_when_full(block_size):
+    window = TieredSeries(3, block_size)
+    evicted = window.append_many([(float(i), float(i)) for i in range(5)])
+    assert [ts for ts, _ in flatten(evicted)] == [0.0, 1.0]
     assert len(window) == 3
-    assert window.all_points()[0].timestamp == 2.0
+    assert window.all_pairs()[0][0] == 2.0
     assert window.total_appended == 5
 
 
-def test_window_range_query_half_open():
-    window = DataWindow()
-    window.extend([DataPoint(float(i), i * 10) for i in range(10)])
-    points = window.range(2.0, 5.0)
-    assert [p.timestamp for p in points] == [2.0, 3.0, 4.0]
+def test_window_range_query_half_open(block_size):
+    window = TieredSeries(block_size=block_size)
+    window.append_many([(float(i), i * 10.0) for i in range(10)])
+    assert [ts for ts, _ in window.range(2.0, 5.0)] == [2.0, 3.0, 4.0]
 
 
-def test_window_tail():
-    window = DataWindow()
-    window.extend([DataPoint(float(i), i) for i in range(5)])
-    assert [p.value for p in window.tail(2)] == [3, 4]
+def test_window_tail(block_size):
+    window = TieredSeries(block_size=block_size)
+    window.append_many([(float(i), float(i)) for i in range(5)])
+    assert [value for _, value in window.tail(2)] == [3.0, 4.0]
     assert window.tail(0) == []
     assert len(window.tail(100)) == 5
 
 
-def test_window_latest_empty():
-    assert DataWindow().latest() is None
+def test_window_latest_empty(block_size):
+    assert TieredSeries(block_size=block_size).latest() is None
 
 
-def test_window_range_correct_across_heavy_eviction():
-    """Range queries stay correct while the head offset advances and the
-    lazy compaction fires (regression for the O(n) rebuild-per-query fix)."""
-    window = DataWindow(capacity=8)
+def test_window_range_correct_across_heavy_eviction(block_size):
+    """Range queries stay correct while eviction keeps advancing the old
+    end of the window (through the head, or through part-evicted blocks)."""
+    window = TieredSeries(8, block_size)
     for i in range(100):
-        window.append(DataPoint(float(i), i * 1.0))
+        window.append(float(i), i * 1.0)
         lo = max(0, i - 7)  # oldest surviving timestamp
-        got = [p.timestamp for p in window.range(float(lo), float(i + 1))]
+        got = [ts for ts, _ in window.range(float(lo), float(i + 1))]
         assert got == [float(t) for t in range(lo, i + 1)]
     # Sub-ranges, boundaries, and misses after eviction.
-    assert [p.timestamp for p in window.range(95.0, 98.0)] == [95.0, 96.0, 97.0]
+    assert [ts for ts, _ in window.range(95.0, 98.0)] == [95.0, 96.0, 97.0]
     assert window.range(0.0, 92.0) == []
-    assert [p.value for p in window.tail(3)] == [97.0, 98.0, 99.0]
-    assert len(window.all_points()) == 8
-    assert window.latest().timestamp == 99.0
+    assert [value for _, value in window.tail(3)] == [97.0, 98.0, 99.0]
+    assert len(window.all_pairs()) == 8
+    assert window.latest()[0] == 99.0
 
 
-def test_window_range_is_logarithmic_not_linear():
+@pytest.mark.parametrize("block_size", [0, 256], ids=["raw", "tiered"])
+def test_window_range_is_logarithmic_not_linear(block_size):
     """The micro-bench data point: doubling the window size must not double
     the cost of a small range query.  Measured in list touches via a tiny
     result: the returned slice is the only O(k) part."""
     import timeit
 
     def cost(capacity):
-        window = DataWindow(capacity=capacity)
-        for i in range(capacity):
-            window.append(DataPoint(float(i), 0.0))
+        window = TieredSeries(capacity, block_size)
+        window.append_many([(float(i), 0.0) for i in range(capacity)])
         # Small fixed-size answer from a large window.
         return min(
             timeit.repeat(
@@ -108,7 +118,7 @@ def test_window_range_is_logarithmic_not_linear():
 
 def test_window_capacity_validation():
     with pytest.raises(ValueError):
-        DataWindow(capacity=0)
+        TieredSeries(capacity=0)
 
 
 # -- AccumulatedChange ---------------------------------------------------------

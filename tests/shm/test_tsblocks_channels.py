@@ -61,8 +61,8 @@ def test_sealed_blocks_survive_deactivation(sched):
     assert raw == points
 
 
-def test_legacy_raw_window_state_still_loads(sched):
-    platform = build_platform(sched)
+def test_state_document_without_tsdoc_opens_an_empty_window(sched):
+    platform = build_platform(sched, window_capacity=8, block_size=4)
 
     async def main():
         await platform.provision(total_sensors=1)
@@ -70,23 +70,24 @@ def test_legacy_raw_window_state_still_loads(sched):
         c0 = channel_id_for(sensor_id, 0)
         await platform.ingest(sensor_id, {c0: ramp(10)})
         await platform.runtime.deactivate("PhysicalSensorChannel", c0)
-        # Rewrite the persisted document in the pre-tsblocks shape: a raw
-        # pair list under "window", no "tsdoc".
+        # A configured-but-never-snapshotted document: everything except
+        # the serialized window (a stray "window" key is not a format).
         key = ActorKey("PhysicalSensorChannel", c0).storage_key()
         item = await platform.runtime.grain_storage.get(key)
-        legacy = dict(item.value)
-        legacy.pop("tsdoc")
-        legacy["window"] = [list(p) for p in ramp(10)]
-        await platform.runtime.grain_storage.put(key, legacy)
-        raw = await platform.raw_range(c0, 0.0, 100.0)
-        # And the next snapshot upgrades the document to tsdoc form.
-        await platform.runtime.deactivate("PhysicalSensorChannel", c0)
-        item = await platform.runtime.grain_storage.get(key)
-        return raw, item.value
+        bare = dict(item.value)
+        bare.pop("tsdoc")
+        bare["window"] = [list(p) for p in ramp(10)]
+        await platform.runtime.grain_storage.put(key, bare)
+        empty = await platform.raw_range(c0, 0.0, 100.0)
+        # The fresh window honours the configured capacity and block size.
+        await platform.ingest(sensor_id, {c0: ramp(10, t0=100.0)})
+        channel = platform.runtime.ref("PhysicalSensorChannel", c0)
+        return empty, await channel.depth(), await channel.storage_stats()
 
-    raw, stored = sched.run_until_complete(main())
-    assert raw == ramp(10)
-    assert "tsdoc" in stored and "window" not in stored
+    empty, depth, stats = sched.run_until_complete(main())
+    assert empty == []
+    assert depth == 8
+    assert stats["blocks"] >= 1
 
 
 def test_aggregate_range_matches_raw_fold(sched):

@@ -150,11 +150,11 @@ def test_put_many_fails_the_whole_batch_like_a_lost_round_trip(sched):
 
     async def main():
         with pytest.raises(ThrottledError):
-            await store.put_many([("a", 1, None), ("b", 2, None)])
+            await store.put_many([("a", 1, None, 1), ("b", 2, None, None)])
         assert await store.try_get("a") is None
         assert await store.try_get("b") is None
         await sched.at(1.0)
-        results = await store.put_many([("a", 1, None), ("b", 2, None)])
+        results = await store.put_many([("a", 1, None, 1), ("b", 2, None, None)])
         return results
 
     assert sched.run_until_complete(main()) == [1, 1]

@@ -25,7 +25,7 @@ def test_put_many_default_impl_isolates_entry_failures(sched):
     async def main():
         await store.put("a", 1)
         return await store.put_many(
-            [("a", 2, 1), ("b", 10, None), ("a", 99, 7)]
+            [("a", 2, 1, None), ("b", 10, None, None), ("a", 99, 7, None)]
         )
 
     ok_a, ok_b, conflict = sched.run_until_complete(main())
@@ -47,7 +47,7 @@ def test_provisioned_put_many_charges_capacity_but_one_round_trip(sched):
     async def main():
         started = sched.now
         results = await store.put_many(
-            [(f"k{i}", {"v": i}, None) for i in range(8)]
+            [(f"k{i}", {"v": i}, None, None) for i in range(8)]
         )
         return results, sched.now - started
 
@@ -68,7 +68,9 @@ def test_provisioned_put_many_throttles_whole_batch(sched):
 
     async def main():
         with pytest.raises(ThrottledError):
-            await store.put_many([(f"k{i}", {"v": i}, None) for i in range(50)])
+            await store.put_many(
+                [(f"k{i}", {"v": i}, None, None) for i in range(50)]
+            )
         return await store.try_get("k0")
 
     assert sched.run_until_complete(main()) is None  # nothing landed
