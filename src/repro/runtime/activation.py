@@ -315,7 +315,10 @@ class Activation:
                 )
                 return
             if method_name == "__txn_restore__":
-                document = invocation.args[0]
+                # Copy the undo log in: with copy_messages=False the argument
+                # *is* the coordinator's saved snapshot, and a redelivered
+                # restore must not find it edited by the restored actor.
+                document = snapshot(invocation.args[0])
                 self.instance.state.clear()
                 self.instance.state.update(document)
                 self.instance.mark_dirty()

@@ -44,9 +44,10 @@ class RuntimeConfig:
     # surface overload as MailboxOverflowError instead of hiding it.
     mailbox_capacity: int = 0
 
-    # Deep-copy message payloads and replies at actor boundaries.  Always on
-    # in tests; benches may disable it to shave harness overhead after the
-    # isolation property has been separately verified.
+    # Copy message payloads and replies at actor boundaries (serde.snapshot:
+    # fresh containers, shared immutable leaves).  Always on in tests;
+    # benches may disable it to shave harness overhead after the isolation
+    # property has been separately verified.
     copy_messages: bool = True
 
     # Strategy name the prefer_local and pinned strategies fall back to for

@@ -19,6 +19,7 @@ import enum
 from typing import TYPE_CHECKING, Any
 
 from ..storage.kv import KeyValueStore
+from ..storage.serde import snapshot
 from .key import ActorKey
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -106,7 +107,11 @@ class StateCell:
         if self._journal is not None:
             record = self._journal.replay_for(storage_key, self._etag, self.fence)
             if record is not None:
-                self.document = dict(record.document)
+                # The journal's record outlives this activation (the next
+                # append is deduplicated against it, a later replay reads
+                # it again), so the live document must share no container
+                # with it.
+                self.document = snapshot(record.document)
                 self.dirty = True
                 self.replayed += 1
         return item is not None

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.aodb import AodbDatabase
 from repro.errors import TransactionAbortedError, TransactionConflictError
-from repro.runtime import Actor
+from repro.runtime import Actor, ActorKey, AodbRuntime, RuntimeConfig
 
 
 class Account(Actor):
@@ -190,3 +191,51 @@ def test_rollback_restores_exact_document(sched, accounts):
         return await ref.get_all()
 
     assert sched.run_until_complete(main()) == {"stable": {"nested": [1, 2]}}
+
+
+def test_redelivered_restore_installs_the_original_undo_log(sched):
+    """The restored actor shares nothing with the coordinator's undo log.
+
+    With ``copy_messages=False`` (the cattle benchmark's config) the
+    ``__txn_restore__`` argument is ``Transaction._snapshots[key]`` itself.
+    A retry or a duplicated delivery hands the actor that same object a
+    second time, so the first restore must install a copy: otherwise what
+    the actor did in between is "restored" too.
+    """
+
+    class Doc(Actor):
+        async def append(self, value):
+            self.state["nested"]["items"].append(value)
+            return len(self.state["nested"]["items"])
+
+        async def get_all(self):
+            return self.state
+
+    config = RuntimeConfig(
+        default_method_cost=0.0, activation_cost=0.0, copy_messages=False
+    )
+    runtime = AodbRuntime(sched, config=config)
+    runtime.add_silo("s1", cores=2)
+    database = AodbDatabase(runtime)
+    database.register_actor(Doc)
+    key = ActorKey("Doc", "d")
+
+    async def restore(undo_log):
+        await runtime.send(
+            key, "__txn_restore__", (undo_log,), {}, caller_endpoint="client"
+        )
+
+    async def main():
+        ref = database.ref("Doc", "d")
+        (await ref.get_all())["nested"] = {"items": [1]}
+        txn = database.transaction()
+        await txn.call("Doc", "d", "append", 2)
+        await txn.abort()
+        undo_log = txn._snapshots[key]
+        assert await ref.get_all() == {"nested": {"items": [1]}}
+        await ref.append(3)  # the restored actor moves on...
+        assert undo_log == {"nested": {"items": [1]}}
+        await restore(undo_log)  # ...and the same restore arrives again
+        return await ref.get_all()
+
+    assert sched.run_until_complete(main()) == {"nested": {"items": [1]}}

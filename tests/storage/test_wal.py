@@ -4,6 +4,7 @@ import pytest
 
 from repro.kernel import Scheduler
 from repro.obs import MetricsRegistry
+from repro.runtime import ActorKey, StateCell
 from repro.storage import InMemoryKVStore, RedoJournal
 from repro.storage.groupcommit import GroupCommitWriter
 
@@ -87,6 +88,59 @@ def test_truncate_drops_records_after_flush(sched):
     assert journal.truncated_records == 2
     assert journal.pending_records() == 1
     assert journal.replay_for("a", stored_etag=0, fence=1) is None
+
+
+# -- replay isolation: the recovered document shares nothing with the record --
+
+GRAIN = ActorKey("Structure", "bridge-1")
+
+
+def recovered_cell(sched, journal, store):
+    """A fresh activation's cell, loaded (and so replayed) from ``journal``."""
+    cell = StateCell(GRAIN, store, journal=journal)
+    run(sched, cell.load())
+    assert cell.replayed == 1
+    return cell
+
+
+@pytest.fixture
+def journaled(sched):
+    store = InMemoryKVStore()
+    journal = RedoJournal(sched, store=store)
+    record = run(
+        sched,
+        journal.append(GRAIN.storage_key(), {"sensors": {"a": 1}}, base_etag=0),
+    )
+    return journal, store, record
+
+
+def test_replayed_state_does_not_alias_the_journal_record(sched, journaled):
+    journal, store, record = journaled
+    cell = recovered_cell(sched, journal, store)
+    cell.document["sensors"]["b"] = 2
+    assert record.document == {"sensors": {"a": 1}}
+
+
+def test_change_after_replay_is_journaled_not_deduplicated(sched, journaled):
+    # With the record aliased, the tail "already equals" the mutated document
+    # and the unfenced append is skipped: the durable wal/ copy never sees an
+    # acknowledged change.
+    journal, store, _ = journaled
+    cell = recovered_cell(sched, journal, store)
+    cell.document["sensors"]["b"] = 2
+    again = run(sched, journal.append(GRAIN.storage_key(), cell.document, base_etag=0))
+    assert again is not None
+    assert journal.skipped_appends == 0
+    durable = run(sched, store.get(f"wal/{GRAIN.storage_key()}/{again.seq}"))
+    assert durable.value["document"] == {"sensors": {"a": 1, "b": 2}}
+
+
+def test_two_replays_of_one_record_share_no_container(sched, journaled):
+    journal, store, _ = journaled
+    first = recovered_cell(sched, journal, store)
+    second = recovered_cell(sched, journal, store)
+    assert second.document == first.document
+    assert second.document["sensors"] is not first.document["sensors"]
 
 
 def test_durable_copies_land_under_wal_prefix(sched):
