@@ -6,10 +6,14 @@ The choosing-metrics §8 procedure every ROADMAP item-1 claim needs: run
 in the parent and in the change checkout alternately, order flipped every
 pair, then print per end-to-end metric each side's median and quartiles, the
 pairs the change won / lost / tied, and whether the virtual-clock metrics are
-bit-identical across every run.
+bit-identical across every run.  ``--workload`` repeats (``all`` = every
+workload the parent's ``BENCHMARK.json`` declares); each gets its own table,
+printed as soon as its pairs are done.
 
     python benchmarks/ab_pairs.py --parent /root/scratch/parent --change . \\
         --workload durable_scaleout --seed 2019 --pairs 10
+    python benchmarks/ab_pairs.py --parent /root/scratch/parent --change . \\
+        --workload all --seed 7919 --pairs 10
 """
 
 from __future__ import annotations
@@ -43,27 +47,19 @@ def spread(values: list[float]) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=2019)
-    parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args()
-
-    declared = json.loads((args.parent / "BENCHMARK.json").read_text())
+def compare(
+    sides: dict[str, Path], declared: dict, workload: str, seed: int, pairs: int
+) -> None:
+    """Run ``pairs`` alternating pairs of one workload and print its table."""
     seconds = declared["run_seconds"]
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for pair in range(args.pairs):
+    for pair in range(pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            run = run_once(sides[side], args.workload, args.seed, seconds)
-            runs[side].append(run)
-        print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
+            runs[side].append(run_once(sides[side], workload, seed, seconds))
+        print(f"{workload}: pair {pair + 1}/{pairs} done", file=sys.stderr)
 
-    print(f"{args.workload} seed={args.seed} pairs={args.pairs}: median [q1, q3]")
+    print(f"{workload} seed={seed} pairs={pairs}: median [q1, q3]")
     print(ROW.format("metric", "parent", "change", "delta", "won/lost/tied"))
     for metric in declared["end_to_end"]:
         name, sign = metric["name"], -1 if metric["better"] == "lower" else 1
@@ -73,13 +69,37 @@ def main() -> int:
         lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         base = statistics.median(parent)
         delta = (statistics.median(change) - base) / base if base else 0.0
-        tally = f"{won}/{lost}/{args.pairs - won - lost}"
+        tally = f"{won}/{lost}/{pairs - won - lost}"
         print(ROW.format(name, spread(parent), spread(change), f"{delta:+.1%}", tally))
     identical = all(
         len({run[name] for side in runs.values() for run in side}) == 1
         for name in VIRTUAL
     )
-    print(f"virtual metrics bit-identical across all runs: {identical}")
+    print(f"virtual metrics bit-identical across all runs: {identical}", flush=True)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument(
+        "--workload",
+        action="append",
+        required=True,
+        help="repeatable; 'all' = every declared workload",
+    )
+    parser.add_argument("--seed", type=int, default=2019)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args()
+
+    declared = json.loads((args.parent / "BENCHMARK.json").read_text())
+    workloads = args.workload
+    if "all" in workloads:
+        workloads = [workload["name"] for workload in declared["workloads"]]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for workload in workloads:
+        compare(sides, declared, workload, args.seed, args.pairs)
+        print()
     return 0
 
 

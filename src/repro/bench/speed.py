@@ -118,7 +118,7 @@ def _run_kernel_workload(
     and acknowledging when all stored (the paper's benchmark inner loop).
     Nearly every event is a pure timer fire (the gather absorbs completions
     without a coroutine resume per timer), so the measured cost is the
-    scheduler's own dispatch path: heap/wheel pop, handle teardown, future
+    scheduler's own dispatch path: heap pop, handle teardown, future
     resolution — not workload bytecode.
     """
     scheduler = Scheduler()

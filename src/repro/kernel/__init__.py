@@ -11,7 +11,6 @@ from .resources import CpuResource, TokenBucket
 from .rng import RngRegistry, derive_seed
 from .scheduler import Scheduler, Task, TimerHandle, run
 from .sync import Event, Lock, Queue, Semaphore
-from .timerwheel import TimerWheel
 
 __all__ = [
     "CpuResource",
@@ -24,7 +23,6 @@ __all__ = [
     "Semaphore",
     "Task",
     "TimerHandle",
-    "TimerWheel",
     "TokenBucket",
     "all_of",
     "any_of",

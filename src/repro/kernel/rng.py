@@ -37,7 +37,3 @@ class RngRegistry:
         stream = random.Random(derive_seed(self.master_seed, name))
         self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Return a child registry whose master seed derives from ``name``."""
-        return RngRegistry(derive_seed(self.master_seed, name))

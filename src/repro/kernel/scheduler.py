@@ -11,29 +11,28 @@ Coroutines are driven directly (``coroutine.send``), awaiting
 dependency on :mod:`asyncio`.
 
 Because the simulator's wall-clock is bounded by this loop, the layout is
-tuned for dispatch speed.  Pending work lives in three structures, merged in
+tuned for dispatch speed.  Pending work lives in two structures, merged in
 exact ``(when, sequence)`` order:
 
 - a **ready deque** of immediate callbacks (task resumes, ``_call_soon``) —
   entries are appended with monotonically non-decreasing keys, so the deque
   is always sorted and merging against the heap is a head-to-head compare;
-- a small **heap** of near-term timers, each wrapped in a cancellable
-  :class:`TimerHandle`;
-- a hierarchical :class:`~repro.kernel.timerwheel.TimerWheel` holding
-  farther timers bucketed by distance, so the deadline-shaped majority
-  (armed far ahead, cancelled early) never costs heap operations at all.
+- one **heap** of timers, each wrapped in a cancellable
+  :class:`TimerHandle`.  A cancelled timer stays behind as a tombstone the
+  loop skips at pop; a cancel that leaves more than 64 tombstones
+  outnumbering the live timers compacts the heap.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 from typing import Any, Awaitable, Callable, Coroutine, Iterable
 
 from ..errors import CancelledError, DeadlockError, SchedulerStoppedError
 from ..errors import TimeoutError as KernelTimeoutError
 from .futures import _CANCELLED, _PENDING, _RESOLVED, Future
-from .timerwheel import TimerWheel
 
 _INF = float("inf")
 
@@ -41,12 +40,6 @@ _INF = float("inf")
 #: optional argument in the event entry lets hot paths schedule plain bound
 #: methods or module functions instead of allocating a closure per event.
 _NO_ARG = object()
-
-# TimerHandle._where values.
-_IN_WHEEL = 0
-_IN_HEAP = 1
-_DEAD = 2  # cancelled
-_FIRED = 3
 
 
 def _wake(future: Future[None]) -> None:
@@ -58,15 +51,15 @@ def _wake(future: Future[None]) -> None:
 class _SleepFuture(Future):
     """A sleep's future fused with its own timer entry (one allocation).
 
-    Doubles as the :class:`TimerHandle` the heap/wheel stores: the dispatch
-    loop and the wheel only touch the handle slots (``when``/``seq``/
-    ``_callback``/``_arg``/``_where``/``_scheduler``), the awaiting side
-    only the inherited future slots, so the two roles never collide.
+    Doubles as the :class:`TimerHandle` the heap stores: the dispatch loop
+    only touches the handle slots (``when``/``seq``/``_callback``/``_arg``/
+    ``_scheduler``), the awaiting side only the inherited future slots, so
+    the two roles never collide.
     Sleeps are the kernel's most common timer by far — fusing the pair
     halves their allocation rate.
     """
 
-    __slots__ = ("when", "seq", "_callback", "_arg", "_scheduler", "_where")
+    __slots__ = ("when", "seq", "_callback", "_arg", "_scheduler")
 
 
 class _Timeout:
@@ -122,10 +115,10 @@ class TimerHandle:
 
     Returned by :meth:`Scheduler.call_at` / :meth:`Scheduler.call_later`.
     Cancelling detaches the callback immediately; the dead entry is dropped
-    lazily (bucket flush or heap pop) without ever running.
+    lazily (heap pop or compaction) without ever running.
     """
 
-    __slots__ = ("when", "seq", "_callback", "_arg", "_scheduler", "_where")
+    __slots__ = ("when", "seq", "_callback", "_arg", "_scheduler")
 
     def __init__(
         self,
@@ -134,18 +127,12 @@ class TimerHandle:
         callback: Callable[..., None],
         arg: Any,
         scheduler: "Scheduler",
-        where: int,
     ) -> None:
         self.when = when
         self.seq = seq
         self._callback: Callable[..., None] | None = callback
         self._arg = arg
         self._scheduler: Scheduler | None = scheduler
-        self._where = where
-
-    def cancelled(self) -> bool:
-        """True once cancelled (not merely fired)."""
-        return self._where == _DEAD
 
     def cancel(self) -> bool:
         """Detach the callback; returns False if already fired or cancelled."""
@@ -153,20 +140,13 @@ class TimerHandle:
             return False
         self._callback = None
         self._arg = None
-        where = self._where
-        self._where = _DEAD
         scheduler = self._scheduler
         self._scheduler = None
         if scheduler is None:
             return False
-        if where == _IN_WHEEL:
-            wheel = scheduler._wheel
-            wheel.live -= 1
-            wheel.cancelled += 1
-        else:
-            scheduler._tombstones = tombstones = scheduler._tombstones + 1
-            if tombstones > 64 and tombstones * 2 > len(scheduler._events):
-                scheduler._compact()
+        scheduler._tombstones = tombstones = scheduler._tombstones + 1
+        if tombstones > 64 and tombstones * 2 > len(scheduler._events):
+            scheduler._compact()
         scheduler.timer_cancels += 1
         journal = scheduler.journal
         if journal is not None:
@@ -238,15 +218,24 @@ class Task:
         waiting = self._waiting_on
         self._waiting_on = None
         if waiting is not None and not waiting.done():
-            # Detach from the awaited future and inject the cancellation.
-            self._scheduler._call_soon(
-                lambda: self._step(exc=CancelledError(self.name)), _NO_ARG
-            )
+            # Detached from the awaited future, so nothing else will resume
+            # the task: queue the (payload-less) step that delivers it.
+            self._scheduler._call_soon(Task._step, self)
         return True
 
     # -- driving the coroutine ------------------------------------------------
 
-    def _step(self, value: Any = None, exc: BaseException | None = None) -> None:
+    def _step(self) -> None:
+        """Advance the coroutine with the stashed resume payload.
+
+        The one function that drives the coroutine: the first step (payload
+        ``None``), every resume (payload stashed by :meth:`_on_future_done`)
+        and cancellation (no payload, ``_cancel_requested`` set) queue it.
+        """
+        value = self._resume_value
+        exc = self._resume_exc
+        self._resume_value = None
+        self._resume_exc = None
         if self.future._state is not _PENDING:
             return
         if self._cancel_requested and exc is None:
@@ -269,12 +258,10 @@ class Task:
             self.future.set_exception(error)
             return
         if type(yielded) is not Future and not isinstance(yielded, Future):
-            self._step(
-                exc=TypeError(
-                    f"task {self.name!r} awaited a non-kernel awaitable: "
-                    f"{yielded!r}"
-                )
+            self._resume_exc = TypeError(
+                f"task {self.name!r} awaited a non-kernel awaitable: {yielded!r}"
             )
+            self._step()
             return
         self._waiting_on = yielded
         # Inline add_done_callback for the dominant case: a future yielded
@@ -294,7 +281,7 @@ class Task:
         if self._waiting_on is not future:
             return  # detached by cancellation
         # Stash the resume payload on the task and queue the plain-function
-        # resume step: no closure allocation per suspension.
+        # step: no closure allocation per suspension.
         state = future._state
         if state is _RESOLVED:
             self._resume_value = future._value
@@ -311,55 +298,7 @@ class Task:
         if scheduler._stopped:
             raise SchedulerStoppedError("scheduler has stopped")
         scheduler._sequence = seq = scheduler._sequence + 1
-        scheduler._ready.append((scheduler._now, seq, Task._resume, self))
-
-    def _resume(self) -> None:
-        # :meth:`_step` with the stashed payload inlined — every suspension
-        # resumes through here, and at bench rates the extra frame is
-        # measurable.  Kept textually parallel with ``_step``; the
-        # ``_started`` store is skipped because a resuming task has stepped
-        # at least once already.
-        value = self._resume_value
-        exc = self._resume_exc
-        self._resume_value = None
-        self._resume_exc = None
-        if self.future._state is not _PENDING:
-            return
-        if self._cancel_requested and exc is None:
-            exc = CancelledError(self.name)
-        self._waiting_on = None
-        try:
-            if exc is not None:
-                yielded = self._coro.throw(exc)
-            else:
-                yielded = self._coro.send(value)
-        except StopIteration as stop:
-            self.future.set_result(stop.value)
-            return
-        except CancelledError:
-            if not self.future.done():
-                self.future.cancel()
-            return
-        except BaseException as error:  # noqa: BLE001 - task funnel
-            self.future.set_exception(error)
-            return
-        if type(yielded) is not Future and not isinstance(yielded, Future):
-            self._step(
-                exc=TypeError(
-                    f"task {self.name!r} awaited a non-kernel awaitable: "
-                    f"{yielded!r}"
-                )
-            )
-            return
-        self._waiting_on = yielded
-        if (
-            yielded._state is _PENDING
-            and yielded._cb0 is None
-            and yielded._callbacks is None
-        ):
-            yielded._cb0 = self._on_future_done
-        else:
-            yielded.add_done_callback(self._on_future_done)
+        scheduler._ready.append((scheduler._now, seq, Task._step, self))
 
     def __await__(self):
         return self.future.__await__()
@@ -388,15 +327,14 @@ class Scheduler:
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
         self._sequence = 0
-        # Near-term timers: (when, seq, TimerHandle) — seq is unique, so the
-        # handle itself is never compared.
+        # Timers: (when, seq, TimerHandle) — seq is unique, so the handle
+        # itself is never compared.
         self._events: list[tuple[float, int, TimerHandle]] = []
         #: Cancelled handles still sitting in ``_events`` (skipped at pop).
         self._tombstones = 0
         # Immediate callbacks: (when, seq, callback, arg), always sorted
         # because entries are appended with non-decreasing (when, seq).
         self._ready: deque[tuple[float, int, Callable[..., None], Any]] = deque()
-        self._wheel = TimerWheel()
         self._stopped = False
         self.events_processed = 0
         #: Cumulative timer cancellations (an observability probe reads this).
@@ -417,28 +355,13 @@ class Scheduler:
     def pending_events(self) -> int:
         """Live events currently queued (an observability probe reads this).
 
-        Counts ready callbacks, armed heap timers and wheel-bucketed timers;
-        cancelled timers are excluded — after the timeout-leak fix this stays
-        flat under sustained deadline-wrapped traffic.
+        Counts ready callbacks and armed timers; cancelled timers are
+        excluded — after the timeout-leak fix this stays flat under
+        sustained deadline-wrapped traffic.
         """
-        return (
-            len(self._ready)
-            + len(self._events)
-            - self._tombstones
-            + self._wheel.live
-        )
-
-    @property
-    def near_heap_depth(self) -> int:
-        """Armed near-term heap timers (tombstones excluded) — a probe."""
-        return len(self._events) - self._tombstones
+        return len(self._ready) + len(self._events) - self._tombstones
 
     # -- event scheduling -----------------------------------------------------
-
-    #: Timers closer than this go straight into the heap: they fire before a
-    #: cancellation could plausibly save work, and the heap (kept small by
-    #: the wheel absorbing far timers) beats bucket bookkeeping at this range.
-    NEAR_HORIZON = 0.004
 
     def call_at(
         self, when: float, action: Callable[..., None], arg: Any = _NO_ARG
@@ -462,12 +385,7 @@ class Scheduler:
         handle._callback = action
         handle._arg = arg
         handle._scheduler = self
-        if when - now < 0.004:  # NEAR_HORIZON
-            handle._where = _IN_HEAP
-            heapq.heappush(self._events, (when, seq, handle))
-        else:
-            handle._where = _IN_WHEEL
-            self._wheel.add(handle, now)
+        heapq.heappush(self._events, (when, seq, handle))
         journal = self.journal
         if journal is not None:
             journal.record("timer-arm", seq, when)
@@ -488,11 +406,13 @@ class Scheduler:
         self._ready.append((self._now, seq, action, arg))
 
     def _compact(self) -> None:
-        """Rebuild the heap without tombstones (triggered by cancel churn)."""
-        self._events = [
-            entry for entry in self._events if entry[2]._callback is not None
-        ]
-        heapq.heapify(self._events)
+        """Rebuild the heap without tombstones (triggered by cancel churn).
+
+        In place: a running dispatch loop holds this same list object.
+        """
+        events = self._events
+        events[:] = [entry for entry in events if entry[2]._callback is not None]
+        heapq.heapify(events)
         self._tombstones = 0
 
     # -- task & future helpers -------------------------------------------------
@@ -552,12 +472,7 @@ class Scheduler:
         future._callback = _wake
         future._arg = future
         future._scheduler = self
-        if when - now < 0.004:  # NEAR_HORIZON
-            future._where = _IN_HEAP
-            heapq.heappush(self._events, (when, seq, future))
-        else:
-            future._where = _IN_WHEEL
-            self._wheel.add(future, now)
+        heapq.heappush(self._events, (when, seq, future))
         return future
 
     def at(self, when: float) -> Future[None]:
@@ -584,12 +499,7 @@ class Scheduler:
         future._callback = _wake
         future._arg = future
         future._scheduler = self
-        if when - now < 0.004:  # NEAR_HORIZON
-            future._where = _IN_HEAP
-            heapq.heappush(self._events, (when, seq, future))
-        else:
-            future._where = _IN_WHEEL
-            self._wheel.add(future, now)
+        heapq.heappush(self._events, (when, seq, future))
         return future
 
     def timeout(self, awaitable: Future[Any] | Task, delay: float) -> Future[Any]:
@@ -625,12 +535,7 @@ class Scheduler:
             handle._callback = _Timeout.deadline
             handle._arg = state
             handle._scheduler = self
-            if when - now < 0.004:  # NEAR_HORIZON
-                handle._where = _IN_HEAP
-                heapq.heappush(self._events, (when, seq, handle))
-            else:
-                handle._where = _IN_WHEEL
-                self._wheel.add(handle, now)
+            heapq.heappush(self._events, (when, seq, handle))
             journal = self.journal
             if journal is not None:
                 journal.record("timer-arm", seq, when)
@@ -652,10 +557,6 @@ class Scheduler:
             )
         return task.result()
 
-    def run_until(self, predicate: Callable[[], bool]) -> None:
-        """Process events until ``predicate()`` is true or events run out."""
-        self._run(predicate=predicate)
-
     def run_for(self, duration: float) -> None:
         """Process all events scheduled within ``duration`` seconds from now."""
         deadline = self._now + duration
@@ -668,142 +569,69 @@ class Scheduler:
         self._run()
 
     def _run(
-        self,
-        stop_future: Future[Any] | None = None,
-        deadline: float | None = None,
-        predicate: Callable[[], bool] | None = None,
+        self, stop_future: Future[Any] | None = None, deadline: float = _INF
     ) -> None:
-        """The dispatch loop: merge ready/heap/wheel in (when, seq) order.
+        """The dispatch loop: merge ready deque and heap in (when, seq) order.
 
         Ready entries are appended with non-decreasing keys and heap entries
-        pop in key order, so comparing the two heads is an exact merge; the
-        wheel flushes a bucket into the heap whenever that bucket's start
-        time reaches the current candidate, before the candidate is run.
+        pop in key order, so comparing the two heads is an exact merge.
+        Returns when ``stop_future`` settles, when the next event lies past
+        ``deadline``, or when nothing is left to run.
         """
         ready = self._ready
         events = self._events
-        wheel = self._wheel
         pop_ready = ready.popleft
         heappop = heapq.heappop
+        # An empty queue reads as +inf below, which must be past the limit.
+        limit = min(deadline, sys.float_info.max)
         processed = 0
         try:
-            if deadline is None and predicate is None:
-                # Fast variant (run_until_complete / drain): no per-event
-                # deadline or predicate test.  Kept textually parallel with
-                # the general variant below.
-                while True:
-                    if (
-                        stop_future is not None
-                        and stop_future._state is not _PENDING
-                    ):
-                        return
-                    if ready:
-                        head = ready[0]
-                        ready_when = head[0]
-                        ready_seq = head[1]
-                    else:
-                        ready_when = _INF
-                        ready_seq = 0
-                    if events:
-                        head = events[0]
-                        heap_when = head[0]
-                        heap_seq = head[1]
-                    else:
-                        heap_when = _INF
-                        heap_seq = 0
-                    candidate = ready_when if ready_when < heap_when else heap_when
-                    next_start = wheel.next_start
-                    if next_start <= candidate and next_start < _INF:
-                        wheel.flush(candidate, events)
+            while True:
+                if stop_future is not None and stop_future._state is not _PENDING:
+                    return
+                if ready:
+                    head = ready[0]
+                    ready_when = head[0]
+                    ready_seq = head[1]
+                else:
+                    ready_when = _INF
+                    ready_seq = 0
+                if events:
+                    head = events[0]
+                    heap_when = head[0]
+                    heap_seq = head[1]
+                else:
+                    heap_when = _INF
+                    heap_seq = 0
+                candidate = ready_when if ready_when < heap_when else heap_when
+                if candidate > limit:
+                    return
+                if ready_when < heap_when or (
+                    ready_when == heap_when and ready_seq < heap_seq
+                ):
+                    when, _seq, callback, arg = pop_ready()
+                else:
+                    entry = heappop(events)
+                    handle = entry[2]
+                    callback = handle._callback
+                    if callback is None:
+                        self._tombstones -= 1
                         continue
-                    if candidate == _INF:
-                        return
-                    if ready_when < heap_when or (
-                        ready_when == heap_when and ready_seq < heap_seq
-                    ):
-                        when, _seq, callback, arg = pop_ready()
-                    else:
-                        entry = heappop(events)
-                        handle = entry[2]
-                        callback = handle._callback
-                        if callback is None:
-                            self._tombstones -= 1
-                            continue
-                        when = entry[0]
-                        arg = handle._arg
-                        handle._callback = None
-                        handle._arg = None
-                        handle._where = _FIRED
-                        handle._scheduler = None
-                        journal = self.journal
-                        if journal is not None:
-                            journal.record("timer-fire", entry[1], when)
-                    if when > self._now:
-                        self._now = when
-                    processed += 1
-                    if arg is _NO_ARG:
-                        callback()
-                    else:
-                        callback(arg)
-            else:
-                while True:
-                    if (
-                        stop_future is not None
-                        and stop_future._state is not _PENDING
-                    ):
-                        return
-                    if predicate is not None and predicate():
-                        return
-                    if ready:
-                        head = ready[0]
-                        ready_when = head[0]
-                        ready_seq = head[1]
-                    else:
-                        ready_when = _INF
-                        ready_seq = 0
-                    if events:
-                        head = events[0]
-                        heap_when = head[0]
-                        heap_seq = head[1]
-                    else:
-                        heap_when = _INF
-                        heap_seq = 0
-                    candidate = ready_when if ready_when < heap_when else heap_when
-                    next_start = wheel.next_start
-                    if next_start <= candidate and next_start < _INF:
-                        wheel.flush(candidate, events)
-                        continue
-                    if candidate == _INF:
-                        return
-                    if deadline is not None and candidate > deadline:
-                        return
-                    if ready_when < heap_when or (
-                        ready_when == heap_when and ready_seq < heap_seq
-                    ):
-                        when, _seq, callback, arg = pop_ready()
-                    else:
-                        entry = heappop(events)
-                        handle = entry[2]
-                        callback = handle._callback
-                        if callback is None:
-                            self._tombstones -= 1
-                            continue
-                        when = entry[0]
-                        arg = handle._arg
-                        handle._callback = None
-                        handle._arg = None
-                        handle._where = _FIRED
-                        handle._scheduler = None
-                        journal = self.journal
-                        if journal is not None:
-                            journal.record("timer-fire", entry[1], when)
-                    if when > self._now:
-                        self._now = when
-                    processed += 1
-                    if arg is _NO_ARG:
-                        callback()
-                    else:
-                        callback(arg)
+                    when = entry[0]
+                    arg = handle._arg
+                    handle._callback = None
+                    handle._arg = None
+                    handle._scheduler = None
+                    journal = self.journal
+                    if journal is not None:
+                        journal.record("timer-fire", entry[1], when)
+                if when > self._now:
+                    self._now = when
+                processed += 1
+                if arg is _NO_ARG:
+                    callback()
+                else:
+                    callback(arg)
         finally:
             self.events_processed += processed
 
@@ -829,17 +657,9 @@ class Scheduler:
                 unstarted.append(handle._arg)
             handle._callback = None
             handle._arg = None
-            handle._where = _DEAD
             handle._scheduler = None
         self._events.clear()
         self._tombstones = 0
-        for handle in self._wheel.drain_handles():
-            if handle._callback is Task._step and isinstance(handle._arg, Task):
-                unstarted.append(handle._arg)
-            handle._callback = None
-            handle._arg = None
-            handle._where = _DEAD
-            handle._scheduler = None
         for task in unstarted:
             if not task._started:
                 task.cancel()

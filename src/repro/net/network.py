@@ -43,22 +43,6 @@ class NetworkStats:
     batched_messages: int = 0
     largest_envelope: int = 0
 
-    def record(
-        self, source: str, loopback: bool, latency: float, count: int = 1
-    ) -> None:
-        self.messages += count
-        if loopback:
-            self.loopback_messages += count
-        else:
-            self.remote_messages += count
-        self.total_latency += latency * count
-        self.per_endpoint_sent[source] = self.per_endpoint_sent.get(source, 0) + count
-        self.envelopes += 1
-        if count > 1:
-            self.batched_messages += count
-        if count > self.largest_envelope:
-            self.largest_envelope = count
-
 
 class Network:
     """Latency-modeled transfers between registered endpoints."""
@@ -113,16 +97,6 @@ class Network:
         """Override the latency model for the directed pair (source, target)."""
         self._overrides[(source, target)] = model
 
-    def latency_for(self, source: str, target: str) -> float:
-        """Sample the delay for one message from ``source`` to ``target``."""
-        if self._overrides:
-            override = self._overrides.get((source, target))
-            if override is not None:
-                return override.sample(self._rng)
-        if source == target:
-            return self.loopback_model.sample(self._rng)
-        return self.lan_model.sample(self._rng)
-
     def should_duplicate(self, source: str, target: str) -> bool:
         """Chaos hook: whether the delivery just transferred arrives twice.
 
@@ -151,8 +125,8 @@ class Network:
         a message dropped on the wire.  Only a caller-side deadline turns
         that silence into an error.
         """
-        # transfer_many(source, target, 1) with the inner coroutine elided:
-        # this runs once per unbatched message and once per reply.
+        # A one-message envelope: this runs once per unbatched message and
+        # once per reply.
         delay = self.plan_envelope(source, target, 1)
         if delay is None:
             lost: Future[None] = Future(f"lost:{source}->{target}")
@@ -172,9 +146,10 @@ class Network:
         arrive, or ``None`` when it was lost — the caller then parks the
         affected messages on futures nothing resolves.
         """
-        # The body below is partitioned() + latency_for() + stats.record()
-        # inlined: this runs once per unbatched message and once per reply,
-        # so the method-call fan-out is part of the per-message bill.
+        # Partition check, latency sampling and stats bookkeeping are written
+        # out in this one body: it runs once per unbatched message and once
+        # per reply, so a method-call fan-out would be part of the
+        # per-message bill.
         endpoints = self._endpoints
         if source not in endpoints:
             raise KeyError(f"unknown source endpoint {source!r}")
@@ -219,17 +194,6 @@ class Network:
             stats.batched_messages += count
         if count > stats.largest_envelope:
             stats.largest_envelope = count
-        return delay
-
-    async def transfer_many(self, source: str, target: str, count: int) -> float:
-        """Transfer one envelope carrying ``count`` coalesced messages."""
-        delay = self.plan_envelope(source, target, count)
-        if delay is None:
-            lost: Future[None] = Future(f"lost:{source}->{target}")
-            await lost
-            return 0.0  # pragma: no cover - the future never resolves
-        if delay > 0:
-            await self._scheduler.sleep(delay)
         return delay
 
     def register_metrics(self, registry: "object") -> None:

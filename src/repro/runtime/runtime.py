@@ -226,18 +226,7 @@ class AodbRuntime:
             "kernel.events_processed", lambda: scheduler.events_processed
         )
         registry.register_probe("kernel.virtual_time", lambda: scheduler.now)
-        # Timer-subsystem shape: wheel occupancy vs. the near-term heap tells
-        # whether the NEAR_HORIZON split is doing its job, and cancel counts
-        # expose the timer-leak class of bug the heap once had.
-        registry.register_probe(
-            "kernel.timer_wheel_occupancy", lambda: scheduler._wheel.live
-        )
-        registry.register_probe(
-            "kernel.timer_wheel_cancelled", lambda: scheduler._wheel.cancelled
-        )
-        registry.register_probe(
-            "kernel.timer_near_heap_depth", lambda: scheduler.near_heap_depth
-        )
+        # Cancel counts expose the timer-leak class of bug the heap once had.
         registry.register_probe(
             "kernel.timer_cancels", lambda: scheduler.timer_cancels
         )

@@ -211,6 +211,22 @@ def test_run_for_advances_clock_to_deadline():
     assert fired == [1, 5]
 
 
+def test_run_for_deadline_is_inclusive():
+    """A timer exactly at the deadline fires; one just past it does not."""
+    sched = Scheduler()
+    fired = []
+    sched.call_at(2.0, fired.append, "at")
+    sched.call_at(2.000001, fired.append, "past")
+    sched.run_for(2.0)
+    assert fired == ["at"]
+    assert sched.now == 2.0
+    assert sched.pending_events == 1
+    sched.run_for(0.0)  # nothing due: an empty window runs nothing
+    assert fired == ["at"]
+    sched.drain()
+    assert fired == ["at", "past"]
+
+
 def test_call_at_in_the_past_runs_now():
     sched = Scheduler(start_time=10.0)
     fired = []

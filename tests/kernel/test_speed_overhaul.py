@@ -2,7 +2,7 @@
 
 Covers the timeout-timer leak (both directions of detachment), clean task
 teardown on ``stop()``, pinned ``gather`` semantics, and dispatch-order
-edge cases around cancellation and timer-wheel ties.
+edge cases around cancellation, timer ties and heap compaction.
 """
 
 import gc
@@ -25,7 +25,9 @@ def test_timeout_leak_pending_events_returns_to_baseline():
     left its deadline timer armed: ``pending_events`` grew by one per call
     and the dead timers burned an event each when they eventually fired.
     Now the timer is cancelled the moment the inner future resolves, so the
-    queue depth after each batch returns to the pre-batch baseline.
+    queue depth after each batch returns to the pre-batch baseline — and the
+    cancelled timers may not pile up as tombstones either: after any cancel,
+    compaction has kept the physical heap within 2 x live + 65 entries.
     """
     sched = Scheduler()
     peaks = []
@@ -38,6 +40,8 @@ def test_timeout_leak_pending_events_returns_to_baseline():
                 wrapped = sched.timeout(inner, 1000.0)
                 inner.set_result(1)
                 assert await wrapped == 1
+                live = len(sched._events) - sched._tombstones
+                assert len(sched._events) <= 2 * live + 65, "tombstones piled up"
             await sched.sleep(0.01)
             peaks.append(sched.pending_events - baseline)
 
@@ -111,7 +115,7 @@ def test_stop_closes_queued_first_steps_without_runtime_warning():
 
 
 def test_stop_closes_timer_queued_tasks():
-    """First steps parked behind timers (heap and wheel) are cleaned too."""
+    """First steps parked behind timers (near and far) are cleaned too."""
     sched = Scheduler()
     fired = []
 
@@ -120,7 +124,7 @@ def test_stop_closes_timer_queued_tasks():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        # Far timer (wheel) and near timer (heap), each carrying a task step.
+        # A far and a near timer, each carrying a task's first step.
         from repro.kernel.scheduler import Task
 
         near = Task(tick(), sched, name="near")
@@ -224,31 +228,41 @@ def test_cancel_while_resume_is_queued_delivers_cancellation():
     assert observed == ["CancelledError"]
 
 
-def test_timer_ties_fire_fifo_by_arming_order():
-    """Timers armed for the same instant fire in arming (seq) order, and
-    wheel-bucketed timers keep that order through the bucket flush."""
-    sched = Scheduler()
-    fired: list[str] = []
-
-    # Same deadline, alternating arming order, far enough out for the wheel.
-    for i in range(10):
-        sched.call_at(5.0, fired.append, f"wheel-{i}")
-    # Same instant, near horizon: straight to the heap.
-    for i in range(10):
-        sched.call_at(0.001, fired.append, f"heap-{i}")
-    sched.drain()
-    assert fired == [f"heap-{i}" for i in range(10)] + [
-        f"wheel-{i}" for i in range(10)
-    ]
-
-
-def test_wheel_tie_order_survives_mixed_arming():
-    """Interleaving near/far arming with identical deadlines stays FIFO."""
+@pytest.mark.parametrize(
+    "whens",
+    [
+        pytest.param([0.001] * 10, id="near"),
+        pytest.param([5.0] * 10, id="far"),
+        # Far ties armed before the near ones, then more of each: the far
+        # group still fires after the near group, each in arming order.
+        pytest.param([5.0] * 10 + [0.001] * 10 + [5.0, 0.001] * 5, id="mixed"),
+        pytest.param([1.0] * 20, id="one-instant"),
+    ],
+)
+def test_timer_ties_fire_fifo_by_arming_order(whens):
+    """Timers armed for the same instant fire in arming (seq) order, however
+    near and far deadlines interleave while arming."""
     sched = Scheduler()
     fired: list[int] = []
-    for i in range(20):
-        # All at t=1.0: first ten armed before a sleep event, last ten after.
-        sched.call_at(1.0, fired.append, i)
+    for index, when in enumerate(whens):
+        sched.call_at(when, fired.append, index)
     sched.drain()
-    assert fired == list(range(20))
+    assert fired == sorted(range(len(whens)), key=lambda i: (whens[i], i))
 
+
+def test_compaction_mid_run_loses_no_timer():
+    """Cancel churn that compacts the heap while the loop is running must
+    leave later timers visible to that loop (it once rebound the list)."""
+    sched = Scheduler()
+    fired: list[int] = []
+
+    async def main() -> None:
+        handles = [sched.call_later(0.001, fired.append, i) for i in range(200)]
+        for handle in handles[:150]:
+            handle.cancel()
+        await sched.sleep(0.002)  # armed after the compaction
+
+    sched.run_until_complete(main())
+    assert fired == list(range(150, 200))
+    assert sched.pending_events == 0
+    assert sched._tombstones == 0
