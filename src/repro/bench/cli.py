@@ -1,19 +1,20 @@
-"""Command-line entry point: regenerate any figure or ablation.
+"""Command-line entry point and the registry of every bench.
 
-Usage::
+Every bench is one :class:`Bench` entry in :data:`BENCHES`: how to run it
+(full or ``--smoke``), the invariants its result must keep and, for the
+eight with a committed ``BENCH_<name>.json``, how a fresh payload is gated
+against it.  ``python -m repro.bench --help`` lists them all::
 
-    python -m repro.bench fig6            # one experiment
-    python -m repro.bench all             # everything (several minutes)
-    python -m repro.bench fig7 --quick    # scaled-down sweep
+    python -m repro.bench fig6            # one bench, full scale
+    python -m repro.bench fig7 --smoke    # its reduced parameter set (CI)
+    python -m repro.bench all --smoke     # every bench
     python -m repro.bench trace           # traced run: causal trees
-    python -m repro.bench trace --smoke   # + invariant checks (CI gate)
-    python -m repro.bench profile         # profiled run: CPU attribution,
-                                          # health rules, telemetry actors
-    python -m repro.bench profile --smoke # + profiling-invariant checks
     python -m repro.bench incident        # recorded netsplit: postmortem dump
-    python -m repro.bench incident --smoke# + flight-recorder invariant checks
 
-Perf baselines (fig6 / fig7 / micro)::
+Every run, full or smoke, ends with its ``check``: each violated invariant
+is printed and the exit status is 1.
+
+Perf baselines (fig6 fig7 micro elastic partition speed views tsblocks)::
 
     python -m repro.bench fig6 --write-baseline BENCH_fig6.json
                                           # run full + smoke sweeps, commit
@@ -27,174 +28,245 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
+from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
+from typing import Any, Callable
 
-from . import experiments
+from . import baseline, experiments
 from .baseline import (
-    BUILDERS,
     check_against_baseline,
+    gate_points,
     load_baseline,
     write_baseline,
 )
-from .chaos import run_chaos_experiment
-from .report import format_result
+from .chaos import check_chaos, run_chaos_experiment
+from .report import format_payload, format_result
+from .workload import InvariantError
 
-QUICK = {
-    "chaos": dict(sensors=100, duration=12.0, crash_at=4.0, lease_seconds=1.5),
-    "fig6": dict(sensor_counts=(600, 1200, 1800, 2400), duration=6.0),
-    "fig7": dict(scale_factors=(1, 2, 3), duration=4.0),
-    "fig8": dict(sensor_counts=(500, 2000), duration=6.0),
-    "fig9": dict(sensor_counts=(500, 2000), duration=6.0),
-    "placement": dict(sensors=400, duration=4.0),
-    "durability": dict(sensors=30, duration=4.0),
-    "granularity": dict(cows=30),
-    "constraints": dict(transfers=60),
-    "cattle": dict(cow_counts=(1000, 5000), duration=4.0),
+
+@dataclass(frozen=True)
+class Bench:
+    """One registered bench.
+
+    ``run(smoke)`` returns the result (and may raise
+    :class:`InvariantError` from an audit that needs the live deployment);
+    ``check(result)`` returns the invariants the result violates, or raises
+    them.  ``gate(fresh, committed)``, set on the benches with a committed
+    ``BENCH_<name>.json`` (their result is a
+    :class:`~repro.bench.baseline.GatedRun`), returns the perf regressions
+    between two payloads of one mode.  ``render(result)`` is the report of
+    an ungated bench.
+    """
+
+    run: Callable[[bool], Any]
+    check: Callable[[Any], list[str]]
+    gate: Callable[[dict, dict], list[str]] | None = None
+    render: Callable[[Any], str] = format_result
+
+
+def _sweep(runner: Callable[..., Any], **smoke: Any) -> Callable[[bool], Any]:
+    """A driver's ``run``: its defaults, or its one reduced parameter set."""
+    return lambda reduced: runner(**(smoke if reduced else {}))
+
+
+def _late(module: str, name: str) -> Callable[..., Any]:
+    """``repro.bench.<module>.<name>``, imported when it is first called."""
+    return lambda *args: getattr(
+        import_module(f"{__package__}.{module}"), name
+    )(*args)
+
+
+#: Every bench, by the one name the CLI, the CI matrix, the payload's
+#: ``bench`` field and ``BENCH_<name>.json`` all use.  The reduced sets of
+#: the figure and ablation drivers are the ones their checks were written
+#: against (the former ``benchmarks/bench_*.py`` suites'); durability,
+#: granularity and constraints run smaller still, which their size-relative
+#: checks pass on as well.
+BENCHES: dict[str, Bench] = {
+    "fig6": Bench(baseline.build_fig6, baseline.check_fig6, gate_points),
+    "fig7": Bench(baseline.build_fig7, baseline.check_fig7, gate_points),
+    "fig8": Bench(
+        _sweep(experiments.run_fig8, sensor_counts=(500, 1000, 2000)),
+        experiments.check_fig8,
+    ),
+    "fig9": Bench(
+        _sweep(experiments.run_fig9, sensor_counts=(500, 1000, 2000)),
+        experiments.check_fig9,
+    ),
+    "placement": Bench(
+        _sweep(experiments.run_placement_ablation, sensors=800, duration=5.0),
+        experiments.check_placement,
+    ),
+    "durability": Bench(
+        _sweep(experiments.run_durability_ablation, sensors=30, duration=4.0),
+        experiments.check_durability,
+    ),
+    "granularity": Bench(
+        _sweep(experiments.run_granularity_ablation, cows=30),
+        experiments.check_granularity,
+    ),
+    "constraints": Bench(
+        _sweep(experiments.run_constraints_ablation, transfers=60),
+        experiments.check_constraints,
+    ),
+    "cattle": Bench(
+        _sweep(experiments.run_cattle_scaling, duration=5.0),
+        experiments.check_cattle,
+    ),
+    "chaos": Bench(
+        _sweep(
+            run_chaos_experiment,
+            sensors=100,
+            duration=12.0,
+            crash_at=4.0,
+            lease_seconds=1.5,
+            fault_window=4.0,
+        ),
+        check_chaos,
+    ),
+    "micro": Bench(baseline.build_micro, baseline.check_micro, gate_points),
+    "elastic": Bench(
+        _late("elastic", "build_elastic"),
+        _late("elastic", "check_elastic"),
+        gate_points,
+    ),
+    "partition": Bench(
+        _late("partition", "build_partition"),
+        _late("partition", "check_partition"),
+        gate_points,
+    ),
+    "speed": Bench(
+        _late("speed", "build_speed"),
+        _late("speed", "check_speed"),
+        _late("speed", "gate_speed"),
+    ),
+    "views": Bench(
+        _late("views", "build_views"), _late("views", "check_views"), gate_points
+    ),
+    "tsblocks": Bench(
+        _late("tsbench", "build_tsbench"),
+        _late("tsbench", "check_tsblocks"),
+        _late("tsbench", "gate_tsblocks"),
+    ),
+    "trace": Bench(
+        _late("tracebench", "run_trace_bench"),
+        _late("tracebench", "check_trace"),
+        render=_late("tracebench", "render_trace"),
+    ),
+    "profile": Bench(
+        _late("profilebench", "run_profile_bench"),
+        _late("profilebench", "check_invariants"),
+        render=_late("profilebench", "render_profile_bench"),
+    ),
+    "incident": Bench(
+        _late("incidentbench", "run_incident_bench"),
+        _late("incidentbench", "check_incident"),
+        render=_late("incidentbench", "render_incident"),
+    ),
 }
 
-RUNNERS = {
-    "chaos": run_chaos_experiment,
-    "fig6": experiments.run_fig6,
-    "fig7": experiments.run_fig7,
-    "fig8": experiments.run_fig8,
-    "fig9": experiments.run_fig9,
-    "placement": experiments.run_placement_ablation,
-    "durability": experiments.run_durability_ablation,
-    "granularity": experiments.run_granularity_ablation,
-    "constraints": experiments.run_constraints_ablation,
-    "cattle": experiments.run_cattle_scaling,
-}
-
-
-def _run_baseline_command(name: str, args: argparse.Namespace) -> int:
-    """fig6/fig7/micro with one of the baseline flags (or micro --smoke)."""
-    builder = BUILDERS[name]
-    started = time.time()
-    if args.write_baseline:
-        # Committing a baseline records both modes: the full sweep (the
-        # figure) and the smoke sweep the CI gate replays.
-        payloads = {"full": builder(False), "smoke": builder(True)}
-        write_baseline(args.write_baseline, payloads)
-        summary = payloads["full"]["summary"]
-        print(f"{name}: wrote {args.write_baseline} ({summary})")
-        print(f"  [wall-clock: {time.time() - started:.1f}s]")
-        return 0
-    fresh = builder(args.smoke)
-    print(f"{name} ({fresh['mode']}): {json.dumps(fresh['summary'])}")
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(fresh, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"  wrote {args.json}")
-    status = 0
-    if args.check_baseline:
-        failures = check_against_baseline(
-            fresh, load_baseline(args.check_baseline)
-        )
-        if failures:
-            for failure in failures:
-                print(f"  PERF REGRESSION: {failure}")
-            status = 1
-        else:
-            print(f"  perf gate passed against {args.check_baseline}")
-    print(f"  [wall-clock: {time.time() - started:.1f}s]")
-    return status
-
-
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Regenerate the paper's figures on the simulated cluster.",
+        description="Regenerate the paper's figures on the simulated cluster "
+        "and check the invariants of every bench.",
     )
     parser.add_argument(
-        "experiment",
-        choices=sorted(RUNNERS)
-        + [
-            "all",
-            "trace",
-            "profile",
-            "incident",
-            "micro",
-            "elastic",
-            "partition",
-            "speed",
-            "views",
-            "tsbench",
-        ],
-        help="which figure/ablation to run (or a traced/profiled demo run)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="scaled-down parameters (seconds instead of minutes)",
+        "bench",
+        choices=[*BENCHES, "all"],
+        help="which bench to run ('all': every one of them, in this order)",
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="trace/profile: tiny scenario plus invariant checks; "
-        "fig6/fig7/micro: the three-point sweep the CI perf gate replays",
+        help="the bench's reduced parameter set (seconds instead of "
+        "minutes): what CI runs and what --check-baseline replays",
     )
     parser.add_argument(
         "--json",
         metavar="PATH",
-        help="fig6/fig7/micro: write the fresh run's payload as JSON",
+        help="gated benches: write the fresh run's payload as JSON",
     )
     parser.add_argument(
         "--check-baseline",
         metavar="PATH",
-        help="fig6/fig7/micro: gate the fresh run against a committed "
-        "BENCH_*.json (fails on >10%% throughput drop or >15%% p99 rise)",
+        help="gated benches: gate the fresh run against a committed "
+        "BENCH_<name>.json (by default fails on >10%% throughput drop or "
+        ">15%% p99 rise)",
     )
     parser.add_argument(
         "--write-baseline",
         metavar="PATH",
-        help="fig6/fig7/micro: run full + smoke sweeps and (re)write the "
-        "committed BENCH_*.json",
+        help="gated benches: run full + smoke sweeps and (re)write the "
+        "committed BENCH_<name>.json",
     )
-    args = parser.parse_args(argv)
-    if args.experiment == "trace":
-        from .tracebench import run_trace_bench
+    return parser
 
-        print(run_trace_bench(smoke=args.smoke))
-        return 0
-    if args.experiment == "profile":
-        from .profilebench import run_profile_bench
 
-        print(run_profile_bench(smoke=args.smoke))
-        return 0
-    if args.experiment == "incident":
-        from .incidentbench import run_incident_bench
-
-        print(run_incident_bench(smoke=args.smoke))
-        return 0
-    baseline_flags = args.json or args.check_baseline or args.write_baseline
-    if args.experiment in (
-        "micro", "elastic", "partition", "speed", "views", "tsbench"
-    ):
-        if not (baseline_flags or args.smoke):
-            print(
-                json.dumps(
-                    BUILDERS[args.experiment](False), indent=2, sort_keys=True
-                )
+def _run_bench(name: str, args: argparse.Namespace) -> int:
+    """Run one bench, report it, check it, then serve the baseline flags."""
+    bench = BENCHES[name]
+    started = time.time()
+    # Committing a baseline records both modes: the full sweep (the figure)
+    # and the smoke sweep the CI gate replays.
+    modes = (False, True) if args.write_baseline else (args.smoke,)
+    payloads: dict[str, dict] = {}
+    failures: list[str] = []
+    try:
+        for smoke in modes:
+            result = bench.run(smoke)
+            if bench.gate is None:
+                print(bench.render(result))
+            else:
+                payloads[result.payload["mode"]] = result.payload
+                print(format_payload(result.payload))
+            failures += bench.check(result)
+    except InvariantError as exc:
+        failures += exc.args
+    failures = [f"INVARIANT VIOLATED: {violation}" for violation in failures]
+    if not failures:
+        print(f"  OK: every {name} invariant holds")
+        if args.write_baseline:
+            write_baseline(args.write_baseline, payloads)
+            print(f"  wrote {args.write_baseline}")
+        fresh = next(iter(payloads.values()), None)
+        if args.json:
+            Path(args.json).write_text(
+                json.dumps(fresh, indent=2, sort_keys=True) + "\n"
             )
-            return 0
-        return _run_baseline_command(args.experiment, args)
-    if args.experiment in BUILDERS and (baseline_flags or args.smoke):
-        return _run_baseline_command(args.experiment, args)
-    names = sorted(RUNNERS) if args.experiment == "all" else [args.experiment]
+            print(f"  wrote {args.json}")
+        if args.check_baseline:
+            failures = [
+                f"PERF REGRESSION: {regression}"
+                for regression in check_against_baseline(
+                    fresh, load_baseline(args.check_baseline), bench.gate
+                )
+            ]
+            if not failures:
+                print(f"  perf gate passed against {args.check_baseline}")
+    for failure in failures:
+        print(f"  {failure}")
+    print(f"  [wall-clock: {time.time() - started:.1f}s]")
+    return 1 if failures else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    names = list(BENCHES) if args.bench == "all" else [args.bench]
+    if args.json or args.check_baseline or args.write_baseline:
+        if args.bench == "all" or BENCHES[args.bench].gate is None:
+            gated = [name for name, bench in BENCHES.items() if bench.gate]
+            parser.error(
+                "--json/--check-baseline/--write-baseline take one gated "
+                f"bench: {', '.join(gated)}"
+            )
+    status = 0
     for name in names:
-        runner = RUNNERS[name]
-        kwargs = QUICK.get(name, {}) if args.quick else {}
-        started = time.time()
-        result = runner(**kwargs)
-        elapsed = time.time() - started
-        print(format_result(result))
-        print(f"  [wall-clock: {elapsed:.1f}s]")
-        print()
-    return 0
+        status |= _run_bench(name, args)
+        if len(names) > 1:
+            print()
+    return status
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

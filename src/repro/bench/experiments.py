@@ -4,7 +4,10 @@ Each ``run_figN`` function regenerates the corresponding figure's series
 and returns a structured result; :mod:`repro.bench.report` renders them as
 the tables recorded in EXPERIMENTS.md.  Ablation drivers cover the design
 choices §4-§5 call out (placement, durability, actor granularity,
-constraint enforcement).
+constraint enforcement).  Beside each driver sits its ``check_*``: the
+paper's claim about that figure as conditions on the result, returning one
+human-readable violation per condition that fails (Figures 6 and 7 are
+checked on their seed-vs-fast payload, in :mod:`repro.bench.baseline`).
 """
 
 from __future__ import annotations
@@ -28,10 +31,24 @@ from .calibration import (
 )
 from .instances import M5_LARGE, M5_XLARGE, InstanceType
 from .metrics import Summary
-from .workload import Deployment, LoadConfig, build_deployment, provision, run_load
+from .workload import (
+    Deployment,
+    LoadConfig,
+    build_deployment,
+    class_attributes,
+    drive_waves,
+    provision,
+    run_load,
+    violated,
+)
 
 DEFAULT_DURATION = 8.0
 FIG7_SENSORS_PER_SERVER = 2100  # the paper's derived baseline (§6.2)
+
+
+def approx(value: float, expected: float, rel: float) -> bool:
+    """``value`` within ``rel`` (a fraction) of ``expected``."""
+    return abs(value - expected) <= rel * abs(expected)
 
 
 @dataclass
@@ -190,6 +207,40 @@ def run_fig8(
     )
 
 
+def _check_percentiles(result: FigResult, kind: str) -> list[str]:
+    """Every point measured ``kind`` requests, with ordered percentiles."""
+    claims = {}
+    for point in result.points:
+        summary = getattr(point, kind)
+        claims[f"{result.figure} @ {point.sensors} sensors: {kind} percentiles"] = (
+            summary is not None
+            and summary.requests > 0
+            and summary.p50 <= summary.p90 <= summary.p99 <= summary.p999
+        )
+    return violated(claims)
+
+
+def check_fig8(result: FigResult) -> list[str]:
+    """Paper: "for 500 simulated sensors, 99.9th percentile latency is
+    minimal for raw data requests", and "the latency of raw data requests is
+    often substantially below 0.5 sec" at 2,000 sensors."""
+    by_sensors = {p.sensors: p.raw for p in result.points}
+    low, high = by_sensors[500], by_sensors[2000]
+    return _check_percentiles(result, "raw") or violated({
+        # Latency grows with load.
+        "fig8: raw p99 grows from 500 to 2,000 sensors": low.p99 < high.p99,
+        "fig8: raw p99.9 grows from 500 to 2,000 sensors": low.p999 < high.p999,
+        # 99.9p minimal at 500 sensors (well under the interactive budget).
+        "fig8 @ 500 sensors: raw p99.9 < 0.2 s": low.p999 < 0.2,
+        # Raw requests "often substantially below 0.5 sec" at 2,000 sensors:
+        # the median is far below it and even p90 nearly meets it.
+        "fig8 @ 2000 sensors: raw p50 < 0.35 s": high.p50 < 0.35,
+        "fig8 @ 2000 sensors: raw p90 < 0.6 s": high.p90 < 0.6,
+        # Interactive requirement: a few seconds at most, comfortably met.
+        "fig8 @ 2000 sensors: raw p99.9 < 2.0 s": high.p999 < 2.0,
+    })
+
+
 def run_fig9(
     sensor_counts: tuple[int, ...] = (500, 1000, 1500, 2000),
     duration: float = DEFAULT_DURATION,
@@ -208,6 +259,32 @@ def run_fig9(
         duration,
         seed,
     )
+
+
+def check_fig9(result: FigResult) -> list[str]:
+    """Paper: live-data requests (a fan-out over all ~210 channels of a
+    tenant) are slower than raw requests but stay "under 1 sec" at 500
+    sensors even at the 99.9th percentile, and "often below 1 sec at 2,000
+    simulated sensors"."""
+    by_sensors = {p.sensors: p.live for p in result.points}
+    low, high = by_sensors[500], by_sensors[2000]
+    return _check_percentiles(result, "live") or violated({
+        # Latency grows with load.
+        "fig9: live p99 grows from 500 to 2,000 sensors": low.p99 < high.p99,
+        # Under 1 s at 500 sensors even at extreme percentiles.
+        "fig9 @ 500 sensors: live p99.9 < 1.0 s": low.p999 < 1.0,
+        # Often below 1 s at 2,000 sensors (median and p90).
+        "fig9 @ 2000 sensors: live p50 < 1.0 s": high.p50 < 1.0,
+        "fig9 @ 2000 sensors: live p90 < 1.0 s": high.p90 < 1.0,
+        # The fan-out pays more queueing than a single-actor read.
+        **{
+            f"fig9 @ {p.sensors} sensors: live p90 is no faster than raw p90": (
+                p.live.p90 >= p.raw.p90 * 0.95
+            )
+            for p in result.points
+            if p.sensors >= 1000
+        },
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +321,13 @@ def run_placement_ablation(
         "placement",
         notes={"sensors": sensors, "servers": servers},
     )
+    channels = (PhysicalSensorChannel, VirtualSensorChannel)
     for strategy in ("prefer_local", "random"):
-        original = PhysicalSensorChannel.placement
-        original_v = VirtualSensorChannel.placement
-        PhysicalSensorChannel.placement = strategy
-        VirtualSensorChannel.placement = strategy
-        try:
+        with class_attributes(channels, placement=strategy):
             deployment = build_deployment([M5_XLARGE] * servers, seed=seed)
             deployment.scheduler.run_until_complete(provision(deployment, sensors))
             load = LoadConfig(sensors=sensors, duration=duration)
             run = deployment.scheduler.run_until_complete(run_load(deployment, load))
-        finally:
-            PhysicalSensorChannel.placement = original
-            VirtualSensorChannel.placement = original_v
         stats = deployment.runtime.network.stats
         insert = run.summary("insert")
         result.rows.append(
@@ -269,6 +340,36 @@ def run_placement_ablation(
             }
         )
     return result
+
+
+def check_placement(result: AblationResult) -> list[str]:
+    """Paper: "we have had to change the activation placement strategy away
+    from random placement for our sensor channels and aggregators.  The
+    prefer-local placement ... minimizes the need to perform remote
+    procedure calls."."""
+    rows = {row["strategy"]: row for row in result.rows}
+    local, random_ = rows["prefer_local"], rows["random"]
+    return violated({
+        # Prefer-local minimizes remote messages...
+        "prefer_local sends < 50% of messages remotely": (
+            local["remote_fraction"] < 0.5
+        ),
+        "random sends > 70% of messages remotely": random_["remote_fraction"] > 0.7,
+        "prefer_local halves random's remote fraction": (
+            local["remote_fraction"] < random_["remote_fraction"] / 2
+        ),
+        # ...and does not hurt latency.
+        "prefer_local insert p50 is within 10% of random's": (
+            local["insert_p50"] <= random_["insert_p50"] * 1.1
+        ),
+        # Both strategies sustain the offered load.
+        **{
+            f"{row['strategy']} sustains the offered load within 5%": approx(
+                row["throughput"], result.notes["sensors"], rel=0.05
+            )
+            for row in result.rows
+        },
+    })
 
 
 def run_durability_ablation(
@@ -293,18 +394,15 @@ def run_durability_ablation(
             "paper_quote": "200 write requests every second for 200 channels",
         },
     )
-    policies = [
-        ("write_through", WritePolicy.WRITE_THROUGH, None),
-        ("interval_5s", WritePolicy.INTERVAL, 5.0),
-        ("on_deactivate", WritePolicy.ON_DEACTIVATE, None),
-    ]
-    for label, policy, interval in policies:
-        original_policy = PhysicalSensorChannel.write_policy
-        original_interval = PhysicalSensorChannel.write_interval_seconds
-        PhysicalSensorChannel.write_policy = policy
-        if interval is not None:
-            PhysicalSensorChannel.write_interval_seconds = interval
-        try:
+    policies = {
+        "write_through": dict(write_policy=WritePolicy.WRITE_THROUGH),
+        "interval_5s": dict(
+            write_policy=WritePolicy.INTERVAL, write_interval_seconds=5.0
+        ),
+        "on_deactivate": dict(write_policy=WritePolicy.ON_DEACTIVATE),
+    }
+    for label, attributes in policies.items():
+        with class_attributes([PhysicalSensorChannel], **attributes):
             scheduler = Scheduler()
             store = ProvisionedKVStore(
                 scheduler,
@@ -349,10 +447,40 @@ def run_durability_ablation(
                     "insert_p99": insert.p99 if insert else 0.0,
                 }
             )
-        finally:
-            PhysicalSensorChannel.write_policy = original_policy
-            PhysicalSensorChannel.write_interval_seconds = original_interval
     return result
+
+
+def check_durability(result: AblationResult) -> list[str]:
+    """Paper: "if we wrote state to persistent storage after each request,
+    we would need 200 write requests every second to the cloud storage
+    system" — versus batching a window or writing only at silo shutdown
+    (the benchmark configuration)."""
+    rows = {row["policy"]: row for row in result.rows}
+    through, deferred = rows["write_through"], rows["on_deactivate"]
+    channels = 2 * result.notes["sensors"]
+    return violated({
+        # Write-through: one storage write per channel ingest = 2 per sensor
+        # per second (the paper's "200 writes/s for 100 sensors", scaled).
+        f"write_through makes ~{channels} writes/s (within 25%)": approx(
+            through["writes_per_second"], channels, rel=0.25
+        ),
+        # Deferred policies keep the steady-state write rate far lower.
+        **{
+            f"{policy} writes under a third as often as write_through": (
+                rows[policy]["writes_per_second"] < through["writes_per_second"] / 3
+            )
+            for policy in ("interval_5s", "on_deactivate")
+        },
+        # The paper's benchmark config: state reaches storage when the silo
+        # shuts down, covering every provisioned channel.
+        f"on_deactivate flushes all {channels} channels at shutdown": (
+            deferred["writes_at_shutdown"] >= channels
+        ),
+        # Write-through costs latency.
+        "write_through insert p50 is slower than on_deactivate's": (
+            through["insert_p50"] > deferred["insert_p50"]
+        ),
+    })
 
 
 def _cattle_database(seed: int) -> tuple[Scheduler, CattlePlatform, AodbRuntime]:
@@ -448,6 +576,31 @@ def run_granularity_ablation(
             }
         )
     return result
+
+
+def check_granularity(result: AblationResult) -> list[str]:
+    """Paper: "Since each actor keeps a separate object version of the meat
+    cut throughout the supply chain, communication to obtain meat cut
+    information is obviated.  For frequently accessed entities, this
+    reduction in communication may pay off with respect to the overhead of
+    copying non-actor objects."."""
+    rows = {row["model"]: row for row in result.rows}
+    actors, objects = rows["model_a_actors"], rows["model_b_objects"]
+    return violated({
+        # Model B answers info requests from local state: far fewer messages.
+        "model B sends under 75% of model A's messages": (
+            objects["messages"] < actors["messages"] * 0.75
+        ),
+        # Model A activates one actor per cut (+ products); model B holds
+        # object versions inside a handful of stage actors.
+        "model B creates under a third of model A's activations": (
+            objects["activations"] < actors["activations"] / 3
+        ),
+        # Model B is faster for read-heavy chains.
+        "model B finishes the chain in less virtual time": (
+            objects["virtual_seconds"] < actors["virtual_seconds"]
+        ),
+    })
 
 
 def run_constraints_ablation(
@@ -552,6 +705,34 @@ def run_constraints_ablation(
     return result
 
 
+def check_constraints(result: AblationResult) -> list[str]:
+    """Paper: "Employ transactions to update data across actors
+    consistently; however, in the absence of transactions, keep data related
+    to a constraint in a single actor or design a multi-actor workflow for
+    updates."."""
+    rows = {row["flavour"]: row for row in result.rows}
+    transaction, workflow = rows["transaction"], rows["workflow"]
+    return violated({
+        # Transaction and workflow preserve the herd/ownership invariant.
+        "transactions keep one owner per cow": transaction["invariant_holds"] is True,
+        "workflows keep one owner per cow": workflow["invariant_holds"] is True,
+        # All transactions commit without contention aborts.
+        "every transaction commits": (
+            transaction["commits"] == result.notes["transfers"]
+        ),
+        "no transaction aborts": transaction["aborts"] == 0,
+        # Strict 2PL serializes transfers that share the seller actor, so the
+        # per-transfer virtual time is much higher than the unserialized saga.
+        "a transactional transfer costs over 3x a workflow's": (
+            transaction["per_transfer_ms"] > workflow["per_transfer_ms"] * 3
+        ),
+        # Snapshot/restore bookkeeping adds messages per participant.
+        "transactions send more messages than workflows": (
+            transaction["messages"] > workflow["messages"]
+        ),
+    })
+
+
 def run_cattle_scaling(
     cow_counts: tuple[int, ...] = (1000, 2500, 5000, 6000),
     duration: float = 6.0,
@@ -622,16 +803,8 @@ def run_cattle_scaling(
                 )
                 recorder.record("insert", sent, scheduler.now - sent)
 
-            while scheduler.now < stop:
-                wave_time = scheduler.now
-                tasks = [
-                    scheduler.spawn(one_reading(f"cow-{cow}", wave_time))
-                    for cow in range(cows)
-                ]
-                await scheduler.gather(tasks)
-                next_wave = wave_time + 1.0
-                if scheduler.now < next_wave:
-                    await scheduler.sleep(next_wave - scheduler.now)
+            cow_ids = [f"cow-{cow}" for cow in range(cows)]
+            await drive_waves(scheduler, cow_ids, stop, one_reading)
             return start, stop
 
         scheduler.run_until_complete(provision_herds())
@@ -649,3 +822,35 @@ def run_cattle_scaling(
             }
         )
     return result
+
+
+def check_cattle(result: AblationResult) -> list[str]:
+    """The extension asserts the SHM figures' shape on case study 2: linear
+    below the predicted saturation, a plateau at full utilization beyond."""
+    predicted = result.notes["predicted_saturation_cows"]
+    rows = {row["cows"]: row for row in result.rows}
+    claims = {
+        # Latency grows with load.
+        "cattle: p99 grows from the lightest load to saturation": (
+            rows[min(rows)]["p99_ms"] < rows[predicted]["p99_ms"]
+        ),
+    }
+    for cows, row in rows.items():
+        if cows <= predicted / 2:
+            # Linear below saturation.
+            claims[f"cattle @ {cows} cows: throughput tracks the load within 2%"] = (
+                approx(row["throughput"], cows, rel=0.02)
+            )
+        elif cows == predicted:
+            # At the predicted saturation the silo is fully busy...
+            claims[f"cattle @ {cows} cows: utilization > 0.97"] = (
+                row["utilization"] > 0.97
+            )
+        elif cows > predicted:
+            # ...and beyond it throughput plateaus instead of tracking
+            # offered load.
+            claims[f"cattle @ {cows} cows: throughput plateaus at ~{predicted}"] = (
+                approx(row["throughput"], predicted, rel=0.10)
+                and row["throughput"] < cows * 0.95
+            )
+    return violated(claims)

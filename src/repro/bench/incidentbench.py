@@ -12,10 +12,10 @@ transition snapshots a :class:`~repro.obs.recorder.Postmortem`: the firing
 rule, the retained anomaly traces, the ring tails, and the synthesized
 partition markers merged into one causally-ordered virtual-time timeline.
 
-The default mode renders the first partition-era postmortem
-(:func:`~repro.obs.recorder.render_postmortem`) plus a run summary.
-``--smoke`` additionally asserts the flight-recorder contract and is wired
-into CI:
+Both modes render the first partition-era postmortem
+(:func:`~repro.obs.recorder.render_postmortem`) plus a run summary, and
+assert the flight-recorder contract (``--smoke`` shrinks the fleet and is
+wired into CI):
 
 - at least one alert-triggered postmortem was captured;
 - its timeline is sorted by virtual time and merges events from the
@@ -27,7 +27,8 @@ into CI:
   quarantined tenant's failed/retried asks) while downsampling the bulk of
   healthy traffic, with zero tracer drops.
 
-Violations raise :class:`IncidentInvariantError`, failing CI loudly.
+Violations raise :class:`~repro.bench.workload.InvariantError`, failing CI
+loudly.
 """
 
 from __future__ import annotations
@@ -47,7 +48,13 @@ from .partition import (
     build_netsplit_deployment,
     start_netsplit,
 )
-from .workload import synth_value
+from .workload import (
+    InvariantError,
+    _require,
+    class_attributes,
+    drive_waves,
+    one_point_batches,
+)
 
 #: Health evaluation cadence: fast enough to catch the quarantine within
 #: one lease, slow enough to stay a rounding error in the event count.
@@ -58,26 +65,13 @@ SMOKE_SENSORS = 9
 DEFAULT_SEED = 404
 
 
-class IncidentInvariantError(RuntimeError):
-    """A flight-recorder/postmortem invariant was violated."""
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise IncidentInvariantError(message)
-
-
-def run_incident_scenario(sensors: int, seed: int) -> dict:
+def run_incident_bench(smoke: bool = False) -> dict:
     """One recorded netsplit; returns recorder, postmortems and run stats."""
     from ..shm.sensor import Sensor
 
-    saved = (Sensor.write_policy, Sensor.write_interval_seconds)
     # The dedup watermark must survive re-placement (partition-bench rule).
-    Sensor.write_policy = WritePolicy.WRITE_THROUGH
-    try:
-        return _run(sensors, seed)
-    finally:
-        Sensor.write_policy, Sensor.write_interval_seconds = saved
+    with class_attributes([Sensor], write_policy=WritePolicy.WRITE_THROUGH):
+        return _run(SMOKE_SENSORS if smoke else DEFAULT_SENSORS, DEFAULT_SEED)
 
 
 def _run(sensors: int, seed: int) -> dict:
@@ -104,36 +98,19 @@ def _run(sensors: int, seed: int) -> dict:
     sensor_ids = deployment.report.sensor_ids
     counters = {"attempted": 0, "succeeded": 0}
 
-    from ..shm.platform import channel_id_for
-
     async def one_insert(sensor_id: str, wave_time: float) -> None:
-        batches = {
-            channel_id_for(sensor_id, channel): [
-                (wave_time, synth_value(channel, wave_time))
-            ]
-            for channel in (0, 1)
-        }
         counters["attempted"] += 1
         try:
-            await platform.ingest(sensor_id, batches)
+            await platform.ingest(
+                sensor_id, one_point_batches(sensor_id, wave_time)
+            )
         except ReproError:
             return
         counters["succeeded"] += 1
 
-    async def fleet() -> None:
-        stop = t0 + RUN_DURATION
-        while scheduler.now < stop:
-            wave_time = scheduler.now
-            tasks = [
-                scheduler.spawn(one_insert(sensor_id, wave_time))
-                for sensor_id in sensor_ids
-            ]
-            await scheduler.gather(tasks)
-            next_wave = wave_time + 1.0
-            if scheduler.now < next_wave:
-                await scheduler.sleep(next_wave - scheduler.now)
-
-    scheduler.run_until_complete(fleet())
+    scheduler.run_until_complete(
+        drive_waves(scheduler, sensor_ids, t0 + RUN_DURATION, one_insert)
+    )
     monitor.detach()
     stats = runtime.stats
     metrics = runtime.metrics.cluster_totals()
@@ -164,13 +141,13 @@ def _partition_postmortem(result: dict) -> Postmortem:
             window_start
         ):
             return postmortem
-    raise IncidentInvariantError(
+    raise InvariantError(
         "no alert-triggered postmortem was captured during the partition"
     )
 
 
-def _check_invariants(result: dict) -> Postmortem:
-    """Assert the smoke contract; returns the audited postmortem."""
+def check_incident(result: dict) -> list[str]:
+    """Assert the flight-recorder contract on one recorded netsplit."""
     _require(
         result["silos_quarantined"] >= 1,
         "netsplit never quarantined the minority silo",
@@ -233,19 +210,12 @@ def _check_invariants(result: dict) -> Postmortem:
         any(line.startswith("retained") for line in trace_lines),
         "the retained trace's retention marker is missing from the timeline",
     )
-    return postmortem
+    return []
 
 
-def run_incident_bench(smoke: bool = False) -> str:
-    """The ``python -m repro.bench incident`` entry point."""
-    sensors = SMOKE_SENSORS if smoke else DEFAULT_SENSORS
-    result = run_incident_scenario(sensors, DEFAULT_SEED)
-    lines: list[str] = []
-    if smoke:
-        postmortem = _check_invariants(result)
-    else:
-        postmortem = _partition_postmortem(result)
-    lines.append(render_postmortem(postmortem, max_lines=60))
+def render_incident(result: dict) -> str:
+    """The partition-era postmortem, then the run and recorder summary."""
+    lines = [render_postmortem(_partition_postmortem(result), max_lines=60)]
     lines.append("")
     lines.append(
         f"run: {result['counters']['succeeded']}/"
@@ -262,10 +232,4 @@ def run_incident_bench(smoke: bool = False) -> str:
         f"{len(result['postmortems'])} postmortem(s), "
         f"{result['ring_entries']} ring entries"
     )
-    if smoke:
-        lines.append("")
-        lines.append(
-            "SMOKE OK: postmortem timeline ordered, cross-silo, carries the "
-            "full anomaly trace"
-        )
     return "\n".join(lines)

@@ -27,7 +27,7 @@ against the client-side ack ledger:
 Every scenario runs across several seeds; the simulator is deterministic,
 so the committed ``BENCH_partition.json`` reproduces bit for bit and the CI
 gate replays the smoke sweep.  Invariant violations raise
-:class:`PartitionInvariantError`, failing the run loudly.
+:class:`~repro.bench.workload.InvariantError`, failing the run loudly.
 """
 
 from __future__ import annotations
@@ -35,10 +35,20 @@ from __future__ import annotations
 from ..errors import ReproError
 from ..net.faults import PartitionInjector
 from ..runtime.persistence import WritePolicy
-from ..storage.system_store import SystemStore
+from ..shm.platform import channel_id_for
+from .baseline import GatedRun
 from .chaos import CHAOS_CALL_DEADLINE, CHAOS_RETRY_POLICY
 from .instances import M5_LARGE
-from .workload import Deployment, build_deployment, provision, synth_value
+from .workload import (
+    Deployment,
+    _require,
+    build_deployment,
+    class_attributes,
+    drive_waves,
+    one_point_batches,
+    provision,
+    use_short_leases,
+)
 
 #: Scenario timeline (virtual seconds, relative to the post-provision t0).
 PARTITION_START = 6.0
@@ -55,9 +65,8 @@ MAJORITY_SILOS = ("silo-0", "silo-1")
 MINORITY_ORG = "org-2"
 
 #: Seed sweep: the acceptance bar is deterministic invariants across >= 2
-#: seeds; full mode adds a third.
-FULL_SEEDS = (101, 202, 303)
-SMOKE_SEEDS = (101, 202, 303)
+#: seeds.
+SEEDS = (101, 202, 303)
 
 SCENARIOS = ("netsplit", "zombie", "crash")
 
@@ -66,17 +75,14 @@ SCENARIOS = ("netsplit", "zombie", "crash")
 REDO_DEFICIT_BOUND = 3
 
 
-class PartitionInvariantError(RuntimeError):
-    """A partition-tolerance safety invariant was violated."""
+def run_partition_scenario(
+    scenario: str, sensors: int, seed: int
+) -> tuple[dict, tuple]:
+    """Run one scenario at one seed; returns ``(metrics row, audit)``.
 
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise PartitionInvariantError(message)
-
-
-def run_partition_scenario(scenario: str, sensors: int, seed: int) -> dict:
-    """Run one scenario at one seed and return its audited metrics row.
+    ``audit`` is the argument tuple of :func:`_check_invariants`: the
+    client-side ack ledger against the storage read-back, plus the
+    membership and fencing counters the safety contract is stated in.
 
     All scenarios pin write-through durability on the Sensor (its dedup
     watermark must survive re-placement); channels keep the paper's
@@ -90,21 +96,18 @@ def run_partition_scenario(scenario: str, sensors: int, seed: int) -> dict:
 
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown partition scenario {scenario!r}")
-    saved = [
-        (cls, cls.write_policy, cls.write_interval_seconds)
-        for cls in (Sensor, PhysicalSensorChannel, VirtualSensorChannel)
-    ]
-    Sensor.write_policy = WritePolicy.WRITE_THROUGH
-    if scenario == "zombie":
-        for cls in (PhysicalSensorChannel, VirtualSensorChannel):
-            cls.write_policy = WritePolicy.INTERVAL
-            cls.write_interval_seconds = 0.5
-    try:
+    flushing = (
+        (PhysicalSensorChannel, VirtualSensorChannel)
+        if scenario == "zombie"
+        else ()
+    )
+    with (
+        class_attributes([Sensor], write_policy=WritePolicy.WRITE_THROUGH),
+        class_attributes(
+            flushing, write_policy=WritePolicy.INTERVAL, write_interval_seconds=0.5
+        ),
+    ):
         return _run(scenario, sensors, seed)
-    finally:
-        for cls, policy, interval in saved:
-            cls.write_policy = policy
-            cls.write_interval_seconds = interval
 
 
 def build_netsplit_deployment(
@@ -121,15 +124,8 @@ def build_netsplit_deployment(
         dedup_ingest=True,
         tracing=tracing,
     )
-    scheduler = deployment.scheduler
+    use_short_leases(deployment, LEASE_SECONDS)
     runtime = deployment.runtime
-
-    # Short-lease membership (the chaos-bench pattern): swap the system
-    # store before provisioning so fences and leases come from it.
-    system_store = SystemStore(scheduler, lease_seconds=LEASE_SECONDS)
-    runtime.system_store = system_store
-    for silo in runtime.silos():
-        system_store.announce(silo.silo_id, instance_type=silo.instance_type)
     config = runtime.config
     config.default_call_deadline = CHAOS_CALL_DEADLINE
     config.default_retry_policy = CHAOS_RETRY_POLICY
@@ -175,7 +171,7 @@ def start_netsplit(
     return t0
 
 
-def _run(scenario: str, sensors: int, seed: int) -> dict:
+def _run(scenario: str, sensors: int, seed: int) -> tuple[dict, tuple]:
     # The zombie scenario disables self-quarantine and leaves the client
     # able to reach the minority silo (that is what makes it a zombie: it
     # keeps serving and acking); the other two cut the client off with the
@@ -197,20 +193,14 @@ def _run(scenario: str, sensors: int, seed: int) -> dict:
     }
     errors_by_type: dict[str, int] = {}
 
-    from ..shm.platform import channel_id_for
-
     async def one_insert(sensor_id: str, wave_time: float) -> None:
-        batches = {
-            channel_id_for(sensor_id, channel): [
-                (wave_time, synth_value(channel, wave_time))
-            ]
-            for channel in (0, 1)
-        }
         majority = not sensor_id.startswith(f"{MINORITY_ORG}/")
         counters["attempted"] += 1
         counters["majority_attempted"] += majority
         try:
-            await platform.ingest(sensor_id, batches)
+            await platform.ingest(
+                sensor_id, one_point_batches(sensor_id, wave_time)
+            )
         except ReproError as exc:
             name = type(exc).__name__
             errors_by_type[name] = errors_by_type.get(name, 0) + 1
@@ -219,25 +209,13 @@ def _run(scenario: str, sensors: int, seed: int) -> dict:
             counters["majority_succeeded"] += majority
             acked_waves[sensor_id] += 1
 
-    async def fleet() -> None:
-        stop = t0 + RUN_DURATION
-        while scheduler.now < stop:
-            wave_time = scheduler.now
-            tasks = [
-                scheduler.spawn(one_insert(sensor_id, wave_time))
-                for sensor_id in sensor_ids
-            ]
-            await scheduler.gather(tasks)
-            next_wave = wave_time + 1.0
-            if scheduler.now < next_wave:
-                await scheduler.sleep(next_wave - scheduler.now)
-
     async def crash() -> None:
         await scheduler.at(t0 + CRASH_AT)
         runtime.crash_silo(MINORITY_SILO, detected=False)
 
     async def drive() -> None:
-        tasks = [scheduler.spawn(fleet(), name="partition-fleet")]
+        fleet = drive_waves(scheduler, sensor_ids, t0 + RUN_DURATION, one_insert)
+        tasks = [scheduler.spawn(fleet, name="partition-fleet")]
         if scenario == "crash":
             tasks.append(scheduler.spawn(crash(), name="partition-crash"))
         await scheduler.gather(tasks)
@@ -250,33 +228,52 @@ def _run(scenario: str, sensors: int, seed: int) -> dict:
     stored = scheduler.run_until_complete(
         _audit_storage(runtime, sensor_ids)
     )
-    row = _check_invariants(
-        scenario, sensor_ids, acked_waves, stored, counters, stats, runtime
+    deficits = [
+        acked_waves[sensor_id] - stored[channel_id_for(sensor_id, channel)]
+        for sensor_id in sensor_ids
+        for channel in (0, 1)
+    ]
+    row = {
+        "majority_availability": round(
+            _share(counters["majority_succeeded"], counters["majority_attempted"]),
+            4,
+        ),
+        "max_deficit": max([0, *deficits]),
+        "min_deficit": min([0, *deficits]),
+        "sensors": sensors,
+        "seed": seed,
+        "scenario": scenario,
+        "throughput_rps": round(counters["succeeded"] / RUN_DURATION, 2),
+        "availability": round(
+            _share(counters["succeeded"], counters["attempted"]), 4
+        ),
+        "attempted": counters["attempted"],
+        "succeeded": counters["succeeded"],
+        "errors": dict(sorted(errors_by_type.items())),
+        "fenced_writes": int(metrics.get("storage.fenced_writes", 0.0)),
+        "wal_replayed": int(metrics.get("wal.replayed_records", 0.0)),
+        "wal_appends": int(metrics.get("wal.appends", 0.0)),
+        "partitioned_messages": runtime.network.stats.partitioned_messages,
+        "membership_epoch": runtime.system_store.epoch,
+        "silos_quarantined": stats.silos_quarantined,
+        "silos_rejoined": stats.silos_rejoined,
+        "silos_evicted": stats.silos_evicted,
+    }
+    audit = (
+        scenario,
+        sensor_ids,
+        acked_waves,
+        stored,
+        counters,
+        stats,
+        runtime.metrics.cluster_totals(),
+        runtime.system_store.epoch,
     )
-    availability = (
-        counters["succeeded"] / counters["attempted"] if counters["attempted"] else 0.0
-    )
-    row.update(
-        {
-            "sensors": sensors,
-            "seed": seed,
-            "scenario": scenario,
-            "throughput_rps": round(counters["succeeded"] / RUN_DURATION, 2),
-            "availability": round(availability, 4),
-            "attempted": counters["attempted"],
-            "succeeded": counters["succeeded"],
-            "errors": dict(sorted(errors_by_type.items())),
-            "fenced_writes": int(metrics.get("storage.fenced_writes", 0.0)),
-            "wal_replayed": int(metrics.get("wal.replayed_records", 0.0)),
-            "wal_appends": int(metrics.get("wal.appends", 0.0)),
-            "partitioned_messages": runtime.network.stats.partitioned_messages,
-            "membership_epoch": runtime.system_store.epoch,
-            "silos_quarantined": stats.silos_quarantined,
-            "silos_rejoined": stats.silos_rejoined,
-            "silos_evicted": stats.silos_evicted,
-        }
-    )
-    return row
+    return row, audit
+
+
+def _share(succeeded: int, attempted: int) -> float:
+    return succeeded / attempted if attempted else 0.0
 
 
 async def _audit_storage(runtime, sensor_ids: list[str]) -> dict[str, int]:
@@ -286,7 +283,6 @@ async def _audit_storage(runtime, sensor_ids: list[str]) -> dict[str, int]:
     dual-writer commit or a failed dedup would show up as a repeated
     timestamp inside one window.
     """
-    from ..shm.platform import channel_id_for
     from ..storage.tsblocks import TieredSeries
 
     stored: dict[str, int] = {}
@@ -317,21 +313,16 @@ def _check_invariants(
     stored: dict[str, int],
     counters: dict[str, int],
     stats,
-    runtime,
-) -> dict:
-    """Assert the per-scenario safety contract; return audit aggregates."""
-    from ..shm.platform import channel_id_for
-
-    max_deficit = 0
-    min_deficit = 0
+    metrics: dict,
+    epoch: int,
+) -> list[str]:
+    """Assert one scenario run's safety contract on its audit."""
     zombie_bound = int(PARTITION_END - PARTITION_START) + 3
     for sensor_id in sensor_ids:
         minority = sensor_id.startswith(f"{MINORITY_ORG}/")
         for channel in (0, 1):
             channel_id = channel_id_for(sensor_id, channel)
             deficit = acked_waves[sensor_id] - stored[channel_id]
-            max_deficit = max(max_deficit, deficit)
-            min_deficit = min(min_deficit, deficit)
             if not minority or scenario == "netsplit":
                 _require(
                     deficit == 0,
@@ -351,20 +342,15 @@ def _check_invariants(
                     f"crash channel {channel_id}: deficit {deficit} exceeds "
                     f"the redo-lag bound {REDO_DEFICIT_BOUND}",
                 )
-    majority_availability = (
-        counters["majority_succeeded"] / counters["majority_attempted"]
-        if counters["majority_attempted"]
-        else 0.0
+    majority_availability = _share(
+        counters["majority_succeeded"], counters["majority_attempted"]
     )
     _require(
         majority_availability == 1.0,
         f"{scenario}: majority-side availability {majority_availability:.4f} "
         "< 1.0 (the partition must not take down the majority)",
     )
-    availability = (
-        counters["succeeded"] / counters["attempted"] if counters["attempted"] else 0.0
-    )
-    metrics = runtime.metrics.cluster_totals()
+    availability = _share(counters["succeeded"], counters["attempted"])
     if scenario == "netsplit":
         _require(
             availability == 1.0,
@@ -396,42 +382,44 @@ def _check_invariants(
             f"crash: availability {availability:.4f} below the 0.95 floor",
         )
     _require(
-        runtime.system_store.epoch >= 4,
-        f"{scenario}: membership epoch {runtime.system_store.epoch} never "
+        epoch >= 4,
+        f"{scenario}: membership epoch {epoch} never "
         "advanced through the view change",
     )
-    return {
-        "majority_availability": round(majority_availability, 4),
-        "max_deficit": max_deficit,
-        "min_deficit": min_deficit,
-    }
+    return []
 
 
-def build_partition(smoke: bool = False) -> dict:
+def check_partition(run: GatedRun) -> list[str]:
+    """Every scenario x seed run kept its safety contract."""
+    for audit in run.evidence:
+        _check_invariants(*audit)
+    return []
+
+
+def build_partition(smoke: bool = False) -> GatedRun:
     """The ``BENCH_partition.json`` payload: every scenario x seed row.
 
     Micro-shaped (one row per ``scenario@seed`` variant) so the baseline
-    gate compares throughput per variant.  Raises
-    :class:`PartitionInvariantError` on any safety violation, so both the
-    baseline writer and the CI gate fail loudly.
+    gate compares throughput per variant.  The rows' audits ride along as
+    evidence for :func:`check_partition`.
     """
     sensors = 12 if smoke else 36
-    seeds = SMOKE_SEEDS if smoke else FULL_SEEDS
     series: dict[str, dict] = {}
+    audits: list[tuple] = []
     for scenario in SCENARIOS:
-        for seed in seeds:
-            series[f"{scenario}@{seed}"] = run_partition_scenario(
-                scenario, sensors, seed
-            )
+        for seed in SEEDS:
+            row, audit = run_partition_scenario(scenario, sensors, seed)
+            series[f"{scenario}@{seed}"] = row
+            audits.append(audit)
     rows = list(series.values())
-    return {
+    payload = {
         "bench": "partition",
         "mode": "smoke" if smoke else "full",
         "title": "Partition tolerance: fenced epochs, quarantine and redo log",
         "series": series,
         "summary": {
             "scenarios": len(SCENARIOS),
-            "seeds": len(seeds),
+            "seeds": len(SEEDS),
             "min_availability": min(row["availability"] for row in rows),
             "netsplit_availability": min(
                 row["availability"]
@@ -446,3 +434,4 @@ def build_partition(smoke: bool = False) -> dict:
             ),
         },
     }
+    return GatedRun(payload, evidence=audits)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from .chaos import ChaosResult, format_chaos_report
 from .experiments import AblationResult, FigResult
 
@@ -133,12 +135,26 @@ def format_ablation(result: AblationResult) -> str:
     return f"ablation: {result.name}\n{body}{notes}"
 
 
+def format_payload(payload: dict) -> str:
+    """A gated bench's payload: its summary, then one table per series of
+    points (the seed and fast sweeps of Figures 6 and 7)."""
+    lines = [
+        f"{payload['bench']} ({payload['mode']}): {json.dumps(payload['summary'])}"
+    ]
+    for label, rows in payload["series"].items():
+        if isinstance(rows, list):
+            cells = [[str(value) for value in row.values()] for row in rows]
+            lines += [f"{label} series:", _table(list(rows[0]), cells)]
+    return "\n".join(lines)
+
+
 def format_result(result: FigResult | AblationResult) -> str:
     """Dispatch to the right formatter."""
     if isinstance(result, ChaosResult):
         return format_chaos_report(result)
     if isinstance(result, tuple) and result and isinstance(result[0], ChaosResult):
-        return format_chaos_report(*result)
+        # (on, off, replay): the replay only feeds the determinism check.
+        return format_chaos_report(*result[:2])
     if isinstance(result, AblationResult):
         return format_ablation(result)
     if result.figure in ("fig6", "fig7"):

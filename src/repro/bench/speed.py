@@ -63,6 +63,16 @@ import tracemalloc
 from ..kernel.futures import Future
 from ..kernel.scheduler import Scheduler
 from ..kernel.sync import Queue
+from .baseline import GatedRun
+from .workload import (
+    LoadConfig,
+    _require,
+    build_deployment,
+    drive_waves,
+    execute,
+    one_point_batches,
+    provision,
+)
 
 #: Gate thresholds (fractions) applied by :func:`gate_speed`.
 EVENTS_PER_MOP_DROP_TOLERANCE = 0.10
@@ -108,6 +118,19 @@ def calibrate_host(iterations: int = 2_000_000) -> float:
     return max(_calibration_slice(iterations) for _ in range(3))
 
 
+def _sample_pending(scheduler: Scheduler, record_pending) -> None:
+    """Feed ``pending_events`` to ``record_pending`` every sample interval."""
+    if record_pending is None:
+        return
+
+    async def sampler() -> None:
+        while True:
+            await scheduler.sleep(_SAMPLE_INTERVAL)
+            record_pending(scheduler.pending_events)
+
+    scheduler.spawn(sampler())
+
+
 def _run_kernel_workload(
     workers: int, rounds: int, record_pending=None
 ) -> Scheduler:
@@ -137,15 +160,7 @@ def _run_kernel_workload(
         ]
         await scheduler.gather(tasks)
 
-    if record_pending is not None:
-
-        async def sampler() -> None:
-            while True:
-                await scheduler.sleep(_SAMPLE_INTERVAL)
-                record_pending(scheduler.pending_events)
-
-        scheduler.spawn(sampler())
-
+    _sample_pending(scheduler, record_pending)
     scheduler.run_until_complete(main())
     return scheduler
 
@@ -204,15 +219,7 @@ def _run_ask_workload(
             queue.put_nowait((None, None))
         await scheduler.gather(server_tasks)
 
-    if record_pending is not None:
-
-        async def sampler() -> None:
-            while True:
-                await scheduler.sleep(_SAMPLE_INTERVAL)
-                record_pending(scheduler.pending_events)
-
-        scheduler.spawn(sampler())
-
+    _sample_pending(scheduler, record_pending)
     scheduler.run_until_complete(main())
     return scheduler
 
@@ -280,15 +287,7 @@ def _run_fig6_shape_workload(
             queue.put_nowait(None)
         await scheduler.gather(servers)
 
-    if record_pending is not None:
-
-        async def sampler() -> None:
-            while True:
-                await scheduler.sleep(_SAMPLE_INTERVAL)
-                record_pending(scheduler.pending_events)
-
-        scheduler.spawn(sampler())
-
+    _sample_pending(scheduler, record_pending)
     scheduler.run_until_complete(main())
     return scheduler
 
@@ -300,20 +299,12 @@ def _run_fig6_workload(
     from ..net.faults import NetworkFaultInjector
     from ..runtime.resilience import RetryPolicy
     from .experiments import M5_LARGE
-    from .workload import LoadConfig, build_deployment, execute, provision
 
     scheduler = Scheduler()
     deployment = build_deployment(
         [M5_LARGE], seed=7, scheduler=scheduler, fast_path=True
     )
-    if record_pending is not None:
-
-        async def sampler() -> None:
-            while True:
-                await scheduler.sleep(_SAMPLE_INTERVAL)
-                record_pending(scheduler.pending_events)
-
-        scheduler.spawn(sampler())
+    _sample_pending(scheduler, record_pending)
     scheduler.run_until_complete(provision(deployment, sensors))
     if not chaos:
         execute(deployment, LoadConfig(sensors=sensors, duration=duration))
@@ -325,7 +316,6 @@ def _run_fig6_workload(
     # Applied after provisioning so setup runs clean; the driver below
     # tolerates the deadline misses the stock run_load would crash on.
     from ..errors import DeadlineExceededError
-    from .workload import channel_id_for, synth_value
 
     deployment.runtime.config.default_call_deadline = 0.5
     deployment.runtime.config.default_retry_policy = RetryPolicy(
@@ -341,30 +331,16 @@ def _run_fig6_workload(
     stop = scheduler.now + duration
 
     async def one_insert(sensor_id: str, wave_time: float) -> None:
-        batches = {
-            channel_id_for(sensor_id, channel): [
-                (wave_time, synth_value(channel, wave_time))
-            ]
-            for channel in (0, 1)
-        }
         try:
-            await platform.ingest(sensor_id, batches)
+            await platform.ingest(
+                sensor_id, one_point_batches(sensor_id, wave_time)
+            )
         except DeadlineExceededError:
             pass
 
-    async def fleet() -> None:
-        while scheduler.now < stop:
-            wave_time = scheduler.now
-            waves = [
-                scheduler.spawn(one_insert(sensor_id, wave_time))
-                for sensor_id in sensor_ids
-            ]
-            await scheduler.gather(waves)
-            next_wave = wave_time + 1.0
-            if scheduler.now < next_wave:
-                await scheduler.sleep(next_wave - scheduler.now)
-
-    scheduler.run_until_complete(fleet())
+    scheduler.run_until_complete(
+        drive_waves(scheduler, sensor_ids, stop, one_insert)
+    )
     return scheduler
 
 
@@ -404,9 +380,10 @@ class _SeriesMeter:
         scheduler = self.runner(self._note_pending)
         wall = time.perf_counter() - started
         if self.events:
-            assert (
-                scheduler.events_processed == self.events
-            ), "speed workload not deterministic"
+            _require(
+                scheduler.events_processed == self.events,
+                "speed workload not deterministic",
+            )
         self.events = scheduler.events_processed
         self.virtual = scheduler.now
         self.best_wall = min(self.best_wall, wall)
@@ -421,9 +398,10 @@ class _SeriesMeter:
         scheduler = self.runner(self._note_pending)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert (
-            scheduler.events_processed == self.events
-        ), "speed workload not deterministic"
+        _require(
+            scheduler.events_processed == self.events,
+            "speed workload not deterministic",
+        )
         self.alloc_peak = max(0, peak - baseline)
 
     def row(self) -> dict:
@@ -441,7 +419,7 @@ class _SeriesMeter:
         }
 
 
-def build_speed(smoke: bool = False) -> dict:
+def build_speed(smoke: bool = False) -> GatedRun:
     """Build the BENCH_speed payload (one mode)."""
     if smoke:
         plans = {
@@ -470,7 +448,7 @@ def build_speed(smoke: bool = False) -> dict:
     for meter in meters.values():
         meter.alloc_pass()
     series = {name: meter.row() for name, meter in meters.items()}
-    return {
+    payload = {
         "bench": "speed",
         "mode": "smoke" if smoke else "full",
         "title": "Host events/sec and allocation pressure (kernel raw speed)",
@@ -488,6 +466,18 @@ def build_speed(smoke: bool = False) -> dict:
             ],
         },
     }
+    return GatedRun(payload)
+
+
+def check_speed(run: GatedRun) -> list[str]:
+    """Every series dispatched events and timed them (the reps themselves
+    already require each workload to be deterministic)."""
+    return [
+        f"speed/{name}: dispatched {row['events']} events at "
+        f"{row['events_per_mop']} events/Mop — the series measured nothing"
+        for name, row in run.payload["series"].items()
+        if row["events"] <= 0 or row["events_per_mop"] <= 0
+    ]
 
 
 def gate_speed(fresh: dict, base_payload: dict) -> list[str]:

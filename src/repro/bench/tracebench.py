@@ -6,9 +6,9 @@ one batch, as in §6.1's benchmarking client) and one **live-data request**
 (the organization fan-out of §4.2), then renders both reconstructed trees,
 their critical paths, and the run's metrics appendix.
 
-``--smoke`` shrinks the scenario and verifies the tracing invariants —
-exactly one root per tree, every span finished, every measured breakdown
-component non-negative — making it a cheap CI gate for the whole
+Every run verifies the tracing invariants — exactly one root per tree,
+every span finished, every measured breakdown component non-negative;
+``--smoke`` shrinks the scenario, making it a cheap CI gate for the whole
 observability layer.
 """
 
@@ -102,7 +102,7 @@ def render_tree(tree: TraceTree, title: str) -> str:
 
 
 def check_invariants(tree: TraceTree) -> list[str]:
-    """The smoke-test assertions; returns human-readable violations."""
+    """One tree's assertions; returns human-readable violations."""
     problems: list[str] = []
     for _depth, span in tree.walk():
         if span.end is None:
@@ -121,11 +121,28 @@ def check_invariants(tree: TraceTree) -> list[str]:
     return problems
 
 
-def run_trace_bench(smoke: bool = False, sensors: int | None = None) -> str:
-    """The ``trace`` subcommand: render (and in smoke mode, verify) a run."""
-    if sensors is None:
-        sensors = 4 if smoke else 12
-    scenario = run_scenario(sensors=sensors)
+def run_trace_bench(smoke: bool = False) -> TraceScenario:
+    """The ``trace`` bench's run: the demo scenario, shrunk for ``--smoke``."""
+    return run_scenario(sensors=4 if smoke else 12)
+
+
+def check_trace(scenario: TraceScenario) -> list[str]:
+    """Both trees complete and consistent, and as large as the fan-outs."""
+    problems = check_invariants(scenario.insert_tree) + check_invariants(
+        scenario.live_tree
+    )
+    if scenario.insert_tree.size() < 1 + scenario.sensors:
+        problems.append(
+            f"insert tree too small: {scenario.insert_tree.size()} spans "
+            f"for {scenario.sensors} sensors"
+        )
+    if scenario.live_tree.size() < 2:
+        problems.append("live-data tree has no fan-out")
+    return problems
+
+
+def render_trace(scenario: TraceScenario) -> str:
+    """Both trees with their critical paths, then the metrics appendix."""
     sections = [
         f"trace: causal trees from a traced run "
         f"({scenario.sensors} sensors, 1 organization)",
@@ -135,20 +152,4 @@ def run_trace_bench(smoke: bool = False, sensors: int | None = None) -> str:
         render_tree(scenario.live_tree, f"live-data fan-out ({scenario.org_id})"),
         format_metrics_appendix(scenario.metrics),
     ]
-    if smoke:
-        problems = check_invariants(scenario.insert_tree) + check_invariants(
-            scenario.live_tree
-        )
-        if scenario.insert_tree.size() < 1 + scenario.sensors:
-            problems.append(
-                f"insert tree too small: {scenario.insert_tree.size()} spans "
-                f"for {scenario.sensors} sensors"
-            )
-        if scenario.live_tree.size() < 2:
-            problems.append("live-data tree has no fan-out")
-        if problems:
-            sections.append("\nSMOKE FAILED:")
-            sections.extend(f"  {p}" for p in problems)
-            raise SystemExit("\n".join(sections))
-        sections.append("\nSMOKE OK: trees complete, breakdowns consistent")
     return "\n".join(sections)

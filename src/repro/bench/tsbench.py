@@ -17,7 +17,8 @@ what real sensor payloads look like and what XOR compression rewards):
   end-to-end conservation (retained + archived == ingested, per channel)
   and reports the cluster ``storage.*`` probes.
 
-Invariants (raised as :class:`TsBenchInvariantError`, failing CI loudly):
+Invariants (raised as :class:`~repro.bench.workload.InvariantError`,
+failing CI loudly):
 ROADMAP's ≥10× per-sensor memory reclaimed, a ≥4× sealed-tier compression
 floor, recent-read latency within 2× of the raw window, and exact query
 equivalence.  The committed ``BENCH_tsblocks.json`` is gated by
@@ -33,6 +34,8 @@ import random
 import time
 
 from ..storage.tsblocks import RAW_POINT_BYTES, TieredSeries
+from .baseline import GatedRun
+from .workload import _require
 
 #: ROADMAP item 2's success bar: memory per sensor reclaimed vs raw points.
 MEMORY_RECLAIM_FLOOR = 10.0
@@ -44,15 +47,6 @@ RECENT_SCAN_CEILING = 2.0
 RATIO_DROP_TOLERANCE = 0.10
 
 BLOCK_SIZE = 256
-
-
-class TsBenchInvariantError(RuntimeError):
-    """A tiered-storage invariant was violated."""
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise TsBenchInvariantError(message)
 
 
 def quantized_walk(
@@ -327,15 +321,35 @@ def _run_platform_leg(sensors: int, waves: int) -> dict:
     }
 
 
-def build_tsbench(smoke: bool = False) -> dict:
-    """Run both legs, assert the storage invariants, return the payload."""
+def build_tsbench(smoke: bool = False) -> GatedRun:
+    """Run both legs (each audits itself as it goes); return the payload."""
     if smoke:
         engine = _run_engine_leg(sensors=8, points=4196, query_count=200)
         platform = _run_platform_leg(sensors=6, waves=80)
     else:
         engine = _run_engine_leg(sensors=32, points=16484, query_count=400)
         platform = _run_platform_leg(sensors=20, waves=150)
+    payload = {
+        "bench": "tsblocks",
+        "mode": "smoke" if smoke else "full",
+        "title": "Tiered time-series storage (hot head + compressed blocks)",
+        "series": {"engine": engine, "platform": platform},
+        "summary": {
+            "memory_reclaimed_x": engine["memory_reclaimed_x"],
+            "compression_ratio": engine["compression_ratio"],
+            "bytes_per_point": engine["bytes_per_point"],
+            "recent_scan_ratio": engine["recent_scan_ratio"],
+            "cold_scan_ratio": engine["cold_scan_ratio"],
+            "archive_blocks_sealed": platform["archive_blocks_sealed"],
+        },
+    }
+    return GatedRun(payload)
 
+
+def check_tsblocks(run: GatedRun) -> list[str]:
+    """The storage floors and ceilings, on the two legs' rows."""
+    engine = run.payload["series"]["engine"]
+    platform = run.payload["series"]["platform"]
     _require(
         engine["memory_reclaimed_x"] >= MEMORY_RECLAIM_FLOOR,
         f"memory reclaimed {engine['memory_reclaimed_x']}x is below the "
@@ -360,20 +374,7 @@ def build_tsbench(smoke: bool = False) -> dict:
         f"cluster probe compression {platform['storage_compression_ratio']}x "
         f"is below the {COMPRESSION_FLOOR}x floor",
     )
-    return {
-        "bench": "tsblocks",
-        "mode": "smoke" if smoke else "full",
-        "title": "Tiered time-series storage (hot head + compressed blocks)",
-        "series": {"engine": engine, "platform": platform},
-        "summary": {
-            "memory_reclaimed_x": engine["memory_reclaimed_x"],
-            "compression_ratio": engine["compression_ratio"],
-            "bytes_per_point": engine["bytes_per_point"],
-            "recent_scan_ratio": engine["recent_scan_ratio"],
-            "cold_scan_ratio": engine["cold_scan_ratio"],
-            "archive_blocks_sealed": platform["archive_blocks_sealed"],
-        },
-    }
+    return []
 
 
 def gate_tsblocks(fresh: dict, baseline: dict) -> list[str]:

@@ -15,7 +15,7 @@ measures what standing queries buy:
 
 After the timed phase both variants run a quiesced *read-cost probe*
 (asks per one-group read, measured from the runtime's ask counter) and
-the builder asserts the acceptance invariants:
+:func:`check_views` states the acceptance invariants:
 
 - materialized read cost is O(groups asked) — ~1 ask per group, at least
   10x cheaper than the pull scan at the bench's sensor count;
@@ -39,6 +39,7 @@ from ..net.faults import NetworkFaultInjector
 from ..obs.health import HealthMonitor, default_slo_rules
 from ..runtime.resilience import RetryPolicy
 from ..shm.platform import channel_id_for
+from .baseline import GatedRun
 from .instances import M5_LARGE
 from .metrics import percentile
 from .workload import build_deployment, provision, synth_value
@@ -424,8 +425,8 @@ def _run_chaos(config: ChaosConfig, staleness_bound: float) -> dict:
 
 def _check_invariants(
     materialized: dict, pull: dict, chaos: dict, config: ViewsConfig
-) -> dict:
-    """The acceptance invariants; raises on violation, returns the summary."""
+) -> tuple[dict, list[str]]:
+    """The payload's summary, and the acceptance invariants violated."""
     problems: list[str] = []
     mat_row, mat_extras = materialized["row"], materialized["extras"]
     pull_row, pull_extras = pull["row"], pull["extras"]
@@ -496,11 +497,7 @@ def _check_invariants(
             f"{chaos['pending_deltas']} deltas still pending after drain"
         )
 
-    if problems:
-        raise RuntimeError(
-            "views bench invariants violated: " + "; ".join(problems)
-        )
-    return {
+    summary = {
         "read_cost_ratio": round(cost_ratio, 1),
         "asks_per_group_read": mat_row["asks_per_group_read"],
         "read_p99_speedup": round(
@@ -513,6 +510,12 @@ def _check_invariants(
         "chaos_duplicate_flushes_dropped": chaos["duplicate_flushes_dropped"],
         "exactly_once": True,
     }
+    return summary, problems
+
+
+def check_views(run: GatedRun) -> list[str]:
+    """Read cost, exactly-once folding and staleness, on the run's evidence."""
+    return _check_invariants(*run.evidence)[1]
 
 
 SMOKE_CONFIG = ViewsConfig(
@@ -524,15 +527,15 @@ SMOKE_CONFIG = ViewsConfig(
 SMOKE_CHAOS = ChaosConfig(duration=3.0)
 
 
-def build_views(smoke: bool = False) -> dict:
-    """The BENCH payload: materialized vs pull reads, invariants asserted."""
+def build_views(smoke: bool = False) -> GatedRun:
+    """The BENCH payload: materialized vs pull reads, runs kept as evidence."""
     config = SMOKE_CONFIG if smoke else ViewsConfig()
     chaos_config = SMOKE_CHAOS if smoke else ChaosConfig()
     materialized = _run_variant(config, materialized=True)
     pull = _run_variant(config, materialized=False)
     chaos = _run_chaos(chaos_config, config.staleness_bound)
-    checks = _check_invariants(materialized, pull, chaos, config)
-    return {
+    evidence = (materialized, pull, chaos, config)
+    payload = {
         "bench": "views",
         "mode": "smoke" if smoke else "full",
         "title": (
@@ -543,7 +546,7 @@ def build_views(smoke: bool = False) -> dict:
             "materialized": materialized["row"],
             "pull": pull["row"],
         },
-        "summary": checks,
+        "summary": _check_invariants(*evidence)[0],
         "checks": [
             {
                 "steady": {
@@ -557,3 +560,4 @@ def build_views(smoke: bool = False) -> dict:
             }
         ],
     }
+    return GatedRun(payload, evidence)

@@ -9,11 +9,17 @@ Reproduces the paper's .NET benchmarking client (§6.1):
   raw-data request per second (≈1%/1%/98% mix at 100 sensors/org).
 - **Measurement**: windowed means with first/last-window trimming
   (:mod:`repro.bench.metrics`).
+
+Also the plumbing every bench shares: :func:`drive_waves`,
+:func:`class_attributes`, :func:`use_short_leases`, :class:`InvariantError`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Awaitable, Callable, Iterable, Iterator, Sequence
 
 from ..aodb.database import AodbDatabase
 from ..kernel.rng import RngRegistry
@@ -25,9 +31,28 @@ from ..obs.trace import Tracer
 from ..runtime.key import ActorKey
 from ..runtime.runtime import AodbRuntime
 from ..shm.platform import ProvisionReport, ShmPlatform, channel_id_for
+from ..storage.system_store import SystemStore
 from .calibration import LAN_LATENCY_SECONDS, calibrated_config
 from .instances import InstanceType
 from .metrics import LatencyRecorder, Summary
+
+
+class InvariantError(RuntimeError):
+    """Bench invariants were violated; ``args`` are the violations.
+
+    The one exception every bench raises for a broken invariant, from an
+    audit inside its run or from its registered ``check``.
+    """
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise InvariantError(message)
+
+
+def violated(claims: dict[str, bool]) -> list[str]:
+    """The claims (``claim -> holds``) that do not hold, as violations."""
+    return [claim for claim, holds in claims.items() if not holds]
 
 
 @dataclass
@@ -154,6 +179,37 @@ def build_deployment(
     return Deployment(scheduler, runtime, database, platform, rng)
 
 
+def use_short_leases(deployment: Deployment, lease_seconds: float) -> None:
+    """Swap in a short-lease ``SystemStore`` and re-announce the silos.
+
+    For the benches that script lease loss; call before provisioning, so
+    fences and leases come from the new store.
+    """
+    runtime = deployment.runtime
+    system_store = SystemStore(deployment.scheduler, lease_seconds=lease_seconds)
+    runtime.system_store = system_store
+    for silo in runtime.silos():
+        system_store.announce(silo.silo_id, instance_type=silo.instance_type)
+
+
+@contextmanager
+def class_attributes(classes: Iterable[type], **attributes: object) -> Iterator[None]:
+    """Run a block with ``attributes`` set on every one of ``classes``.
+
+    Durability and placement are class attributes of the SHM actors, so a
+    bench that needs another policy patches the classes for the length of
+    its run; every attribute is restored on any exit.
+    """
+    saved = [(cls, name, getattr(cls, name)) for cls in classes for name in attributes]
+    try:
+        for cls, name, _ in saved:
+            setattr(cls, name, attributes[name])
+        yield
+    finally:
+        for cls, name, value in saved:
+            setattr(cls, name, value)
+
+
 async def provision(
     deployment: Deployment,
     total_sensors: int,
@@ -192,6 +248,42 @@ def synth_value(channel_index: int, timestamp: float) -> float:
     return channel_index * 10.0 + 0.001 * timestamp
 
 
+def one_point_batches(sensor_id: str, wave_time: float) -> dict[str, list]:
+    """One sample per physical channel: the fault benches' insert payload."""
+    return {
+        channel_id_for(sensor_id, channel): [
+            (wave_time, synth_value(channel, wave_time))
+        ]
+        for channel in (0, 1)
+    }
+
+
+async def drive_waves(
+    scheduler: Scheduler,
+    sensor_ids: Sequence[str],
+    stop: float,
+    insert: Callable[[str, float], Awaitable[None]],
+) -> None:
+    """The paper's sensor fleet: one synchronized wave a second until ``stop``.
+
+    Each wave spawns ``insert(sensor_id, wave_time)`` for every sensor, in
+    order, and waits for all of them — "repeated each second if all sensors
+    have finished their calls" — so a slow wave delays the next instead of
+    stacking on it.  What an insert sends, counts and tolerates stays with
+    the caller; an error it lets through ends the drive.
+    """
+    while scheduler.now < stop:
+        wave_time = scheduler.now
+        tasks = [
+            scheduler.spawn(insert(sensor_id, wave_time))
+            for sensor_id in sensor_ids
+        ]
+        await scheduler.gather(tasks)
+        next_wave = wave_time + 1.0
+        if scheduler.now < next_wave:
+            await scheduler.sleep(next_wave - scheduler.now)
+
+
 async def run_load(deployment: Deployment, load: LoadConfig) -> RunResult:
     """Drive the paper's workload and return the measurements."""
     if deployment.report is None:
@@ -222,6 +314,7 @@ async def run_load(deployment: Deployment, load: LoadConfig) -> RunResult:
         for sensor_id in sensor_ids
     }
 
+    @lru_cache(maxsize=1)
     def wave_samples(wave_time: float) -> tuple[tuple, tuple]:
         """Both channels' sample batches for one wave.
 
@@ -247,24 +340,14 @@ async def run_load(deployment: Deployment, load: LoadConfig) -> RunResult:
         await platform.ingest(sensor_id, batches)
         recorder.record("insert", sent, scheduler.now - sent)
 
-    async def fleet() -> None:
-        while scheduler.now < stop:
-            wave_time = scheduler.now
-            samples = wave_samples(wave_time)
-            tasks = [
-                scheduler.spawn(
-                    one_insert(
-                        sensor_id,
-                        jitter_rng.uniform(0, load.wave_jitter),
-                        samples,
-                    )
-                )
-                for sensor_id in sensor_ids
-            ]
-            await scheduler.gather(tasks)
-            next_wave = wave_time + 1.0
-            if scheduler.now < next_wave:
-                await scheduler.sleep(next_wave - scheduler.now)
+    def jittered_insert(sensor_id: str, wave_time: float) -> Awaitable[None]:
+        # Not a coroutine function: the jitter is drawn here, at spawn time,
+        # so the ``wave-jitter`` stream is consumed in sensor order.
+        return one_insert(
+            sensor_id,
+            jitter_rng.uniform(0, load.wave_jitter),
+            wave_samples(wave_time),
+        )
 
     async def live_queries(org_id: str) -> None:
         # One user per organization looks at live data once a second; the
@@ -297,7 +380,8 @@ async def run_load(deployment: Deployment, load: LoadConfig) -> RunResult:
             if scheduler.now < cycle:
                 await scheduler.sleep(cycle - scheduler.now)
 
-    tasks = [scheduler.spawn(fleet(), name="fleet")]
+    fleet = drive_waves(scheduler, sensor_ids, stop, jittered_insert)
+    tasks = [scheduler.spawn(fleet, name="fleet")]
     if load.with_queries:
         for org_id in org_ids:
             tasks.append(scheduler.spawn(live_queries(org_id), name=f"live:{org_id}"))

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.bench.cli import QUICK, RUNNERS, main
+from repro.bench.cli import BENCHES, Bench, main
 from repro.bench.experiments import AblationResult, FigPoint, FigResult
 from repro.bench.metrics import Summary
 from repro.bench.report import (
     format_ablation,
     format_latency_figure,
+    format_payload,
     format_result,
     format_throughput_figure,
 )
@@ -88,16 +89,40 @@ def test_format_result_dispatch():
     assert "demo" in format_result(AblationResult("demo", rows=[{"x": 1}]))
 
 
-def test_cli_quick_keys_are_valid_runners():
-    assert set(QUICK) <= set(RUNNERS)
+def test_format_payload_tabulates_point_series_only():
+    payload = {
+        "bench": "fig6",
+        "mode": "smoke",
+        "series": {"seed": [{"sensors": 600, "throughput_rps": 599.5}]},
+        "summary": {"speedup": 1.5},
+    }
+    text = format_payload(payload)
+    assert 'fig6 (smoke): {"speedup": 1.5}' in text
+    assert "seed series:" in text and "599.5" in text
+    payload["series"] = {"fast": {"throughput_rps": 300.0}}  # micro-shaped
+    assert "series:" not in format_payload(payload)
 
 
-def test_cli_runs_one_quick_ablation(capsys):
-    exit_code = main(["granularity", "--quick"])
+def test_cli_runs_one_smoke_ablation(capsys):
+    exit_code = main(["granularity", "--smoke"])
     captured = capsys.readouterr()
     assert exit_code == 0
     assert "granularity" in captured.out
     assert "model_a_actors" in captured.out
+    assert "OK: every granularity invariant holds" in captured.out
+
+
+def test_cli_reports_violations_and_fails(capsys, monkeypatch):
+    chatty = Bench(BENCHES["granularity"].run, lambda result: ["model B is too chatty"])
+    monkeypatch.setitem(BENCHES, "granularity", chatty)
+    assert main(["granularity", "--smoke"]) == 1
+    assert "INVARIANT VIOLATED: model B is too chatty" in capsys.readouterr().out
+
+
+def test_cli_baseline_flags_need_a_gated_bench(capsys):
+    with pytest.raises(SystemExit):
+        main(["granularity", "--smoke", "--json", "unused.json"])
+    assert "take one gated bench" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_experiment():

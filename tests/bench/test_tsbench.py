@@ -8,18 +8,28 @@ from repro.bench.baseline import check_against_baseline, load_baseline
 from repro.bench.tsbench import (
     COMPRESSION_FLOOR,
     MEMORY_RECLAIM_FLOOR,
-    TsBenchInvariantError,
     build_tsbench,
+    check_tsblocks,
+    gate_tsblocks,
     quantized_walk,
 )
+from repro.bench.workload import InvariantError
 
 
 @pytest.fixture(scope="module")
-def smoke_payload():
-    # build_tsbench raises TsBenchInvariantError on any violated invariant
-    # (memory floor, compression floor, scan ceiling, query equivalence,
-    # conservation); a clean return IS most of the assertion.
-    return build_tsbench(smoke=True)
+def smoke_run():
+    # build_tsbench raises InvariantError on a violated in-run audit (query
+    # equivalence, conservation) and check_tsblocks on a violated floor or
+    # ceiling (memory, compression, scan); clean returns ARE most of the
+    # assertion.
+    run = build_tsbench(smoke=True)
+    assert check_tsblocks(run) == []
+    return run
+
+
+@pytest.fixture(scope="module")
+def smoke_payload(smoke_run):
+    return smoke_run.payload
 
 
 def test_quantized_walk_is_deterministic_and_ordered():
@@ -61,26 +71,22 @@ def test_platform_leg_conserved_points_across_tiers(smoke_payload):
 
 def test_committed_baseline_gates_the_fresh_smoke_run(smoke_payload):
     baseline = load_baseline("BENCH_tsblocks.json")
-    assert check_against_baseline(smoke_payload, baseline) == []
+    assert check_against_baseline(smoke_payload, baseline, gate_tsblocks) == []
     # A compression regression fails the gate...
     regressed = copy.deepcopy(smoke_payload)
     regressed["series"]["engine"]["compression_ratio"] *= 0.5
-    failures = check_against_baseline(regressed, baseline)
+    failures = check_against_baseline(regressed, baseline, gate_tsblocks)
     assert failures and "compression_ratio" in failures[0]
     # ...and so does drift in the deterministic sealing counts.
     drifted = copy.deepcopy(smoke_payload)
     drifted["series"]["platform"]["points_archived"] += 1
-    failures = check_against_baseline(drifted, baseline)
+    failures = check_against_baseline(drifted, baseline, gate_tsblocks)
     assert failures and "points_archived" in failures[0]
 
 
-def test_invariant_violations_raise_loudly():
+def test_invariant_violations_raise_loudly(smoke_run, monkeypatch):
     from repro.bench import tsbench
 
-    original = tsbench.MEMORY_RECLAIM_FLOOR
-    tsbench.MEMORY_RECLAIM_FLOOR = 1e9  # impossible floor
-    try:
-        with pytest.raises(TsBenchInvariantError):
-            tsbench.build_tsbench(smoke=True)
-    finally:
-        tsbench.MEMORY_RECLAIM_FLOOR = original
+    monkeypatch.setattr(tsbench, "MEMORY_RECLAIM_FLOOR", 1e9)  # impossible
+    with pytest.raises(InvariantError):
+        check_tsblocks(smoke_run)

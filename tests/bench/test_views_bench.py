@@ -3,14 +3,16 @@
 import pytest
 
 from repro.bench.baseline import check_against_baseline, load_baseline
-from repro.bench.views import SMOKE_CONFIG, build_views
+from repro.bench.views import SMOKE_CONFIG, build_views, check_views
 
 
 @pytest.fixture(scope="module")
 def smoke_payload():
-    # build_views raises RuntimeError on any violated invariant (read cost,
-    # exactly-once, staleness); a clean return IS most of the assertion.
-    return build_views(smoke=True)
+    # check_views lists every violated invariant (read cost, exactly-once,
+    # staleness); an empty list IS most of the assertion.
+    run = build_views(smoke=True)
+    assert check_views(run) == []
+    return run.payload
 
 
 def test_smoke_payload_shape(smoke_payload):

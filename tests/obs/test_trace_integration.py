@@ -8,7 +8,7 @@ storage breakdown summing to its end-to-end latency.
 
 import pytest
 
-from repro.bench.tracebench import check_invariants, run_scenario
+from repro.bench.tracebench import check_invariants, check_trace, run_scenario
 
 SENSORS = 4
 
@@ -49,6 +49,7 @@ def test_live_data_tree_reconstructs_the_fanout(scenario):
 
 
 def test_breakdown_sums_to_end_to_end_latency(scenario):
+    assert check_trace(scenario) == []  # what `bench trace` itself asserts
     for tree in (scenario.insert_tree, scenario.live_tree):
         assert tree.root.duration > 0.0
         for _depth, span in tree.walk():
