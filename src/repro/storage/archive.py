@@ -24,7 +24,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .tsblocks import SealedBlock, decode_uints, encode_uints
+from .tsblocks import SealedBlock, cut_bounds, decode_uints, encode_uints
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class _Stream:
     head_stamps: list[float] = field(default_factory=list)
     #: Set once a non-float payload arrives; the stream then stays raw.
     raw_only: bool = False
-    last_ts: float | None = None
+    last_ts: float = float("-inf")
     count: int = 0
 
 
@@ -74,7 +74,9 @@ class ArchiveLog:
     def append(self, stream: str, timestamp: float, payload: Any) -> ArchiveRecord:
         """Append one record; timestamps per stream must not go backwards."""
         entry = self._streams.setdefault(stream, _Stream())
-        if entry.last_ts is not None and timestamp < entry.last_ts:
+        # Not ``timestamp < last_ts``: that is False for NaN, which would slip
+        # through and break the sortedness range reads bisect on.
+        if not timestamp >= entry.last_ts:
             raise ValueError(
                 f"archive stream {stream!r}: timestamp {timestamp} is older "
                 f"than last appended {entry.last_ts}"
@@ -114,7 +116,7 @@ class ArchiveLog:
         oldest-to-newest tier order always holds.
         """
         entry = self._streams.setdefault(stream, _Stream())
-        if entry.last_ts is not None and block.t_first < entry.last_ts:
+        if not block.t_first >= entry.last_ts:
             raise ValueError(
                 f"archive stream {stream!r}: block starting {block.t_first} "
                 f"is older than last appended {entry.last_ts}"
@@ -170,13 +172,23 @@ class ArchiveLog:
     # -- reads -----------------------------------------------------------------
 
     def _decode(
-        self, stream: str, block: SealedBlock, seq_bytes: bytes
+        self,
+        stream: str,
+        block: SealedBlock,
+        seq_bytes: bytes,
+        start: float | None = None,
+        end: float | None = None,
     ) -> list[ArchiveRecord]:
+        """The block's records; with a range, only start <= timestamp < end."""
+        pairs = block.decode()
         sequences = decode_uints(seq_bytes, block.count)
         self.records_decoded += block.count
+        if start is not None:  # records outside the cut are never built
+            lo, hi = cut_bounds(pairs, start, end)
+            pairs, sequences = pairs[lo:hi], sequences[lo:hi]
         return [
             ArchiveRecord(stream, timestamp, value, sequence)
-            for (timestamp, value), sequence in zip(block.decode(), sequences)
+            for (timestamp, value), sequence in zip(pairs, sequences)
         ]
 
     def read_range(
@@ -188,7 +200,7 @@ class ArchiveLog:
         without decompression.
         """
         entry = self._streams.get(stream)
-        if entry is None or end <= start:
+        if entry is None or not end > start:  # empty, or a NaN bound
             return []
         out: list[ArchiveRecord] = []
         if entry.sealed:
@@ -196,13 +208,7 @@ class ArchiveLog:
             for block, seq_bytes in entry.sealed[lo:]:
                 if block.t_first >= end:
                     break
-                records = self._decode(stream, block, seq_bytes)
-                if start <= block.t_first and block.t_last < end:
-                    out.extend(records)
-                else:
-                    out.extend(
-                        r for r in records if start <= r.timestamp < end
-                    )
+                out.extend(self._decode(stream, block, seq_bytes, start, end))
         lo = bisect.bisect_left(entry.head_stamps, start)
         hi = bisect.bisect_left(entry.head_stamps, end, lo)
         out.extend(entry.head[lo:hi])

@@ -6,7 +6,7 @@ capped experiment scale.  This module is the storage engine that fixes
 that: each stream keeps a small mutable *hot head*, and points evicted
 from the head are sealed into immutable compressed blocks.
 
-The codec is the classic time-series pair (pure Python, bit-level):
+The codec is the classic time-series pair, in pure Python:
 
 - **Timestamps** — delta-of-delta.  Floats are first mapped through the
   IEEE-754 total-order bijection to ``uint64`` (sign bit set for
@@ -20,6 +20,21 @@ The codec is the classic time-series pair (pure Python, bit-level):
   meaningful (non-zero) window is stored, reusing the previous window
   when it fits.  NaN payloads, infinities and ``-0.0`` all round-trip
   exactly because nothing ever leaves bit space.
+
+Each column is coded in one pass over local variables — no per-bit or
+per-point calls.  A decoder turns the payload into a ``'0'``/``'1'`` string
+once, swallows runs of zero fields with one ``find`` (a regular cadence
+becomes a single ``range``) and parses every other field with one slice;
+an encoder folds each field into a local accumulator with one shift-or;
+floats cross ``struct`` once per column.
+
+**The byte format is frozen.**  Blocks live in actor state documents, the
+redo journal and the archive, so a changed bit is lost data.  The bytes
+are pinned by ``tests/storage/golden_tsblocks.json`` (recorded from the
+original bit-at-a-time implementation; ``test_tsblocks_format.py`` requires
+encoders to reproduce it and decoders to invert it exactly) and by the byte
+totals ``bench tsblocks`` gates.  Speed the codec up freely; never re-tune
+a bucket, a header or the padding.
 
 Every sealed block carries a :class:`BlockSummary` (count / first & last
 timestamp / min / max / sum), so range queries skip non-overlapping
@@ -39,6 +54,8 @@ import bisect
 import struct
 import sys
 from dataclasses import dataclass
+from itertools import compress
+from operator import sub
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -56,140 +73,124 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _SIGN = 1 << 63
 
-_pack_d = struct.Struct(">d").pack
-_unpack_d = struct.Struct(">d").unpack
+#: Encoders spill whole bytes out of their accumulator past this many bits,
+#: so each shift-or stays a few machine words however long the block is.
+_SPILL_BITS = 512
+
+#: Payload widths of the four bounded delta-of-delta buckets, by how many
+#: one-bits precede the zero in their prefix (10 / 110 / 1110 / 11110).  The
+#: all-ones prefix 11111 carries 68 bits: the dod of two uint64 deltas spans
+#: up to +-2**65, which zigzags into 67 bits.
+_DOD_WIDTHS = (0, 7, 12, 20, 32)
 
 
-def _float_to_ordered(x: float) -> int:
-    """Map a float to a uint64 preserving IEEE-754 total order."""
-    bits = struct.unpack(">Q", _pack_d(x))[0]
-    if bits & _SIGN:
-        return bits ^ _MASK64
-    return bits | _SIGN
+def _bit_string(data: bytes) -> str:
+    """The payload as one string of '0'/'1', closed by a stop field.
+
+    One base-2 conversion (exempt from the int<->str digit limit) replaces
+    a whole-block shift per field.  The trailing ``11`` ends every zero run
+    and opens, in either codec, the widest field with nothing behind it: a
+    decoder asked for more than the bytes hold raises in ``int('', 2)``
+    (or, cut inside its last field, on the final position check) rather
+    than looping or inventing values.
+    """
+    return bin(int.from_bytes(data, "big") | (1 << (len(data) * 8)))[3:] + "11"
 
 
-def _ordered_to_float(i: int) -> float:
-    bits = (i ^ _SIGN) if (i & _SIGN) else (i ^ _MASK64)
-    return _unpack_d(struct.pack(">Q", bits))[0]
+def _spill(chunks: bytearray, acc: int, nbits: int) -> tuple[int, int]:
+    """Move the accumulator's whole bytes into ``chunks``; return the rest."""
+    keep = nbits & 7
+    chunks += (acc >> keep).to_bytes(nbits >> 3, "big")
+    return acc & ((1 << keep) - 1), keep
 
 
-class _BitWriter:
-    """Append bits MSB-first; flushes whole bytes out of the accumulator."""
-
-    __slots__ = ("_acc", "_nbits", "_chunks")
-
-    def __init__(self) -> None:
-        self._acc = 0
-        self._nbits = 0
-        self._chunks = bytearray()
-
-    def write(self, value: int, nbits: int) -> None:
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        if self._nbits >= 1024:
-            keep = self._nbits & 7
-            flush_bits = self._nbits - keep
-            self._chunks += (self._acc >> keep).to_bytes(flush_bits // 8, "big")
-            self._acc &= (1 << keep) - 1
-            self._nbits = keep
-
-    def getvalue(self) -> bytes:
-        pad = (-self._nbits) % 8
-        acc, nbits = self._acc << pad, self._nbits + pad
-        tail = acc.to_bytes(nbits // 8, "big") if nbits else b""
-        return bytes(self._chunks) + tail
+def _finish(chunks: bytearray, acc: int, nbits: int) -> bytes:
+    """Spill everything, zero-padded to a whole byte."""
+    pad = -nbits & 7
+    _spill(chunks, acc << pad, nbits + pad)
+    return bytes(chunks)
 
 
-class _BitReader:
-    """Read bits MSB-first from a bytes buffer."""
-
-    __slots__ = ("_acc", "_total", "_pos")
-
-    def __init__(self, data: bytes) -> None:
-        self._acc = int.from_bytes(data, "big")
-        self._total = len(data) * 8
-        self._pos = 0
-
-    def read(self, nbits: int) -> int:
-        shift = self._total - self._pos - nbits
-        self._pos += nbits
-        return (self._acc >> shift) & ((1 << nbits) - 1)
-
-
-def _zigzag(v: int) -> int:
-    return (v << 1) if v >= 0 else ((-v) << 1) - 1
-
-
-def _unzigzag(n: int) -> int:
-    return (n >> 1) if not (n & 1) else -((n + 1) >> 1)
-
-
-def _write_dod(writer: _BitWriter, dod: int) -> None:
-    # Bucketed variable-length encoding; the final bucket is 68 bits
-    # because a dod of two uint64 deltas spans up to ±2^65, which
-    # zigzags into 67 bits.
-    n = _zigzag(dod)
-    if n == 0:
-        writer.write(0b0, 1)
-    elif n < (1 << 7):
-        writer.write(0b10, 2)
-        writer.write(n, 7)
-    elif n < (1 << 12):
-        writer.write(0b110, 3)
-        writer.write(n, 12)
-    elif n < (1 << 20):
-        writer.write(0b1110, 4)
-        writer.write(n, 20)
-    elif n < (1 << 32):
-        writer.write(0b11110, 5)
-        writer.write(n, 32)
-    else:
-        writer.write(0b11111, 5)
-        writer.write(n, 68)
+def _encode_dods(values: Sequence[int], bias: int) -> bytes:
+    """Delta-of-delta encode ``value + bias`` for each of ``values``."""
+    deltas = list(map(sub, values[1:], values))
+    dods = list(map(sub, deltas, [0] + deltas))
+    chunks = bytearray()
+    acc, nbits = (values[0] + bias) & _MASK64, 64
+    written = 0
+    # Only the non-zero dods are visited; the zero runs between them (one
+    # bit each) ride along as extra shift, so a regular cadence is one shift.
+    for index in compress(range(len(dods)), dods):
+        dod = dods[index]
+        n = (dod << 1) if dod > 0 else ((-dod) << 1) - 1  # zigzag
+        if n < (1 << 7):
+            width, field = 9, 0b10 << 7 | n
+        elif n < (1 << 12):
+            width, field = 15, 0b110 << 12 | n
+        elif n < (1 << 20):
+            width, field = 24, 0b1110 << 20 | n
+        elif n < (1 << 32):
+            width, field = 37, 0b11110 << 32 | n
+        else:
+            width, field = 73, 0b11111 << 68 | n
+        width += index - written
+        acc = acc << width | field
+        nbits += width
+        written = index + 1
+        if nbits >= _SPILL_BITS:
+            acc, nbits = _spill(chunks, acc, nbits)
+    zeros = len(dods) - written
+    return _finish(chunks, acc << zeros, nbits + zeros)
 
 
-def _read_dod(reader: _BitReader) -> int:
-    if reader.read(1) == 0:
-        return 0
-    if reader.read(1) == 0:
-        return _unzigzag(reader.read(7))
-    if reader.read(1) == 0:
-        return _unzigzag(reader.read(12))
-    if reader.read(1) == 0:
-        return _unzigzag(reader.read(20))
-    if reader.read(1) == 0:
-        return _unzigzag(reader.read(32))
-    return _unzigzag(reader.read(68))
+def _decode_dods(data: bytes, count: int, bias: int) -> list[int]:
+    """Inverse of :func:`_encode_dods`: ``count`` values, ``bias`` removed."""
+    bits = _bit_string(data)
+    find = bits.find
+    value = int(bits[:64], 2) - bias
+    out = [value]
+    append = out.append
+    delta = 0
+    pos = 64
+    need = count - 1
+    while need:
+        if bits[pos] == "0":
+            # A run of zero dods: the delta holds, so the values are an
+            # arithmetic progression.
+            one = find("1", pos)
+            run = min(one - pos, need)
+            if delta:
+                out.extend(range(value + delta, value + delta * (run + 1), delta))
+                value += delta * run
+            else:
+                out.extend([value] * run)
+            pos = one
+            need -= run
+            continue
+        zero = find("0", pos + 1, pos + 5)
+        if zero < 0:
+            start, pos = pos + 5, pos + 73
+        else:
+            start = zero + 1
+            pos = start + _DOD_WIDTHS[zero - pos]
+        n = int(bits[start:pos], 2)
+        delta += (n >> 1) ^ -(n & 1)  # unzigzag
+        value += delta
+        append(value)
+        need -= 1
+    if pos > len(bits) - 2:
+        raise ValueError("delta-of-delta payload ends inside a field")
+    return out
 
 
 def encode_uints(values: Sequence[int]) -> bytes:
     """Delta-of-delta encode a sequence of non-negative integers."""
-    if not values:
-        return b""
-    writer = _BitWriter()
-    writer.write(values[0], 64)
-    prev = values[0]
-    prev_delta = 0
-    for value in values[1:]:
-        delta = value - prev
-        _write_dod(writer, delta - prev_delta)
-        prev, prev_delta = value, delta
-    return writer.getvalue()
+    return _encode_dods(values, 0) if values else b""
 
 
 def decode_uints(data: bytes, count: int) -> list[int]:
     """Inverse of :func:`encode_uints` for ``count`` integers."""
-    if count == 0:
-        return []
-    reader = _BitReader(data)
-    value = reader.read(64)
-    out = [value]
-    delta = 0
-    for _ in range(count - 1):
-        delta += _read_dod(reader)
-        value += delta
-        out.append(value)
-    return out
+    return _decode_dods(data, count, 0) if count else []
 
 
 def encode_floats(values: Sequence[float]) -> bytes:
@@ -199,72 +200,111 @@ def encode_floats(values: Sequence[float]) -> bytes:
     delta arithmetic is integer), but sized for monotone timestamps:
     a fixed-interval stream costs ~1 bit per point after the header.
     """
-    return encode_uints([_float_to_ordered(v) for v in values])
+    if not values:
+        return b""
+    count = len(values)
+    words = struct.unpack(">%dQ" % count, struct.pack(">%dd" % count, *values))
+    if max(words) < _SIGN:
+        # All non-negative: the mapping is ``bits + 2**63``, and a constant
+        # offset is invisible to deltas.
+        return _encode_dods(words, _SIGN)
+    return _encode_dods(
+        [w ^ _MASK64 if w & _SIGN else w | _SIGN for w in words], 0
+    )
 
 
 def decode_floats(data: bytes, count: int) -> list[float]:
     """Inverse of :func:`encode_floats`."""
-    return [_ordered_to_float(i) for i in decode_uints(data, count)]
+    if count == 0:
+        return []
+    # Decoded with the positive floats' 2**63 offset already removed, a
+    # column without negative floats is its own bit patterns.
+    words = _decode_dods(data, count, _SIGN)
+    if min(words) < 0:
+        words = [w if w >= 0 else (w + _SIGN) ^ _MASK64 for w in words]
+    return list(
+        struct.unpack(">%dd" % count, struct.pack(">%dQ" % count, *words))
+    )
 
 
 def encode_values(values: Sequence[float]) -> bytes:
     """Gorilla XOR-encode a sequence of float values."""
     if not values:
         return b""
-    writer = _BitWriter()
-    prev = struct.unpack(">Q", _pack_d(values[0]))[0]
-    writer.write(prev, 64)
-    prev_leading = -1
-    prev_meaningful = 0
-    for value in values[1:]:
-        bits = struct.unpack(">Q", _pack_d(value))[0]
-        xor = bits ^ prev
-        prev = bits
-        if xor == 0:
-            writer.write(0b0, 1)
+    count = len(values)
+    words = struct.unpack(">%dQ" % count, struct.pack(">%dd" % count, *values))
+    chunks = bytearray()
+    acc = prev = words[0]
+    nbits = 64
+    zeros = 0  # pending one-bit "same value" fields
+    # The open window: an XOR fits when it is below ``limit`` (enough leading
+    # zeros) and clear under ``low`` (enough trailing zeros).  None open yet.
+    limit = low = trailing = width = tag = 0
+    for word in words[1:]:
+        xor = word ^ prev
+        if not xor:
+            zeros += 1
             continue
-        leading = 64 - xor.bit_length()
-        if leading > 31:
-            leading = 31
-        trailing = (xor & -xor).bit_length() - 1
-        meaningful = 64 - leading - trailing
-        if (
-            prev_leading >= 0
-            and leading >= prev_leading
-            and 64 - prev_leading - prev_meaningful <= trailing
-        ):
-            # Fits the previous window: '10' + bits in that window.
-            writer.write(0b10, 2)
-            prev_trailing = 64 - prev_leading - prev_meaningful
-            writer.write(xor >> prev_trailing, prev_meaningful)
+        prev = word
+        if zeros:
+            acc <<= zeros
+            nbits += zeros
+            zeros = 0
+        if xor < limit and not xor & low:
+            # Fits the open window: '10' + the bits in that window.
+            acc = acc << width | tag | xor >> trailing
+            nbits += width
         else:
-            writer.write(0b11, 2)
-            writer.write(leading, 5)
-            writer.write(meaningful - 1, 6)
-            writer.write(xor >> trailing, meaningful)
-            prev_leading = leading
-            prev_meaningful = meaningful
-    return writer.getvalue()
+            # New window: '11', 5 bits of leading zeros (saturating at 31),
+            # 6 bits of length - 1, then the bits in the window.
+            leading = min(64 - xor.bit_length(), 31)
+            trailing = (xor & -xor).bit_length() - 1
+            meaningful = 64 - leading - trailing
+            limit, low = 1 << (64 - leading), (1 << trailing) - 1
+            width, tag = meaningful + 2, 0b10 << meaningful
+            header = 0b11 << 11 | leading << 6 | (meaningful - 1)
+            acc = acc << (13 + meaningful) | header << meaningful | xor >> trailing
+            nbits += 13 + meaningful
+        if nbits >= _SPILL_BITS:
+            acc, nbits = _spill(chunks, acc, nbits)
+    return _finish(chunks, acc << zeros, nbits + zeros)
 
 
 def decode_values(data: bytes, count: int) -> list[float]:
     """Inverse of :func:`encode_values` for ``count`` floats."""
     if count == 0:
         return []
-    reader = _BitReader(data)
-    bits = reader.read(64)
-    out = [_unpack_d(struct.pack(">Q", bits))[0]]
-    leading = 0
-    meaningful = 64
-    for _ in range(count - 1):
-        if reader.read(1):
-            if reader.read(1):
-                leading = reader.read(5)
-                meaningful = reader.read(6) + 1
-            trailing = 64 - leading - meaningful
-            bits ^= reader.read(meaningful) << trailing
-        out.append(_unpack_d(struct.pack(">Q", bits))[0])
-    return out
+    bits = _bit_string(data)
+    find = bits.find
+    word = int(bits[:64], 2)
+    words = [word]
+    append = words.append
+    meaningful, trailing = 64, 0
+    pos = 64
+    need = count - 1
+    while need:
+        if bits[pos] == "0":  # '0' fields: the value repeats
+            one = find("1", pos)
+            run = min(one - pos, need)
+            words.extend([word] * run)
+            pos = one
+            need -= run
+            continue
+        if bits[pos + 1] == "0":  # '10': the open window
+            start = pos + 2
+        else:  # '11': a new window
+            meaningful = int(bits[pos + 7:pos + 13], 2) + 1
+            trailing = 64 - int(bits[pos + 2:pos + 7], 2) - meaningful
+            start = pos + 13
+        pos = start + meaningful
+        word ^= int(bits[start:pos], 2) << trailing
+        append(word)
+        need -= 1
+    if pos > len(bits) - 2:
+        raise ValueError("XOR payload ends inside a field")
+    return list(
+        struct.unpack(">%dd" % count, struct.pack(">%dQ" % count, *words))
+    )
 
 
 # -- summaries -----------------------------------------------------------------
@@ -367,9 +407,10 @@ class SealedBlock:
     def seal(cls, pairs: Sequence[tuple[float, float]]) -> "SealedBlock":
         """Compress a time-ordered run of ``(timestamp, value)`` pairs."""
         summary = summarize(pairs)
+        timestamps, values = zip(*pairs)
         return cls(
-            ts_bytes=encode_floats([p[0] for p in pairs]),
-            val_bytes=encode_values([p[1] for p in pairs]),
+            ts_bytes=encode_floats(timestamps),
+            val_bytes=encode_values(values),
             summary=summary,
         )
 
@@ -489,6 +530,25 @@ class BlockStats:
 # -- the tiered engine ---------------------------------------------------------
 
 
+def cut_bounds(
+    pairs: list[tuple[float, float]], start: float, end: float
+) -> tuple[int, int]:
+    """Index bounds of start <= timestamp < end in a time-sorted run of pairs.
+
+    ``(t,)`` sorts before every ``(t, value)``, so bisecting on the 1-tuple
+    lands on the first pair stamped ``t`` without comparing any value.
+    """
+    lo = bisect.bisect_left(pairs, (start,))
+    return lo, bisect.bisect_left(pairs, (end,), lo)
+
+
+def _cut(
+    pairs: list[tuple[float, float]], start: float, end: float
+) -> list[tuple[float, float]]:
+    lo, hi = cut_bounds(pairs, start, end)
+    return pairs[lo:hi]
+
+
 class TieredSeries:
     """A bounded, time-ordered series tiered into hot head + sealed blocks.
 
@@ -534,6 +594,7 @@ class TieredSeries:
         self._block_last: list[float] = []  # parallel t_last, for bisect
         self._head: list[tuple[float, float]] = []
         self._head_stamps: list[float] = []
+        self._sealed_points = 0  # running sum of block.count over _blocks
         self.total_appended = 0
         # Single-slot decode cache: recent-range queries that cross into
         # the newest sealed block decode it once, not per query.
@@ -541,11 +602,7 @@ class TieredSeries:
         self._cache_pairs: list[tuple[float, float]] | None = None
 
     def __len__(self) -> int:
-        return (
-            len(self._old)
-            + sum(block.count for block in self._blocks)
-            + len(self._head)
-        )
+        return len(self._old) + self._sealed_points + len(self._head)
 
     @property
     def sealed_blocks(self) -> int:
@@ -578,9 +635,13 @@ class TieredSeries:
         if not pairs:
             return self._NO_EVICTIONS
         last = self.last_timestamp
+        if last is None:
+            last = float("-inf")
         for pair in pairs:
             timestamp = pair[0]
-            if last is not None and timestamp < last:
+            # Not ``timestamp < last``: that is False for NaN, which would
+            # slip through and break the sortedness every read bisects on.
+            if not timestamp >= last:
                 raise ValueError(
                     f"out-of-order point: {timestamp} after {last}"
                 )
@@ -594,9 +655,10 @@ class TieredSeries:
         if self.block_size:
             while len(self._head) >= self.block_size:
                 self._seal_head_prefix(self.block_size)
-        if len(self) <= self.capacity:
+        excess = len(self) - self.capacity
+        if excess <= 0:
             return self._NO_EVICTIONS
-        return self._evict(len(self) - self.capacity)
+        return self._evict(excess)
 
     def _seal_head_prefix(self, count: int) -> None:
         run = self._head[:count]
@@ -605,6 +667,7 @@ class TieredSeries:
         block = SealedBlock.seal(run)
         self._blocks.append(block)
         self._block_last.append(block.t_last)
+        self._sealed_points += block.count
         stats = self.stats
         if stats is not None:
             stats.blocks_sealed += 1
@@ -627,24 +690,25 @@ class TieredSeries:
                 block = self._blocks[0]
                 if block.count <= need:
                     evicted.append(block)
-                    del self._blocks[0]
-                    del self._block_last[0]
                     need -= block.count
-                    if stats is not None:
-                        stats.blocks_evicted += 1
-                        stats.block_bytes -= block.nbytes
-                        stats.sealed_points -= block.count
                 else:
                     # Boundary falls inside the oldest block: decode it
                     # once; its remainder becomes the old-side buffer.
                     self._old = self._decode(block)
-                    del self._blocks[0]
-                    del self._block_last[0]
                     if stats is not None:
-                        stats.blocks_evicted += 1
-                        stats.block_bytes -= block.nbytes
-                        stats.sealed_points -= block.count
                         stats.head_points += block.count
+                del self._blocks[0]
+                del self._block_last[0]
+                self._sealed_points -= block.count
+                if block is self._cache_block:
+                    # The block is gone and can never hit again; keeping the
+                    # slot would pin its pairs (and alias ``_old``, which
+                    # eviction goes on to mutate).
+                    self._cache_block = self._cache_pairs = None
+                if stats is not None:
+                    stats.blocks_evicted += 1
+                    stats.block_bytes -= block.nbytes
+                    stats.sealed_points -= block.count
             else:
                 take = min(need, len(self._head))
                 evicted.extend(self._head[:take])
@@ -656,14 +720,15 @@ class TieredSeries:
         return evicted
 
     def _decode(self, block: SealedBlock) -> list[tuple[float, float]]:
+        """The block's pairs, shared with the cache slot: read, never mutate."""
         if block is self._cache_block:
-            return list(self._cache_pairs)
+            return self._cache_pairs
         pairs = block.decode()
         if self.stats is not None:
             self.stats.blocks_decoded += 1
         self._cache_block = block
         self._cache_pairs = pairs
-        return list(pairs)
+        return pairs
 
     # -- reads -----------------------------------------------------------------
 
@@ -683,11 +748,9 @@ class TieredSeries:
         Blocks whose summary window misses ``[start, end)`` are skipped
         without decoding (counted in the block-skip-rate probe).
         """
-        if end <= start:
+        if not end > start:  # empty, or a NaN bound
             return []
-        out: list[tuple[float, float]] = []
-        if self._old and self._old[-1][0] >= start and self._old[0][0] < end:
-            out.extend(p for p in self._old if start <= p[0] < end)
+        out = _cut(self._old, start, end)
         blocks = self._blocks
         if blocks:
             stats = self.stats
@@ -700,12 +763,7 @@ class TieredSeries:
                 stats.blocks_considered += len(blocks)
                 stats.blocks_skipped += len(blocks) - (hi - lo)
             for block in blocks[lo:hi]:
-                if start <= block.t_first and block.t_last < end:
-                    out.extend(self._decode(block))
-                else:
-                    out.extend(
-                        p for p in self._decode(block) if start <= p[0] < end
-                    )
+                out.extend(_cut(self._decode(block), start, end))
         stamps = self._head_stamps
         lo = bisect.bisect_left(stamps, start)
         hi = bisect.bisect_left(stamps, end, lo)
@@ -751,8 +809,7 @@ class TieredSeries:
         folds: list[BlockSummary] = []
         edges: list[tuple[float, float]] = []
         if end > start:
-            if self._old and self._old[-1][0] >= start and self._old[0][0] < end:
-                edges.extend(p for p in self._old if start <= p[0] < end)
+            edges = _cut(self._old, start, end)
             blocks = self._blocks
             if blocks:
                 stats = self.stats
@@ -769,10 +826,7 @@ class TieredSeries:
                         if stats is not None:
                             stats.summary_answers += 1
                     else:
-                        edges.extend(
-                            p for p in self._decode(block)
-                            if start <= p[0] < end
-                        )
+                        edges.extend(_cut(self._decode(block), start, end))
             stamps = self._head_stamps
             lo = bisect.bisect_left(stamps, start)
             hi = bisect.bisect_left(stamps, end, lo)
@@ -850,6 +904,7 @@ class TieredSeries:
             block = SealedBlock.from_document(tuple(block_doc))
             series._blocks.append(block)
             series._block_last.append(block.t_last)
+            series._sealed_points += block.count
             if stats is not None:
                 stats.block_bytes += block.nbytes
                 stats.sealed_points += block.count

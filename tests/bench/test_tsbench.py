@@ -72,11 +72,17 @@ def test_platform_leg_conserved_points_across_tiers(smoke_payload):
 def test_committed_baseline_gates_the_fresh_smoke_run(smoke_payload):
     baseline = load_baseline("BENCH_tsblocks.json")
     assert check_against_baseline(smoke_payload, baseline, gate_tsblocks) == []
-    # A compression regression fails the gate...
-    regressed = copy.deepcopy(smoke_payload)
-    regressed["series"]["engine"]["compression_ratio"] *= 0.5
-    failures = check_against_baseline(regressed, baseline, gate_tsblocks)
-    assert failures and "compression_ratio" in failures[0]
+    # The format is frozen: one byte of drift in any tier fails the gate...
+    for leg, key in (
+        ("engine", "block_bytes"),
+        ("platform", "storage_block_bytes"),
+        ("platform", "archive_block_bytes"),
+    ):
+        for drift in (-1, 1):  # better compression is a format change too
+            regressed = copy.deepcopy(smoke_payload)
+            regressed["series"][leg][key] += drift
+            failures = check_against_baseline(regressed, baseline, gate_tsblocks)
+            assert len(failures) == 1 and f"{leg} {key}" in failures[0]
     # ...and so does drift in the deterministic sealing counts.
     drifted = copy.deepcopy(smoke_payload)
     drifted["series"]["platform"]["points_archived"] += 1

@@ -6,15 +6,20 @@ delta-of-delta arithmetic, and values through Gorilla XOR, so nothing
 ever leaves bit space.  Exactness is therefore tested with
 ``struct.pack`` equality (NaN payloads and ``-0.0`` signs included),
 not ``==``.
+
+Example counts come from the hypothesis profile (``tests/conftest.py``):
+50 per test in tier-1, 2,000 under ``--hypothesis-profile=sweep`` (CI's
+``codec-sweep`` job).
 """
 
 import math
 import struct
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.storage import (
+    ArchiveLog,
     SealedBlock,
     TieredSeries,
     decode_floats,
@@ -61,20 +66,17 @@ timestamp_streams = st.builds(
 
 @given(values=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
                        min_size=0, max_size=150))
-@settings(max_examples=50, deadline=None)
 def test_uint_codec_roundtrips_exactly(values):
     assert decode_uints(encode_uints(values), len(values)) == values
 
 
 @given(stamps=timestamp_streams)
-@settings(max_examples=50, deadline=None)
 def test_monotone_timestamps_roundtrip_bit_identically(stamps):
     decoded = decode_floats(encode_floats(stamps), len(stamps))
     assert bits_of(decoded) == bits_of(stamps)
 
 
 @given(values=st.lists(any_floats, min_size=0, max_size=150))
-@settings(max_examples=50, deadline=None)
 def test_value_codec_roundtrips_arbitrary_floats_bit_identically(values):
     # Arbitrary floats: NaNs (payload preserved), ±inf, -0.0, constant
     # runs, denormals — the XOR codec never interprets, only stores bits.
@@ -82,8 +84,33 @@ def test_value_codec_roundtrips_arbitrary_floats_bit_identically(values):
     assert bits_of(decoded) == bits_of(values)
 
 
+@given(
+    uints=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=40),
+    stamps=timestamp_streams,
+    values=st.lists(
+        st.one_of(any_floats, st.sampled_from([0.0, 1.5, 1.5, 1.75])), max_size=40
+    ),
+)
+def test_decoding_a_prefix_is_a_prefix_of_the_decode(uints, stamps, values):
+    # A decoder stops after ``count`` values wherever that falls: inside a
+    # zero run, between fields, before the padding.
+    stamps = stamps[:40]
+    for column, encode, decode in (
+        (uints, encode_uints, decode_uints),
+        (stamps, encode_floats, decode_floats),
+        (values, encode_values, decode_values),
+    ):
+        data = encode(column)
+        whole = decode(data, len(column))
+        for count in range(len(column) + 1):
+            part = decode(data, count)
+            if column is uints:
+                assert part == whole[:count]
+            else:
+                assert bits_of(part) == bits_of(whole[:count])
+
+
 @given(value=any_floats, count=st.integers(min_value=1, max_value=400))
-@settings(max_examples=25, deadline=None)
 def test_constant_runs_compress_to_one_bit_per_repeat(value, count):
     encoded = encode_values([value] * count)
     assert len(encoded) <= 8 + (count + 7) // 8 + 1
@@ -91,7 +118,6 @@ def test_constant_runs_compress_to_one_bit_per_repeat(value, count):
 
 
 @given(stamps=timestamp_streams, data=st.data())
-@settings(max_examples=50, deadline=None)
 def test_sealed_block_roundtrips_and_summary_matches_fold(stamps, data):
     values = data.draw(
         st.lists(any_floats, min_size=len(stamps), max_size=len(stamps))
@@ -114,7 +140,6 @@ def test_sealed_block_roundtrips_and_summary_matches_fold(stamps, data):
 
 
 @given(stamps=timestamp_streams, data=st.data())
-@settings(max_examples=30, deadline=None)
 def test_tiered_series_equals_raw_window_on_any_stream(stamps, data):
     values = data.draw(
         st.lists(
@@ -153,7 +178,6 @@ def test_tiered_series_equals_raw_window_on_any_stream(stamps, data):
 
 
 @given(stamps=timestamp_streams, data=st.data())
-@settings(max_examples=30, deadline=None)
 def test_aggregate_equals_fold_of_decoded_range(stamps, data):
     values = data.draw(
         st.lists(
@@ -174,3 +198,77 @@ def test_aggregate_equals_fold_of_decoded_range(stamps, data):
     assert got["max"] == expected["max"]
     assert math.isclose(got["sum"], expected["sum"],
                         rel_tol=1e-9, abs_tol=1e-9)
+
+
+# -- reads cut by bisection == brute force -------------------------------------
+
+# Duplicate-heavy timestamps on a coarse grid and small-integer values, so
+# range ends land exactly on points and block edges, and every sum is exact
+# whatever the fold order.
+gridded_pairs = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 4.0]),
+        st.integers(min_value=-50, max_value=50),
+    ),
+    min_size=1,
+    max_size=90,
+).map(
+    lambda steps: list(
+        zip(monotone_timestamps(100.0, [gap for gap, _ in steps]),
+            [float(value) for _, value in steps])
+    )
+)
+
+
+def bounds_around(data, pairs):
+    """A [start, end) whose ends sit on, or a quarter step beside, a point."""
+    edges = st.sampled_from(pairs).flatmap(
+        lambda pair: st.sampled_from([pair[0] - 0.25, pair[0], pair[0] + 0.25])
+    )
+    return data.draw(edges), data.draw(edges)
+
+
+def fold(pairs):
+    return merge_folds([summarize(pairs)] if pairs else [])
+
+
+@given(pairs=gridded_pairs, data=st.data())
+def test_range_and_aggregate_equal_brute_force_over_all_pairs(pairs, data):
+    capacity = data.draw(st.integers(min_value=1, max_value=len(pairs) + 5))
+    batch = data.draw(st.integers(min_value=1, max_value=11))
+    series = TieredSeries(capacity, block_size=4)
+    for offset in range(0, len(pairs), batch):
+        # Batches that do not divide the block size leave a part-evicted
+        # old side behind.
+        series.append_many(pairs[offset:offset + batch])
+    retained = series.all_pairs()
+    assert retained == pairs[-capacity:]
+    assert len(series) == len(retained)
+    for _ in range(4):
+        start, end = bounds_around(data, pairs)
+        expected = [p for p in retained if start <= p[0] < end]
+        assert series.range(start, end) == expected
+        assert series.aggregate(start, end) == fold(expected)
+    # Ends exactly on every block's first and last timestamp.
+    for block in series._blocks:
+        for start, end in ((block.t_first, block.t_last), (block.t_last, math.inf)):
+            expected = [p for p in retained if start <= p[0] < end]
+            assert series.range(start, end) == expected
+            assert series.aggregate(start, end) == fold(expected)
+
+
+@given(pairs=gridded_pairs, data=st.data())
+def test_archive_read_range_equals_brute_force_over_the_export(pairs, data):
+    log = ArchiveLog(block_size=4)
+    split = data.draw(st.integers(min_value=0, max_value=len(pairs)))
+    for timestamp, value in pairs[:split]:
+        log.append("s", timestamp, value)
+    if pairs[split:]:  # the rest arrives as one window-evicted block
+        log.append_block("s", SealedBlock.seal(pairs[split:]))
+    records = log.export("s")
+    assert [(r.timestamp, r.payload) for r in records] == pairs
+    assert [r.sequence for r in records] == list(range(1, len(pairs) + 1))
+    for _ in range(4):
+        start, end = bounds_around(data, pairs)
+        expected = [r for r in records if start <= r.timestamp < end]
+        assert log.read_range("s", start, end) == expected

@@ -44,6 +44,7 @@ def test_fold_is_order_independent(deltas, seed):
 
 
 @given(deltas=deltas, split=st.integers(min_value=0, max_value=30))
+@settings(max_examples=100)
 def test_fold_of_premerged_cohorts_equals_direct_fold(deltas, split):
     """Coalescing (merge then fold) cannot change the answer."""
     split = min(split, len(deltas))
@@ -58,6 +59,7 @@ def test_fold_of_premerged_cohorts_equals_direct_fold(deltas, split):
 
 
 @given(deltas=deltas)
+@settings(max_examples=100)
 def test_summary_is_consistent_with_the_raw_fold(deltas):
     stats = fold_all(deltas)
     summary = stats_summary(stats)

@@ -1,5 +1,7 @@
 """Unit tests for the append-only archive log."""
 
+import math
+
 import pytest
 
 from repro.storage import ArchiveLog
@@ -28,6 +30,21 @@ def test_out_of_order_append_rejected(log):
     log.append("s", 5.0, "a")
     with pytest.raises(ValueError):
         log.append("s", 4.0, "b")
+
+
+def test_nan_timestamp_is_rejected_as_out_of_order(log):
+    # ``nan < last`` is False: a less-than check lets NaN in, after which
+    # anything passes and the stream is no longer sorted for read_range.
+    log.append("s", 1.0, 1.5)
+    log.append("s", 2.0, 2.5)
+    with pytest.raises(ValueError, match="older"):
+        log.append("s", math.nan, 3.5)
+    with pytest.raises(ValueError, match="older"):
+        log.append("s", 0.5, 4.5)
+    assert [r.timestamp for r in log.read_range("s", 0.0, 10.0)] == [1.0, 2.0]
+    with pytest.raises(ValueError, match="older"):
+        log.append("fresh", math.nan, 1.0)  # an empty stream too
+    log.append("fresh", -math.inf, 1.0)  # any real timestamp may come first
 
 
 def test_equal_timestamps_allowed(log):
@@ -121,6 +138,23 @@ def test_append_block_archives_without_decoding():
     assert sequences == list(range(sequences[0], sequences[0] + 32))
 
 
+def test_append_block_sequence_column_bytes():
+    # A contiguous run first..first+n-1 is the 64-bit first value, one dod
+    # of +1 ('10' + zigzag 2 in 7 bits) and n-2 zero dods, padded to a byte.
+    from repro.storage import SealedBlock
+
+    log = ArchiveLog()
+    for i in range(5):
+        log.append("other", float(i), "x")  # advance the global sequence
+    pairs = [(float(i), 1.0) for i in range(256)]
+    log.append_block("s", SealedBlock.seal(pairs))
+    ((_block, seq_bytes),) = log._streams["s"].sealed
+    bits = 64 + 9 + 254
+    pad = -bits % 8
+    expected = ((6 << 9 | 0b10_0000010) << (254 + pad)).to_bytes(41, "big")
+    assert seq_bytes == expected
+
+
 def test_append_block_seals_pending_head_first():
     from repro.storage import SealedBlock
 
@@ -174,6 +208,30 @@ def test_range_reads_skip_non_overlapping_blocks():
     records = log.read_range("s", 42.0, 44.0)
     assert [r.timestamp for r in records] == [42.0, 43.0]
     assert log.records_decoded == 10  # exactly one block decoded
+
+
+def test_range_cuts_on_block_edges_and_duplicate_timestamps():
+    log = ArchiveLog(block_size=4)
+    # Three sealed blocks of four, then one head point.
+    stamps = [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 5.0, 5.0, 6.0]
+    records = [log.append("s", t, float(i)) for i, t in enumerate(stamps)]
+    assert log.blocks_sealed == 3
+    for start in (0.0, 1.0, 2.0, 2.5, 4.0, 5.0, 6.0, 7.0):
+        for end in (1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0, math.inf):
+            expected = [r for r in records if start <= r.timestamp < end]
+            assert log.read_range("s", start, end) == expected, (start, end)
+    # A NaN bound selects nothing, in every tier alike.
+    assert log.read_range("s", math.nan, 7.0) == []
+    assert log.read_range("s", 0.0, math.nan) == []
+
+
+def test_tail_and_export_keep_infinite_timestamps():
+    log = ArchiveLog(block_size=2)
+    for ts in (1.0, 2.0, math.inf, math.inf):
+        log.append("s", ts, 0.5)
+    assert log.blocks_sealed == 2
+    assert [r.timestamp for r in log.export("s")] == [1.0, 2.0, math.inf, math.inf]
+    assert [r.timestamp for r in log.tail("s", 3)] == [2.0, math.inf, math.inf]
 
 
 def test_tail_and_export_cross_tiers():

@@ -69,8 +69,27 @@ def test_value_codec_constant_run_is_one_bit_per_repeat():
 def test_empty_codec_inputs():
     assert encode_uints([]) == b""
     assert decode_uints(b"", 0) == []
+    assert encode_floats([]) == b""
+    assert decode_floats(b"", 0) == []
     assert encode_values([]) == b""
     assert decode_values(b"", 0) == []
+
+
+@pytest.mark.parametrize(
+    "encode, decode, column",
+    [
+        (encode_uints, decode_uints, [7] * 200),  # cut inside a zero run
+        (encode_uints, decode_uints, [i * i for i in range(200)]),
+        (encode_floats, decode_floats, [0.1 * i for i in range(200)]),
+        (encode_values, decode_values, [42.5] * 200),
+        (encode_values, decode_values, [1.0 / (i + 1) for i in range(200)]),
+    ],
+)
+def test_asking_for_more_than_the_payload_holds_raises(encode, decode, column):
+    encoded = encode(column)
+    for data in (encoded[:-3], encoded[:11], encoded[:8], encoded[:3], b""):
+        with pytest.raises((ValueError, IndexError)):
+            decode(data, len(column))
 
 
 # -- summaries & blocks --------------------------------------------------------
@@ -143,6 +162,24 @@ def test_out_of_order_append_rejected():
     series.append(5.0, 2.0)  # equal timestamps are fine
 
 
+def test_nan_timestamp_is_rejected_as_out_of_order():
+    # ``nan < last`` is False, so a less-than check waves NaN through and
+    # every later comparison against it passes too: the series stops being
+    # sorted, which range()'s bisection relies on.
+    series = TieredSeries(capacity=100, block_size=4)
+    series.append_many([(1.0, 10.0), (2.0, 20.0)])
+    with pytest.raises(ValueError, match="out-of-order"):
+        series.append(math.nan, 30.0)
+    with pytest.raises(ValueError, match="out-of-order"):
+        series.append(0.5, 40.0)
+    with pytest.raises(ValueError, match="out-of-order"):
+        series.append_many([(3.0, 1.0), (math.nan, 2.0), (4.0, 3.0)])
+    assert series.range(0.0, 10.0) == [(1.0, 10.0), (2.0, 20.0)]
+    with pytest.raises(ValueError, match="out-of-order"):
+        TieredSeries().append(math.nan, 1.0)  # an empty series too
+    TieredSeries().append(-math.inf, 1.0)  # any real timestamp may come first
+
+
 def test_capacity_eviction_is_point_exact():
     series = TieredSeries(capacity=50, block_size=16)
     pairs = walk(173)
@@ -194,6 +231,64 @@ def test_range_skips_blocks_outside_window():
     assert stats.block_skip_rate == pytest.approx(0.9)
 
 
+def test_range_cuts_on_block_edges_and_duplicate_timestamps():
+    series = TieredSeries(capacity=1000, block_size=4)
+    # Three sealed blocks of four, then one head point.
+    stamps = [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 5.0, 5.0, 6.0]
+    pairs = [(t, float(i)) for i, t in enumerate(stamps)]
+    series.append_many(pairs)
+    assert series.sealed_blocks == 3
+    for start in (0.0, 1.0, 2.0, 2.5, 4.0, 5.0, 6.0, 7.0):
+        for end in (1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0):
+            expected = [p for p in pairs if start <= p[0] < end]
+            assert series.range(start, end) == expected, (start, end)
+            assert series.aggregate(start, end)["count"] == len(expected)
+    # A NaN bound selects nothing, in every tier alike.
+    for start, end in ((math.nan, 7.0), (0.0, math.nan)):
+        assert series.range(start, end) == []
+        assert series.aggregate(start, end)["count"] == 0
+
+
+def test_reads_do_not_hand_out_the_cached_decode():
+    # The decode cache is read in place (no defensive copy), so nothing a
+    # caller may mutate can be the cached list itself.
+    series = TieredSeries(capacity=1000, block_size=8)
+    pairs = walk(20)
+    series.append_many(pairs)
+    for read in (
+        lambda: series.range(pairs[0][0], pairs[7][0] + 0.5),  # a whole block
+        lambda: series.tail(12),
+        lambda: series.all_pairs(),
+    ):
+        first = read()
+        first.clear()
+        assert read() != []
+    assert series.all_pairs() == pairs
+
+
+def test_evicted_block_leaves_the_decode_cache():
+    stats = BlockStats()
+    series = TieredSeries(capacity=20, block_size=8, stats=stats)
+    series.append_many(walk(20))  # blocks [0:8) [8:16), head [16:20)
+    series.range(1000.0, 1004.0)  # decode + cache the oldest block
+    assert series._cache_block is series._blocks[0]
+    # Partial eviction decodes the boundary block into the old side; the
+    # cached copy would alias it and can never be hit again.
+    assert series.append_many(walk(3, t0=2000.0)) == walk(3)
+    assert series._cache_block is None and series._cache_pairs is None
+    assert series._old == walk(8)[3:]
+    assert stats.blocks_decoded == 1  # the eviction reused the cached decode
+    # Whole-block eviction of a cached block empties the slot as well.
+    series.range(1008.0, 1012.0)
+    cached = series._cache_block
+    assert cached is series._blocks[0]
+    evicted = series.append_many(walk(13, t0=3000.0))
+    assert cached in evicted
+    assert series._cache_block is None and series._cache_pairs is None
+    everything = walk(20) + walk(3, t0=2000.0) + walk(13, t0=3000.0)
+    assert series.all_pairs() == everything[-20:]
+
+
 def test_tail_and_latest():
     series = TieredSeries(capacity=10_000, block_size=16)
     pairs = walk(100)
@@ -240,6 +335,9 @@ def test_stats_accounting_balances():
     assert stats.block_bytes == mem["block_bytes"]
     assert stats.sealed_points == mem["sealed_points"]
     assert stats.compression_ratio > 1.0
+    # __len__ reads a running count; memory_stats() recounts the blocks.
+    assert series._sealed_points == mem["sealed_points"]
+    assert len(series) == mem["points"] == 50
     series.detach_stats()
     assert stats.head_points == 0
     assert stats.block_bytes == 0
@@ -270,6 +368,7 @@ def test_document_restore_registers_stats():
     stats = BlockStats()
     restored = TieredSeries.from_document(series.to_document(), stats)
     mem = restored.memory_stats()
+    assert len(restored) == mem["points"] == 80
     assert stats.head_points == mem["head_points"]
     assert stats.sealed_points == mem["sealed_points"]
     assert stats.block_bytes == mem["block_bytes"]
