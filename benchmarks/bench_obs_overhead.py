@@ -409,7 +409,7 @@ def test_allocations_per_event_within_budget():
     tracemalloc.start()
     tracemalloc.clear_traces()
     try:
-        sched = _run_ask_workload(40, 150, None)
+        sched, _events = _run_ask_workload(40, 150, None)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -112,7 +112,7 @@ class Cow(Actor):
         self.mark_dirty()
         return True
 
-    # -- ownership and lifecycle --------------------------------------------------------
+    # -- ownership and lifecycle -------------------------------------------------------
 
     async def set_owner(self, farmer_id: str, timestamp: float = 0.0) -> str:
         """Change ownership (call inside a transaction for consistency)."""

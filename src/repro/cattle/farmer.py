@@ -49,7 +49,7 @@ class Farmer(Actor):
         """Cow ids this farm unit owns."""
         return list(self.state.get("herd", ()))
 
-    # -- pasture management -------------------------------------------------------------
+    # -- pasture management ------------------------------------------------------------
 
     async def define_fence(self, fence: dict) -> str:
         """Register a named pasture fence for later assignment."""

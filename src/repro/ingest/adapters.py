@@ -14,7 +14,7 @@ a packed binary frame), plus a registry that dispatches by declared format.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Protocol
+from typing import Protocol
 
 from ..errors import PlatformError
 

@@ -420,9 +420,9 @@ class Scheduler:
     def spawn(self, coro: Coroutine[Any, Any, Any], name: str = "") -> Task:
         """Create a task for ``coro`` and schedule its first step.
 
-        ``Task.__init__`` and ``_call_soon`` are inlined — the actor runtime
-        spawns a task per delivery and per reply, so construction cost is
-        part of the per-message bill.
+        ``Task.__init__`` and ``_call_soon`` are inlined — activation pumps,
+        reentrant turns, batch windows and every benchmark driver spawn
+        tasks, so construction cost is on the hot path.
         """
         if self._stopped:
             raise SchedulerStoppedError("scheduler has stopped")

@@ -10,9 +10,9 @@ batched intra-actor execution; TritanDB's write batching).
 
 Correctness properties the runtime relies on (regression-tested):
 
-- **Per-sender FIFO.** Envelopes on one path depart and *resolve* in FIFO
+- **Per-sender FIFO.** Envelopes on one path depart and *land* in FIFO
   order (a flush waits for its predecessor's delivery before releasing its
-  members), and members resolve in join order, so two messages from the
+  members), and members land in join order, so two messages from the
   same sender to the same actor can never reorder.
 - **Per-message policies.** The batcher only delays *delivery*; deadlines,
   retries and tracing all stay attached to individual invocations.  A
@@ -28,8 +28,8 @@ Correctness properties the runtime relies on (regression-tested):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
-from ..kernel.futures import _PENDING as _F_PENDING
 from ..kernel.futures import Future
 from ..kernel.scheduler import Scheduler
 from .network import Network
@@ -39,9 +39,8 @@ from .network import Network
 class _OpenEnvelope:
     """One forming batch on a (source, target) path."""
 
-    members: list[tuple[Future[tuple[float, int]], float]] = field(
-        default_factory=list
-    )
+    #: ``(member, joined_at)`` in join order.
+    members: list[tuple[tuple, float]] = field(default_factory=list)
     opened_at: float = 0.0
     departed: bool = False
 
@@ -67,20 +66,30 @@ class EnvelopeBatcher:
         self,
         network: Network,
         scheduler: Scheduler,
+        land: Callable[..., None],
+        fail: Callable[..., None],
         max_size: int = 64,
         max_delay: float = 0.0002,
     ) -> None:
+        """``land(*member, elapsed, cohort)`` runs once per member when its
+        envelope arrives: ``member`` is the tuple of leading arguments the
+        member joined with, ``elapsed`` the virtual seconds between join and
+        arrival (batch wait plus wire latency) and ``cohort`` the number of
+        messages that shared the envelope.  ``fail(*member, error)`` runs
+        per member instead when the envelope's target endpoint is unknown."""
         if max_size < 1:
             raise ValueError("max_size must be >= 1")
         if max_delay < 0:
             raise ValueError("max_delay must be >= 0")
         self.network = network
         self.scheduler = scheduler
+        self._land = land
+        self._fail = fail
         self.max_size = max_size
         self.max_delay = max_delay
         self._open: dict[tuple[str, str], _OpenEnvelope] = {}
         # FIFO chain per path: each flush awaits the previous envelope's
-        # delivery before resolving its own members.
+        # delivery before landing its own members.
         self._last_delivered: dict[tuple[str, str], Future[None]] = {}
         self._solo_streak: dict[tuple[str, str], int] = {}
         self.flushes = 0
@@ -91,31 +100,21 @@ class EnvelopeBatcher:
         #: runtime attaches) — the coalescing-effectiveness distribution.
         self.cohort_histogram = None
 
-    def transfer(self, source: str, target: str) -> Future[tuple[float, int]]:
-        """Join the open envelope on (source, target); await departure.
+    def join(self, source: str, target: str, member: tuple) -> None:
+        """Put ``member`` aboard the open envelope on (source, target).
 
-        Resolves to ``(elapsed, cohort)``: the virtual seconds this message
-        spent between join and delivery (batch wait plus wire latency, which
-        the caller attributes to its trace span's network component) and the
-        number of messages that shared the envelope.
+        Nothing waits on the envelope: the batcher hands the member back
+        through ``land`` (or ``fail``) when the envelope arrives, and a lost
+        envelope hands back nothing.
         """
         pair = (source, target)
-        # One ticket per message: constructor frame and per-message name
-        # formatting elided (the path is identified by the spawn names).
-        ticket: Future[tuple[float, int]] = Future.__new__(Future)
-        ticket._state = _F_PENDING
-        ticket._value = None
-        ticket._exception = None
-        ticket._cb0 = None
-        ticket._callbacks = None
-        ticket.name = "envelope"
         joined_at = self.scheduler.now
         envelope = self._open.get(pair)
         fresh = envelope is None
         if fresh:
             envelope = _OpenEnvelope(opened_at=joined_at)
             self._open[pair] = envelope
-        envelope.members.append((ticket, joined_at))
+        envelope.members.append((member, joined_at))
         if len(envelope.members) >= self.max_size:
             # Size bound hit: seal and ship on a fresh task (the door timer,
             # if one started, finds ``departed`` set and does nothing).
@@ -140,7 +139,6 @@ class EnvelopeBatcher:
                 self._depart_after(pair, envelope, delay),
                 name=f"envelope:{source}->{target}",
             )
-        return ticket
 
     async def _depart_after(
         self, pair: tuple[str, str], envelope: _OpenEnvelope, delay: float
@@ -182,14 +180,13 @@ class EnvelopeBatcher:
         except KeyError as exc:
             # The target endpoint vanished (silo torn down mid-flight):
             # surface the routing error on every member instead of hanging.
-            for ticket, _joined_at in envelope.members:
-                if not ticket.done():
-                    ticket.set_exception(exc)
+            for member, _joined_at in envelope.members:
+                self._fail(*member, exc)
             delivered.set_result(None)
             return
         if delay is None:
-            # The whole envelope was lost on the wire: its members park
-            # forever (only caller-side deadlines turn that silence into
+            # The whole envelope was lost on the wire: its members never
+            # land (only caller-side deadlines turn that silence into
             # errors), but the path's FIFO chain must stay live so later
             # envelopes keep flowing.
             delivered.set_result(None)
@@ -201,7 +198,7 @@ class EnvelopeBatcher:
             # release this envelope before its predecessor delivered.
             await previous
         now = self.scheduler.now
-        for ticket, joined_at in envelope.members:
-            if not ticket.done():
-                ticket.set_result((now - joined_at, cohort))
+        land = self._land
+        for member, joined_at in envelope.members:
+            land(*member, now - joined_at, cohort)
         delivered.set_result(None)

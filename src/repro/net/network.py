@@ -8,16 +8,20 @@ latency for each transfer:
   benchmarking client to a silo);
 - custom per-pair overrides for asymmetric topologies.
 
-The actor runtime funnels every remote message through
-:meth:`Network.transfer`, which is what makes placement strategies
-(§5 of the paper: random vs. prefer-local) observable in benchmarks.
+The actor runtime commits every request and every reply to the wire
+through :meth:`Network.plan_envelope` (one envelope per message, or one per
+batch on the ingestion fast path), which is what makes placement strategies
+(§5 of the paper: random vs. prefer-local) observable in benchmarks.  The
+network only *plans*: it returns the sampled delay (or ``None`` for a lost
+envelope) and the caller schedules the arrival itself — one timer event per
+hop with a positive delay, none at zero delay — so no task waits on the
+wire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..kernel.futures import Future
 from ..kernel.rng import RngRegistry
 from ..kernel.scheduler import Scheduler
 from .faults import NetworkFaultInjector, PartitionInjector
@@ -110,32 +114,6 @@ class Network:
         self.stats.duplicated_messages += 1
         return True
 
-    async def transfer(self, source: str, target: str) -> float:
-        """Delay the caller by one message latency and record stats.
-
-        Returns the sampled delay in virtual seconds so callers (the actor
-        runtime) can attribute it to a trace span without re-measuring.
-
-        Raises :class:`KeyError` if either endpoint is unknown — an unknown
-        target means cluster membership and the caller's routing disagree,
-        which should fail loudly rather than silently deliver.
-
-        When a fault injector is attached, the transfer may be *lost*: the
-        awaiting task then parks on a future nothing resolves, exactly like
-        a message dropped on the wire.  Only a caller-side deadline turns
-        that silence into an error.
-        """
-        # A one-message envelope: this runs once per unbatched message and
-        # once per reply.
-        delay = self.plan_envelope(source, target, 1)
-        if delay is None:
-            lost: Future[None] = Future(f"lost:{source}->{target}")
-            await lost
-            return 0.0  # pragma: no cover - the future never resolves
-        if delay > 0:
-            await self._scheduler.sleep(delay)
-        return delay
-
     def plan_envelope(self, source: str, target: str, count: int) -> float | None:
         """Commit one envelope of ``count`` messages to the wire.
 
@@ -143,8 +121,13 @@ class Network:
         envelope (a dropped envelope loses every message aboard, exactly
         like a lost datagram carrying a batched payload), samples its
         latency and records stats.  Returns the delay the envelope takes to
-        arrive, or ``None`` when it was lost — the caller then parks the
-        affected messages on futures nothing resolves.
+        arrive, or ``None`` when it was lost — the caller then schedules no
+        arrival for the affected messages, so only a caller-side deadline
+        turns that silence into an error.
+
+        Raises :class:`KeyError` if either endpoint is unknown — an unknown
+        target means cluster membership and the caller's routing disagree,
+        which should fail loudly rather than silently deliver.
         """
         # Partition check, latency sampling and stats bookkeeping are written
         # out in this one body: it runs once per unbatched message and once

@@ -46,7 +46,7 @@ identical postmortem timelines bit for bit (property-tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..kernel.scheduler import Scheduler
@@ -203,20 +203,22 @@ class _LatencyReservoir:
         self._since_refresh = 0
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        samples = self._samples
-        if len(samples) < self.size:
-            samples.append(value)
+        count = self.count + 1
+        self.count = count
+        size = self.size
+        if count <= size:  # one sample per observation until full
+            self._samples.append(value)
         else:
             state = (self._state * 6364136223846793005 + 1442695040888963407) & _MASK64
             self._state = state
-            j = state % self.count
-            if j < self.size:
-                samples[j] = value
-        self._since_refresh += 1
-        if self._since_refresh >= self.refresh:
-            self._since_refresh = 0
+            j = state % count
+            if j < size:
+                self._samples[j] = value
+        since = self._since_refresh + 1
+        if since >= self.refresh:
+            since = 0
             self._p99 = None  # recompute lazily on next read
+        self._since_refresh = since
 
     def p99(self) -> float:
         estimate = self._p99
@@ -384,7 +386,11 @@ class FlightRecorder:
     # -- tail-based trace retention --------------------------------------------
 
     def on_begin(self, span: "Span") -> None:
-        """Tracer callback: buffer a live span under its trace (hot path)."""
+        """Tracer callback: buffer a live child span under its trace.
+
+        Roots are not buffered — :meth:`on_root_finish` is handed the root
+        itself — so a trace without children never touches the buffer.
+        """
         buffer = self._inflight.get(span.trace_id)
         if buffer is None:
             self._inflight[span.trace_id] = [span]
@@ -393,12 +399,13 @@ class FlightRecorder:
 
     def on_root_finish(self, root: "Span", now: float) -> None:
         """Tracer callback: score a completed root trace; retain or drop."""
-        spans = self._inflight.pop(root.trace_id, None)
-        if spans is None:
-            spans = [root]  # root began before the recorder was attached
+        children = self._inflight.pop(root.trace_id, None)
+        spans = [root] if children is None else [root, *children]
         self.completed_traces += 1
-        reason = self._score(root, spans)
-        reservoir = self._reservoirs.get(root.kind)
+        kind = root.kind
+        reservoir = self._reservoirs.get(kind)
+        duration = root.end - root.start
+        reason = self._score(root, spans, reservoir, duration)
         if reservoir is None:
             reservoir = _LatencyReservoir(
                 self.config.reservoir_size,
@@ -407,18 +414,24 @@ class FlightRecorder:
                 self.seed + 1000003 * len(self._reservoirs),
                 self.config.p99_refresh,
             )
-            self._reservoirs[root.kind] = reservoir
+            self._reservoirs[kind] = reservoir
         if reason is None:
             self.downsampled_traces += 1
             by_kind = self.downsampled_by_kind
-            by_kind[root.kind] = by_kind.get(root.kind, 0) + 1
+            by_kind[kind] = by_kind.get(kind, 0) + 1
         else:
             self._retain(root, spans, reason, now)
         # Feed the latency reservoir *after* scoring so the p99 predicate
         # compares against history, not against the sample being judged.
-        reservoir.observe(root.duration)
+        reservoir.observe(duration)
 
-    def _score(self, root: "Span", spans: list) -> str | None:
+    def _score(
+        self,
+        root: "Span",
+        spans: list,
+        reservoir: _LatencyReservoir | None,
+        duration: float,
+    ) -> str | None:
         """The retention verdict: a reason string, or None to downsample."""
         if root.status != "ok":
             return f"status:{root.status}"
@@ -429,14 +442,14 @@ class FlightRecorder:
                 return f"span-status:{span.status}"
             if span.kind in ANOMALY_KINDS:
                 return f"anomaly:{span.kind}"
-        reservoir = self._reservoirs.get(root.kind)
+        config = self.config
         if (
             reservoir is not None
-            and reservoir.count >= self.config.min_latency_samples
-            and root.duration > reservoir.p99()
+            and reservoir.count >= config.min_latency_samples
+            and duration > reservoir.p99()
         ):
             return f"p99:{root.kind}"
-        rate = self.config.tail_keep_rate
+        rate = config.tail_keep_rate
         if rate > 0.0:
             interval = max(1, round(1.0 / rate))
             if self.completed_traces % interval == 1 or interval == 1:

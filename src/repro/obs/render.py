@@ -2,10 +2,10 @@
 
 The output format is the one documented in DESIGN.md's observability
 section: one line per span, indented by causal depth, with the virtual-time
-breakdown in milliseconds::
+breakdown in milliseconds (``[queue | cpu | net | sto | wait]``)::
 
     live_data trace 42 (18 spans, 3.1 ms end-to-end)
-    └─ ask Organization/org-0.live_data  3.1ms  [queue 0.0 | cpu 0.4 | net 1.0 | sto 0.0 | wait 1.7]
+    └─ ask Organization/org-0.live_data  3.1ms  [queue 0.0 | cpu 0.4 | ...]
        ├─ ask PhysicalSensorChannel/....latest  1.2ms  [...]
        ...
 """

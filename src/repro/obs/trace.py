@@ -199,7 +199,7 @@ class Tracer:
         span.error = ""
         if recorder is None:
             spans.append(span)
-        else:
+        elif parent is not None:
             recorder.on_begin(span)
         return span
 

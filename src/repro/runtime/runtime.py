@@ -1,9 +1,11 @@
 """The actor-oriented database runtime facade.
 
 :class:`AodbRuntime` ties the substrates together: it registers actor types,
-manages the cluster of silos, routes messages (placement → network transfer
-→ mailbox), runs the idle-activation collector and the durable-reminder
-pump, and exposes the statistics benchmarks read.
+manages the cluster of silos, routes messages (placement → network →
+mailbox → turn → reply), runs the idle-activation collector and the
+durable-reminder pump, and exposes the statistics benchmarks read.  No task
+runs per message: each hop (request or reply) is one timer event, or none
+at zero wire delay (DESIGN §11 has the event audit).
 
 The public surface an application touches is small::
 
@@ -17,11 +19,13 @@ The public surface an application touches is small::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterable
 
 import math
 
 from ..errors import (
+    ActorDeactivatedError,
     ConditionalCheckFailedError,
     DeadlineExceededError,
     FencedWriteError,
@@ -80,6 +84,7 @@ class RuntimeStats:
     replies: int = 0
     errors: int = 0
     dropped_messages: int = 0
+    dropped_replies: int = 0  # an endpoint left the network mid-turn
     activations_created: int = 0
     activations_collected: int = 0
     activations_crashed: int = 0
@@ -164,6 +169,8 @@ class AodbRuntime:
             self._batcher = EnvelopeBatcher(
                 self.network,
                 self.scheduler,
+                self._arrive,
+                lambda invocation, _, exc: self._fail_invocation(invocation, exc),
                 max_delay=self.config.batch_max_delay,
             )
         self.strategies = build_strategies(
@@ -232,7 +239,7 @@ class AodbRuntime:
         )
         for name in (
             "asks", "tells", "replies", "errors", "dropped_messages",
-            "activations_created", "activations_collected",
+            "dropped_replies", "activations_created", "activations_collected",
             "activations_crashed", "activation_failures",
             "reminders_delivered", "calls_retried", "deadlines_exceeded",
             "silos_suspected", "silos_evicted", "activations_replaced",
@@ -899,7 +906,7 @@ class AodbRuntime:
         """The pin table used by the ``pinned`` placement strategy."""
         return self.strategies["pinned"]  # type: ignore[return-value]
 
-    # -- references and messaging -------------------------------------------------------
+    # -- references and messaging ------------------------------------------------------
 
     def ref(
         self,
@@ -966,8 +973,8 @@ class AodbRuntime:
         invocation.reply = reply
         if deadline_at is not None:
             self._arm_deadline(invocation, deadline_at)
-        self.scheduler.spawn(self._deliver(invocation), name="deliver")
-        return invocation.reply
+        self._route(invocation)
+        return reply
 
     def _arm_deadline(self, invocation: Invocation, deadline_at: float) -> None:
         reply = invocation.reply
@@ -1127,7 +1134,7 @@ class AodbRuntime:
                 parent=parent_span,
                 method=method,
             )
-        self.scheduler.spawn(self._deliver(invocation), name="deliver")
+        self._route(invocation)
         return DeliveryReceipt(key, method, self.scheduler.now)
 
     def _make_invocation(
@@ -1277,72 +1284,78 @@ class AodbRuntime:
             self.database.note_activation(key)
         return activation
 
-    async def _deliver(self, invocation: Invocation) -> None:
-        while True:
-            reply = invocation.reply
-            if reply is not None and reply._state is not _F_PENDING:
-                # A deadline (or chaos) already resolved the caller's
-                # future; re-delivering would execute an abandoned request
-                # on the successor activation after a partition repair.
-                return
-            try:
-                activation = self._resolve_activation(
-                    invocation.target, invocation.caller_endpoint
-                )
-            except Exception as exc:  # noqa: BLE001 - surfaced on the reply
-                self._fail_invocation(invocation, exc)
-                return
+    def _route(self, invocation: Invocation) -> None:
+        """Resolve the target and put the message on the wire, in the
+        sender's event: the hop costs one timer event, none at zero delay."""
+        reply = invocation.reply
+        if reply is not None and reply._state is not _F_PENDING:
+            # A deadline (or chaos) settled the caller's future: re-routing
+            # would run an abandoned request on a successor activation.
+            return
+        source = invocation.caller_endpoint
+        try:
+            activation = self._resolve_activation(invocation.target, source)
+            target = activation.silo.silo_id
             if self._batcher is not None:
-                try:
-                    delay, cohort = await self._batcher.transfer(
-                        invocation.caller_endpoint, activation.silo.silo_id
-                    )
-                except Exception as exc:  # noqa: BLE001 - routing failure
-                    self._fail_invocation(invocation, exc)
-                    return
-                invocation.batch_cohort = cohort
+                self._batcher.join(source, target, (invocation, activation))
+                return
+            delay = self.network.plan_envelope(source, target, 1)
+        except Exception as exc:  # noqa: BLE001 - surfaced on the reply
+            self._fail_invocation(invocation, exc)
+            return
+        if delay is None:
+            return  # lost on the wire: only the caller's deadline notices
+        if delay > 0:
+            arrive = partial(self._arrive, invocation, activation, delay)
+            self.scheduler.call_at(self.scheduler.now + delay, arrive)
+        else:
+            self._arrive(invocation, activation, 0.0)
+
+    def _arrive(
+        self,
+        invocation: Invocation,
+        activation: Activation,
+        delay: float,
+        cohort: int = 1,
+    ) -> None:
+        """The message lands after ``delay`` (wire time, plus the batch wait
+        when it rode an envelope of ``cohort``): queue it on the activation."""
+        invocation.batch_cohort = cohort
+        span = invocation.span
+        if span is not None and span.end is None:
+            span.network += delay
+        try:
+            activation.enqueue(invocation)
+        except (MailboxOverflowError, ReentrancyError, QuarantinedSiloError) as exc:
+            # A full mailbox, a would-be deadlock, or a parked (alive, never
+            # closing) activation on a leaseless silo: fail the call fast.
+            if isinstance(exc, MailboxOverflowError):
+                self.stats.dropped_messages += 1
+            self._fail_invocation(invocation, exc)
+            return
+        except ActorDeactivatedError:
+            # Closing: route to the successor, one event past the barrier so
+            # the closer (_deactivate, crash_silo) finishes its cleanup first.
+            closed, scheduler = activation.closed, self.scheduler
+            if closed.is_set():
+                self._route(invocation)
             else:
-                delay = await self.network.transfer(
-                    invocation.caller_endpoint, activation.silo.silo_id
+                closed.wait().add_done_callback(
+                    lambda _: scheduler.call_at(scheduler.now, self._route, invocation)
                 )
-            span = invocation.span
-            if span is not None and span.end is None:
-                span.network += delay
-            if activation.closing:
-                await activation.closed.wait()
-                continue
+            return
+        network = self.network
+        if network.faults is not None and network.should_duplicate(
+            invocation.caller_endpoint, activation.silo.silo_id
+        ):
+            # Chaos: the invocation arrives twice.  The one-shot reply
+            # dedupes an ask; a one-way runs twice (at-least-once hazard).
             try:
                 activation.enqueue(invocation)
-                if self.network.faults is not None and self.network.should_duplicate(
-                    invocation.caller_endpoint, activation.silo.silo_id
-                ):
-                    # Chaos: the same invocation arrives twice.  A duplicate
-                    # ask is harmless (the one-shot reply future deduplicates
-                    # the answers); a duplicate one-way executes twice, which
-                    # is exactly the at-least-once hazard the harness probes.
-                    try:
-                        activation.enqueue(invocation)
-                    except Exception:  # noqa: BLE001 - duplicate best-effort
-                        pass
-                return
-            except MailboxOverflowError as exc:
-                self.stats.dropped_messages += 1
-                self._fail_invocation(invocation, exc)
-                return
-            except ReentrancyError as exc:
-                # A would-be deadlock: fail the caller instead of hanging.
-                self._fail_invocation(invocation, exc)
-                return
-            except QuarantinedSiloError as exc:
-                # Parked activation on a leaseless silo: fail fast (the
-                # error is retryable) rather than wait on a closed event a
-                # parked-but-alive activation never sets.
-                self._fail_invocation(invocation, exc)
-                return
-            except Exception:  # activation started closing during transfer
-                await activation.closed.wait()
+            except Exception:  # noqa: BLE001 - duplicate best-effort
+                pass
 
-    def _fail_invocation(self, invocation: Invocation, exc: Exception) -> None:
+    def _fail_invocation(self, invocation: Invocation, exc: BaseException) -> None:
         self.stats.errors += 1
         self.stats.last_error = f"{invocation.describe()}: {exc}"
         if invocation.reply is not None and not invocation.reply.done():
@@ -1358,48 +1371,44 @@ class AodbRuntime:
         error: BaseException | None,
         from_silo: str,
     ) -> None:
-        """Deliver a method result (or error) back to the caller."""
+        """Send a method result (or error) back to the caller."""
         if error is not None:
             self.stats.errors += 1
             self.stats.last_error = f"{invocation.describe()}: {error}"
         if invocation.reply is None:
             # One-way: handling is done the moment the method returns.
+            status, text = ("ok", "") if error is None else ("error", str(error))
+            self.tracer.finish(invocation.span, self.scheduler.now, status, text)
+            return
+        try:
+            delay = self.network.plan_envelope(from_silo, invocation.caller_endpoint, 1)
+        except KeyError as exc:
+            # A silo left the network during the turn: raising would fail
+            # the turn again and kill this activation's pump, so drop it.
+            self.stats.dropped_replies += 1
             self.tracer.finish(
-                invocation.span,
-                self.scheduler.now,
-                status="error" if error is not None else "ok",
-                error=str(error) if error is not None else "",
+                invocation.span, self.scheduler.now, "error", f"reply dropped: {exc}"
             )
             return
+        if delay is None:
+            return  # lost on the wire: only the caller's deadline notices
+        if delay > 0:
+            land = partial(self._reply_landed, invocation, result, error, delay)
+            self.scheduler.call_at(self.scheduler.now + delay, land)
+        else:
+            self._reply_landed(invocation, result, error, 0.0)
 
-        # Pass everything the reply needs as arguments (stored in the
-        # coroutine frame — no closure/cell allocation per reply).
-        self.scheduler.spawn(
-            self._reply_path(
-                invocation.reply,
-                invocation.span,
-                invocation.sent_at,
-                invocation.caller_endpoint,
-                result,
-                error,
-                from_silo,
-            ),
-            name="reply",
-        )
-
-    async def _reply_path(
+    def _reply_landed(
         self,
-        reply: "Future[Any]",
-        span: Any,
-        sent_at: float,
-        caller_endpoint: str,
+        invocation: Invocation,
         result: Any,
         error: BaseException | None,
-        from_silo: str,
+        delay: float,
     ) -> None:
-        delay = await self.network.transfer(from_silo, caller_endpoint)
+        span = invocation.span
         if span is not None and span.end is None:
             span.network += delay
+        reply = invocation.reply
         if reply._state is not _F_PENDING:
             # Deadline or chaos already resolved the caller's future;
             # the span was finished by whoever resolved it.
@@ -1411,20 +1420,18 @@ class AodbRuntime:
             reply.set_result(payload)
         self.stats.replies += 1
         if self.profiler.enabled:
-            self._ask_latency.observe(self.scheduler.now - sent_at)
-        self.tracer.finish(
-            span,
-            self.scheduler.now,
-            status="error" if error is not None else "ok",
-            error=str(error) if error is not None else "",
-        )
+            self._ask_latency.observe(self.scheduler.now - invocation.sent_at)
+        status, text = ("ok", "") if error is None else ("error", str(error))
+        self.tracer.finish(span, self.scheduler.now, status, text)
 
     def _activation_failed(self, activation: Activation, exc: BaseException) -> None:
         self.stats.activation_failures += 1
         self.stats.last_error = f"activation {activation.key}: {exc}"
         self.stats.failed_keys.append(activation.key.qualified())
-        # Remove the broken activation so the next message gets a fresh one
-        # (unless a successor already replaced it in the records).
+        self._forget(activation)  # the next message gets a fresh activation
+
+    def _forget(self, activation: Activation) -> None:
+        """Unlink ``activation`` from catalog and directory, unless replaced."""
         silo = self._silos.get(activation.silo.silo_id)
         if silo is not None and silo.get_activation(activation.key) is activation:
             silo.remove_activation(activation.key)
@@ -1435,14 +1442,7 @@ class AodbRuntime:
 
     async def _deactivate(self, activation: Activation) -> None:
         await activation.close()
-        # While close() was draining, a racing message may already have
-        # replaced this activation (directory + catalog now point at the
-        # successor).  Only clean up if the records still name *us*.
-        silo = self._silos.get(activation.silo.silo_id)
-        if silo is not None and silo.get_activation(activation.key) is activation:
-            silo.remove_activation(activation.key)
-            if self.directory.lookup(activation.key) == activation.silo.silo_id:
-                self.directory.unregister(activation.key)
+        self._forget(activation)
         self.stats.activations_collected += 1
 
     async def deactivate(self, type_name: str, actor_id: str) -> bool:
@@ -1664,7 +1664,7 @@ class AodbRuntime:
             self._reminder_due[slot] = due
         return fired
 
-    # -- introspection -------------------------------------------------------------------
+    # -- introspection -----------------------------------------------------------------
 
     def total_activations(self) -> int:
         """Live activations across the whole cluster."""

@@ -17,7 +17,7 @@ for the historical queries the case studies need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..storage.archive import ArchiveLog

@@ -117,7 +117,9 @@ def test_aggregate_view_folds_per_group(sched, meters):
 
     a = sched.run_until_complete(read("A"))
     b = sched.run_until_complete(read("B"))
-    assert a == {"count": 3, "total": 9.0, "mean": 3.0, "min": 1.0, "max": 5.0, "group": "A"}
+    assert a == {
+        "count": 3, "total": 9.0, "mean": 3.0, "min": 1.0, "max": 5.0, "group": "A"
+    }
     assert b["count"] == 1 and b["mean"] == 100.0
     # Drained: no deltas buffered or in flight, staleness reads zero.
     assert meters.views.pending_deltas() == 0

@@ -1,7 +1,5 @@
 """Tests for the EPCIS event-document export."""
 
-import pytest
-
 from repro.cattle import export_product_document
 
 from .conftest import seed_chain

@@ -1,7 +1,5 @@
 """The §4.4 constraint-enforcement principle, in all three flavours."""
 
-import pytest
-
 from .conftest import seed_chain
 
 

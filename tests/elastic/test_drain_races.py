@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.errors import SiloUnavailableError
-from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network, NetworkFaultInjector
 from repro.runtime import (
     Actor,

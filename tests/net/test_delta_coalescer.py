@@ -52,7 +52,10 @@ def test_same_window_deltas_coalesce_into_one_flush():
     shard_id, stream_id, seq, entries = send.calls[0]
     assert (shard_id, stream_id, seq) == ("shard", "s1", 1)
     # Same (group, entity, bucket) merged: counts sum, extrema fold.
-    assert entries == [("g", "e1", 0.0, 2, 6.0, 2.0, 4.0), ("g", "e2", 0.0, 1, 9.0, 9.0, 9.0)]
+    assert entries == [
+        ("g", "e1", 0.0, 2, 6.0, 2.0, 4.0),
+        ("g", "e2", 0.0, 1, 9.0, 9.0, 9.0),
+    ]
     assert coalescer.deltas_emitted == 3
     assert coalescer.flushes == 1
     assert coalescer.pending_deltas() == 0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import TimeoutError as KernelTimeoutError
 from repro.kernel import RngRegistry, Scheduler
 from repro.net import ConstantLatency, Network, PartitionInjector
 
@@ -46,22 +45,16 @@ def test_blocks_only_across_groups_inside_the_window():
     assert injector.heals_at() == 5.0
 
 
-def test_partitioned_transfer_is_silence_not_error(sched, net):
+def test_partitioned_transfer_is_silence_not_error(net):
     net.inject_partitions(
         PartitionInjector([([{"silo-a"}, {"silo-b"}], 0.0, 10.0)])
     )
-
-    async def main():
-        # Like a lost message: the sender sees nothing but a timeout.
-        with pytest.raises(KernelTimeoutError):
-            await sched.timeout(
-                sched.spawn(net.transfer("silo-a", "silo-b")), 1.0
-            )
-        # Same-side traffic keeps flowing.
-        await net.transfer("silo-a", "silo-c")
-
-    sched.run_until_complete(main())
+    # Like a lost message: no delay to schedule, and no error either.
+    assert net.plan_envelope("silo-a", "silo-b", 1) is None
+    # Same-side traffic keeps flowing.
+    assert net.plan_envelope("silo-a", "silo-c", 1) == pytest.approx(0.001)
     assert net.stats.partitioned_messages == 1
+    assert net.stats.lost_messages == 1
     assert net.partitions.blocked_messages == 1
 
 
@@ -72,9 +65,9 @@ def test_partition_heals_on_schedule(sched, net):
 
     async def main():
         await sched.at(3.0)
-        await net.transfer("silo-a", "silo-b")
+        return net.plan_envelope("silo-a", "silo-b", 1)
 
-    sched.run_until_complete(main())
+    assert sched.run_until_complete(main()) == pytest.approx(0.001)
     assert net.stats.partitioned_messages == 0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.trace import Span, TraceTree, Tracer, span_summary
+from repro.obs.trace import TraceTree, Tracer, span_summary
 from repro.runtime.key import ActorKey
 
 

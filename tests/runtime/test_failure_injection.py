@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import (
-    ActorDeactivatedError,
     SiloUnavailableError,
     UnknownActorTypeError,
 )

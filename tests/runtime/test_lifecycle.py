@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network
 from repro.runtime import Actor, AodbRuntime, RuntimeConfig
 

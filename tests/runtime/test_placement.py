@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network
 from repro.runtime import (
     Actor,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AuthorizationError, UnknownEntityError
-from repro.shm import SensorType, channel_id_for, sensor_id_for
+from repro.shm import channel_id_for, sensor_id_for
 
 from .conftest import points_for
 
