@@ -2,8 +2,9 @@
 
 The tracing design claims two things (DESIGN.md §6):
 
-1. **Disabled is free**: every producer site guards on ``tracer.enabled``
-   (a plain attribute read), so a run with tracing off performs *zero*
+1. **Disabled is free**: a disabled tracer returns before doing any work
+   and the per-message producers skip even the call behind a plain
+   ``tracer.enabled`` read, so a run with tracing off performs *zero*
    allocations in the tracing module — verified here with tracemalloc.
 2. **Enabled is cheap**: full span production (one span per message, with
    queue/cpu/network/storage attribution) costs < 5% of the paper's
@@ -131,8 +132,8 @@ def profiler_turn_cost(iterations: int = 20_000, reps: int = 7) -> float:
     """Best-case CPU seconds for one profiled turn.
 
     Reproduces exactly what the activation pump adds per turn when the
-    profiler is on: two record fetches, call/queue accumulation, and the
-    kernel's service/wait attribution loop.
+    profiler is on: the record-pair fetch with its call/queue accumulation,
+    and the kernel's service/wait attribution loop.
     """
     profiler = Profiler(enabled=True)
     key = ActorKey("Sensor", "org-0/s-1")
@@ -142,13 +143,8 @@ def profiler_turn_cost(iterations: int = 20_000, reps: int = 7) -> float:
         started = time.process_time()
         for _ in range(iterations):
             profiler.turns += 1
-            mprof = profiler.method_record("Sensor", "ingest")
-            aprof = profiler.activation_record(key)
-            mprof.calls += 1
-            aprof.calls += 1
-            mprof.queue_wait += 0.001
-            aprof.queue_wait += 0.001
-            for record in (mprof, aprof):  # the CpuResource.consume hook
+            profile = profiler.turn_records(key, "ingest", 0.001)
+            for record in profile:  # the CpuResource.consume hook
                 record.cpu_service += 0.002
                 record.cpu_wait += 0.0001
         elapsed = time.process_time() - started

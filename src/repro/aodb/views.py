@@ -386,8 +386,8 @@ class ViewRegistry:
     Source actors reach it duck-typed through ``runtime.database`` — the
     ingest path never imports this module — and call :meth:`emit_from`
     with each freshly accepted batch; readers come in through
-    ``db.view(...)``.  ``journal`` is a duck-typed flight-recorder ring
-    (wired by :meth:`~repro.obs.recorder.FlightRecorder.attach`).
+    ``db.view(...)``.  Delta flushes are logged to the ``views`` ring of
+    the flight recorder attached to the runtime's scheduler, if any.
     """
 
     def __init__(self, database: "AodbDatabase") -> None:
@@ -399,7 +399,6 @@ class ViewRegistry:
         # runtime config's default_call_deadline / default_retry_policy.
         self.call_deadline: float | None = None
         self.call_retry = None
-        self.journal = None
         self._metrics_registered = False
         self._fold_seconds = None
         self.duplicate_flushes = 0
@@ -521,9 +520,9 @@ class ViewRegistry:
                 span = tracer.begin(
                     f"view-fold {shard}#{seq}", "view-fold", stream, started
                 )
-            journal = self.journal
-            if journal is not None:
-                journal.record("view-flush", shard, f"#{seq} x{len(entries)}")
+            recorder = runtime.scheduler.recorder
+            if recorder is not None:
+                recorder.views.record("view-flush", shard, f"#{seq} x{len(entries)}")
             ref = runtime.ref(VIEW_ACTOR_TYPE, shard, caller_endpoint=silo_id)
             try:
                 result = await ref.ask(
@@ -536,8 +535,8 @@ class ViewRegistry:
                 )
             except Exception as exc:
                 self.failed_flushes += 1
-                if journal is not None:
-                    journal.record("view-flush-failed", shard, repr(exc))
+                if recorder is not None:
+                    recorder.views.record("view-flush-failed", shard, repr(exc))
                 if span is not None:
                     tracer.finish(
                         span, runtime.scheduler.now, "error", repr(exc)
@@ -549,8 +548,8 @@ class ViewRegistry:
                 self._fold_seconds.observe(runtime.scheduler.now - started)
             if result.get("duplicate"):
                 self.duplicate_flushes += 1
-                if journal is not None:
-                    journal.record("view-flush-duplicate", shard, f"#{seq}")
+                if recorder is not None:
+                    recorder.views.record("view-flush-duplicate", shard, f"#{seq}")
             return result
 
         return send

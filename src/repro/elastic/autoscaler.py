@@ -219,9 +219,9 @@ class Autoscaler:
             reason=reason,
         )
         self.events.append(event)
-        recorder = self.runtime.recorder
+        recorder = self.runtime.scheduler.recorder
         if recorder is not None:
-            recorder.journal("elastic").record("scale-up", spec.silo_id, reason)
+            recorder.elastic.record("scale-up", spec.silo_id, reason)
         return event
 
     async def _scale_down(self, silo_id: str) -> ScaleEvent | None:
@@ -250,9 +250,9 @@ class Autoscaler:
             migrated=migrated,
         )
         self.events.append(event)
-        recorder = self.runtime.recorder
+        recorder = self.runtime.scheduler.recorder
         if recorder is not None:
-            recorder.journal("elastic").record("scale-down", silo_id, migrated)
+            recorder.elastic.record("scale-down", silo_id, migrated)
         return event
 
     def attach(self, scheduler: "Scheduler") -> "Task":

@@ -192,9 +192,9 @@ class Rebalancer:
                         target=coolest,
                     )
                 )
-                recorder = self.runtime.recorder
+                recorder = self.runtime.scheduler.recorder
                 if recorder is not None:
-                    recorder.journal("elastic").record(
+                    recorder.elastic.record(
                         "rebalance", key.qualified(), f"{hottest}->{coolest}"
                     )
             else:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from ..errors import PlatformError, ThrottlingError
 from ..kernel.scheduler import Scheduler, Task
 from ..kernel.sync import Queue
-from ..obs.trace import Tracer
 from ..runtime.resilience import CircuitBreaker
 from ..shm.platform import ShmPlatform
 from .adapters import AdapterRegistry, NormalizedBatch
@@ -92,11 +91,7 @@ class IngestGateway:
 
     def _register_metrics(self) -> None:
         """Export gateway counters on the runtime's metrics registry."""
-        # getattr: tests drive the gateway against minimal platform fakes
-        # that don't carry the observability substrates.
-        registry = getattr(self.platform.runtime, "metrics", None)
-        if registry is None:
-            return
+        registry = self.platform.runtime.metrics
         stats = self.stats
         for name in (
             "accepted", "rejected", "dropped", "dispatched",
@@ -182,9 +177,7 @@ class IngestGateway:
     # -- dispatchers ----------------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        tracer = getattr(self.platform.runtime, "tracer", None)
-        if tracer is None:
-            tracer = Tracer(enabled=False)
+        tracer = self.platform.runtime.tracer
         while True:
             envelope = await self._queue.get()
             if self.breaker is not None and not self.breaker.allow():
@@ -211,14 +204,9 @@ class IngestGateway:
                 if span is not None:
                     span.queue += now - envelope.received_at
             try:
-                # Only thread the kwarg when tracing: duck-typed platform
-                # fakes in tests implement the bare ingest(sensor_id, batch).
-                if span is not None:
-                    await self.platform.ingest(
-                        envelope.sensor_id, envelope.batch, trace=span
-                    )
-                else:
-                    await self.platform.ingest(envelope.sensor_id, envelope.batch)
+                await self.platform.ingest(
+                    envelope.sensor_id, envelope.batch, trace=span
+                )
             except ThrottlingError as exc:
                 self.stats.throttled += 1
                 tracer.finish(

@@ -148,9 +148,9 @@ class TimerHandle:
         if tombstones > 64 and tombstones * 2 > len(scheduler._events):
             scheduler._compact()
         scheduler.timer_cancels += 1
-        journal = scheduler.journal
-        if journal is not None:
-            journal.record("timer-cancel", self.seq, self.when)
+        recorder = scheduler.recorder
+        if recorder is not None:
+            recorder.kernel.record("timer-cancel", self.seq, self.when)
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -339,10 +339,11 @@ class Scheduler:
         self.events_processed = 0
         #: Cumulative timer cancellations (an observability probe reads this).
         self.timer_cancels = 0
-        #: Optional flight-recorder ring (duck-typed — see repro.obs.recorder;
-        #: the kernel never imports obs).  When set, timer arm/fire/cancel
-        #: events are recorded; when None the hooks cost one attribute check.
-        self.journal = None
+        #: The attached flight recorder, or None (duck-typed — see
+        #: repro.obs.recorder; the kernel never imports obs).  Every layer
+        #: reaches its ring through this one reference, read at record time;
+        #: while None a hook costs one attribute check.
+        self.recorder = None
 
     # -- time ---------------------------------------------------------------
 
@@ -386,9 +387,9 @@ class Scheduler:
         handle._arg = arg
         handle._scheduler = self
         heapq.heappush(self._events, (when, seq, handle))
-        journal = self.journal
-        if journal is not None:
-            journal.record("timer-arm", seq, when)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.kernel.record("timer-arm", seq, when)
         return handle
 
     def call_later(
@@ -536,9 +537,9 @@ class Scheduler:
             handle._arg = state
             handle._scheduler = self
             heapq.heappush(self._events, (when, seq, handle))
-            journal = self.journal
-            if journal is not None:
-                journal.record("timer-arm", seq, when)
+            recorder = self.recorder
+            if recorder is not None:
+                recorder.kernel.record("timer-arm", seq, when)
             state.handle = handle
         return wrapped
 
@@ -622,9 +623,9 @@ class Scheduler:
                     handle._callback = None
                     handle._arg = None
                     handle._scheduler = None
-                    journal = self.journal
-                    if journal is not None:
-                        journal.record("timer-fire", entry[1], when)
+                    recorder = self.recorder
+                    if recorder is not None:
+                        recorder.kernel.record("timer-fire", entry[1], when)
                 if when > self._now:
                     self._now = when
                 processed += 1

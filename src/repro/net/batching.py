@@ -94,8 +94,6 @@ class EnvelopeBatcher:
         self._solo_streak: dict[tuple[str, str], int] = {}
         self.flushes = 0
         self.immediate_flushes = 0
-        #: Optional flight-recorder ring (duck-typed; obs never imported here).
-        self.journal = None
         #: Optional cohort-size histogram (a MetricsRegistry Histogram the
         #: runtime attaches) — the coalescing-effectiveness distribution.
         self.cohort_histogram = None
@@ -169,9 +167,9 @@ class EnvelopeBatcher:
         histogram = self.cohort_histogram
         if histogram is not None:
             histogram.observe(cohort)
-        journal = self.journal
-        if journal is not None:
-            journal.record("envelope", pair[1], cohort)
+        recorder = self.scheduler.recorder
+        if recorder is not None:
+            recorder.net.record("envelope", pair[1], cohort)
         previous = self._last_delivered.get(pair)
         delivered: Future[None] = Future("delivered")
         self._last_delivered[pair] = delivered

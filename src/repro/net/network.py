@@ -67,9 +67,6 @@ class Network:
         self.faults: NetworkFaultInjector | None = None
         self.partitions: PartitionInjector | None = None
         self.stats = NetworkStats()
-        #: Optional flight-recorder ring (duck-typed — see repro.obs.recorder;
-        #: the net layer never imports obs).  Partition blocks are recorded.
-        self.journal = None
 
     def inject_faults(self, injector: NetworkFaultInjector | None) -> None:
         """Attach (or, with None, detach) a chaos fault injector."""
@@ -146,9 +143,9 @@ class Network:
             partitions.record_blocked(count)
             stats.partitioned_messages += count
             stats.lost_messages += count
-            journal = self.journal
-            if journal is not None:
-                journal.record("partition-block", source, target)
+            recorder = self._scheduler.recorder
+            if recorder is not None:
+                recorder.net.record("partition-block", source, target)
             return None
         faults = self.faults
         if faults is not None and faults.drops(source, target, self._scheduler.now):

@@ -17,9 +17,11 @@ which is what makes the report trustworthy (and testable: coverage ≥ 95%
 is an acceptance criterion, with the remainder explained by silos that
 left the cluster mid-run).
 
-Like the tracer, the profiler is **disabled by default** and every producer
-site guards on ``profiler.enabled`` (a plain attribute read), so the hot
-path allocates nothing when profiling is off.  Per-activation records are
+Like the tracer, the profiler is **disabled by default**.  It has two
+producer sites, ``Activation._start`` and ``Activation._handle``, each
+guarded by one ``profiler.enabled`` read in front of one
+:meth:`Profiler.turn_records` call, so the unprofiled turn makes no call
+into this module and allocates nothing here.  Per-activation records are
 capped (``max_activations``) so profiling a million-actor cluster cannot
 balloon memory: overflow activations collapse into one ``(other)`` record
 and are counted.
@@ -86,9 +88,9 @@ class Profiler:
     """Exact, always-on-when-enabled attribution of runtime work.
 
     Producers (the activation turn loop and ``Activation._start``) fetch
-    records via :meth:`method_record` / :meth:`activation_record` once per
-    turn and accumulate plain floats into them; the kernel CPU hook fills
-    in the service/wait split.  Consumers read :meth:`method_rows`,
+    their record pair once per turn via :meth:`turn_records` and
+    accumulate plain floats into it; the kernel CPU hook fills in the
+    service/wait split.  Consumers read :meth:`method_rows`,
     :meth:`hot_activations` and :meth:`coverage`.
     """
 
@@ -135,6 +137,19 @@ class Profiler:
             record = ProfileRecord(key.qualified())
             self._activations[key] = record
         return record
+
+    def turn_records(
+        self, key: "ActorKey", method: str, queue_wait: float
+    ) -> tuple[ProfileRecord, ProfileRecord]:
+        """One turn's ``(method, activation)`` rows, with the call and its
+        mailbox wait already counted in both."""
+        mprof = self.method_record(key.type_name, method)
+        aprof = self.activation_record(key)
+        mprof.calls += 1
+        aprof.calls += 1
+        mprof.queue_wait += queue_wait
+        aprof.queue_wait += queue_wait
+        return mprof, aprof
 
     # -- consuming ------------------------------------------------------------
 

@@ -16,10 +16,11 @@ cheap enough to leave on forever:
    p99, or a deterministic 1-in-N baseline sample (``tail_keep_rate``).
 
 2. **Ring-buffer event journals.**  Fixed-size flight recorders fed by
-   lightweight hooks in the kernel (timer arm/fire/cancel, freelist),
-   net (partition blocks, batcher envelopes), storage (fenced bounces,
-   group-commit flushes, WAL journal/replay), runtime (quarantine,
-   migration phases) and elastic (rebalance/scale decisions).  A record is
+   lightweight hooks in the kernel (timer arm/fire/cancel), net
+   (partition blocks, batcher envelopes), storage (fenced bounces,
+   group-commit flushes, WAL append/replay/truncate), views (delta
+   flushes), per-silo rings (crash, quarantine, rejoin, eviction,
+   migration) and elastic (rebalance/scale decisions).  A record is
    four list stores into preallocated slots — with the default capacity
    (≤ 256 slots) the cursor arithmetic stays inside CPython's small-int
    cache, so steady-state recording performs **zero allocations**, which
@@ -32,10 +33,13 @@ cheap enough to leave on forever:
    virtual-time timeline (:class:`Postmortem`, rendered by
    :func:`render_postmortem`).
 
-Lower layers never import this module: each hook site carries a duck-typed
-``journal`` attribute defaulting to ``None`` (the same loose-typing rule
-``Network.register_metrics`` follows), so the kernel stays free of obs
-dependencies and the disabled path is a single attribute check.
+Lower layers never import this module.  The one seam is the clock: every
+layer already holds the deployment's :class:`~repro.kernel.scheduler.Scheduler`,
+whose ``recorder`` attribute is ``None`` until :meth:`FlightRecorder.attach`
+sets it.  A hook site reads ``scheduler.recorder`` when it records and
+writes into one of the recorder's named rings, so the detached cost is one
+attribute check and a subsystem built after ``attach`` is covered by
+construction.
 
 Everything is deterministic: reservoir sampling uses a seeded LCG, the
 baseline sample is counter-based, and timeline assembly sorts stably by
@@ -117,14 +121,12 @@ class RingJournal:
     steady-state path (asserted in ``bench_obs_overhead``).
     """
 
-    __slots__ = ("name", "enabled", "_capacity", "_clock", "_i", "_t",
-                 "_kind", "_a", "_b")
+    __slots__ = ("name", "_capacity", "_clock", "_i", "_t", "_kind", "_a", "_b")
 
     def __init__(self, name: str, clock: "Scheduler", capacity: int = 256) -> None:
         if capacity < 8:
             raise ValueError("ring capacity must be >= 8")
         self.name = name
-        self.enabled = True
         self._capacity = capacity
         self._clock = clock
         self._i = 0
@@ -135,8 +137,6 @@ class RingJournal:
 
     def record(self, kind: str, a: Any = "", b: Any = None) -> None:
         """Overwrite the oldest slot with one event (the hot path)."""
-        if not self.enabled:
-            return
         i = self._i
         self._t[i] = self._clock.now
         self._kind[i] = kind
@@ -332,11 +332,13 @@ def _trigger_text(trigger: dict) -> str:
 class FlightRecorder:
     """Bounded always-on observability: retention, rings, postmortems.
 
-    Attach order: build the recorder with the deployment's scheduler, then
-    :meth:`attach` it to a runtime (which wires the tracer, the kernel/net/
-    storage journals and the registry probes) and optionally :meth:`watch`
-    a :class:`~repro.obs.health.HealthMonitor` so firing alerts snapshot a
-    postmortem automatically.
+    Build the recorder with the deployment's scheduler, then :meth:`attach`
+    it to a runtime (which points the scheduler and the tracer at it and
+    registers the probes) and optionally :meth:`watch` a
+    :class:`~repro.obs.health.HealthMonitor` so firing alerts snapshot a
+    postmortem automatically.  Hook sites find the layer rings as plain
+    attributes (``recorder.kernel``, ``.net``, ``.storage``, ``.views``,
+    ``.elastic``) and per-silo rings through :meth:`silo_journal`.
     """
 
     def __init__(
@@ -348,10 +350,14 @@ class FlightRecorder:
         self.config = config or RecorderConfig()
         self.config.validate()
         self.scheduler = scheduler
-        self.enabled = True
         self.runtime = None
         self.seed = seed
         self._journals: dict[str, RingJournal] = {}
+        self.kernel = self.journal("kernel")
+        self.net = self.journal("net")
+        self.storage = self.journal("storage")
+        self.views = self.journal("views")
+        self.elastic = self.journal("elastic")
         self._inflight: dict[int, list] = {}
         self._retained: list[RetainedTrace] = []
         self._retained_index: dict[int, RetainedTrace] = {}
@@ -494,8 +500,6 @@ class FlightRecorder:
         self, kind: str, detail: dict | None = None
     ) -> Postmortem | None:
         """Build and log a postmortem (bounded by ``max_postmortems``)."""
-        if not self.enabled:
-            return None
         if len(self.postmortems) >= self.config.max_postmortems:
             self.postmortems_dropped += 1
             return None
@@ -543,11 +547,9 @@ class FlightRecorder:
         hot: list[dict] = []
         metrics: dict = {}
         if runtime is not None:
-            profiler = runtime.profiler
-            if profiler is not None and profiler.enabled:
-                hot = [rec.as_dict() for rec in profiler.hot_activations(5)]
-            if runtime.metrics is not None:
-                metrics = runtime.metrics.cluster_totals()
+            if runtime.profiler.enabled:
+                hot = [rec.as_dict() for rec in runtime.profiler.hot_activations(5)]
+            metrics = runtime.metrics.cluster_totals()
         return Postmortem(dict(trigger), now, timeline, traces, hot, metrics)
 
     def _partition_markers(self, now: float) -> list[tuple]:
@@ -588,51 +590,29 @@ class FlightRecorder:
     # -- wiring ----------------------------------------------------------------
 
     def attach(self, runtime, monitor: "HealthMonitor | None" = None):
-        """Wire this recorder into a runtime (tracer, journals, probes)."""
+        """Wire this recorder into a runtime: the clock, the tracer, probes.
+
+        Two references: ``runtime.scheduler.recorder`` (every ring hook
+        reads it at record time, so subsystems created later are covered)
+        and ``runtime.tracer.recorder`` (tail-based trace retention).
+        """
         if self.runtime is not None:
             raise RuntimeError("flight recorder already attached")
         self.runtime = runtime
-        runtime.recorder = self
-        if runtime.tracer is not None:
-            runtime.tracer.recorder = self
-        kernel = self.journal("kernel")
-        runtime.scheduler.journal = kernel
-        net = self.journal("net")
-        runtime.network.journal = net
-        if runtime._batcher is not None:
-            runtime._batcher.journal = net
-        storage = self.journal("storage")
-        runtime.grain_storage.journal = storage
-        if runtime.group_commit is not None:
-            runtime.group_commit.journal = storage
-        if runtime.redo_journal is not None:
-            runtime.redo_journal.journal = storage
-        self.journal("elastic")
-        views = getattr(runtime.database, "views", None)
-        if views is not None:
-            views.journal = self.journal("views")
-        for silo in runtime.silos():
-            self.silo_journal(silo.silo_id)
+        runtime.scheduler.recorder = self
+        tracer = runtime.tracer
+        tracer.recorder = self
         registry = runtime.metrics
-        if registry is not None:
-            tracer = runtime.tracer
-            if tracer is not None:
-                registry.register_probe(
-                    "trace.dropped_spans", lambda: tracer.dropped
-                )
-            registry.register_probe(
-                "trace.retained_traces", lambda: len(self._retained)
-            )
-            registry.register_probe(
-                "recorder.downsampled_traces", lambda: self.downsampled_traces
-            )
-            registry.register_probe(
-                "recorder.retained_evicted", lambda: self.retained_evicted
-            )
-            registry.register_probe(
-                "recorder.postmortems", lambda: len(self.postmortems)
-            )
-            registry.register_probe("recorder.ring_entries", self.ring_entries)
+        registry.register_probe("trace.dropped_spans", lambda: tracer.dropped)
+        registry.register_probe("trace.retained_traces", lambda: len(self._retained))
+        registry.register_probe(
+            "recorder.downsampled_traces", lambda: self.downsampled_traces
+        )
+        registry.register_probe(
+            "recorder.retained_evicted", lambda: self.retained_evicted
+        )
+        registry.register_probe("recorder.postmortems", lambda: len(self.postmortems))
+        registry.register_probe("recorder.ring_entries", self.ring_entries)
         if monitor is not None:
             self.watch(monitor)
         return self

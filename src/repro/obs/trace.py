@@ -29,9 +29,10 @@ The five components sum to the span's end-to-end duration by construction
 asserted non-negative in tests, which is what makes the breakdown
 trustworthy rather than decorative.
 
-The tracer is **disabled by default**: every producer call site guards on
-``tracer.enabled`` (a plain attribute read), so the hot path allocates
-nothing when tracing is off.
+The tracer is **disabled by default** and then allocates nothing:
+:meth:`Tracer.begin` and :meth:`Tracer.emit` return at once.  Producers
+guard on ``tracer.enabled`` only where that saves work — per-message and
+per-turn paths (no call) and f-string span names (no string).
 """
 
 from __future__ import annotations
@@ -217,6 +218,24 @@ class Tracer:
             recorder = self.recorder
             if recorder is not None:
                 recorder.on_root_finish(span, now)
+
+    def emit(
+        self,
+        name: "str | Any",
+        kind: str,
+        caller: str,
+        now: float,
+        start: float | None = None,
+        method: str | None = None,
+        status: str = "ok",
+        error: str = "",
+    ) -> None:
+        """A one-shot root span over ``[start or now, now]``: :meth:`begin`
+        and :meth:`finish` in one call (a fence bounce, a quarantine park,
+        a redo replay that just ran)."""
+        if self.enabled:
+            span = self.begin(name, kind, caller, now, start=start, method=method)
+            self.finish(span, now, status, error)
 
     # -- consuming -------------------------------------------------------------
 

@@ -143,11 +143,7 @@ class Activation:
         profiler = self.runtime.profiler
         profile = None
         if profiler.enabled:
-            mprof = profiler.method_record(self.key.type_name, "__activate__")
-            aprof = profiler.activation_record(self.key)
-            mprof.calls += 1
-            aprof.calls += 1
-            profile = (mprof, aprof)
+            profile = profiler.turn_records(self.key, "__activate__", 0.0)
         if self.runtime.config.activation_cost > 0:
             await self.silo.cpu.consume(
                 self.runtime.config.activation_cost, profile=profile
@@ -156,17 +152,17 @@ class Activation:
             cell = StateCell(
                 self.key,
                 self.runtime.grain_storage,
+                self.runtime.scheduler,
                 writer=self.runtime.group_commit,
                 fence=self.runtime.acquire_fence(self),
                 journal=self.runtime.redo_journal,
             )
             load_started = self.runtime.scheduler.now
             await cell.load()
-            if cell.replayed and self.runtime.tracer.enabled:
+            if cell.replayed:
                 # Crash recovery ran: the redo-journal suffix was applied
                 # over the stored document.  The span covers the whole load.
-                tracer = self.runtime.tracer
-                replay = tracer.begin(
+                self.runtime.tracer.emit(
                     self.key,
                     "wal-replay",
                     self.silo.silo_id,
@@ -174,7 +170,6 @@ class Activation:
                     start=load_started,
                     method="redo-replay",
                 )
-                tracer.finish(replay, self.runtime.scheduler.now)
             if profile is not None:
                 elapsed = self.runtime.scheduler.now - load_started
                 for record in profile:
@@ -271,18 +266,12 @@ class Activation:
         # (method-level and activation-level); every charge below adds plain
         # floats into them.  Disabled costs one attribute read.
         profiler = runtime.profiler
+        profile = None
         if profiler.enabled:
             profiler.turns += 1
-            mprof = profiler.method_record(self.key.type_name, invocation.method)
-            aprof = profiler.activation_record(self.key)
-            mprof.calls += 1
-            aprof.calls += 1
-            mailbox_wait = started - invocation.enqueued_at
-            mprof.queue_wait += mailbox_wait
-            aprof.queue_wait += mailbox_wait
-            profile = (mprof, aprof)
-        else:
-            mprof = aprof = profile = None
+            profile = profiler.turn_records(
+                self.key, invocation.method, started - invocation.enqueued_at
+            )
         error: BaseException | None = None
         result: Any = None
         method_name = invocation.method
@@ -292,14 +281,7 @@ class Activation:
         if method_name and method_name[0] == "_":
             if method_name == "__flush_state__":
                 try:
-                    flush_started = scheduler.now
-                    await self._flush_if_dirty()
-                    flush_elapsed = scheduler.now - flush_started
-                    if span is not None and span.end is None:
-                        span.storage += flush_elapsed
-                    if mprof is not None:
-                        mprof.storage_wait += flush_elapsed
-                        aprof.storage_wait += flush_elapsed
+                    await self._flush_if_dirty(span, profile)
                     runtime._reply(invocation, None, None, self.silo.silo_id)
                 except Exception as exc:  # noqa: BLE001 - storage failure
                     # A timer-driven flush failed (e.g. storage throttling):
@@ -395,52 +377,47 @@ class Activation:
         ):
             self.instance.mark_dirty()
             try:
-                flush_started = scheduler.now
-                await self._flush_if_dirty()
-                flush_elapsed = scheduler.now - flush_started
-                if span is not None and span.end is None:
-                    span.storage += flush_elapsed
-                if mprof is not None:
-                    mprof.storage_wait += flush_elapsed
-                    aprof.storage_wait += flush_elapsed
+                await self._flush_if_dirty(span, profile)
             except Exception as exc:  # noqa: BLE001 - surface to the caller
                 # Write-through means "durable when acknowledged": if the
                 # flush fails (storage throttling, conditional conflict),
                 # the caller must see the failure, not a false ack.
                 error = exc
-        if mprof is not None and error is not None:
-            mprof.errors += 1
-            aprof.errors += 1
+        if profile is not None and error is not None:
+            for record in profile:
+                record.errors += 1
         runtime._reply(invocation, result, error, self.silo.silo_id)
 
-    async def _flush_if_dirty(self) -> None:
+    async def _flush_if_dirty(self, span: Any = None, profile: Any = None) -> None:
+        """Persist dirty state, charging the flush to the turn's ``span``
+        (``storage``) and ``profile`` rows (``storage_wait``) if given."""
         cell = self.instance._state_cell
-        if cell is not None and cell.dirty:
-            tracer = self.runtime.tracer
-            if not tracer.enabled:
-                await cell.flush()
-                return
-            flush_started = self.runtime.scheduler.now
-            try:
-                await cell.flush()
-            except FencedWriteError as exc:
-                # A successor fenced this activation out: the write bounced
-                # off the storage fence floor (split-brain averted).
-                span = tracer.begin(
-                    self.key,
-                    "fenced-write",
-                    self.silo.silo_id,
-                    self.runtime.scheduler.now,
-                    start=flush_started,
-                    method="flush",
-                )
-                tracer.finish(
-                    span,
-                    self.runtime.scheduler.now,
-                    status="bounced",
-                    error=str(exc),
-                )
-                raise
+        if cell is None or not cell.dirty:
+            return
+        scheduler = self.runtime.scheduler
+        started = scheduler.now
+        try:
+            await cell.flush()
+        except FencedWriteError as exc:
+            # A successor fenced this activation out: the write bounced
+            # off the storage fence floor (split-brain averted).
+            self.runtime.tracer.emit(
+                self.key,
+                "fenced-write",
+                self.silo.silo_id,
+                scheduler.now,
+                start=started,
+                method="flush",
+                status="bounced",
+                error=str(exc),
+            )
+            raise
+        elapsed = scheduler.now - started
+        if span is not None and span.end is None:
+            span.storage += elapsed
+        if profile is not None:
+            for record in profile:
+                record.storage_wait += elapsed
 
     def _fail_pending(self, exc: BaseException) -> None:
         for message in self.mailbox.drain_nowait():
@@ -481,21 +458,15 @@ class Activation:
         later :meth:`close` (silo shutdown) or :meth:`abort` still works.
         """
         self.parked = fault
-        tracer = self.runtime.tracer
-        if tracer.enabled:
-            span = tracer.begin(
-                self.key,
-                "quarantine-park",
-                self.silo.silo_id,
-                self.runtime.scheduler.now,
-                method="park",
-            )
-            tracer.finish(
-                span,
-                self.runtime.scheduler.now,
-                status="parked",
-                error=str(fault),
-            )
+        self.runtime.tracer.emit(
+            self.key,
+            "quarantine-park",
+            self.silo.silo_id,
+            self.runtime.scheduler.now,
+            method="park",
+            status="parked",
+            error=str(fault),
+        )
         for timer_name in list(self._timers):
             self.cancel_timer(timer_name)
         self._fail_pending(fault)

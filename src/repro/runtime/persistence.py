@@ -18,11 +18,13 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Any
 
+from ..errors import FencedWriteError
 from ..storage.kv import KeyValueStore
 from ..storage.serde import snapshot
 from .key import ActorKey
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..kernel.scheduler import Scheduler
     from ..storage.groupcommit import GroupCommitWriter
     from ..storage.wal import RedoJournal
 
@@ -43,12 +45,17 @@ class StateCell:
     writes are conditional: if another activation of the same grain wrote
     concurrently (which the single-activation guarantee should prevent),
     the conditional check fails loudly instead of silently losing data.
+    The cell stamps every flush with its fence, so it is also where a fence
+    bounce is logged, whichever store layer raised it: in the ``storage``
+    ring of the flight recorder attached to ``clock`` (the runtime's
+    scheduler), if any.
     """
 
     def __init__(
         self,
         key: ActorKey,
         store: KeyValueStore,
+        clock: "Scheduler",
         writer: "GroupCommitWriter | None" = None,
         fence: int | None = None,
         journal: "RedoJournal | None" = None,
@@ -68,6 +75,7 @@ class StateCell:
         # Optional redo journal: load() replays its fenced suffix so a
         # crash between flushes loses at most one redo_lag window.
         self._journal = journal
+        self._clock = clock
         self.document: dict[str, Any] = {}
         self._etag = 0
         self.dirty = False
@@ -127,9 +135,15 @@ class StateCell:
             return
         storage_key = self._storage_key
         target = self._store if direct or self._writer is None else self._writer
-        self._etag = await target.put(
-            storage_key, self.document, expected_etag=self._etag, fence=self.fence
-        )
+        try:
+            self._etag = await target.put(
+                storage_key, self.document, expected_etag=self._etag, fence=self.fence
+            )
+        except FencedWriteError:
+            recorder = self._clock.recorder
+            if recorder is not None:
+                recorder.storage.record("fenced-bounce", storage_key, self.fence)
+            raise
         self.dirty = False
         self.flushes += 1
         if self._journal is not None:

@@ -136,9 +136,6 @@ class AodbRuntime:
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.profiler = profiler if profiler is not None else Profiler(enabled=False)
-        # Attached flight recorder (duck-typed — set by FlightRecorder.attach
-        # in repro.obs.recorder; the runtime never imports that module).
-        self.recorder: Any = None
         self.network = network or Network(self.scheduler, rng=self.rng)
         self.system_store = system_store or SystemStore(self.scheduler)
         # Explicit None check: stores define __len__, so an empty store is
@@ -398,8 +395,6 @@ class AodbRuntime:
         self.metrics.register_probe(
             "silo.cpu_utilization", silo.cpu.utilization, silo=silo_id
         )
-        if self.recorder is not None:
-            self.recorder.silo_journal(silo_id)
         return silo
 
     async def _heartbeat_loop(self, silo_id: str) -> None:
@@ -516,18 +511,12 @@ class AodbRuntime:
             self.metrics.unregister_probes(silo=silo_id)
         else:
             silo.crashed = True
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.silo_journal(silo_id).record("silo-crash", silo_id, lost)
-            recorder.record_incident(
-                "silo-crash",
-                {
-                    "silo": silo_id,
-                    "lost_activations": lost,
-                    "detected": detected,
-                    "at": self.scheduler.now,
-                },
-            )
+        self._silo_event(
+            silo_id,
+            "silo-crash",
+            lost,
+            {"silo": silo_id, "lost_activations": lost, "detected": detected},
+        )
         return lost
 
     # -- partition tolerance -------------------------------------------------------
@@ -587,9 +576,7 @@ class AodbRuntime:
                 continue
             activation.park(fault)
             parked += 1
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.silo_journal(silo_id).record("quarantine", silo_id, parked)
+        self._silo_event(silo_id, "quarantine", parked)
         for activation in silo.activations():
             cell = activation.instance._state_cell
             if cell is None:
@@ -603,17 +590,13 @@ class AodbRuntime:
                 # journal) owns this state now; losing the scram write is
                 # the safe outcome.  A fence bounce is the interesting case
                 # (split-brain averted) and gets its own span.
-                if isinstance(exc, FencedWriteError) and self.tracer.enabled:
-                    bounce = self.tracer.begin(
+                if isinstance(exc, FencedWriteError):
+                    self.tracer.emit(
                         activation.key,
                         "fenced-write",
                         silo_id,
                         self.scheduler.now,
                         method="scram-flush",
-                    )
-                    self.tracer.finish(
-                        bounce,
-                        self.scheduler.now,
                         status="bounced",
                         error=str(exc),
                     )
@@ -647,12 +630,23 @@ class AodbRuntime:
         self.system_store.announce(silo_id, instance_type=silo.instance_type)
         self._suspected.discard(silo_id)
         self.stats.silos_rejoined += 1
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.silo_journal(silo_id).record(
-                "rejoin", silo_id, self.system_store.epoch
-            )
+        self._silo_event(silo_id, "rejoin", self.system_store.epoch)
         return True
+
+    def _silo_event(
+        self, silo_id: str, kind: str, detail: Any, incident: dict | None = None
+    ) -> None:
+        """Log a membership event in the silo's flight-recorder ring.
+
+        With ``incident`` (the trigger details), the event also snapshots a
+        postmortem stamped with the current virtual time.
+        """
+        recorder = self.scheduler.recorder
+        if recorder is not None:
+            recorder.silo_journal(silo_id).record(kind, silo_id, detail)
+            if incident is not None:
+                incident["at"] = self.scheduler.now
+                recorder.record_incident(kind, incident)
 
     # -- write-ahead redo journal --------------------------------------------------
 
@@ -673,8 +667,6 @@ class AodbRuntime:
                 writer=self.group_commit,
             )
             self.redo_journal.register_metrics(self.metrics)
-            if self.recorder is not None:
-                self.redo_journal.journal = self.recorder.journal("storage")
         for silo_id in self._silos:
             if silo_id not in self._redo_pumps:
                 self._redo_pumps[silo_id] = self.scheduler.spawn(
@@ -847,7 +839,7 @@ class AodbRuntime:
             source.remove_activation(key)
         self.stats.migrations += 1
         self.tracer.finish(span, self.scheduler.now)
-        recorder = self.recorder
+        recorder = self.scheduler.recorder
         if recorder is not None:
             qualified = key.qualified()
             recorder.silo_journal(source_id).record(
@@ -1035,16 +1027,14 @@ class AodbRuntime:
         # Retried asks get an umbrella span; each attempt hangs under it, so
         # the trace shows attempts (with their own breakdowns) *and* the
         # total the caller experienced, backoff sleeps included.
-        call_span = None
-        if self.tracer.enabled:
-            call_span = self.tracer.begin(
-                key,
-                "retrying-ask",
-                caller_endpoint,
-                self.scheduler.now,
-                parent=parent_span,
-                method=method,
-            )
+        call_span = self.tracer.begin(
+            key,
+            "retrying-ask",
+            caller_endpoint,
+            self.scheduler.now,
+            parent=parent_span,
+            method=method,
+        )
 
         async def drive() -> None:
             attempt = 0
@@ -1618,20 +1608,16 @@ class AodbRuntime:
                 self.directory.unregister(key)
         self._suspected.discard(silo_id)
         self.stats.silos_evicted += 1
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.silo_journal(silo_id).record(
-                "silo-evicted", silo_id, len(registered)
-            )
-            recorder.record_incident(
-                "silo-evicted",
-                {
-                    "silo": silo_id,
-                    "zombie": zombie,
-                    "registered_grains": len(registered),
-                    "at": self.scheduler.now,
-                },
-            )
+        self._silo_event(
+            silo_id,
+            "silo-evicted",
+            len(registered),
+            {
+                "silo": silo_id,
+                "zombie": zombie,
+                "registered_grains": len(registered),
+            },
+        )
         if not self._silos:
             return
         for key in registered:

@@ -48,8 +48,6 @@ class GroupCommitWriter:
         self.batched_writes = 0
         self.largest_batch = 0
         self.round_trips_saved = 0
-        #: Optional flight-recorder ring (duck-typed; obs never imported here).
-        self.journal = None
 
     def put(
         self,
@@ -96,9 +94,9 @@ class GroupCommitWriter:
         self.batches += 1
         size = len(batch)
         self.largest_batch = max(self.largest_batch, size)
-        journal = self.journal
-        if journal is not None:
-            journal.record("group-commit", size)
+        recorder = self.scheduler.recorder
+        if recorder is not None:
+            recorder.storage.record("group-commit", size)
         if size > 1:
             self.batched_writes += size
             self.round_trips_saved += size - 1

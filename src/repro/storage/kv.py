@@ -99,9 +99,6 @@ class KeyValueStore:
     # admitted per key and rejects anything older with FencedWriteError.
 
     fenced_writes = 0  # stale writes rejected; shadowed per instance on first use
-    #: Optional flight-recorder ring (duck-typed — see repro.obs.recorder;
-    #: storage never imports obs).  Fence bounces are recorded.
-    journal = None
 
     def _admit_fence(self, key: str, fence: int | None) -> None:
         """Record ``fence`` as the floor for ``key``; reject older tokens."""
@@ -111,9 +108,6 @@ class KeyValueStore:
         floor = floors.get(key)
         if floor is not None and fence < floor:
             self.fenced_writes = self.fenced_writes + 1
-            journal = self.journal
-            if journal is not None:
-                journal.record("fenced-bounce", key, fence)
             raise FencedWriteError(
                 f"key {key!r}: fence {fence} is older than admitted fence {floor}"
             )

@@ -73,8 +73,6 @@ class RedoJournal:
         self.skipped_appends = 0
         self.replayed_records = 0
         self.truncated_records = 0
-        #: Optional flight-recorder ring (duck-typed; obs never imported here).
-        self.journal = None
 
     # -- writing -------------------------------------------------------------
 
@@ -108,9 +106,9 @@ class RedoJournal:
         )
         self._records.setdefault(key, []).append(record)
         self.appends += 1
-        journal = self.journal
-        if journal is not None:
-            journal.record("wal-append", key, record.seq)
+        recorder = self._scheduler.recorder
+        if recorder is not None:
+            recorder.storage.record("wal-append", key, record.seq)
         await self._persist(record)
         return record
 
@@ -159,9 +157,9 @@ class RedoJournal:
                 best = record
         if best is not None:
             self.replayed_records += 1
-            journal = self.journal
-            if journal is not None:
-                journal.record("wal-replay", key, best.seq)
+            recorder = self._scheduler.recorder
+            if recorder is not None:
+                recorder.storage.record("wal-replay", key, best.seq)
         return best
 
     def truncate(self, key: str) -> int:
@@ -169,9 +167,9 @@ class RedoJournal:
         dropped = len(self._records.pop(key, ()))
         self.truncated_records += dropped
         if dropped:
-            journal = self.journal
-            if journal is not None:
-                journal.record("wal-truncate", key, dropped)
+            recorder = self._scheduler.recorder
+            if recorder is not None:
+                recorder.storage.record("wal-truncate", key, dropped)
         return dropped
 
     def pending_records(self, key: str | None = None) -> int:

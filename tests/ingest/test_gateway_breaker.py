@@ -5,13 +5,19 @@ import pytest
 from repro.errors import ThrottledError
 from repro.ingest import GatewayOverloadedError, IngestGateway, default_registry
 from repro.kernel import Scheduler
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.runtime import CircuitBreaker
 from repro.shm import channel_id_for
 
 
 class FakeRuntime:
+    """What the gateway reads off a runtime: clock, tracer, registry."""
+
     def __init__(self, scheduler):
         self.scheduler = scheduler
+        self.tracer = Tracer(enabled=False)
+        self.metrics = MetricsRegistry()
 
 
 class FlakyBackend:
@@ -22,7 +28,7 @@ class FlakyBackend:
         self.heal_at = heal_at
         self.served = []
 
-    async def ingest(self, sensor_id, batch):
+    async def ingest(self, sensor_id, batch, trace=None):
         if self.runtime.scheduler.now < self.heal_at:
             raise ThrottledError("backend overloaded", retry_after=0.1)
         self.served.append(sensor_id)

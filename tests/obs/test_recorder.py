@@ -13,8 +13,10 @@ from repro.obs.recorder import (
     _LatencyReservoir,
     render_postmortem,
 )
+from repro.aodb import AodbDatabase, ViewDef
 from repro.obs.trace import SPAN_KINDS, Tracer
-from repro.runtime import AodbRuntime, RuntimeConfig
+from repro.runtime import Actor, AodbRuntime, RuntimeConfig, WritePolicy
+from repro.storage import ChaosKVStore, InMemoryKVStore, ProvisionedKVStore
 
 
 class FakeClock:
@@ -67,15 +69,14 @@ def test_ring_wraps_and_returns_oldest_first():
     assert [a for _t, _k, a, _b in ring.entries(last=2)] == [9, 10]
 
 
-def test_ring_clear_and_disable():
+def test_ring_clear():
     clock = FakeClock()
     ring = RingJournal("test", clock, capacity=8)
     ring.record("a")
     ring.clear()
     assert ring.entries() == [] and len(ring) == 0
-    ring.enabled = False
     ring.record("b")
-    assert ring.entries() == []
+    assert [kind for _t, kind, _a, _b in ring.entries()] == ["b"]
 
 
 def test_ring_rejects_tiny_capacity():
@@ -279,32 +280,62 @@ def test_pick_traces_prefers_recent_anomalies_padded_with_samples():
 # -- wiring ---------------------------------------------------------------
 
 
-def make_runtime():
-    scheduler = Scheduler()
+class DurableNote(Actor):
+    durable = True
+    write_policy = WritePolicy.ON_DEACTIVATE
+
+    async def set(self, value):
+        self.state["value"] = value
+        self.mark_dirty()
+        return value
+
+
+class Meter(Actor):
+    """A minimal view source: emits one delta per added point batch."""
+
+    async def add(self, points):
+        views = self.context.runtime.database.views
+        await self.context.runtime.scheduler.gather(
+            views.emit_from(self, {"c0": points})
+        )
+        return len(points)
+
+
+def make_runtime(scheduler=None, grain_storage=None, tracing=True):
+    scheduler = scheduler or Scheduler()
     runtime = AodbRuntime(
         scheduler,
-        config=RuntimeConfig(),
+        config=RuntimeConfig(default_method_cost=0.0, activation_cost=0.0),
+        grain_storage=grain_storage,
         network=Network(scheduler, lan=ConstantLatency(0.0)),
-        tracer=Tracer(enabled=True),
+        tracer=Tracer(enabled=tracing),
     )
     runtime.add_silo("s1", cores=2)
     runtime.add_silo("s2", cores=2)
-    return scheduler, runtime
+    runtime.register_actor(DurableNote)
+    return runtime
+
+
+def ring_kinds(ring):
+    return [kind for _t, kind, _a, _b in ring.entries()]
 
 
 def test_attach_wires_tracer_journals_and_probes():
-    scheduler, runtime = make_runtime()
+    runtime = make_runtime()
+    scheduler = runtime.scheduler
     recorder = FlightRecorder(scheduler).attach(runtime)
-    assert runtime.recorder is recorder
-    assert runtime.tracer.recorder is recorder
-    assert runtime.scheduler.journal is recorder.journal("kernel")
-    assert runtime.network.journal is recorder.journal("net")
-    assert runtime.grain_storage.journal is recorder.journal("storage")
     names = [ring.name for ring in recorder.journals()]
     assert names == sorted(names)
-    assert {"kernel", "net", "storage", "elastic", "silo:s1", "silo:s2"} <= (
-        set(names)
-    )
+    assert {"kernel", "net", "storage", "views", "elastic"} <= set(names)
+
+    async def main():
+        await runtime.ref("DurableNote", "n").ask("set", 1, deadline=1.0)
+
+    scheduler.run_until_complete(main())
+    # Traces route to the recorder; the ask's deadline timer lands in the
+    # kernel ring.
+    assert recorder.completed_traces >= 1 and len(runtime.tracer) == 0
+    assert {"timer-arm", "timer-cancel"} <= set(ring_kinds(recorder.journal("kernel")))
     snapshot = runtime.metrics.snapshot()
     for probe in (
         "trace.dropped_spans",
@@ -320,10 +351,13 @@ def test_attach_wires_tracer_journals_and_probes():
 
 
 def test_added_silo_gets_a_ring_and_timers_feed_the_kernel_ring():
-    scheduler, runtime = make_runtime()
+    runtime = make_runtime()
+    scheduler = runtime.scheduler
     recorder = FlightRecorder(scheduler).attach(runtime)
     runtime.add_silo("s3", cores=2)
-    assert "silo:s3" in {ring.name for ring in recorder.journals()}
+    runtime.crash_silo("s3")
+    assert ring_kinds(recorder.silo_journal("s3")) == ["silo-crash"]
+    assert recorder.postmortems[-1].trigger["silo"] == "s3"
 
     # Explicit timers record both edges (fused sleeps skip the arm hook).
     handle = scheduler.call_later(0.2, lambda: None)
@@ -334,12 +368,77 @@ def test_added_silo_gets_a_ring_and_timers_feed_the_kernel_ring():
         await scheduler.sleep(0.5)
 
     scheduler.run_until_complete(tick())
-    kinds = {kind for _t, kind, _a, _b in recorder.journal("kernel").entries()}
+    kinds = set(ring_kinds(recorder.journal("kernel")))
     assert {"timer-arm", "timer-fire", "timer-cancel"} <= kinds
 
 
+def test_database_built_after_attach_feeds_the_views_ring():
+    runtime = make_runtime(tracing=False)
+    scheduler = runtime.scheduler
+    recorder = FlightRecorder(scheduler).attach(runtime)
+    # The database, its view and the delta flush all come after attach.
+    database = AodbDatabase(runtime)
+    database.register_actor(Meter)
+    database.register_view(ViewDef(name="everything", source="Meter"))
+
+    async def main():
+        return await database.ref("Meter", "m1").add([(0.0, 2.0)])
+
+    assert scheduler.run_until_complete(main()) == 1
+    assert "view-flush" in ring_kinds(recorder.journal("views"))
+
+
+def test_redo_journal_enabled_after_attach_feeds_the_storage_ring():
+    runtime = make_runtime(tracing=False)
+    scheduler = runtime.scheduler
+    recorder = FlightRecorder(scheduler).attach(runtime)
+    runtime.enable_redo_journal(redo_lag=0.1)
+
+    async def main():
+        await runtime.ref("DurableNote", "n").set("journalled")
+        await scheduler.sleep(0.5)
+
+    scheduler.run_until_complete(main())
+    assert "wal-append" in ring_kinds(recorder.journal("storage"))
+
+
+@pytest.mark.parametrize("wrapper", ["provisioned", "chaos"])
+def test_fence_bounce_behind_a_wrapped_store_reaches_the_storage_ring(wrapper):
+    # The zombie's scram flush bounces inside the wrapped store; the bounce
+    # is recorded where the fence is stamped (the state cell), so it lands
+    # in the ring no matter how many layers wrap the backing store.
+    scheduler = Scheduler()
+    if wrapper == "provisioned":
+        store = ProvisionedKVStore(scheduler, latency=ConstantLatency(0.001))
+    else:
+        store = ChaosKVStore(scheduler, InMemoryKVStore())
+    runtime = make_runtime(scheduler, grain_storage=store, tracing=False)
+    recorder = FlightRecorder(scheduler).attach(runtime)
+    key = "state/DurableNote/n"
+
+    async def main():
+        ref = runtime.ref("DurableNote", "n")
+        await ref.set("zombie-view")
+        silo = runtime.silo(runtime.directory.lookup(ref.key))
+        zombie_fence = silo.get_activation(ref.key).instance._state_cell.fence
+        successor_fence = runtime.system_store.acquire_fence(key)
+        await store.advance_fence(key, successor_fence)
+        await runtime.quarantine_silo(silo.silo_id)
+        return zombie_fence
+
+    zombie_fence = scheduler.run_until_complete(main())
+    assert store.fenced_writes == 1
+    bounces = [
+        (kind, a, b)
+        for _t, kind, a, b in recorder.journal("storage").entries()
+        if kind == "fenced-bounce"
+    ]
+    assert bounces == [("fenced-bounce", key, zombie_fence)]
+
+
 def test_firing_alert_snapshots_a_postmortem_cleared_does_not():
-    scheduler, runtime = make_runtime()
+    runtime = make_runtime()
+    scheduler = runtime.scheduler
     monitor = HealthMonitor(
         runtime.metrics,
         [SloRule(name="r", metric="m", op=">", threshold=0.5)],

@@ -127,11 +127,11 @@ def test_journal_record_and_replay_are_isolated_from_the_live_document(sched):
         durable = await store.get(f"wal/{grain.storage_key()}/{record.seq}")
         assert durable.value["document"] == make_document()
 
-        cell = StateCell(grain, store, journal=journal)
+        cell = StateCell(grain, store, sched, journal=journal)
         await cell.load()
         mutate_everywhere(cell.document)
         assert record.document == make_document()
-        other = StateCell(grain, store, journal=journal)
+        other = StateCell(grain, store, sched, journal=journal)
         await other.load()
         return other.document
 

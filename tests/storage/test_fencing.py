@@ -15,6 +15,9 @@ import pytest
 from repro.errors import ConditionalCheckFailedError, FencedWriteError
 from repro.kernel import Scheduler
 from repro.net import ConstantLatency
+from repro.obs.recorder import FlightRecorder
+from repro.runtime.key import ActorKey
+from repro.runtime.persistence import StateCell
 from repro.storage import ChaosKVStore, InMemoryKVStore, ProvisionedKVStore
 from repro.storage.groupcommit import GroupCommitWriter
 
@@ -86,17 +89,30 @@ def test_stale_fence_is_rejected_and_counted(sched, layer):
 
 
 def test_fence_bounce_is_journalled(sched):
-    store = InMemoryKVStore()
-    bounces = []
-    store.journal = SimpleNamespace(record=lambda *event: bounces.append(event))
+    # The state cell stamps the fence, so it records the bounce: into the
+    # storage ring of the recorder attached to its clock, whichever store
+    # layer (wrapped or not) rejected the write.
+    recorder = FlightRecorder(sched)
+    sched.recorder = recorder  # what FlightRecorder.attach sets
+    stores = [
+        InMemoryKVStore(),
+        ProvisionedKVStore(sched, latency=ConstantLatency(ROUND_TRIP)),
+        ChaosKVStore(sched, InMemoryKVStore()),
+    ]
 
     async def main():
-        await store.advance_fence("k", 7)
-        with pytest.raises(FencedWriteError):
-            await store.put("k", {"v": "zombie"}, fence=3)
+        for index, store in enumerate(stores):
+            cell = StateCell(ActorKey("Grain", f"g{index}"), store, sched, fence=3)
+            await store.advance_fence(cell._storage_key, 7)
+            cell.document = {"v": "zombie"}
+            cell.dirty = True
+            with pytest.raises(FencedWriteError):
+                await cell.flush()
 
     run(sched, main())
-    assert bounces == [("fenced-bounce", "k", 3)]
+    assert [
+        (kind, a, b) for _t, kind, a, b in recorder.journal("storage").entries()
+    ] == [("fenced-bounce", f"state/Grain/g{index}", 3) for index in range(3)]
 
 
 def test_fence_is_checked_before_the_etag(sched, layer):

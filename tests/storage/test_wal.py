@@ -97,7 +97,7 @@ GRAIN = ActorKey("Structure", "bridge-1")
 
 def recovered_cell(sched, journal, store):
     """A fresh activation's cell, loaded (and so replayed) from ``journal``."""
-    cell = StateCell(GRAIN, store, journal=journal)
+    cell = StateCell(GRAIN, store, sched, journal=journal)
     run(sched, cell.load())
     assert cell.replayed == 1
     return cell
