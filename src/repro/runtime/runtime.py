@@ -1370,6 +1370,11 @@ class AodbRuntime:
             status, text = ("ok", "") if error is None else ("error", str(error))
             self.tracer.finish(invocation.span, self.scheduler.now, status, text)
             return
+        if error is None and self.config.copy_messages:
+            # Copy at return time: the caller must see the result as of the
+            # method's return, not turns that ran while the reply was in
+            # flight.
+            result = snapshot(result)
         try:
             delay = self.network.plan_envelope(from_silo, invocation.caller_endpoint, 1)
         except KeyError as exc:
@@ -1406,8 +1411,7 @@ class AodbRuntime:
         if error is not None:
             reply.set_exception(error)
         else:
-            payload = snapshot(result) if self.config.copy_messages else result
-            reply.set_result(payload)
+            reply.set_result(result)
         self.stats.replies += 1
         if self.profiler.enabled:
             self._ask_latency.observe(self.scheduler.now - invocation.sent_at)

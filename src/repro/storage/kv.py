@@ -8,6 +8,15 @@ baseline used by unit tests.
 Versioning: every item carries a monotonically increasing integer *etag*.
 Conditional writes (``expected_etag``) give optimistic concurrency, which the
 runtime uses to detect split-brain double activations of the same grain.
+
+Isolation: the in-memory store copies a value with
+:func:`~repro.storage.serde.snapshot` when the write *lands* (not when it is
+issued: a write-behind flush hands over the live document, and the landed
+copy must include anything journaled during the round trip), and copies
+again on every read.  A value wrapped in :class:`~repro.storage.serde.Frozen`
+(the redo journal's payload) is stored by identity instead; the wrappers
+(:mod:`~repro.storage.dynamo`, :mod:`~repro.storage.chaos`, group commit)
+pass it through untouched.
 """
 
 from __future__ import annotations

@@ -18,10 +18,20 @@ over the wire.  Its contract:
   subclasses (``OrderedDict``, ``defaultdict``, namedtuples), ``set`` /
   ``frozenset``, ``bytearray``, dataclasses, ``SealedBlock``, anything with
   ``__deepcopy__``.
+- **Handed over as is:** a value wrapped in :class:`Frozen` comes back
+  unwrapped and unwalked.  The producer promises it is already isolated and
+  never mutated again (the redo journal's payload); :func:`estimate_size`
+  sizes the wrapped value, so capacity charges do not see the marker.
 
 Sharing leaves is safe for the reason single-writer actor databases give:
 only the owning activation can reach its document, a mutation needs a
 mutable container to happen in, and no mutable container is ever shared.
+
+A list of at least ``_LEAF_RUN`` members (a cattle herd, a channel's raw
+head of ``(ts, value)`` pairs) is first checked with one C-level type scan;
+if every member copies to itself the copy is one slice instead of a Python
+call per member.  Shorter lists take the per-member loop, so small
+documents pay nothing for the check.
 
 ``snapshot`` does *not* check that a value could be serialized for real (a
 lambda is atomic to it, as it was to ``deepcopy``); :func:`estimate_size` and
@@ -32,6 +42,7 @@ from __future__ import annotations
 
 import pickle
 from copy import deepcopy
+from itertools import chain
 from typing import Any
 
 
@@ -53,6 +64,25 @@ def ensure_serializable(value: Any) -> None:
 #: Exact types whose instances cannot be mutated and hold no references:
 #: the copy of one is the object itself.
 _LEAVES = frozenset({type(None), bool, int, float, complex, str, bytes, range})
+_TUPLES = frozenset({tuple})
+
+#: Lists at least this long try the one-pass leaf-run check before the loop.
+_LEAF_RUN = 16
+
+
+class Frozen:
+    """A value handed across a boundary by identity, not copied.
+
+    Wrap only a value nobody mutates any more and no caller can reach a
+    mutable container of (a fresh payload around an already-snapshotted
+    document).  Honoured at the top of a value by :func:`snapshot` and
+    :func:`estimate_size`.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
 
 
 def snapshot(value: Any) -> Any:
@@ -60,8 +90,11 @@ def snapshot(value: Any) -> Any:
 
     A structural copy rather than a pickle round trip: it preserves the
     object graph (shared references and cycles within one value) and shares
-    the immutable leaves, which a round trip would re-allocate.
+    the immutable leaves, which a round trip would re-allocate.  A
+    :class:`Frozen` value is returned unwrapped, without a walk.
     """
+    if type(value) is Frozen:
+        return value.value
     return _copy(value, {})
 
 
@@ -97,6 +130,16 @@ def _copy(value: Any, memo: dict[int, Any]) -> Any:
             copied[name] = item if type(item) in _LEAVES else _copy(item, memo)
         return copied
     if cls is list:
+        if len(value) >= _LEAF_RUN:
+            # Leaves only, or leaf-only tuples only: every member is its own
+            # copy, so one C-level type scan and a slice replace the loop.
+            kinds = set(map(type, value))
+            if kinds <= _LEAVES or (
+                kinds == _TUPLES
+                and set(map(type, chain.from_iterable(value))) <= _LEAVES
+            ):
+                copied = memo[key] = value[:]
+                return copied
         copied = memo[key] = []
         append = copied.append
         for item in value:
@@ -115,7 +158,12 @@ def _copy(value: Any, memo: dict[int, Any]) -> Any:
 
 
 def estimate_size(value: Any) -> int:
-    """Rough byte size of a value, used for storage capacity accounting."""
+    """Rough byte size of a value, used for storage capacity accounting.
+
+    A :class:`Frozen` value is sized as the value it wraps.
+    """
+    if type(value) is Frozen:
+        value = value.value
     try:
         return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception as exc:  # noqa: BLE001

@@ -22,9 +22,13 @@ Journal appends ride the existing group-commit path when a writer is
 supplied, so WAL traffic coalesces with state flushes instead of doubling
 round trips.  The in-memory index is authoritative for replay (a redo log
 is only read after a failure, and this simulation's "disk" is the process);
-durable copies land under the ``wal/`` key prefix for inspection.  Records
-are truncated on successful state flush; garbage-collecting the durable
-copies is deliberately out of scope (real systems recycle segments).
+durable copies land under the ``wal/`` key prefix for inspection.  A record's
+document is snapshotted once, at append, and never mutated afterwards, so
+the durable copy *shares* it: the payload travels as
+:class:`~repro.storage.serde.Frozen` and the store keeps it by identity
+(same bytes charged, one copy instead of two).  Records are truncated on
+successful state flush; garbage-collecting the durable copies is
+deliberately out of scope (real systems recycle segments).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from .serde import snapshot
+from .serde import Frozen, snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..kernel.scheduler import Scheduler
@@ -113,14 +117,18 @@ class RedoJournal:
         return record
 
     async def _persist(self, record: RedoRecord) -> None:
-        payload = {
-            "key": record.key,
-            "seq": record.seq,
-            "fence": record.fence,
-            "base_etag": record.base_etag,
-            "document": record.document,
-            "appended_at": record.appended_at,
-        }
+        # The payload is fresh and ``record.document`` is the journal's own
+        # snapshot, never mutated after append: the store keeps it as is.
+        payload = Frozen(
+            {
+                "key": record.key,
+                "seq": record.seq,
+                "fence": record.fence,
+                "base_etag": record.base_etag,
+                "document": record.document,
+                "appended_at": record.appended_at,
+            }
+        )
         wal_key = f"wal/{record.key}/{record.seq}"
         if self._writer is not None:
             await self._writer.put(wal_key, payload)

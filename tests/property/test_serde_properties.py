@@ -5,9 +5,15 @@ an equal value with the same internal sharing and cycles, must share no
 mutable container with the original, and must hand immutable leaves back by
 identity (the property that keeps store, journal and live window from
 tripling resident memory).
+
+The second half pins the one-pass copy of long leaf runs against
+``walk_copy``, the plain per-member walk ``snapshot`` used before it: same
+value, same pickle bytes, same sharing, on plain dict/list/tuple documents
+built to cross the run threshold both ways.
 """
 
 import copy
+import pickle
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 
@@ -172,3 +178,142 @@ def test_cycles_survive():
     assert copied is not through_tuple
     assert copied[0] is not through_tuple[0]
     assert copied[0][0] is copied
+
+
+# -- the leaf-run fast path against the per-member walk ------------------------
+
+LEAF_TYPES = frozenset({type(None), bool, int, float, complex, str, bytes, range})
+
+
+def walk_copy(value, memo=None):
+    """``snapshot`` as a per-member walk, with no leaf-run shortcut."""
+    if memo is None:
+        memo = {}
+    cls = type(value)
+    if cls in LEAF_TYPES:
+        return value
+    if cls is tuple:
+        for member in value:
+            if type(member) not in LEAF_TYPES:
+                break
+        else:
+            return value
+    elif cls is not dict and cls is not list:
+        return copy.deepcopy(value, memo)
+    key = id(value)
+    copied = memo.get(key)
+    if copied is not None:
+        return copied
+    if cls is dict:
+        copied = memo[key] = {}
+        for name, item in value.items():
+            if type(name) not in LEAF_TYPES:
+                name = walk_copy(name, memo)
+            if type(item) not in LEAF_TYPES:
+                item = walk_copy(item, memo)
+            copied[name] = item
+        return copied
+    if cls is list:
+        copied = memo[key] = []
+        for item in value:
+            if type(item) not in LEAF_TYPES:
+                item = walk_copy(item, memo)
+            copied.append(item)
+        return copied
+    members = [walk_copy(member, memo) for member in value]
+    copied = memo.get(key)
+    if copied is not None:
+        return copied
+    for member, member_copy in zip(value, members):
+        if member is not member_copy:
+            copied = memo[key] = tuple(members)
+            return copied
+    return value
+
+
+plain_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.complex_numbers(allow_nan=False),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.integers(0, 4).map(range),
+)
+leaf_tuples = st.lists(plain_leaves, max_size=3).map(tuple)
+finite = st.floats(allow_nan=False)
+# Lengths straddle snapshot's leaf-run threshold (16 members) on purpose.
+heads = st.lists(st.tuples(finite, finite), max_size=24)  # (ts, value) pairs
+leaf_runs = st.lists(plain_leaves, min_size=12, max_size=24)
+mixed_runs = st.lists(st.one_of(plain_leaves, leaf_tuples), min_size=12, max_size=20)
+plain_keys = st.one_of(st.text(max_size=3), st.integers(), leaf_tuples)
+
+
+@st.composite
+def tuple_runs(draw):
+    """A long list of tuples, one of which may hold a list."""
+    run = draw(st.lists(leaf_tuples, min_size=16, max_size=20))
+    if draw(st.booleans()):
+        run.insert(draw(st.integers(0, len(run))), (draw(finite), [draw(finite)]))
+    return run
+
+
+def plain_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, min_size=15, max_size=17),  # long, holding containers
+        st.dictionaries(plain_keys, children, max_size=4),
+        st.lists(children, min_size=1, max_size=3).map(tuple),  # may hold lists
+    )
+
+
+documents = st.recursive(
+    st.one_of(plain_leaves, leaf_tuples, heads, leaf_runs, mixed_runs, tuple_runs()),
+    plain_containers,
+    max_leaves=10,
+)
+
+
+def is_container(value):
+    return type(value) in (dict, list)
+
+
+@st.composite
+def shared_documents(draw):
+    """A document with one inner container referenced twice and a cycle."""
+    shared = draw(st.one_of(heads, leaf_runs, documents.filter(is_container)))
+    ring = draw(leaf_runs)
+    ring.append(ring)  # a long run that is not all leaves: it holds itself
+    root = {
+        "doc": draw(documents),
+        "shared": shared,
+        "again": [shared, (shared, "tag")],
+        "ring": ring,
+    }
+    root["self"] = root
+    return root
+
+
+def leaf_tuple_paths(root):
+    for path, node in walk(root):
+        if type(node) is tuple and all(type(m) in LEAF_TYPES for m in node):
+            yield path, node
+
+
+@given(documents)
+def test_snapshot_equals_the_per_member_walk(value):
+    assert snapshot(value) == walk_copy(value) == value
+
+
+@given(st.one_of(documents, shared_documents()))
+def test_snapshot_builds_what_the_per_member_walk_builds(value):
+    # One test, several properties: generating the documents is the cost.
+    copied = snapshot(value)
+    oracle = walk_copy(value)
+    assert pickle.dumps(copied) == pickle.dumps(oracle) == pickle.dumps(value)
+    assert mutable_ids(value).isdisjoint(mutable_ids(copied))
+    by_path = dict(walk(copied))
+    for path, node in leaf_tuple_paths(value):
+        assert by_path[path] is node
+    assert topology(copied) == topology(oracle) == topology(value)

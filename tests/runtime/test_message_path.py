@@ -5,7 +5,8 @@ event; each hop (request, reply) then costs exactly one timer event when
 its wire delay is positive and none at zero delay.  The guard tests pin the
 event count of one warm ask; the rest pin the semantics the rewrite must
 keep (re-routing past a closing activation, deadline-settled replies, lost
-envelopes, per-path FIFO) and the reply to a caller that left the network.
+envelopes, per-path FIFO, a reply copied at return time) and the reply to a
+caller that left the network.
 """
 
 import itertools
@@ -224,6 +225,38 @@ def test_lost_envelope_schedules_nothing(batching):
     assert not lost.done()
     assert sched.pending_events == before
     assert runtime.network.stats.lost_messages == 1
+
+
+class Box(Actor):
+    placement = "pinned"
+
+    async def bump(self):
+        self.state.setdefault("items", []).append("late")
+
+    async def read(self):
+        return self.state
+
+
+def test_reply_is_copied_when_the_method_returns_not_when_it_lands():
+    sched = Scheduler()
+    runtime = build_runtime(sched, lan=0.010, silos=2)
+    runtime.register_actor(Box)
+    runtime.pinned_placement.pin(ActorKey("Box", "b"), "silo-0")
+    local = runtime.ref("Box", "b", caller_endpoint="silo-0")
+    remote = runtime.ref("Box", "b", caller_endpoint="silo-1")
+
+    async def main():
+        await local.bump()
+        start = sched.now
+        read = remote.read()  # runs at +10 ms, lands back at +20 ms
+        await sched.sleep(0.012)
+        await local.bump()  # a later turn, while the reply is on the wire
+        result = await read
+        return result, sched.now - start
+
+    result, elapsed = sched.run_until_complete(main())
+    assert elapsed == pytest.approx(0.020)
+    assert result == {"items": ["late"]}
 
 
 @pytest.mark.parametrize("batching", [False, True])

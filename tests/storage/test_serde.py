@@ -9,13 +9,17 @@ from repro.kernel import Scheduler
 from repro.runtime import AodbRuntime, RuntimeConfig
 from repro.shm import ShmPlatform, channel_id_for, sensor_id_for
 from repro.storage import (
+    ChaosKVStore,
     InMemoryKVStore,
     NotSerializableError,
+    ProvisionedKVStore,
+    RedoJournal,
     ensure_serializable,
     estimate_size,
     serde,
     snapshot,
 )
+from repro.storage.groupcommit import GroupCommitWriter
 
 
 def test_snapshot_isolates_mutable_values():
@@ -121,6 +125,67 @@ def test_plain_state_documents_never_reach_the_deepcopy_fallback(deepcopy_calls)
     for document in documents.values():
         assert snapshot(document) == document
     assert deepcopy_calls == []
+
+
+@pytest.fixture
+def copy_calls(monkeypatch):
+    """Every entry into ``serde._copy`` (top level and recursive)."""
+    calls = []
+    real = serde._copy
+
+    def counting(value, memo):
+        calls.append(value)
+        return real(value, memo)
+
+    monkeypatch.setattr(serde, "_copy", counting)
+    return calls
+
+
+def journal_document():
+    return {
+        "name": "ch-1",
+        "config": {"unit": "mm", "thresholds": [1.0, 2.0]},
+        "tsdoc": {"blocks": [], "head": [(float(i), i * 0.5) for i in range(40)]},
+    }
+
+
+JOURNAL_STORES = {
+    "provisioned": lambda sched: ProvisionedKVStore(sched),
+    "chaos": lambda sched: ChaosKVStore(sched, InMemoryKVStore()),
+}
+
+
+@pytest.mark.parametrize("flavour", sorted(JOURNAL_STORES))
+def test_journal_append_copies_the_document_once(copy_calls, flavour):
+    sched = Scheduler()
+    store = JOURNAL_STORES[flavour](sched)
+    writer = GroupCommitWriter(store, sched, max_batch=8, max_delay=0.001)
+    journal = RedoJournal(sched, store=store, writer=writer)
+    document = journal_document()
+
+    record = sched.run_until_complete(
+        journal.append("state/C/ch-1", document, base_etag=0, fence=1)
+    )
+    # The journal's own snapshot is the only walk of the document: the
+    # store keeps the journal's payload instead of walking it again.
+    walks = [value for value in copy_calls if value == document]
+    assert len(walks) == 1
+    backing = store._inner
+    assert backing.writes == 1
+    stored = backing._items[f"wal/state/C/ch-1/{record.seq}"].value
+    assert stored["document"] is record.document
+
+
+def test_a_full_raw_head_is_copied_in_one_pass(copy_calls):
+    channel_id, documents = stored_shm_documents()
+    channel = documents[f"state/PhysicalSensorChannel/{channel_id}"]
+    assert len(channel["tsdoc"]["head"]) == 255
+
+    copy_calls.clear()
+    copied = snapshot(channel)
+    assert copied == channel
+    assert copied["tsdoc"]["head"] is not channel["tsdoc"]["head"]
+    assert len(copy_calls) <= 16
 
 
 def test_other_types_take_the_deepcopy_fallback(deepcopy_calls):
