@@ -131,9 +131,9 @@ def test_enabled_tracing_actually_records():
 def profiler_turn_cost(iterations: int = 20_000, reps: int = 7) -> float:
     """Best-case CPU seconds for one profiled turn.
 
-    Reproduces exactly what the activation pump adds per turn when the
-    profiler is on: the record-pair fetch with its call/queue accumulation,
-    and the kernel's service/wait attribution loop.
+    Reproduces exactly what an activation turn adds when the profiler is
+    on: the record-pair fetch with its call/queue accumulation, and the
+    kernel's service/wait attribution loop.
     """
     profiler = Profiler(enabled=True)
     key = ActorKey("Sensor", "org-0/s-1")
@@ -144,7 +144,7 @@ def profiler_turn_cost(iterations: int = 20_000, reps: int = 7) -> float:
         for _ in range(iterations):
             profiler.turns += 1
             profile = profiler.turn_records(key, "ingest", 0.001)
-            for record in profile:  # the CpuResource.consume hook
+            for record in profile:  # the CpuResource.book hook
                 record.cpu_service += 0.002
                 record.cpu_wait += 0.0001
         elapsed = time.process_time() - started

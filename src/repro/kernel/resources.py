@@ -47,6 +47,11 @@ class CpuResource:
         experiences queueing delay automatically when all cores are busy.
         Zero-cost work completes at the current instant but still round-trips
         through the scheduler for deterministic ordering.
+        """
+        return self._scheduler.at(self.book(cpu_seconds, profile))
+
+    def book(self, cpu_seconds: float, profile=None) -> float:
+        """:meth:`consume`'s booking: returns the instant the work finishes.
 
         ``profile`` is the CPU-attribution hook for the continuous profiler:
         an iterable of accounting records (objects with ``cpu_service`` and
@@ -71,7 +76,7 @@ class CpuResource:
             for record in profile:
                 record.cpu_service += service_time
                 record.cpu_wait += wait
-        return self._scheduler.at(finish)
+        return finish
 
     def queue_depth_seconds(self) -> float:
         """Backlog: how far in the future the least-loaded core is booked."""

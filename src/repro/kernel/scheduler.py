@@ -257,6 +257,10 @@ class Task:
         except BaseException as error:  # noqa: BLE001 - task funnel
             self.future.set_exception(error)
             return
+        self._park(yielded)
+
+    def _park(self, yielded: Any) -> None:
+        """Wait on what the coroutine yielded: resume when it settles."""
         if type(yielded) is not Future and not isinstance(yielded, Future):
             self._resume_exc = TypeError(
                 f"task {self.name!r} awaited a non-kernel awaitable: {yielded!r}"
@@ -421,9 +425,9 @@ class Scheduler:
     def spawn(self, coro: Coroutine[Any, Any, Any], name: str = "") -> Task:
         """Create a task for ``coro`` and schedule its first step.
 
-        ``Task.__init__`` and ``_call_soon`` are inlined — activation pumps,
-        reentrant turns, batch windows and every benchmark driver spawn
-        tasks, so construction cost is on the hot path.
+        ``Task.__init__`` and ``_call_soon`` are inlined — batch windows,
+        coalescers and every benchmark driver spawn tasks, so construction
+        cost is on the hot path.
         """
         if self._stopped:
             raise SchedulerStoppedError("scheduler has stopped")
@@ -446,6 +450,15 @@ class Scheduler:
         task._resume_exc = None
         self._sequence = seq = self._sequence + 1
         self._ready.append((self._now, seq, Task._step, task))
+        return task
+
+    def adopt(self, coro: Coroutine[Any, Any, Any], yielded: Any) -> Task:
+        """Take over a coroutine its caller stepped and that yielded
+        ``yielded``: the task parks on it as its own step would have (Python
+        3.12's eager tasks — pay for a task only once you have to wait)."""
+        task = Task(coro, self)
+        task._started = True
+        task._park(yielded)
         return task
 
     def sleep(self, delay: float) -> Future[None]:

@@ -185,9 +185,8 @@ class Queue(Generic[T]):
     def get(self) -> Future[T]:
         """Return a future resolving to the next item (FIFO).
 
-        Hot consumers (the activation pump) should prefer
-        ``if not queue.empty(): queue.get_nowait()`` — the buffered case
-        here still allocates a resolved future per item.
+        Hot consumers should prefer ``if not queue.empty(): get_nowait()``
+        — the buffered case here still allocates a resolved future per item.
         """
         if self._items:
             return completed(self._items.popleft())

@@ -10,7 +10,7 @@ Attribution is exact rather than sampled: every turn the runtime executes
 accumulates into two pre-fetched records — one per ``(actor class, method)``
 and one per activation — and the CPU split between core-queueing wait and
 service comes from the kernel itself
-(:meth:`~repro.kernel.resources.CpuResource.consume`'s ``profile`` hook),
+(:meth:`~repro.kernel.resources.CpuResource.book`'s ``profile`` hook),
 the only place that knows it exactly.  Summing the ``cpu_service`` of every
 method row therefore reproduces the kernel's own ``busy_seconds`` ledger,
 which is what makes the report trustworthy (and testable: coverage ≥ 95%
@@ -18,7 +18,7 @@ is an acceptance criterion, with the remainder explained by silos that
 left the cluster mid-run).
 
 Like the tracer, the profiler is **disabled by default**.  It has two
-producer sites, ``Activation._start`` and ``Activation._handle``, each
+producer sites, ``Activation._start`` and the turn's ``_Turn.begin``, each
 guarded by one ``profiler.enabled`` read in front of one
 :meth:`Profiler.turn_records` call, so the unprofiled turn makes no call
 into this module and allocates nothing here.  Per-activation records are

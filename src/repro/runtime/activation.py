@@ -1,11 +1,16 @@
 """Activations: live instances of virtual actors.
 
-An activation owns the actor instance, its mailbox and its message pump.
-The pump enforces Orleans-style *turn-based* concurrency: one message runs
-to completion (including its awaits) before the next is dequeued, unless the
+An activation owns the actor instance and its mailbox, and serves the
+mailbox with Orleans-style *turn-based* concurrency: one message runs to
+completion (including its awaits) before the next is dequeued, unless the
 actor class opted into reentrancy.  Every message execution charges its CPU
 cost to the hosting silo, which is how actor work contends for simulated
 hardware.
+
+No task drives the mailbox: callbacks serve it on the kernel events, at the
+same ``(when, seq)``, a pump coroutine would wait on.  The rest of a turn
+(method, flush, reply), like boot and close, is a coroutine stepped in the
+turn's own event and adopted as a task only if it suspends.
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ from typing import TYPE_CHECKING, Any
 from ..errors import (
     ActorDeactivatedError,
     ActorMethodError,
-    CancelledError,
     FencedWriteError,
     ReentrancyError,
 )
-from ..kernel.scheduler import Task
+from ..kernel.futures import _PENDING, _RESOLVED, Future
+from ..kernel.scheduler import Scheduler, Task
 from ..kernel.sync import Event, Queue
 from ..storage.serde import snapshot
 from .actor import DEFAULT_METHOD_OPTIONS, Actor, ActorContext, method_options
@@ -32,6 +37,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .silo import Silo
 
 _CLOSE = object()
+#: ``Activation._wait`` values that only the activation itself ends (never
+#: settled futures): idle for the next message, and draining after ``_CLOSE``
+#: while interleaved turns still run.
+_IDLE: Future[None] = Future("idle")
+_DRAIN: Future[None] = Future("drain")
+
+
+def _eager(scheduler: Scheduler, coro: Any) -> Task | None:
+    """Step ``coro`` in the current event: None once it has finished, else
+    the task the kernel adopted it into.  Its exceptions propagate."""
+    try:
+        yielded = coro.send(None)
+    except StopIteration:
+        return None
+    return scheduler.adopt(coro, yielded)
+
+
+def _cancelled(_activation: "Activation") -> None:
+    """The (empty) event an abort costs when the serial path was parked."""
 
 
 class Activation:
@@ -82,12 +106,14 @@ class Activation:
         # the getattr chain and cost resolution run once per method name.
         self._method_cache: dict[str, tuple[Any, dict[str, Any], float]] = {}
         self._inflight = 0
-        self._idle_event = Event(runtime.scheduler)
-        self._idle_event.set()
         self._timers: dict[str, Task] = {}
-        self._pump_task = runtime.scheduler.spawn(
-            self._pump(), name=f"pump:{self._qualified}"
-        )
+        # What the serial path (boot, one-at-a-time turns, close) is parked
+        # on: _IDLE, a CPU timer, _DRAIN or an adopted Task — None (or
+        # settled) while it runs.  ``_handed``: a message handed over idle.
+        self._wait: Any = None
+        self._handed: Any = None
+        # Boot is the ready event a spawned task's first step would be.
+        runtime.scheduler._call_soon(Activation._boot, self)
 
     # -- enqueue ---------------------------------------------------------------
 
@@ -110,12 +136,7 @@ class Activation:
         ):
             if getattr(self.actor_class, "allow_chain_reentrancy", False):
                 invocation.enqueued_at = self.runtime.scheduler.now
-                self._inflight += 1
-                self._idle_event.clear()
-                self.runtime.scheduler.spawn(
-                    self._handle_tracked(invocation),
-                    name=f"reentrant:{invocation.describe()}",
-                )
+                self._interleave(invocation)
                 return
             raise ReentrancyError(
                 f"{invocation.describe()} would deadlock: call chain "
@@ -123,14 +144,76 @@ class Activation:
                 f"non-reentrant actor {self.key}"
             )
         invocation.enqueued_at = self.runtime.scheduler.now
-        self.mailbox.put_nowait(invocation)
+        self._post(invocation)
+
+    def _post(self, message: Any) -> None:
+        """Hand ``message`` to the idle serial path, or queue it."""
+        if self._wait is _IDLE:
+            # One ready event, where a mailbox getter's resume would be.
+            self._wait = None
+            self._handed = message
+            self.runtime.scheduler._call_soon(Activation._serve, self)
+        else:
+            self.mailbox.put_nowait(message)
+
+    def _interleave(self, invocation: Invocation) -> None:
+        """Start a turn beside the serial path (reentrancy) in a ready event."""
+        self._inflight += 1
+        self.runtime.scheduler._call_soon(_Turn.launch, _Turn(self, invocation, False))
 
     @property
     def busy(self) -> bool:
         """True while messages are queued or executing."""
         return bool(len(self.mailbox)) or self._inflight > 0
 
+    def _serve(self) -> None:
+        """Run messages in order until a turn waits or none is left."""
+        if self.broken is not None:
+            return  # aborted: nothing is served any more
+        message = self._handed
+        self._handed = None
+        queued = self.mailbox._items
+        while message is not None or queued:
+            if message is None:
+                message = queued.popleft()
+            if message is _CLOSE:
+                if self._inflight == 0:
+                    self._close_now()
+                else:
+                    self._wait = _DRAIN  # the last interleaved turn closes
+                return
+            if self.instance.reentrant:
+                self._interleave(message)
+            else:
+                self._inflight += 1
+                if not _Turn(self, message, True).launch():
+                    return
+            message = None
+        self._wait = _IDLE
+
+    def _drive(self, coro: Any) -> None:
+        """Step a lifecycle coroutine now; the kernel adopts it if it waits."""
+        task = _eager(self.runtime.scheduler, coro)
+        if task is not None:  # (finished, it may have parked the path itself)
+            self._wait = task
+
     # -- lifecycle ----------------------------------------------------------------
+
+    def _boot(self) -> None:
+        if self.broken is None:  # not aborted before its first event
+            self._drive(self._activate())
+
+    async def _activate(self) -> None:
+        try:
+            await self._start()
+        except BaseException as exc:  # noqa: BLE001 - surface via replies
+            self.broken = exc
+            self.closing = True
+            self._fail_pending(exc)
+            self.runtime._activation_failed(self, exc)
+            self.closed.set()
+            return
+        self._serve()
 
     async def _start(self) -> None:
         if self._predecessor_closed is not None:
@@ -183,211 +266,6 @@ class Activation:
                 )
         await self.instance.on_activate()
 
-    async def _pump(self) -> None:
-        try:
-            await self._start()
-        except BaseException as exc:  # noqa: BLE001 - surface via replies
-            self.broken = exc
-            self.closing = True
-            self._fail_pending(exc)
-            self.runtime._activation_failed(self, exc)
-            self.closed.set()
-            return
-        mailbox = self.mailbox
-        empty = mailbox.empty
-        get_nowait = mailbox.get_nowait
-        handle = self._handle
-        reply = self.runtime._reply
-        silo_id = self.silo.silo_id
-        while True:
-            # Buffered fast path: skip the future a plain get() allocates.
-            if not empty():
-                message = get_nowait()
-            else:
-                message = await mailbox.get()
-            if message is _CLOSE:
-                break
-            if self.instance.reentrant:
-                self._inflight += 1
-                self._idle_event.clear()
-                self.runtime.scheduler.spawn(
-                    self._handle_tracked(message), name="handle"
-                )
-            else:
-                self._inflight += 1
-                self._idle_event.clear()
-                try:
-                    await handle(message)
-                except (GeneratorExit, CancelledError):
-                    raise  # the pump itself is being torn down
-                except BaseException as exc:  # noqa: BLE001 - pump must live
-                    # Nothing _handle raises should be able to kill the
-                    # mailbox pump; fail the message, keep serving.
-                    reply(message, None, exc, silo_id)
-                finally:
-                    self._inflight -= 1
-                    if self._inflight == 0:
-                        self._idle_event.set()
-        # Drain-and-close: wait for reentrant handlers still in flight.
-        if self._inflight > 0:
-            await self._idle_event.wait()
-        await self._finalize()
-
-    async def _handle_tracked(self, message: Invocation) -> None:
-        try:
-            await self._handle(message)
-        except (GeneratorExit, CancelledError):
-            raise  # activation teardown
-        except BaseException as exc:  # noqa: BLE001 - keep serving
-            self.runtime._reply(message, None, exc, self.silo.silo_id)
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle_event.set()
-
-    async def _handle(self, invocation: Invocation) -> None:
-        runtime = self.runtime
-        scheduler = runtime.scheduler
-        self.last_used = started = scheduler.now
-        invocation.started_at = started
-        span = invocation.span
-        if span is not None and span.end is None:
-            # Mailbox wait: from enqueue until this turn started.  For the
-            # first message of a fresh activation this includes activation
-            # start (CPU charge, state load, on_activate).
-            span.queue += started - invocation.enqueued_at
-            span.silo_id = self.silo.silo_id
-        if invocation.deadline is not None and started >= invocation.deadline:
-            # The caller's deadline already failed the reply (the deadline
-            # timer sorts before this dequeue at equal timestamps); running
-            # the method would only burn silo CPU on an abandoned request.
-            return
-        # Continuous profiling: fetch this turn's two accumulation rows once
-        # (method-level and activation-level); every charge below adds plain
-        # floats into them.  Disabled costs one attribute read.
-        profiler = runtime.profiler
-        profile = None
-        if profiler.enabled:
-            profiler.turns += 1
-            profile = profiler.turn_records(
-                self.key, invocation.method, started - invocation.enqueued_at
-            )
-        error: BaseException | None = None
-        result: Any = None
-        method_name = invocation.method
-        # System pseudo-methods all start with an underscore; application
-        # methods essentially never do, so one character test stands in for
-        # three string comparisons on the hot path.
-        if method_name and method_name[0] == "_":
-            if method_name == "__flush_state__":
-                try:
-                    await self._flush_if_dirty(span, profile)
-                    runtime._reply(invocation, None, None, self.silo.silo_id)
-                except Exception as exc:  # noqa: BLE001 - storage failure
-                    # A timer-driven flush failed (e.g. storage throttling):
-                    # record it; the state stays dirty and the next interval
-                    # retries.
-                    runtime._reply(invocation, None, exc, self.silo.silo_id)
-                return
-            if method_name == "__txn_snapshot__":
-                # Transactional undo logging: hand the coordinator an
-                # isolated copy of this actor's transactional state.
-                runtime._reply(
-                    invocation, snapshot(self.instance.state), None, self.silo.silo_id
-                )
-                return
-            if method_name == "__txn_restore__":
-                # Copy the undo log in: with copy_messages=False the argument
-                # *is* the coordinator's saved snapshot, and a redelivered
-                # restore must not find it edited by the restored actor.
-                document = snapshot(invocation.args[0])
-                self.instance.state.clear()
-                self.instance.state.update(document)
-                self.instance.mark_dirty()
-                runtime._reply(invocation, True, None, self.silo.silo_id)
-                return
-        entry = self._method_cache.get(method_name)
-        if entry is None:
-            method = getattr(self.instance, method_name, None)
-            if method is None or method_name.startswith("_"):
-                entry = (None, DEFAULT_METHOD_OPTIONS, 0.0)
-            else:
-                options = method_options(
-                    getattr(self.actor_class, method_name, method)
-                )
-                cost = runtime.config.method_costs.get(
-                    (self.key.type_name, method_name)
-                )
-                if cost is None:
-                    cost = options["cost"]
-                if cost is None:
-                    cost = (
-                        self.actor_class.default_method_cost
-                        if self.actor_class.default_method_cost is not None
-                        else runtime.config.default_method_cost
-                    )
-                entry = (method, options, cost)
-            self._method_cache[method_name] = entry
-        method, options, cost = entry
-        if method is None:
-            error = ActorMethodError(
-                f"{self.actor_class.__name__} has no method {method_name!r}"
-            )
-        else:
-            if cost > 0:
-                overhead = runtime.config.dispatch_overhead_cost
-                if overhead > 0 and invocation.batch_cohort > 1:
-                    # The cost model splits every method charge into
-                    # per-message dispatch overhead plus application work;
-                    # members of a K-message envelope share one dispatch, so
-                    # each pays work + overhead/K (Reactors-style batched
-                    # execution).  Cohort 1 charges full cost, bit-identical
-                    # to the unbatched runtime.
-                    shared = min(overhead, cost)
-                    cost = (cost - shared) + shared / invocation.batch_cohort
-                cpu_started = scheduler.now
-                await self.silo.cpu.consume(cost, profile=profile)
-                if span is not None and span.end is None:
-                    # Core-queueing plus service: the silo-contention signal.
-                    span.cpu += scheduler.now - cpu_started
-            if not self.instance.reentrant:
-                # Sub-calls made by this turn carry the extended chain, so
-                # cycles back into this (busy) actor are detectable.
-                chain = invocation.chain
-                self.active_chain = (
-                    chain + self._self_chain if chain else self._self_chain
-                )
-            self.active_span = span
-            try:
-                result = await method(*invocation.args, **invocation.kwargs)
-            except GeneratorExit:
-                raise  # activation teardown, not an application error
-            except BaseException as exc:  # noqa: BLE001 - forwarded to caller
-                error = exc
-            finally:
-                self.active_chain = ()
-                self.active_span = None
-        self.messages_handled += 1
-        self.last_used = scheduler.now
-        if (
-            error is None
-            and self.actor_class.durable
-            and self.actor_class.write_policy is WritePolicy.WRITE_THROUGH
-            and not options["read_only"]
-        ):
-            self.instance.mark_dirty()
-            try:
-                await self._flush_if_dirty(span, profile)
-            except Exception as exc:  # noqa: BLE001 - surface to the caller
-                # Write-through means "durable when acknowledged": if the
-                # flush fails (storage throttling, conditional conflict),
-                # the caller must see the failure, not a false ack.
-                error = exc
-        if profile is not None and error is not None:
-            for record in profile:
-                record.errors += 1
-        runtime._reply(invocation, result, error, self.silo.silo_id)
-
     async def _flush_if_dirty(self, span: Any = None, profile: Any = None) -> None:
         """Persist dirty state, charging the flush to the turn's ``span``
         (``storage``) and ``profile`` rows (``storage_wait``) if given."""
@@ -436,14 +314,20 @@ class Activation:
         """Tear the activation down *ungracefully*, as a process crash would.
 
         Unlike :meth:`close`, nothing is drained or persisted and no
-        ``on_deactivate`` hook runs: the pump is cancelled, timers die,
+        ``on_deactivate`` hook runs: the serial path is cancelled (a waiting
+        coroutine gets CancelledError at its await), timers die,
         queued requests fail with ``fault``, and the activation is marked
         closed.  Used by ``Runtime.crash_silo`` and the failure detector;
         the catalog/directory cleanup stays with the caller.
         """
         self.closing = True
         self.broken = fault
-        self._pump_task.cancel()
+        wait = self._wait
+        self._wait = None
+        if type(wait) is Task:
+            wait.cancel()
+        elif wait is not None and wait._state is _PENDING:
+            self.runtime.scheduler._call_soon(_cancelled, self)
         for timer_name in list(self._timers):
             self.cancel_timer(timer_name)
         self._fail_pending(fault)
@@ -454,7 +338,7 @@ class Activation:
 
         Queued and future messages fail with ``fault``; timers stop so the
         parked actor does not keep flushing from the wrong side of a
-        partition.  The pump stays alive and ``closing`` stays False, so a
+        partition.  The activation stays and ``closing`` stays False, so a
         later :meth:`close` (silo shutdown) or :meth:`abort` still works.
         """
         self.parked = fault
@@ -477,8 +361,12 @@ class Activation:
             await self.closed.wait()
             return
         self.closing = True
-        self.mailbox.put_nowait(_CLOSE)
+        self._post(_CLOSE)
         await self.closed.wait()
+
+    def _close_now(self) -> None:
+        if self.broken is None:  # not aborted while draining
+            self._drive(self._finalize())
 
     async def _finalize(self) -> None:
         for timer in self._timers.values():
@@ -550,4 +438,243 @@ class Activation:
         if timer is None:
             return False
         timer.cancel()
+        return True
+
+
+class _Turn:
+    """One message's turn, up to its CPU charge (:meth:`begin`) and after
+    (:meth:`finish`).  Steps return True once the turn is over, False while
+    it waits on a kernel event whose callback resumes it."""
+
+    __slots__ = (
+        "activation",
+        "invocation",
+        "serial",
+        "started",
+        "profile",
+        "method",
+        "options",
+    )
+
+    def __init__(
+        self, activation: Activation, invocation: Invocation, serial: bool
+    ) -> None:
+        self.activation = activation
+        self.invocation = invocation
+        self.serial = serial
+        self.profile: Any = None
+
+    def launch(self) -> bool:
+        try:
+            return self.begin()
+        except BaseException as exc:  # noqa: BLE001 - errors become replies
+            return self.fail(exc)
+
+    def begin(self) -> bool:
+        activation = self.activation
+        invocation = self.invocation
+        runtime = activation.runtime
+        scheduler = runtime.scheduler
+        activation.last_used = self.started = started = scheduler.now
+        invocation.started_at = started
+        span = invocation.span
+        if span is not None and span.end is None:
+            # Mailbox wait: from enqueue until this turn started.  For the
+            # first message of a fresh activation this includes activation
+            # start (CPU charge, state load, on_activate).
+            span.queue += started - invocation.enqueued_at
+            span.silo_id = activation.silo.silo_id
+        if invocation.deadline is not None and started >= invocation.deadline:
+            # The caller's deadline already failed the reply (the deadline
+            # timer sorts before this dequeue at equal timestamps); running
+            # the method would only burn silo CPU on an abandoned request.
+            return self.end()
+        # Continuous profiling: fetch this turn's two accumulation rows once
+        # (method-level and activation-level); every charge below adds plain
+        # floats into them.  Disabled costs one attribute read.
+        profiler = runtime.profiler
+        if profiler.enabled:
+            profiler.turns += 1
+            self.profile = profiler.turn_records(
+                activation.key, invocation.method, started - invocation.enqueued_at
+            )
+        method_name = invocation.method
+        # System pseudo-methods all start with an underscore; application
+        # methods essentially never do, so one character test stands in for
+        # three string comparisons on the hot path.
+        if method_name and method_name[0] == "_":
+            if method_name == "__flush_state__":
+                return self.run(self.flush_state())
+            if method_name == "__txn_snapshot__":
+                # Transactional undo logging: hand the coordinator an
+                # isolated copy of this actor's transactional state.
+                runtime._reply(
+                    invocation,
+                    snapshot(activation.instance.state),
+                    None,
+                    activation.silo.silo_id,
+                )
+                return self.end()
+            if method_name == "__txn_restore__":
+                # Copy the undo log in: with copy_messages=False the argument
+                # *is* the coordinator's saved snapshot, and a redelivered
+                # restore must not find it edited by the restored actor.
+                document = snapshot(invocation.args[0])
+                activation.instance.state.clear()
+                activation.instance.state.update(document)
+                activation.instance.mark_dirty()
+                runtime._reply(invocation, True, None, activation.silo.silo_id)
+                return self.end()
+        entry = activation._method_cache.get(method_name)
+        if entry is None:
+            actor_class = activation.actor_class
+            method = getattr(activation.instance, method_name, None)
+            if method is None or method_name.startswith("_"):
+                entry = (None, DEFAULT_METHOD_OPTIONS, 0.0)
+            else:
+                options = method_options(getattr(actor_class, method_name, method))
+                cost = runtime.config.method_costs.get(
+                    (activation.key.type_name, method_name)
+                )
+                if cost is None:
+                    cost = options["cost"]
+                if cost is None:
+                    cost = (
+                        actor_class.default_method_cost
+                        if actor_class.default_method_cost is not None
+                        else runtime.config.default_method_cost
+                    )
+                entry = (method, options, cost)
+            activation._method_cache[method_name] = entry
+        self.method, self.options, cost = entry
+        if cost > 0:
+            overhead = runtime.config.dispatch_overhead_cost
+            if overhead > 0 and invocation.batch_cohort > 1:
+                # The cost model splits every method charge into
+                # per-message dispatch overhead plus application work;
+                # members of a K-message envelope share one dispatch, so
+                # each pays work + overhead/K (Reactors-style batched
+                # execution).  Cohort 1 charges full cost, bit-identical
+                # to the unbatched runtime.
+                shared = min(overhead, cost)
+                cost = (cost - shared) + shared / invocation.batch_cohort
+            timer = scheduler.at(activation.silo.cpu.book(cost, self.profile))
+            timer._cb0 = self  # a fresh timer: its only callback
+            if self.serial:
+                activation._wait = timer
+            return False
+        return self.run(self.finish())
+
+    def __call__(self, _timer: Future[None]) -> None:
+        # The CPU charge is done: continue through one ready event, as a
+        # resumed task would, unless an abort cancelled the serial path.
+        if not (self.serial and self.activation.broken is not None):
+            self.activation.runtime.scheduler._call_soon(_Turn.resume, self)
+
+    def resume(self) -> None:
+        activation = self.activation
+        if self.serial and activation.broken is not None:
+            return
+        span = self.invocation.span
+        if span is not None and span.end is None:
+            # Core-queueing plus service: the silo-contention signal.
+            span.cpu += activation.runtime.scheduler.now - self.started
+        if self.run(self.finish()) and self.serial:
+            activation._serve()
+
+    def run(self, coro: Any) -> bool:
+        """Step the rest of the turn in this event; if it suspends, the
+        kernel adopts it and that task's last step ends the turn."""
+        try:
+            task = _eager(self.activation.runtime.scheduler, coro)
+        except BaseException as exc:  # noqa: BLE001 - errors become replies
+            return self.fail(exc)
+        if task is None:
+            return self.end()
+        if self.serial:
+            self.activation._wait = task
+        task.future.add_done_callback(self.adopted_done)
+        return False
+
+    def adopted_done(self, future: Future[None]) -> None:
+        if future._state is _RESOLVED:
+            self.end()
+        else:  # finish() raised past its own handlers (its reply failed)
+            self.fail(future._exception)
+        if self.serial:
+            self.activation._serve()
+
+    async def finish(self) -> None:
+        activation, invocation, method = self.activation, self.invocation, self.method
+        span = invocation.span
+        error: BaseException | None = None
+        result: Any = None
+        if method is None:
+            error = ActorMethodError(
+                f"{activation.actor_class.__name__} has no method {invocation.method!r}"
+            )
+        else:
+            if not activation.instance.reentrant:
+                # Sub-calls made by this turn carry the extended chain, so
+                # cycles back into this (busy) actor are detectable.
+                chain = invocation.chain
+                activation.active_chain = (
+                    chain + activation._self_chain if chain else activation._self_chain
+                )
+            activation.active_span = span
+            try:
+                result = await method(*invocation.args, **invocation.kwargs)
+            except GeneratorExit:
+                raise  # activation teardown, not an application error
+            except BaseException as exc:  # noqa: BLE001 - forwarded to caller
+                error = exc
+            finally:
+                activation.active_chain = ()
+                activation.active_span = None
+        activation.messages_handled += 1
+        activation.last_used = activation.runtime.scheduler.now
+        actor_class = activation.actor_class
+        if (
+            error is None
+            and actor_class.durable
+            and actor_class.write_policy is WritePolicy.WRITE_THROUGH
+            and not self.options["read_only"]
+        ):
+            activation.instance.mark_dirty()
+            try:
+                await activation._flush_if_dirty(span, self.profile)
+            except Exception as exc:  # noqa: BLE001 - surface to the caller
+                # Write-through means "durable when acknowledged": if the
+                # flush fails (storage throttling, conditional conflict),
+                # the caller must see the failure, not a false ack.
+                error = exc
+        if self.profile is not None and error is not None:
+            for record in self.profile:
+                record.errors += 1
+        activation.runtime._reply(invocation, result, error, activation.silo.silo_id)
+
+    async def flush_state(self) -> None:
+        activation = self.activation
+        try:
+            await activation._flush_if_dirty(self.invocation.span, self.profile)
+            error = None
+        except Exception as exc:  # noqa: BLE001 - storage failure
+            # A timer-driven flush failed (e.g. storage throttling): record
+            # it; the state stays dirty and the next interval retries.
+            error = exc
+        activation.runtime._reply(self.invocation, None, error, activation.silo.silo_id)
+
+    def fail(self, exc: BaseException) -> bool:
+        """Whatever a turn raises becomes its reply."""
+        activation = self.activation
+        activation.runtime._reply(self.invocation, None, exc, activation.silo.silo_id)
+        return self.end()
+
+    def end(self) -> bool:
+        activation = self.activation
+        activation._inflight -= 1
+        if activation._inflight == 0 and activation._wait is _DRAIN:
+            # The last interleaved turn before close: close in a ready event.
+            activation._wait = None
+            activation.runtime.scheduler._call_soon(Activation._close_now, activation)
         return True

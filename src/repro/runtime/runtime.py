@@ -766,7 +766,7 @@ class AodbRuntime:
            runs.  Messages that raced the move — already in flight to the
            source — observe ``closing``, wait for the barrier, re-resolve
            and are forwarded to the target.
-        3. *Hand over* — the successor's pump blocks on the source's
+        3. *Hand over* — the successor's boot blocks on the source's
            ``closed`` event before loading state, so it observes the final
            flush and turn-based single-activation semantics are preserved:
            at no virtual instant do two activations of the grain execute.
@@ -1379,7 +1379,8 @@ class AodbRuntime:
             delay = self.network.plan_envelope(from_silo, invocation.caller_endpoint, 1)
         except KeyError as exc:
             # A silo left the network during the turn: raising would fail
-            # the turn again and kill this activation's pump, so drop it.
+            # the turn with a second reply that cannot be sent either, so
+            # drop it.
             self.stats.dropped_replies += 1
             self.tracer.finish(
                 invocation.span, self.scheduler.now, "error", f"reply dropped: {exc}"

@@ -11,7 +11,6 @@ duplication faults are the retry layer's test surface, not migration's.
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,12 +146,6 @@ def test_durable_state_round_trips_byte_identical(writes, hops, seed):
     assert runtime.stats.migrations == hops
 
 
-# The migration can create the successor activation in the run's last event,
-# leaving its pump unstarted; garbage collection may finalize that coroutine
-# before the Task that would close it quietly.
-@pytest.mark.filterwarnings(
-    "ignore:coroutine 'Activation._pump' was never awaited:RuntimeWarning"
-)
 @given(
     messages=st.integers(min_value=3, max_value=25),
     move_at=st.floats(min_value=0.0, max_value=0.02),

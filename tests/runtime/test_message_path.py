@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.errors import DeadlineExceededError
-from repro.kernel import Scheduler
+from repro.kernel import Scheduler, Task
 from repro.net import ConstantLatency, Network, NetworkFaultInjector
 from repro.obs.trace import Tracer
 from repro.runtime import Actor, ActorKey, AodbRuntime, RuntimeConfig
@@ -83,7 +83,7 @@ def one_warm_ask(monkeypatch, lan):
         sched.run_until_complete(coro_fn())
         return sched.events_processed - events, len(spawned) - spawns
 
-    run(ask)  # warm: the activation and its pump exist from here on
+    run(ask)  # warm: the activation exists from here on
     # run_until_complete's own task: one spawn and its first step.
     base_events, base_spawns = run(idle)
     events, spawns = run(ask)
@@ -91,17 +91,74 @@ def one_warm_ask(monkeypatch, lan):
 
 
 def test_remote_ask_costs_one_event_per_hop(monkeypatch):
-    # Request lands (timer), the pump wakes, the CPU charge completes
-    # (timer) and the pump resumes, the reply lands (timer), the caller
-    # resumes.  Spawning a deliver task and a reply task per ask used to
+    # Request lands (timer), the mailbox hands it over, the CPU charge
+    # completes (timer) and the turn resumes, the reply lands (timer), the
+    # caller resumes.  Spawning a deliver task and a reply task per ask used to
     # add a first step and a post-sleep resume to each hop: 10 events.
     assert one_warm_ask(monkeypatch, lan=0.0005) == (6, 0)
 
 
 def test_zero_latency_ask_lands_inline(monkeypatch):
-    # Both hops land inside the event that sent them: pump wake, CPU timer,
-    # pump resume, caller resume (was 6 with the two spawned tasks).
+    # Both hops land inside the event that sent them: mailbox handover, CPU
+    # timer, turn resume, caller resume (was 6 with the two spawned tasks).
     assert one_warm_ask(monkeypatch, lan=0.0) == (4, 0)
+
+
+# -- guard: no coroutine resumes on the callee's side ----------------------------
+
+
+class Relay(Actor):
+    async def forward(self, value):
+        return await self.context.actor("Echo", "e").echo(value)
+
+
+def callee_tasks(monkeypatch, target, method):
+    """Task steps outside the caller's own task, and the tasks spawned and
+    adopted, during one warm ask of ``method`` on actor ``target``."""
+    sched = Scheduler()
+    runtime = build_runtime(sched, 0.0005, cost=COST)
+    runtime.register_actors([Echo, Relay])
+    ref = runtime.ref(*target.split("/"))
+    steps, spawned, adopted = [], [], []
+    step = Task._step
+    monkeypatch.setattr(
+        Task, "_step", lambda task: steps.append(task.name) or step(task)
+    )
+    spawn = sched.spawn
+    monkeypatch.setattr(
+        sched, "spawn", lambda coro, name="": spawned.append(name) or spawn(coro, name)
+    )
+    adopt = getattr(sched, "adopt", None)
+    monkeypatch.setattr(
+        sched,
+        "adopt",
+        lambda coro, yielded: adopted.append(coro.__name__) or adopt(coro, yielded),
+        raising=False,
+    )
+
+    async def ask():
+        return await ref.ask(method, 1)
+
+    sched.run_until_complete(ask())  # warm: the activations exist
+    for log in (steps, spawned, adopted):
+        log.clear()
+    sched.run_until_complete(ask())
+    callee_steps = [name for name in steps if name != "main"]
+    return callee_steps, [name for name in spawned if name != "main"], adopted
+
+
+def test_synchronous_turn_resumes_no_coroutine(monkeypatch):
+    # The mailbox handover and the resume after the CPU charge are plain
+    # callbacks; the method runs to completion inside the resume event.
+    # A per-activation pump task stepped twice here.
+    assert callee_tasks(monkeypatch, "Echo/e", "echo") == ([], [], [])
+
+
+def test_suspending_turn_adopts_exactly_one_task(monkeypatch):
+    # forward() suspends on its sub-ask: the kernel adopts the rest of the
+    # turn once, and that task's one resume finishes it.
+    steps, spawned, adopted = callee_tasks(monkeypatch, "Relay/r", "forward")
+    assert (len(steps), spawned, adopted) == (1, [], ["finish"])
 
 
 # -- semantics the rewrite keeps --------------------------------------------------
