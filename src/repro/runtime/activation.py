@@ -54,10 +54,6 @@ def _eager(scheduler: Scheduler, coro: Any) -> Task | None:
     return scheduler.adopt(coro, yielded)
 
 
-def _cancelled(_activation: "Activation") -> None:
-    """The (empty) event an abort costs when the serial path was parked."""
-
-
 class Activation:
     """One in-memory incarnation of a virtual actor."""
 
@@ -105,7 +101,8 @@ class Activation:
         # the activation (config.method_costs is fixed at construction), so
         # the getattr chain and cost resolution run once per method name.
         self._method_cache: dict[str, tuple[Any, dict[str, Any], float]] = {}
-        self._inflight = 0
+        # Turns started and not yet over, in start order.
+        self._inflight: dict[_Turn, None] = {}
         self._timers: dict[str, Task] = {}
         # What the serial path (boot, one-at-a-time turns, close) is parked
         # on: _IDLE, a CPU timer, _DRAIN or an adopted Task — None (or
@@ -131,7 +128,7 @@ class Activation:
             raise self.parked
         if (
             not self.instance.reentrant
-            and self._inflight > 0
+            and self._inflight
             and self._qualified in invocation.chain
         ):
             if getattr(self.actor_class, "allow_chain_reentrancy", False):
@@ -158,13 +155,12 @@ class Activation:
 
     def _interleave(self, invocation: Invocation) -> None:
         """Start a turn beside the serial path (reentrancy) in a ready event."""
-        self._inflight += 1
         self.runtime.scheduler._call_soon(_Turn.launch, _Turn(self, invocation, False))
 
     @property
     def busy(self) -> bool:
         """True while messages are queued or executing."""
-        return bool(len(self.mailbox)) or self._inflight > 0
+        return bool(len(self.mailbox) or self._inflight)
 
     def _serve(self) -> None:
         """Run messages in order until a turn waits or none is left."""
@@ -177,7 +173,7 @@ class Activation:
             if message is None:
                 message = queued.popleft()
             if message is _CLOSE:
-                if self._inflight == 0:
+                if not self._inflight:
                     self._close_now()
                 else:
                     self._wait = _DRAIN  # the last interleaved turn closes
@@ -185,7 +181,6 @@ class Activation:
             if self.instance.reentrant:
                 self._interleave(message)
             else:
-                self._inflight += 1
                 if not _Turn(self, message, True).launch():
                     return
             message = None
@@ -297,8 +292,8 @@ class Activation:
             for record in profile:
                 record.storage_wait += elapsed
 
-    def _fail_pending(self, exc: BaseException) -> None:
-        for message in self.mailbox.drain_nowait():
+    def _fail_pending(self, exc: BaseException, in_flight: Any = ()) -> None:
+        for message in [*in_flight, *self.mailbox.drain_nowait()]:
             if message is _CLOSE:
                 continue
             if message.reply is not None and not message.reply.done():
@@ -315,8 +310,8 @@ class Activation:
 
         Unlike :meth:`close`, nothing is drained or persisted and no
         ``on_deactivate`` hook runs: the serial path is cancelled (a waiting
-        coroutine gets CancelledError at its await), timers die,
-        queued requests fail with ``fault``, and the activation is marked
+        coroutine gets CancelledError at its await), timers die, queued and
+        in-flight requests fail with ``fault``, and the activation is marked
         closed.  Used by ``Runtime.crash_silo`` and the failure detector;
         the catalog/directory cleanup stays with the caller.
         """
@@ -327,10 +322,16 @@ class Activation:
         if type(wait) is Task:
             wait.cancel()
         elif wait is not None and wait._state is _PENDING:
-            self.runtime.scheduler._call_soon(_cancelled, self)
+            # Parked: one last step, as a cancelled pump's; it finds `broken`.
+            self.runtime.scheduler._call_soon(Activation._serve, self)
         for timer_name in list(self._timers):
             self.cancel_timer(timer_name)
-        self._fail_pending(fault)
+        # The requests it was executing go down with it: their replies fail
+        # now, and the abandoned turns send nothing (they check ``broken``).
+        in_flight = [turn.invocation for turn in self._inflight]
+        if self._handed is not None:
+            in_flight.append(self._handed)
+        self._fail_pending(fault, in_flight)
         self.closed.set()
 
     def park(self, fault: BaseException) -> None:
@@ -463,6 +464,7 @@ class _Turn:
         self.invocation = invocation
         self.serial = serial
         self.profile: Any = None
+        activation._inflight[self] = None
 
     def launch(self) -> bool:
         try:
@@ -567,13 +569,13 @@ class _Turn:
 
     def __call__(self, _timer: Future[None]) -> None:
         # The CPU charge is done: continue through one ready event, as a
-        # resumed task would, unless an abort cancelled the serial path.
-        if not (self.serial and self.activation.broken is not None):
+        # resumed task would, unless an abort dropped the turn.
+        if self.activation.broken is None:
             self.activation.runtime.scheduler._call_soon(_Turn.resume, self)
 
     def resume(self) -> None:
         activation = self.activation
-        if self.serial and activation.broken is not None:
+        if activation.broken is not None:
             return
         span = self.invocation.span
         if span is not None and span.end is None:
@@ -631,13 +633,14 @@ class _Turn:
             finally:
                 activation.active_chain = ()
                 activation.active_span = None
+            if activation.broken is not None:
+                return  # aborted mid-turn: the crash already failed the reply
         activation.messages_handled += 1
         activation.last_used = activation.runtime.scheduler.now
-        actor_class = activation.actor_class
         if (
             error is None
-            and actor_class.durable
-            and actor_class.write_policy is WritePolicy.WRITE_THROUGH
+            and activation.actor_class.durable
+            and activation.actor_class.write_policy is WritePolicy.WRITE_THROUGH
             and not self.options["read_only"]
         ):
             activation.instance.mark_dirty()
@@ -662,6 +665,8 @@ class _Turn:
             # A timer-driven flush failed (e.g. storage throttling): record
             # it; the state stays dirty and the next interval retries.
             error = exc
+        if activation.broken is not None:
+            return  # aborted mid-flush: the crash already failed the reply
         activation.runtime._reply(self.invocation, None, error, activation.silo.silo_id)
 
     def fail(self, exc: BaseException) -> bool:
@@ -672,8 +677,8 @@ class _Turn:
 
     def end(self) -> bool:
         activation = self.activation
-        activation._inflight -= 1
-        if activation._inflight == 0 and activation._wait is _DRAIN:
+        del activation._inflight[self]
+        if not activation._inflight and activation._wait is _DRAIN:
             # The last interleaved turn before close: close in a ready event.
             activation._wait = None
             activation.runtime.scheduler._call_soon(Activation._close_now, activation)

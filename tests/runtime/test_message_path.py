@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, SiloUnavailableError
 from repro.kernel import Scheduler, Task
 from repro.net import ConstantLatency, Network, NetworkFaultInjector
 from repro.obs.trace import Tracer
@@ -369,15 +369,14 @@ def test_reply_to_an_evicted_caller_is_dropped_and_callee_keeps_serving():
         call = runtime.ref("Caller", "a").ask("call", deadline=0.5)
         await sched.sleep(0.05)  # silo-1 is inside work() now
         runtime.crash_silo("silo-0")  # evicted: its endpoint leaves the net
-        with pytest.raises(DeadlineExceededError):
-            await call  # the crash took the turn that was waiting on b
+        with pytest.raises(SiloUnavailableError):
+            await call  # the crash failed the turn that was waiting on b
         await sched.sleep(0.1)  # work() finishes and replies to silo-0
         return await runtime.ref("Slow", "b").ping()
 
     assert sched.run_until_complete(main()) == "pong"
-    # b's reply to silo-0, plus the reply of a's own turn, which the crash
-    # cancelled on silo-0 after its endpoint was gone.
-    assert runtime.stats.dropped_replies == 2
+    # b's reply to silo-0.  a's own turn, abandoned by the crash, sends none.
+    assert runtime.stats.dropped_replies == 1
     (work,) = [span for span in runtime.tracer.spans() if span.name == "Slow/b.work"]
     assert work.status == "error"
     assert "reply dropped" in work.error

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.errors import (
-    CancelledError,
     DeadlineExceededError,
     SiloUnavailableError,
     ThrottledError,
@@ -451,11 +450,11 @@ def test_abort_fails_queued_calls_with_the_fault():
         activation.abort(fault)
         assert activation.closed.is_set()
         assert activation.broken is fault
-        # Queued requests fail with the fault; the in-flight turn is torn
-        # down mid-execution, which surfaces as a cancellation.
-        with pytest.raises(SiloUnavailableError):
+        # Queued requests and the in-flight one (torn down mid-execution)
+        # all fail with the fault itself.
+        with pytest.raises(SiloUnavailableError, match="yanked"):
             await queued
-        with pytest.raises(CancelledError):
+        with pytest.raises(SiloUnavailableError, match="yanked"):
             await inflight
 
     sched.run_until_complete(main())
