@@ -7,10 +7,10 @@ actor class opted into reentrancy.  Every message execution charges its CPU
 cost to the hosting silo, which is how actor work contends for simulated
 hardware.
 
-No task drives the mailbox: callbacks serve it on the kernel events, at the
-same ``(when, seq)``, a pump coroutine would wait on.  The rest of a turn
-(method, flush, reply), like boot and close, is a coroutine stepped in the
-turn's own event and adopted as a task only if it suspends.
+No task drives the mailbox: callbacks serve it, each continuing in one ready
+event where a task would resume, so the event order is a task's.  The rest
+of a turn (method, flush, reply), like boot and close, is a coroutine
+stepped in the turn's own event and adopted as a task only if it suspends.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..errors import (
     ReentrancyError,
 )
 from ..kernel.futures import _PENDING, _RESOLVED, Future
-from ..kernel.scheduler import Scheduler, Task
+from ..kernel.scheduler import Task
 from ..kernel.sync import Event, Queue
 from ..storage.serde import snapshot
 from .actor import DEFAULT_METHOD_OPTIONS, Actor, ActorContext, method_options
@@ -42,16 +42,6 @@ _CLOSE = object()
 #: while interleaved turns still run.
 _IDLE: Future[None] = Future("idle")
 _DRAIN: Future[None] = Future("drain")
-
-
-def _eager(scheduler: Scheduler, coro: Any) -> Task | None:
-    """Step ``coro`` in the current event: None once it has finished, else
-    the task the kernel adopted it into.  Its exceptions propagate."""
-    try:
-        yielded = coro.send(None)
-    except StopIteration:
-        return None
-    return scheduler.adopt(coro, yielded)
 
 
 class Activation:
@@ -109,7 +99,7 @@ class Activation:
         # settled) while it runs.  ``_handed``: a message handed over idle.
         self._wait: Any = None
         self._handed: Any = None
-        # Boot is the ready event a spawned task's first step would be.
+        # Boot runs in its own ready event; its coroutine exists only then.
         runtime.scheduler._call_soon(Activation._boot, self)
 
     # -- enqueue ---------------------------------------------------------------
@@ -146,7 +136,7 @@ class Activation:
     def _post(self, message: Any) -> None:
         """Hand ``message`` to the idle serial path, or queue it."""
         if self._wait is _IDLE:
-            # One ready event, where a mailbox getter's resume would be.
+            # Taken in one ready event, not inline (see the module docstring).
             self._wait = None
             self._handed = message
             self.runtime.scheduler._call_soon(Activation._serve, self)
@@ -188,9 +178,11 @@ class Activation:
 
     def _drive(self, coro: Any) -> None:
         """Step a lifecycle coroutine now; the kernel adopts it if it waits."""
-        task = _eager(self.runtime.scheduler, coro)
-        if task is not None:  # (finished, it may have parked the path itself)
-            self._wait = task
+        try:
+            yielded = coro.send(None)
+        except StopIteration:
+            return  # finished (and it may have parked the serial path itself)
+        self._wait = self.runtime.scheduler.adopt(coro, yielded)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -322,7 +314,7 @@ class Activation:
         if type(wait) is Task:
             wait.cancel()
         elif wait is not None and wait._state is _PENDING:
-            # Parked: one last step, as a cancelled pump's; it finds `broken`.
+            # Parked: cancelling costs one ready event, as a task's does.
             self.runtime.scheduler._call_soon(Activation._serve, self)
         for timer_name in list(self._timers):
             self.cancel_timer(timer_name)
@@ -568,8 +560,8 @@ class _Turn:
         return self.run(self.finish())
 
     def __call__(self, _timer: Future[None]) -> None:
-        # The CPU charge is done: continue through one ready event, as a
-        # resumed task would, unless an abort dropped the turn.
+        # The CPU charge is done: continue in one ready event, unless an
+        # abort dropped the turn.
         if self.activation.broken is None:
             self.activation.runtime.scheduler._call_soon(_Turn.resume, self)
 
@@ -588,11 +580,12 @@ class _Turn:
         """Step the rest of the turn in this event; if it suspends, the
         kernel adopts it and that task's last step ends the turn."""
         try:
-            task = _eager(self.activation.runtime.scheduler, coro)
+            yielded = coro.send(None)
+        except StopIteration:
+            return self.end()
         except BaseException as exc:  # noqa: BLE001 - errors become replies
             return self.fail(exc)
-        if task is None:
-            return self.end()
+        task = self.activation.runtime.scheduler.adopt(coro, yielded)
         if self.serial:
             self.activation._wait = task
         task.future.add_done_callback(self.adopted_done)
