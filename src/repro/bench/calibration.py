@@ -124,11 +124,9 @@ def calibrated_config(seed: int = 0, fast_path: bool = True) -> RuntimeConfig:
         idle_timeout=3600.0,
         collection_interval=600.0,
         seed=seed,
-        enable_batching=fast_path,
-        batch_max_delay=BATCH_MAX_DELAY,
+        batch_max_delay=BATCH_MAX_DELAY if fast_path else None,
         dispatch_overhead_cost=DISPATCH_OVERHEAD_COST if fast_path else 0.0,
-        enable_group_commit=fast_path,
         # Same 1 ms window as delivery batching: flushes from one wave's
         # drain collapse into shared BatchWriteItem round trips.
-        group_commit_max_delay=BATCH_MAX_DELAY if fast_path else 0.0,
+        group_commit_max_delay=BATCH_MAX_DELAY if fast_path else None,
     )

@@ -214,11 +214,10 @@ def _build(config: ChaosConfig) -> Deployment:
     if config.resilience:
         runtime.config.default_call_deadline = CHAOS_CALL_DEADLINE
         runtime.config.default_retry_policy = CHAOS_RETRY_POLICY
-        runtime.config.enable_failure_detection = True
         runtime.config.failure_detection_interval = 0.5
         runtime.config.suspicion_grace = 0.5
     else:
-        runtime.config.enable_failure_detection = False
+        runtime.config.failure_detection_interval = None
     return deployment
 
 

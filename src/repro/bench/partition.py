@@ -129,7 +129,6 @@ def build_netsplit_deployment(
     config = runtime.config
     config.default_call_deadline = CHAOS_CALL_DEADLINE
     config.default_retry_policy = CHAOS_RETRY_POLICY
-    config.enable_failure_detection = True
     config.failure_detection_interval = 0.5
     config.suspicion_grace = 0.5
     config.quarantine_on_lease_loss = quarantine

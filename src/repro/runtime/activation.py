@@ -67,12 +67,9 @@ class Activation:
         context = ActorContext(runtime, key, silo.silo_id)
         context.activation = self  # type: ignore[attr-defined]
         self.instance = actor_class(context)
-        capacity = (
-            actor_class.mailbox_capacity
-            if actor_class.mailbox_capacity is not None
-            else runtime.config.mailbox_capacity
+        self.mailbox: Queue[Any] = Queue(
+            runtime.scheduler, maxsize=actor_class.mailbox_capacity
         )
-        self.mailbox: Queue[Any] = Queue(runtime.scheduler, maxsize=capacity)
         self.closing = False
         self.closed = Event(runtime.scheduler)
         self.broken: BaseException | None = None

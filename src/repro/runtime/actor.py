@@ -147,7 +147,9 @@ class Actor:
     placement: str | None = None
     indexed_attributes: tuple[str, ...] = ()
     default_method_cost: float | None = None
-    mailbox_capacity: int | None = None
+    # Messages one activation may queue (0 = unbounded).  A bounded mailbox
+    # surfaces overload as MailboxOverflowError instead of hiding it.
+    mailbox_capacity: int = 0
 
     def __init__(self, context: ActorContext) -> None:
         self.context = context

@@ -73,6 +73,13 @@ SYSTEM_STORE_ENDPOINT = "system-store"
 # Placement strategy for actor types that do not choose one (Orleans'
 # default: random is adequate for load balancing at scale).
 DEFAULT_PLACEMENT = "random"
+# Quorum fraction of non-dead membership rows that must be active for the
+# failure detector to commit an eviction (a view change).  At 0.5 a
+# partition minority — which sees the majority's rows as suspected — can
+# never evict the majority, while a 2-silo cluster with one crashed member
+# still makes progress (1 of 2 meets the bar; the system store is the
+# tiebreak, as in lease-based membership).
+EVICTION_QUORUM = 0.5
 
 
 @dataclass
@@ -146,7 +153,7 @@ class AodbRuntime:
         # Group-commit write-behind: state flushes issued within one window
         # collapse into a single storage round trip (None = direct puts).
         self.group_commit: GroupCommitWriter | None = None
-        if self.config.enable_group_commit:
+        if self.config.group_commit_max_delay is not None:
             self.group_commit = GroupCommitWriter(
                 self.grain_storage,
                 self.scheduler,
@@ -162,7 +169,7 @@ class AodbRuntime:
         self._actor_keys: dict[tuple[str, str], ActorKey] = {}
         # Ingestion fast path: coalesce same-path deliveries into envelopes.
         self._batcher: EnvelopeBatcher | None = None
-        if self.config.enable_batching:
+        if self.config.batch_max_delay is not None:
             self._batcher = EnvelopeBatcher(
                 self.network,
                 self.scheduler,
@@ -178,9 +185,9 @@ class AodbRuntime:
         self.stats = RuntimeStats()
         self._actor_types: dict[str, type[Actor]] = {}
         self._silos: dict[str, Silo] = {}
-        self._collector_task: Task | None = None
-        self._reminder_task: Task | None = None
-        self._failure_detector_task: Task | None = None
+        # Cluster services (collector, reminder pump, failure detector), in
+        # spawn order; empty until start().
+        self._services: list[Task] = []
         self._suspected: set[str] = set()
         self._heartbeats: dict[str, Task] = {}
         # Write-ahead redo journal + per-silo pumps (None/empty while
@@ -462,14 +469,8 @@ class AodbRuntime:
         for activation in silo.activations():
             await self._deactivate(activation)
             count += 1
-        self.system_store.retire(silo_id)
-        self.network.unregister(silo_id)
-        del self._silos[silo_id]
-        self.metrics.unregister_probes(silo=silo_id)
-        heartbeat = self._heartbeats.pop(silo_id, None)
-        if heartbeat is not None:
-            heartbeat.cancel()
-        self._cancel_redo_pump(silo_id)
+        self._stop_silo_services(silo_id)
+        self._remove_silo(silo_id)
         return count
 
     def crash_silo(self, silo_id: str, *, detected: bool = True) -> int:
@@ -492,23 +493,11 @@ class AodbRuntime:
         """
         silo = self.silo(silo_id)
         fault = SiloUnavailableError(f"silo {silo_id!r} crashed")
-        lost = 0
-        for activation in silo.activations():
-            activation.abort(fault)
-            silo.remove_activation(activation.key)
-            if detected and self.directory.lookup(activation.key) == silo_id:
-                self.directory.unregister(activation.key)
-            lost += 1
+        lost = self._abort_activations(silo, fault, unregister=detected)
         self.stats.activations_crashed += lost
-        heartbeat = self._heartbeats.pop(silo_id, None)
-        if heartbeat is not None:
-            heartbeat.cancel()
-        self._cancel_redo_pump(silo_id)
+        self._stop_silo_services(silo_id)
         if detected:
-            self.system_store.retire(silo_id)
-            self.network.unregister(silo_id)
-            del self._silos[silo_id]
-            self.metrics.unregister_probes(silo=silo_id)
+            self._remove_silo(silo_id)
         else:
             silo.crashed = True
         self._silo_event(
@@ -518,6 +507,40 @@ class AodbRuntime:
             {"silo": silo_id, "lost_activations": lost, "detected": detected},
         )
         return lost
+
+    # A silo's exit, in up to three steps taken in this order: abort its
+    # activations, stop its services, remove it.  Aborts and cancels queue
+    # events, so the order is part of the schedule.
+
+    def _abort_activations(
+        self, silo: Silo, fault: BaseException, *, unregister: bool
+    ) -> int:
+        """Abort and uncatalog every activation on ``silo``; returns the count.
+
+        With ``unregister``, directory entries pointing here go too.
+        """
+        count = 0
+        for activation in silo.activations():
+            activation.abort(fault)
+            silo.remove_activation(activation.key)
+            if unregister and self.directory.lookup(activation.key) == silo.silo_id:
+                self.directory.unregister(activation.key)
+            count += 1
+        return count
+
+    def _stop_silo_services(self, silo_id: str) -> None:
+        """Cancel the silo's heartbeat, then its redo pump."""
+        for services in (self._heartbeats, self._redo_pumps):
+            task = services.pop(silo_id, None)
+            if task is not None:
+                task.cancel()
+
+    def _remove_silo(self, silo_id: str) -> None:
+        """Retire the silo's row and drop it from network, catalog and probes."""
+        self.system_store.retire(silo_id)
+        self.network.unregister(silo_id)
+        del self._silos[silo_id]
+        self.metrics.unregister_probes(silo=silo_id)
 
     # -- partition tolerance -------------------------------------------------------
 
@@ -531,16 +554,17 @@ class AodbRuntime:
         """
         return not self.network.partitioned(silo_id, SYSTEM_STORE_ENDPOINT)
 
-    def acquire_fence(self, activation: Activation) -> int | None:
+    def acquire_fence(self, activation: Activation) -> int:
         """Issue a fence token for one activation's storage key.
 
-        Returns None when fencing is disabled.  Acquiring a fence is a
+        Every durable activation acquires a monotonic token at load time and
+        stamps its flushes with it, so grain storage rejects a stale
+        (minority-side zombie) writer with ``FencedWriteError`` instead of
+        letting it clobber the successor's state.  Acquiring a fence is a
         system-store round trip, so a silo that cannot reach the store (or
         is quarantined) cannot activate durable grains — which is exactly
         the guarantee that makes the token worth carrying.
         """
-        if not self.config.enable_fencing:
-            return None
         silo = activation.silo
         if silo.quarantined or not self._store_reachable(silo.silo_id):
             raise SiloUnavailableError(
@@ -619,11 +643,7 @@ class AodbRuntime:
         fault = SiloUnavailableError(
             f"silo {silo_id!r} is rejoining after a partition"
         )
-        for activation in silo.activations():
-            activation.abort(fault)
-            silo.remove_activation(activation.key)
-            if self.directory.lookup(activation.key) == silo_id:
-                self.directory.unregister(activation.key)
+        self._abort_activations(silo, fault, unregister=True)
         silo.quarantined = False
         if not self.network.knows(silo_id):
             self.network.register(silo_id)
@@ -650,14 +670,13 @@ class AodbRuntime:
 
     # -- write-ahead redo journal --------------------------------------------------
 
-    def enable_redo_journal(self, redo_lag: float | None = None) -> RedoJournal:
+    def enable_redo_journal(self) -> RedoJournal:
         """Create (or retrofit) the WAL and start per-silo redo pumps.
 
         Called automatically from ``__init__`` when ``config.redo_lag > 0``;
-        callable later for deployments that decide after construction.
+        deployments that decide after construction set ``config.redo_lag``
+        and call it.
         """
-        if redo_lag is not None:
-            self.config.redo_lag = redo_lag
         if self.config.redo_lag <= 0:
             raise ValueError("redo_lag must be positive to enable the redo journal")
         if self.redo_journal is None:
@@ -673,11 +692,6 @@ class AodbRuntime:
                     self._redo_pump(silo_id), name=f"redo-pump:{silo_id}"
                 )
         return self.redo_journal
-
-    def _cancel_redo_pump(self, silo_id: str) -> None:
-        pump = self._redo_pumps.pop(silo_id, None)
-        if pump is not None:
-            pump.cancel()
 
     async def _redo_pump(self, silo_id: str) -> None:
         # Every redo_lag window, journal the dirty state of lazily-flushed
@@ -1455,33 +1469,26 @@ class AodbRuntime:
 
     def start(self) -> None:
         """Start background services (collector, reminders, failure detector)."""
-        if self._collector_task is None:
-            self._collector_task = self.scheduler.spawn(
-                self._collector_loop(), name="idle-collector"
-            )
-        if self._reminder_task is None:
-            self._reminder_task = self.scheduler.spawn(
-                self._reminder_loop(), name="reminder-pump"
-            )
-        if self._failure_detector_task is None and self.config.enable_failure_detection:
-            self._failure_detector_task = self.scheduler.spawn(
-                self._failure_detector_loop(), name="failure-detector"
-            )
+        if self._services:
+            return
+        services = [
+            (self._collector_loop, "idle-collector"),
+            (self._reminder_loop, "reminder-pump"),
+        ]
+        if self.config.failure_detection_interval is not None:
+            services.append((self._failure_detector_loop, "failure-detector"))
+        self._services = [
+            self.scheduler.spawn(loop(), name=name) for loop, name in services
+        ]
 
     async def stop(self) -> None:
         """Stop background services and shut every silo down gracefully."""
         if self._stopped:
             return
         self._stopped = True
-        if self._collector_task is not None:
-            self._collector_task.cancel()
-            self._collector_task = None
-        if self._reminder_task is not None:
-            self._reminder_task.cancel()
-            self._reminder_task = None
-        if self._failure_detector_task is not None:
-            self._failure_detector_task.cancel()
-            self._failure_detector_task = None
+        for task in self._services:
+            task.cancel()
+        self._services = []
         for silo_id in list(self._silos):
             await self.shutdown_silo(silo_id)
 
@@ -1523,7 +1530,7 @@ class AodbRuntime:
 
         Eviction is a *view change*, and two safeguards keep it from being
         unilateral: (1) a **quorum gate** — at least
-        ``ceil(members * eviction_quorum)`` of the non-dead membership rows
+        ``ceil(members * EVICTION_QUORUM)`` of the non-dead membership rows
         must still be active, so the suspected minority of a partition can
         never evict the majority (the system store itself is the tiebreak,
         as in lease-based membership protocols); (2) an **epoch CAS** — the
@@ -1538,7 +1545,7 @@ class AodbRuntime:
             for entry in self.system_store.members()
             if self.system_store.status_of(entry.silo_id) != "dead"
         ]
-        required = max(1, math.ceil(len(members) * self.config.eviction_quorum))
+        required = max(1, math.ceil(len(members) * EVICTION_QUORUM))
         for entry in members:
             status = self.system_store.status_of(entry.silo_id)
             if status == "active":
@@ -1594,20 +1601,13 @@ class AodbRuntime:
             and not silo.crashed
             and (silo.quarantined or not self._store_reachable(silo_id))
         )
-        if not zombie:
-            silo = self._silos.pop(silo_id, None)
-            if silo is not None:
-                for activation in silo.activations():
-                    activation.abort(fault)
-                    silo.remove_activation(activation.key)
-                    self.stats.activations_crashed += 1
-                heartbeat = self._heartbeats.pop(silo_id, None)
-                if heartbeat is not None:
-                    heartbeat.cancel()
-                self._cancel_redo_pump(silo_id)
-                self.network.unregister(silo_id)
-                self.metrics.unregister_probes(silo=silo_id)
-        self.system_store.retire(silo_id)
+        if not zombie and silo is not None:
+            # The row is already retired (by the caller's epoch CAS), so
+            # the retire inside _remove_silo changes nothing.
+            lost = self._abort_activations(silo, fault, unregister=False)
+            self.stats.activations_crashed += lost
+            self._stop_silo_services(silo_id)
+            self._remove_silo(silo_id)
         for key in registered:
             if self.directory.lookup(key) == silo_id:
                 self.directory.unregister(key)

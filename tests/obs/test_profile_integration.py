@@ -75,7 +75,6 @@ def test_slo_alert_fires_and_clears_under_injected_silo_crash():
     runtime = AodbRuntime(
         scheduler,
         config=RuntimeConfig(
-            enable_failure_detection=True,
             failure_detection_interval=0.5,
             suspicion_grace=2.0,
         ),

@@ -392,7 +392,8 @@ def test_redo_journal_enabled_after_attach_feeds_the_storage_ring():
     runtime = make_runtime(tracing=False)
     scheduler = runtime.scheduler
     recorder = FlightRecorder(scheduler).attach(runtime)
-    runtime.enable_redo_journal(redo_lag=0.1)
+    runtime.config.redo_lag = 0.1
+    runtime.enable_redo_journal()
 
     async def main():
         await runtime.ref("DurableNote", "n").set("journalled")

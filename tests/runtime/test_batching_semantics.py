@@ -28,8 +28,7 @@ def build_runtime(
     config = RuntimeConfig(
         default_method_cost=method_cost,
         activation_cost=0.0,
-        enable_batching=batching,
-        batch_max_delay=WINDOW,
+        batch_max_delay=WINDOW if batching else None,
         dispatch_overhead_cost=overhead,
     )
     runtime = AodbRuntime(

@@ -43,8 +43,7 @@ def build_runtime(sched, lan, *, cost=0.0, batching=False, tracer=None, silos=1)
     config = RuntimeConfig(
         default_method_cost=cost,
         activation_cost=0.0,
-        enable_batching=batching,
-        batch_max_delay=0.002,
+        batch_max_delay=0.002 if batching else None,
     )
     runtime = AodbRuntime(
         sched,

@@ -267,7 +267,7 @@ def test_group_commit_conflict_surfaces_conditional_check_failure(sched):
 
     store = InMemoryKVStore()
     config = RuntimeConfig(
-        default_method_cost=0.0, activation_cost=0.0, enable_group_commit=True
+        default_method_cost=0.0, activation_cost=0.0, group_commit_max_delay=0.0
     )
     network = Network(sched, lan=ConstantLatency(0.0))
     runtime = AodbRuntime(sched, config=config, grain_storage=store, network=network)

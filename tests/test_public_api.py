@@ -1,6 +1,38 @@
 """The advertised top-level API surface works as documented."""
 
+import dataclasses
+import pathlib
+import re
+
+import pytest
+
 import repro
+from repro.runtime import RuntimeConfig
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Every RuntimeConfig field is a decision some deployment makes
+# differently; a new knob has to argue its way into this set.
+CONFIG_FIELDS = {
+    "default_method_cost",
+    "method_costs",
+    "activation_cost",
+    "idle_timeout",
+    "collection_interval",
+    "copy_messages",
+    "placement_fallback",
+    "reminder_tick",
+    "batch_max_delay",
+    "dispatch_overhead_cost",
+    "group_commit_max_delay",
+    "default_call_deadline",
+    "default_retry_policy",
+    "failure_detection_interval",
+    "suspicion_grace",
+    "redo_lag",
+    "quarantine_on_lease_loss",
+    "seed",
+}
 
 
 def test_version():
@@ -39,9 +71,7 @@ def test_partition_tolerance_surface():
     assert issubclass(FencedWriteError, StorageError)
     assert issubclass(QuarantinedSiloError, SiloUnavailableError)
     config = RuntimeConfig()
-    assert config.enable_fencing is True
     assert config.redo_lag == 0.0
-    assert config.eviction_quorum == 0.5
     assert config.quarantine_on_lease_loss is True
     config.validate()
     config.redo_lag = -1.0
@@ -51,6 +81,39 @@ def test_partition_tolerance_surface():
         pass
     else:  # pragma: no cover - guard
         raise AssertionError("negative redo_lag must be rejected")
+
+
+def test_runtime_config_knob_budget():
+    assert {f.name for f in dataclasses.fields(RuntimeConfig)} == CONFIG_FIELDS
+    assert len(CONFIG_FIELDS) == 18
+
+
+@pytest.mark.parametrize(
+    "name", ["batch_max_delay", "group_commit_max_delay", "failure_detection_interval"]
+)
+def test_optional_windows_validate(name):
+    # None switches the mechanism off; a number is its window.
+    RuntimeConfig(**{name: None}).validate()
+    RuntimeConfig(**{name: 0.5}).validate()
+    with pytest.raises(ValueError):
+        RuntimeConfig(**{name: -1.0}).validate()
+
+
+def test_group_commit_accepts_a_zero_window():
+    # 0.0 is "on": one scheduler round trip, unlike None.
+    RuntimeConfig(group_commit_max_delay=0.0).validate()
+
+
+def test_failure_detection_rejects_a_zero_interval():
+    with pytest.raises(ValueError):
+        RuntimeConfig(failure_detection_interval=0.0).validate()
+
+
+@pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
+def test_docs_name_only_real_config_fields(doc):
+    text = (ROOT / doc).read_text(encoding="utf-8")
+    named = set(re.findall(r"RuntimeConfig\.([A-Za-z_]\w*)", text))
+    assert named <= CONFIG_FIELDS | {"validate"}, sorted(named - CONFIG_FIELDS)
 
 
 def test_subpackages_import():
