@@ -35,7 +35,7 @@ class WindowedCpuLoad:
         self._previous: dict[str, tuple[float, float]] = {}
 
     def observe(self) -> dict[str, float]:
-        """Windowed utilization per live silo (draining/crashed excluded).
+        """Windowed utilization per silo that accepts new activations.
 
         The first observation of a silo (no previous sample) reports its
         cumulative utilization, which is the best estimate available and
@@ -45,7 +45,7 @@ class WindowedCpuLoad:
         loads: dict[str, float] = {}
         seen: set[str] = set()
         for silo in self._runtime.silos():
-            if silo.crashed or silo.draining or silo.stopping:
+            if not silo.accepts_activations:
                 continue
             seen.add(silo.silo_id)
             busy = silo.cpu.busy_seconds

@@ -787,15 +787,16 @@ class AodbRuntime:
 
         Returns True when the activation moved; False when there was
         nothing to move (no live activation, already on the target, or the
-        activation was concurrently closing).  Raises on an unusable target
-        (unknown, crashed, draining, or stopping).
+        activation was concurrently closing).  Raises on a target that does
+        not accept activations (unknown, crashed, quarantined, draining, or
+        stopping).
         """
         try:
             target = self.silo(target_silo_id)
         except SiloUnavailableError:
             self.stats.migration_failures += 1
             raise
-        if target.crashed or target.stopping or target.draining:
+        if not target.accepts_activations:
             self.stats.migration_failures += 1
             raise SiloUnavailableError(
                 f"silo {target_silo_id!r} cannot accept migrations"
@@ -878,10 +879,7 @@ class AodbRuntime:
         others = [
             s
             for s in self._silos.values()
-            if s.silo_id != silo_id
-            and not s.draining
-            and not s.crashed
-            and not s.stopping
+            if s.silo_id != silo_id and s.accepts_activations
         ]
         if not others:
             raise SiloUnavailableError(
@@ -898,9 +896,14 @@ class AodbRuntime:
                 if await self.migrate(activation.key, target.silo_id):
                     migrated += 1
             except SiloUnavailableError:
-                # The chosen target left the cluster mid-drain; retry the
-                # next activation against the survivors.
-                others = [s for s in others if s.silo_id in self._silos]
+                # The chosen target left the cluster (or stopped accepting
+                # activations) mid-drain; retry the next activation against
+                # the survivors.
+                others = [
+                    s
+                    for s in others
+                    if s.silo_id in self._silos and s.accepts_activations
+                ]
                 if not others:
                     break
         self.stats.silos_drained += 1

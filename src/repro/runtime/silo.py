@@ -49,6 +49,15 @@ class Silo:
         # rejoins with a fresh announce once the partition heals.
         self.quarantined = False
 
+    @property
+    def accepts_activations(self) -> bool:
+        """Whether this silo can take new activations (migration targets).
+
+        False while it is crashed, quarantined (it cannot acquire the fences
+        durable grains need), draining or stopping.
+        """
+        return not (self.crashed or self.quarantined or self.draining or self.stopping)
+
     # -- catalog -----------------------------------------------------------------
 
     def add_activation(self, activation: "Activation") -> None:

@@ -207,3 +207,46 @@ def test_zombie_scram_flush_bounces_off_the_fence_floor(sched):
     value, fenced = sched.run_until_complete(main())
     assert value == {"value": "successor"}
     assert fenced >= 1
+
+
+def test_migrate_refuses_a_quarantined_target(sched):
+    # A parked silo cannot acquire fences, so a successor placed there would
+    # fail to activate: the move must be refused before the directory moves.
+    runtime = build(sched, silos=2)
+
+    async def main():
+        ref = runtime.ref("DurableNote", "n")
+        await ref.set("v")
+        source = runtime.directory.lookup(ref.key)
+        target = "silo-2" if source == "silo-1" else "silo-1"
+        await runtime.quarantine_silo(target)
+        with pytest.raises(SiloUnavailableError):
+            await runtime.migrate(ref.key, target)
+        assert runtime.directory.lookup(ref.key) == source
+        return await ref.get()
+
+    assert sched.run_until_complete(main()) == "v"
+    assert runtime.stats.migrations == 0
+    assert runtime.stats.migration_failures == 1
+    assert runtime.stats.activation_failures == 0
+
+
+def test_drain_refuses_when_only_quarantined_peers_remain(sched):
+    runtime = build(sched, silos=2)
+
+    async def main():
+        for name in ("a", "b", "c", "d"):
+            await runtime.ref("DurableNote", name).set(name)
+        await runtime.quarantine_silo("silo-2")
+        hosted = runtime.silo("silo-1").activation_count
+        with pytest.raises(SiloUnavailableError, match="no other active silo"):
+            await runtime.drain_silo("silo-1")
+        return hosted
+
+    hosted = sched.run_until_complete(main())
+    silo = runtime.silo("silo-1")
+    assert not silo.draining
+    assert silo.activation_count == hosted
+    assert runtime.stats.migrations == 0
+    assert runtime.stats.silos_drained == 0
+    assert runtime.stats.activation_failures == 0
