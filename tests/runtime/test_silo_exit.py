@@ -5,8 +5,9 @@ services started, one write-through turn parked on a slow storage put) and
 takes silo-1 out by one exit path.  The recorded values are the schedule's
 fingerprint: kernel event count and final clock, every runtime counter, the
 membership epoch, the probes still labelled with the silo, its directory
-entries and whether its heartbeat and redo pump finished.  A refactor of
-the teardown code must reproduce them exactly.
+entries, and the order in which its heartbeat, its redo pump, the cluster
+services and the parked call finished.  A refactor of the teardown code
+must reproduce them exactly.
 """
 
 from dataclasses import asdict
@@ -45,6 +46,17 @@ class Through(Actor):
 
 def build():
     sched = Scheduler()
+    # Remember every task by name so the test can watch the order in which
+    # silo and cluster services finish.
+    tasks = {}
+    spawn = sched.spawn
+
+    def spawn_named(coro, name=""):
+        task = spawn(coro, name=name)
+        tasks.setdefault(name, task)
+        return task
+
+    sched.spawn = spawn_named
     config = RuntimeConfig(
         default_method_cost=0.0001,
         activation_cost=0.0002,
@@ -65,7 +77,7 @@ def build():
     runtime.pinned_placement.pin_prefix("Lazy/b", "silo-2")
     runtime.pinned_placement.pin_prefix("Through/", "silo-1")
     runtime.start()
-    return sched, runtime
+    return sched, runtime, tasks
 
 
 async def _shutdown(sched, runtime):
@@ -92,6 +104,18 @@ async def _zombie_eviction(sched, runtime):
     assert runtime.evict_dead_silos() == ["silo-1"]
 
 
+async def _healed_zombie_eviction(sched, runtime):
+    # Quarantine off, and the partition heals just before the detector's
+    # pass: the silo is reachable again, so eviction tears it down fully,
+    # live activations and all.
+    runtime.config.quarantine_on_lease_loss = False
+    runtime.network.inject_partitions(
+        PartitionInjector([([{"silo-1"}, {SYSTEM_STORE_ENDPOINT}], 0.0, 6.55)])
+    )
+    await sched.at(6.6)
+    assert runtime.evict_dead_silos() == ["silo-1"]
+
+
 async def _rejoin(sched, runtime):
     await runtime.quarantine_silo("silo-1")
     assert runtime.rejoin_silo("silo-1")
@@ -105,20 +129,34 @@ async def _stop(sched, runtime):
     await runtime.stop()
 
 
+WATCHED = (
+    "heartbeat:silo-1",
+    "redo-pump:silo-1",
+    "idle-collector",
+    "reminder-pump",
+    "failure-detector",
+    "parked-write",
+)
+
+
 def run(exit_path):
-    sched, runtime = build()
-    heartbeat = runtime._heartbeats["silo-1"]
-    pump = runtime._redo_pumps["silo-1"]
+    sched, runtime, tasks = build()
+    finished = []
+
+    def watch(name):
+        tasks[name].future.add_done_callback(lambda _: finished.append(name))
+
+    async def write():
+        return await runtime.ref("Through", "t0").set("parked")
 
     async def main():
         for name in ("a1", "a2", "a3", "b1"):
             await runtime.ref("Lazy", name).set(name)
         await runtime.ref("Through", "t0").set("first")
         await sched.sleep(0.25)  # let the redo pumps journal the dirty state
-        async def write():
-            return await runtime.ref("Through", "t0").set("parked")
-
-        parked = sched.spawn(write())
+        parked = sched.spawn(write(), name="parked-write")
+        for name in WATCHED:
+            watch(name)
         await sched.sleep(0.01)  # the turn now waits on its storage put
         await exit_path(sched, runtime)
         await sched.at(8.0)
@@ -130,6 +168,7 @@ def run(exit_path):
     parked = sched.run_until_complete(main())
     return {
         "parked": parked,
+        "finished": finished,
         "events": sched.events_processed,
         "now": sched.now,
         "stats": {k: v for k, v in asdict(runtime.stats).items() if v},
@@ -138,8 +177,6 @@ def run(exit_path):
         "entries": sorted(
             key.qualified() for key in runtime.directory.entries_on("silo-1")
         ),
-        "heartbeat_done": heartbeat.done(),
-        "pump_done": pump.done(),
     }
 
 
@@ -157,13 +194,12 @@ PROBES_LIVE = PROBES_GONE + [
 EXPECTED = {
     "shutdown": {
         "parked": "parked",
+        "finished": ["parked-write", "heartbeat:silo-1", "redo-pump:silo-1"],
         "events": 312,
         "now": 8.0,
         "epoch": 3,
         "probes": PROBES_GONE,
         "entries": [],
-        "heartbeat_done": True,
-        "pump_done": True,
         "stats": {
             "asks": 6,
             "replies": 6,
@@ -173,13 +209,12 @@ EXPECTED = {
     },
     "crash_detected": {
         "parked": "SiloUnavailableError",
+        "finished": ["parked-write", "heartbeat:silo-1", "redo-pump:silo-1"],
         "events": 294,
         "now": 8.0,
         "epoch": 3,
         "probes": PROBES_GONE,
         "entries": [],
-        "heartbeat_done": True,
-        "pump_done": True,
         "stats": {
             "asks": 6,
             "replies": 5,
@@ -192,13 +227,12 @@ EXPECTED = {
     },
     "crash_silent_then_evict": {
         "parked": "SiloUnavailableError",
+        "finished": ["parked-write", "heartbeat:silo-1", "redo-pump:silo-1"],
         "events": 315,
         "now": 8.0,
         "epoch": 3,
         "probes": PROBES_GONE,
         "entries": [],
-        "heartbeat_done": True,
-        "pump_done": True,
         "stats": {
             "asks": 6,
             "replies": 5,
@@ -213,13 +247,12 @@ EXPECTED = {
     },
     "zombie_eviction": {
         "parked": "parked",
+        "finished": ["parked-write"],
         "events": 516,
         "now": 8.0,
         "epoch": 3,
         "probes": PROBES_LIVE,
         "entries": [],
-        "heartbeat_done": False,
-        "pump_done": False,
         "stats": {
             "asks": 6,
             "replies": 6,
@@ -230,15 +263,32 @@ EXPECTED = {
             "silos_quarantined": 1,
         },
     },
+    "healed_zombie_eviction": {
+        "parked": "parked",
+        "finished": ["parked-write", "heartbeat:silo-1", "redo-pump:silo-1"],
+        "events": 480,
+        "now": 8.0,
+        "epoch": 3,
+        "probes": PROBES_GONE,
+        "entries": [],
+        "stats": {
+            "asks": 6,
+            "replies": 6,
+            "activations_created": 9,
+            "activations_crashed": 4,
+            "silos_suspected": 1,
+            "silos_evicted": 1,
+            "activations_replaced": 4,
+        },
+    },
     "rejoin": {
         "parked": "SiloUnavailableError",
+        "finished": ["parked-write"],
         "events": 501,
         "now": 8.0,
         "epoch": 4,
         "probes": PROBES_LIVE,
         "entries": [],
-        "heartbeat_done": False,
-        "pump_done": False,
         "stats": {
             "asks": 6,
             "replies": 5,
@@ -251,13 +301,12 @@ EXPECTED = {
     },
     "drain": {
         "parked": "parked",
+        "finished": ["parked-write", "heartbeat:silo-1", "redo-pump:silo-1"],
         "events": 336,
         "now": 8.0,
         "epoch": 3,
         "probes": PROBES_GONE,
         "entries": [],
-        "heartbeat_done": True,
-        "pump_done": True,
         "stats": {
             "asks": 6,
             "replies": 6,
@@ -268,13 +317,19 @@ EXPECTED = {
     },
     "stop": {
         "parked": "parked",
+        "finished": [
+            "idle-collector",
+            "reminder-pump",
+            "failure-detector",
+            "parked-write",
+            "heartbeat:silo-1",
+            "redo-pump:silo-1",
+        ],
         "events": 126,
         "now": 8.0,
         "epoch": 4,
         "probes": PROBES_GONE,
         "entries": [],
-        "heartbeat_done": True,
-        "pump_done": True,
         "stats": {
             "asks": 6,
             "replies": 6,
@@ -292,6 +347,7 @@ EXPECTED = {
         _crash_detected,
         _crash_silent_then_evict,
         _zombie_eviction,
+        _healed_zombie_eviction,
         _rejoin,
         _drain,
         _stop,
