@@ -21,6 +21,13 @@ difference of macro runs flaps; each side of this ratio, however, is a
 minimum over repetitions of the same code and converges.  Direct A/B
 runs on a quiet machine agree with the ratio (2–4%, see EXPERIMENTS.md).
 
+The two sides of a ratio are measured *interleaved* (:func:`paired_costs`):
+one numerator rep, then one workload run, round after round, and the best
+of each side is taken over the same span.  Measured in two separate
+bursts, a host that switches speed regime between them skews the ratio by
+the regime change itself (on a shared 2-core VM the recorder budget read
+3.9 %, 4.7 % and 6.1 % in three back-to-back computations that way).
+
 The budget is asserted against the representative workload, not the
 zero-cost ping harness: a do-nothing round trip is ~25µs of pure harness
 work, so *any* per-message instrumentation would dominate it, while a
@@ -96,21 +103,27 @@ def span_lifecycle_cost(iterations: int = 20_000, reps: int = 7) -> float:
     return best
 
 
-def per_message_cost(runs: int = 3) -> float:
-    """Best-case CPU seconds per message of the calibrated workload."""
+def paired_costs(numerator, rounds: int = 7) -> tuple[float, float]:
+    """Best-case ``numerator()`` and per-message CPU seconds, interleaved.
+
+    Each round runs one numerator rep and one calibrated workload run, so
+    both minima are taken over the same stretch of host time.
+    """
     run_workload(tracing=False)  # warm allocator, code objects, caches
-    best = float("inf")
-    for _ in range(runs):
+    best_numerator = best_message = float("inf")
+    for _ in range(rounds):
+        best_numerator = min(best_numerator, numerator())
         elapsed, messages, _runtime = run_workload(tracing=False)
         assert messages > 0
-        best = min(best, elapsed / messages)
-    return best
+        best_message = min(best_message, elapsed / messages)
+    return best_numerator, best_message
 
 
 def test_enabled_tracing_overhead_under_five_percent():
     """Span production costs < 5% of a calibrated message's CPU time."""
-    span_cost = span_lifecycle_cost()
-    message_cost = per_message_cost()
+    span_cost, message_cost = paired_costs(
+        lambda: span_lifecycle_cost(reps=1)
+    )
     overhead = span_cost / message_cost
     assert overhead < 0.05, (
         f"tracing overhead {overhead * 100:.2f}% "
@@ -185,16 +198,17 @@ def test_enabled_profiling_and_health_overhead_under_five_percent():
     fires once per virtual second, amortized over that second's messages),
     divided by the calibrated per-message workload cost.
     """
-    turn_cost = profiler_turn_cost()
-    message_cost = per_message_cost()
     _elapsed, messages, _runtime = run_workload()
     messages_per_virtual_second = messages / DURATION
-    health_per_message = health_eval_cost() / messages_per_virtual_second
-    overhead = (turn_cost + health_per_message) / message_cost
+    added_cost, message_cost = paired_costs(
+        lambda: profiler_turn_cost(reps=1)
+        + health_eval_cost(reps=30) / messages_per_virtual_second
+    )
+    overhead = added_cost / message_cost
     assert overhead < 0.05, (
         f"profiling+health overhead {overhead * 100:.2f}% "
-        f"(turn {turn_cost * 1e6:.2f}µs, health/msg "
-        f"{health_per_message * 1e6:.2f}µs, message {message_cost * 1e6:.2f}µs)"
+        f"(turn + health/msg {added_cost * 1e6:.2f}µs, "
+        f"message {message_cost * 1e6:.2f}µs)"
     )
 
 
@@ -260,13 +274,13 @@ def test_recorder_overhead_under_five_percent():
     root trace (real traces span several messages) plus a journal record
     (most messages touch no hook site).
     """
-    trace_cost = recorder_trace_cost()
-    record_cost = ring_record_cost()
-    message_cost = per_message_cost()
-    overhead = (trace_cost + record_cost) / message_cost
+    recorder_cost, message_cost = paired_costs(
+        lambda: recorder_trace_cost(reps=1) + ring_record_cost(reps=1)
+    )
+    overhead = recorder_cost / message_cost
     assert overhead < 0.05, (
         f"recorder overhead {overhead * 100:.2f}% "
-        f"(trace {trace_cost * 1e6:.2f}µs, record {record_cost * 1e6:.2f}µs, "
+        f"(trace + record {recorder_cost * 1e6:.2f}µs, "
         f"message {message_cost * 1e6:.2f}µs)"
     )
 

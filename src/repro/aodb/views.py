@@ -450,8 +450,42 @@ class ViewRegistry:
             return []
         coalescer = self._coalescer(actor.context.silo_id)
         entity = actor.actor_id
+        # One pass over the points folds the overall stats and every window
+        # definition's buckets, inline: sequential += for the totals (sum()
+        # compensates on Python 3.12+ and would break view == pull parity)
+        # and </> for the extrema (min()/max() treat NaN differently), i.e.
+        # exactly fold_stats(stats, 1, value, value, value) per point.
+        windows = [
+            (definition.window_seconds, {})
+            for definition in definitions
+            if definition.kind == "window"
+        ]
+        floor = math.floor
+        count = 0
+        total = 0.0
+        vmin = math.inf
+        vmax = -math.inf
+        for points in batches.values():
+            for ts, value in points:
+                count += 1
+                total += value
+                if value < vmin:
+                    vmin = value
+                if value > vmax:
+                    vmax = value
+                for width, folds in windows:
+                    bucket = floor(ts / width) * width
+                    stats = folds.get(bucket)
+                    if stats is None:
+                        stats = folds[bucket] = [0, 0.0, math.inf, -math.inf]
+                    stats[0] += 1
+                    stats[1] += value
+                    if value < stats[2]:
+                        stats[2] = value
+                    if value > stats[3]:
+                        stats[3] = value
         tickets: "list[Future[int]]" = []
-        overall: list[float] | None = None
+        window_folds = iter(folds for _width, folds in windows)
         for definition in definitions:
             if definition.group_by is None:
                 group = GLOBAL_GROUP
@@ -459,38 +493,18 @@ class ViewRegistry:
                 group = str(actor.state.get(definition.group_by))
             shard = shard_id(definition.name, group)
             if definition.kind == "window":
-                # Window widths vary per definition, so bucketing cannot
-                # be shared the way the overall fold below is.
-                window_folds: dict[float, list[float]] = {}
-                width = definition.window_seconds
-                for points in batches.values():
-                    for ts, value in points:
-                        bucket = math.floor(ts / width) * width
-                        stats = window_folds.get(bucket)
-                        if stats is None:
-                            stats = window_folds[bucket] = empty_stats()
-                        fold_stats(stats, 1, value, value, value)
-                for bucket in sorted(window_folds):
-                    stats = window_folds[bucket]
+                folds = next(window_folds)
+                for bucket in sorted(folds):
+                    stats = folds[bucket]
                     tickets.append(
                         coalescer.emit(
                             shard, group, entity, bucket,
-                            int(stats[0]), stats[1], stats[2], stats[3],
+                            stats[0], stats[1], stats[2], stats[3],
                         )
                     )
-            else:
-                if overall is None:
-                    overall = empty_stats()
-                    for points in batches.values():
-                        for _ts, value in points:
-                            fold_stats(overall, 1, value, value, value)
-                if not overall[0]:
-                    continue
+            elif count:
                 tickets.append(
-                    coalescer.emit(
-                        shard, group, entity, 0.0,
-                        int(overall[0]), overall[1], overall[2], overall[3],
-                    )
+                    coalescer.emit(shard, group, entity, 0.0, count, total, vmin, vmax)
                 )
         return tickets
 
@@ -509,9 +523,7 @@ class ViewRegistry:
         return coalescer
 
     def _make_send(self, silo_id: str):
-        async def send(
-            shard: str, stream: str, seq: int, entries: list
-        ) -> Any:
+        def send(shard: str, stream: str, seq: int, entries: list) -> "Future[Any]":
             runtime = self.database.runtime
             tracer = runtime.tracer
             started = runtime.scheduler.now
@@ -524,33 +536,39 @@ class ViewRegistry:
             if recorder is not None:
                 recorder.views.record("view-flush", shard, f"#{seq} x{len(entries)}")
             ref = runtime.ref(VIEW_ACTOR_TYPE, shard, caller_endpoint=silo_id)
-            try:
-                result = await ref.ask(
-                    "apply_deltas",
-                    stream,
-                    seq,
-                    list(entries),
-                    deadline=self.call_deadline,
-                    retry=self.call_retry,
-                )
-            except Exception as exc:
-                self.failed_flushes += 1
-                if recorder is not None:
-                    recorder.views.record("view-flush-failed", shard, repr(exc))
+            reply = ref.ask(
+                "apply_deltas",
+                stream,
+                seq,
+                list(entries),
+                deadline=self.call_deadline,
+                retry=self.call_retry,
+            )
+
+            def folded(reply: "Future[Any]") -> None:
+                # Registered first, so it runs before the coalescer settles
+                # the flush's tickets.
+                now = runtime.scheduler.now
+                try:
+                    result = reply.result()
+                except Exception as exc:
+                    self.failed_flushes += 1
+                    if recorder is not None:
+                        recorder.views.record("view-flush-failed", shard, repr(exc))
+                    if span is not None:
+                        tracer.finish(span, now, "error", repr(exc))
+                    return
                 if span is not None:
-                    tracer.finish(
-                        span, runtime.scheduler.now, "error", repr(exc)
-                    )
-                raise
-            if span is not None:
-                tracer.finish(span, runtime.scheduler.now)
-            if self._fold_seconds is not None:
-                self._fold_seconds.observe(runtime.scheduler.now - started)
-            if result.get("duplicate"):
-                self.duplicate_flushes += 1
-                if recorder is not None:
-                    recorder.views.record("view-flush-duplicate", shard, f"#{seq}")
-            return result
+                    tracer.finish(span, now)
+                if self._fold_seconds is not None:
+                    self._fold_seconds.observe(now - started)
+                if result.get("duplicate"):
+                    self.duplicate_flushes += 1
+                    if recorder is not None:
+                        recorder.views.record("view-flush-duplicate", shard, f"#{seq}")
+
+            reply.add_done_callback(folded)
+            return reply
 
         return send
 

@@ -11,8 +11,8 @@ batched intra-actor execution; TritanDB's write batching).
 Correctness properties the runtime relies on (regression-tested):
 
 - **Per-sender FIFO.** Envelopes on one path depart and *land* in FIFO
-  order (a flush waits for its predecessor's delivery before releasing its
-  members), and members land in join order, so two messages from the
+  order (a landing waits for its predecessor's delivery before releasing
+  its members), and members land in join order, so two messages from the
   same sender to the same actor can never reorder.
 - **Per-message policies.** The batcher only delays *delivery*; deadlines,
   retries and tracing all stay attached to individual invocations.  A
@@ -23,26 +23,62 @@ Correctness properties the runtime relies on (regression-tested):
   window *adapts*: after two consecutive single-message envelopes on a path
   (traffic too sparse to coalesce), further messages depart immediately
   until coalescing resumes, so idle paths pay no batching latency at all.
+
+No task carries an envelope.  Its window is a ``scheduler.sleep`` future
+whose only done-callback is the envelope itself: the timer's event seals
+and plans it, and the wire timer's event lands it.  A wait on the
+predecessor is one more done-callback, on its ``delivered`` future, which
+lands the envelope in the next ready event so that a long chain of waiting
+envelopes never nests.  A windowed envelope with wire delay costs two
+kernel events, one per timer, and an exception raised by ``land``
+propagates out of the run like one from any other timer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
-from ..kernel.futures import Future
+from ..kernel.futures import _PENDING, Future
 from ..kernel.scheduler import Scheduler
 from .network import Network
 
 
-@dataclass
-class _OpenEnvelope:
-    """One forming batch on a (source, target) path."""
+class _Envelope:
+    """One batch on a (source, target) path, and every callback it needs.
 
-    #: ``(member, joined_at)`` in join order.
-    members: list[tuple[tuple, float]] = field(default_factory=list)
-    opened_at: float = 0.0
-    departed: bool = False
+    It is the done-callback of its window timer (depart), of its wire timer
+    (land) and, under latency inversion, of its predecessor's ``delivered``
+    (land in a ready event of its own).
+    """
+
+    __slots__ = ("batcher", "pair", "members", "departed", "window", "previous",
+                 "delivered")
+
+    def __init__(self, batcher: "EnvelopeBatcher", pair: tuple[str, str]) -> None:
+        self.batcher = batcher
+        self.pair = pair
+        #: ``(member, joined_at)`` in join order.
+        self.members: list[tuple[tuple, float]] = []
+        self.departed = False
+        self.window: Future[None] | None = None
+        self.previous: Future[None] | None = None
+        self.delivered: Future[None] | None = None
+
+    def __call__(self, future: Future[None]) -> None:
+        batcher = self.batcher
+        if future is self.window:
+            # The door closes; after a size-bound seal it finds the envelope
+            # gone already and does nothing.
+            if not self.departed:
+                batcher._seal(self)
+                batcher._depart(self)
+        elif future is self.previous:
+            # The predecessor just landed.  Landing here would nest one
+            # stack frame chain per waiting envelope (a long latency
+            # inversion queues hundreds), so land in the next ready event.
+            batcher.scheduler._call_soon(batcher._land, self)
+        else:
+            batcher._land(self)
 
 
 #: Consecutive single-message envelopes after which a path is considered
@@ -83,13 +119,13 @@ class EnvelopeBatcher:
             raise ValueError("max_delay must be >= 0")
         self.network = network
         self.scheduler = scheduler
-        self._land = land
+        self._land_member = land
         self._fail = fail
         self.max_size = max_size
         self.max_delay = max_delay
-        self._open: dict[tuple[str, str], _OpenEnvelope] = {}
-        # FIFO chain per path: each flush awaits the previous envelope's
-        # delivery before landing its own members.
+        self._open: dict[tuple[str, str], _Envelope] = {}
+        # FIFO chain per path: each envelope lands only after the previous
+        # envelope's delivery.
         self._last_delivered: dict[tuple[str, str], Future[None]] = {}
         self._solo_streak: dict[tuple[str, str], int] = {}
         self.flushes = 0
@@ -106,21 +142,16 @@ class EnvelopeBatcher:
         envelope hands back nothing.
         """
         pair = (source, target)
-        joined_at = self.scheduler.now
         envelope = self._open.get(pair)
         fresh = envelope is None
         if fresh:
-            envelope = _OpenEnvelope(opened_at=joined_at)
-            self._open[pair] = envelope
-        envelope.members.append((member, joined_at))
+            envelope = self._open[pair] = _Envelope(self, pair)
+        envelope.members.append((member, self.scheduler.now))
         if len(envelope.members) >= self.max_size:
-            # Size bound hit: seal and ship on a fresh task (the door timer,
-            # if one started, finds ``departed`` set and does nothing).
-            self._seal(pair, envelope)
-            self.scheduler.spawn(
-                self._deliver(pair, envelope),
-                name=f"envelope-full:{source}->{target}",
-            )
+            # Size bound hit: seal and ship now (the door timer, if one
+            # started, finds ``departed`` set and does nothing).
+            self._seal(envelope)
+            self._depart(envelope)
         elif fresh:
             delay = self.max_delay
             streak = self._solo_streak.get(pair, 0)
@@ -130,30 +161,18 @@ class EnvelopeBatcher:
             ):
                 # Sparse path: recent envelopes never coalesced, so holding
                 # the door open only adds latency.  Depart immediately —
-                # except on probe envelopes, which re-test the path.
+                # except on probe envelopes, which re-test the path.  A zero
+                # window is still one timer, so every message sent at this
+                # same virtual instant makes the envelope.
                 delay = 0.0
                 self.immediate_flushes += 1
-            self.scheduler.spawn(
-                self._depart_after(pair, envelope, delay),
-                name=f"envelope:{source}->{target}",
-            )
+            envelope.window = window = self.scheduler.sleep(delay)
+            window._cb0 = envelope
 
-    async def _depart_after(
-        self, pair: tuple[str, str], envelope: _OpenEnvelope, delay: float
-    ) -> None:
-        if delay > 0:
-            await self.scheduler.sleep(delay)
-        else:
-            # Round-trip through the scheduler once so every message sent
-            # at this same virtual instant still makes the envelope.
-            await self.scheduler.sleep(0)
-        if not envelope.departed:
-            self._seal(pair, envelope)
-            await self._deliver(pair, envelope)
-
-    def _seal(self, pair: tuple[str, str], envelope: _OpenEnvelope) -> None:
+    def _seal(self, envelope: _Envelope) -> None:
         """Close the envelope; the next message on this path starts a new one."""
         envelope.departed = True
+        pair = envelope.pair
         if self._open.get(pair) is envelope:
             del self._open[pair]
         if len(envelope.members) <= 1:
@@ -161,8 +180,10 @@ class EnvelopeBatcher:
         else:
             self._solo_streak[pair] = 0
 
-    async def _deliver(self, pair: tuple[str, str], envelope: _OpenEnvelope) -> None:
+    def _depart(self, envelope: _Envelope) -> None:
+        """Commit the sealed envelope to the wire; land it when it arrives."""
         self.flushes += 1
+        pair = envelope.pair
         cohort = len(envelope.members)
         histogram = self.cohort_histogram
         if histogram is not None:
@@ -170,8 +191,8 @@ class EnvelopeBatcher:
         recorder = self.scheduler.recorder
         if recorder is not None:
             recorder.net.record("envelope", pair[1], cohort)
-        previous = self._last_delivered.get(pair)
-        delivered: Future[None] = Future("delivered")
+        envelope.previous = self._last_delivered.get(pair)
+        envelope.delivered = delivered = Future("delivered")
         self._last_delivered[pair] = delivered
         try:
             delay = self.network.plan_envelope(pair[0], pair[1], cohort)
@@ -190,13 +211,22 @@ class EnvelopeBatcher:
             delivered.set_result(None)
             return
         if delay > 0:
-            await self.scheduler.sleep(delay)
-        if previous is not None and not previous.done():
+            self.scheduler.sleep(delay)._cb0 = envelope
+        else:
+            self._land(envelope)
+
+    def _land(self, envelope: _Envelope) -> None:
+        """Hand every member back, in join order, once the predecessor has."""
+        previous = envelope.previous
+        if previous is not None and previous._state is _PENDING:
             # Keep per-path FIFO even under stochastic latency: never
             # release this envelope before its predecessor delivered.
-            await previous
+            previous.add_done_callback(envelope)
+            return
         now = self.scheduler.now
-        land = self._land
-        for member, joined_at in envelope.members:
+        members = envelope.members
+        cohort = len(members)
+        land = self._land_member
+        for member, joined_at in members:
             land(*member, now - joined_at, cohort)
-        delivered.set_result(None)
+        envelope.delivered.set_result(None)

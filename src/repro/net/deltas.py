@@ -23,6 +23,12 @@ idea the ingest dedup path uses:
   A lost message surfaces as a retry of the *flush* (idempotent by
   sequence), never as a silently diverged view.
 
+No task carries a flush.  A buffer's window is a ``scheduler.sleep``
+future whose only done-callback is the buffer itself: the timer's event
+seals it and sends it, a wait on the predecessor's ack is a done-callback
+on that ``acked`` future, and the flush's reply settles the tickets from a
+done-callback on the future ``send`` returned.
+
 The module is pure mechanism: it knows nothing about actors or view
 definitions.  The aodb layer (:mod:`repro.aodb.views`) supplies the
 ``send`` callable that turns a flush into an actor invocation.
@@ -30,41 +36,102 @@ definitions.  The aodb layer (:mod:`repro.aodb.views`) supplies the
 
 from __future__ import annotations
 
-from typing import Any, Awaitable, Callable
+from typing import Any, Callable
 
-from ..kernel.futures import Future
+from ..kernel.futures import _PENDING, _RESOLVED, Future, failed
 from ..kernel.scheduler import Scheduler
 
 #: One buffered delta row on the wire:
 #: ``(group, entity, bucket, count, total, vmin, vmax)``.
 DeltaEntry = tuple[str, str, float, int, float, float, float]
 
-#: ``send(shard_id, stream_id, seq, entries)`` delivers one flush and
-#: resolves when the shard acked the fold (raising on definitive failure).
-SendFn = Callable[[str, str, int, list[DeltaEntry]], Awaitable[Any]]
+#: ``send(shard_id, stream_id, seq, entries)`` delivers one flush and returns
+#: a future that resolves when the shard acked the fold (and rejects on
+#: definitive failure).
+SendFn = Callable[[str, str, int, list[DeltaEntry]], Future[Any]]
 
 
 class _OpenBuffer:
-    """Deltas accumulating toward one shard, keyed for mergeability."""
+    """Deltas accumulating toward one shard, keyed for mergeability.
+
+    The buffer is its window timer's done-callback; :meth:`ship` and
+    :meth:`settle` are the callbacks of its predecessor's ack and of its
+    own flush reply.
+    """
 
     __slots__ = (
-        "entries", "members", "opened_at", "departed", "raw_deltas",
-        "seq", "previous", "acked",
+        "coalescer", "shard_id", "entries", "members", "departed",
+        "raw_deltas", "seq", "previous", "acked",
     )
 
-    def __init__(self, opened_at: float) -> None:
+    def __init__(self, coalescer: "DeltaCoalescer", shard_id: str) -> None:
+        self.coalescer = coalescer
+        self.shard_id = shard_id
         # (group, entity, bucket) -> [count, total, vmin, vmax]
         self.entries: dict[tuple[str, str, float], list[float]] = {}
         # (ticket, emitted_at) per contributing emit call.
         self.members: list[tuple[Future[int], float]] = []
-        self.opened_at = opened_at
         self.departed = False
         self.raw_deltas = 0
-        # Claimed synchronously at seal time (see _seal), so stream order
-        # is fixed before any flush task runs.
+        # Claimed synchronously at seal time (see DeltaCoalescer._seal), so
+        # stream order is fixed before any flush departs.
         self.seq = 0
         self.previous: Future[None] | None = None
         self.acked: Future[None] | None = None
+
+    def __call__(self, _window: Future[None]) -> None:
+        """The window closed: seal, unless the key bound already did."""
+        if not self.departed:
+            self.coalescer._seal(self)
+            self.depart()
+
+    def depart(self) -> None:
+        """Send now, or once the predecessor flush on the stream is acked."""
+        previous = self.previous
+        if previous is not None and previous._state is _PENDING:
+            # In-order delivery per stream: the shard's watermark dedup is
+            # only sound because sequence N+1 never overtakes N.
+            previous.add_done_callback(self.ship)
+            return
+        self.ship(None)
+
+    def ship(self, _previous: Future[None] | None) -> None:
+        """Ship the sealed buffer: sequenced, settled by the reply."""
+        coalescer = self.coalescer
+        entries: list[DeltaEntry] = [
+            (group, entity, bucket, int(stats[0]), stats[1], stats[2], stats[3])
+            for (group, entity, bucket), stats in sorted(self.entries.items())
+        ]
+        coalescer._inflight.setdefault(self.shard_id, []).extend(self.members)
+        coalescer.flushes += 1
+        try:
+            reply = coalescer.send(self.shard_id, coalescer.source, self.seq, entries)
+        except Exception as exc:  # noqa: BLE001 - a send that cannot start
+            reply = failed(exc)
+        reply.add_done_callback(self.settle)
+
+    def settle(self, reply: Future[Any]) -> None:
+        """The flush was acked (or failed for good): resolve every ticket
+        aboard and release the stream's chain."""
+        coalescer = self.coalescer
+        inflight = coalescer._inflight[self.shard_id]
+        for member in self.members:
+            inflight.remove(member)
+        if reply._state is _RESOLVED:
+            self.acked.set_result(None)
+            cohort = self.raw_deltas
+            for ticket, _emitted_at in self.members:
+                if ticket._state is _PENDING:
+                    ticket.set_result(cohort)
+            return
+        coalescer.flush_failures += 1
+        try:
+            reply.result()
+        except Exception as exc:
+            for ticket, _emitted_at in self.members:
+                if ticket._state is _PENDING:
+                    ticket.set_exception(exc)
+        self.acked.set_result(None)
 
 
 class DeltaCoalescer:
@@ -117,13 +184,11 @@ class DeltaCoalescer:
         deltas shared the flush), mirroring the envelope batcher's ticket.
         """
         self.deltas_emitted += 1
-        now = self.scheduler.now
         ticket: Future[int] = Future("view-delta")
         buffer = self._open.get(shard_id)
         fresh = buffer is None
         if fresh:
-            buffer = _OpenBuffer(opened_at=now)
-            self._open[shard_id] = buffer
+            buffer = self._open[shard_id] = _OpenBuffer(self, shard_id)
         buffer.raw_deltas += 1
         key = (group, entity, bucket)
         entry = buffer.entries.get(key)
@@ -136,33 +201,23 @@ class DeltaCoalescer:
                 entry[2] = vmin
             if vmax > entry[3]:
                 entry[3] = vmax
-        buffer.members.append((ticket, now))
+        buffer.members.append((ticket, self.scheduler.now))
         if len(buffer.entries) >= self.max_keys:
-            self._seal(shard_id, buffer)
-            self.scheduler.spawn(
-                self._flush(shard_id, buffer), name=f"view-flush:{shard_id}"
-            )
+            # Key bound hit: seal and send now (the window timer, if one
+            # started, finds ``departed`` set and does nothing).
+            self._seal(buffer)
+            buffer.depart()
         elif fresh:
-            self.scheduler.spawn(
-                self._depart_after(shard_id, buffer),
-                name=f"view-window:{shard_id}",
-            )
+            # A zero window is still one timer, so same-instant emissions
+            # coalesce.
+            self.scheduler.sleep(self.max_delay)._cb0 = buffer
         return ticket
 
-    async def _depart_after(self, shard_id: str, buffer: _OpenBuffer) -> None:
-        if self.max_delay > 0:
-            await self.scheduler.sleep(self.max_delay)
-        else:
-            # One scheduler round trip so same-instant emissions coalesce.
-            await self.scheduler.sleep(0)
-        if not buffer.departed:
-            self._seal(shard_id, buffer)
-            await self._flush(shard_id, buffer)
-
-    def _seal(self, shard_id: str, buffer: _OpenBuffer) -> None:
+    def _seal(self, buffer: _OpenBuffer) -> None:
         """Close the buffer and claim its slot in the stream — synchronously,
-        so sequence order matches seal order no matter when flush tasks run."""
+        so sequence order matches seal order no matter when flushes depart."""
         buffer.departed = True
+        shard_id = buffer.shard_id
         if self._open.get(shard_id) is buffer:
             del self._open[shard_id]
         buffer.seq = self._sequences.get(shard_id, 0) + 1
@@ -170,40 +225,6 @@ class DeltaCoalescer:
         buffer.previous = self._last_acked.get(shard_id)
         buffer.acked = Future("view-flush-acked")
         self._last_acked[shard_id] = buffer.acked
-
-    async def _flush(self, shard_id: str, buffer: _OpenBuffer) -> None:
-        """Ship one sealed buffer: chained, sequenced, acked."""
-        previous = buffer.previous
-        acked = buffer.acked
-        assert acked is not None
-        if previous is not None and not previous.done():
-            # In-order delivery per stream: the shard's watermark dedup is
-            # only sound because sequence N+1 never overtakes N.
-            await previous
-        seq = buffer.seq
-        entries: list[DeltaEntry] = [
-            (group, entity, bucket, int(stats[0]), stats[1], stats[2], stats[3])
-            for (group, entity, bucket), stats in sorted(buffer.entries.items())
-        ]
-        inflight = self._inflight.setdefault(shard_id, [])
-        inflight.extend(buffer.members)
-        self.flushes += 1
-        cohort = buffer.raw_deltas
-        try:
-            await self.send(shard_id, self.source, seq, entries)
-        except Exception as exc:
-            self.flush_failures += 1
-            for ticket, _emitted_at in buffer.members:
-                if not ticket.done():
-                    ticket.set_exception(exc)
-            return
-        finally:
-            for member in buffer.members:
-                inflight.remove(member)
-            acked.set_result(None)
-        for ticket, _emitted_at in buffer.members:
-            if not ticket.done():
-                ticket.set_result(cohort)
 
     # -- introspection ---------------------------------------------------------
 

@@ -158,14 +158,15 @@ class HealthMonitor:
     # -- rule evaluation --------------------------------------------------------
 
     def _observe(
-        self, rule: SloRule, snapshot: dict[str, Any], now: float
+        self, rule: SloRule, samples: "list[Any] | tuple", now: float
     ) -> float | None:
-        """The rule's current value, or None when it cannot be evaluated."""
+        """The rule's current value, or None when it cannot be evaluated.
+
+        ``samples`` are the snapshot values of the rule's metric, one per
+        label set, in snapshot order.
+        """
         values: list[float] = []
-        for key, value in snapshot.items():
-            name = key.split("{", 1)[0]
-            if name != rule.metric:
-                continue
+        for value in samples:
             if isinstance(value, dict):
                 if rule.value_field is None:
                     continue
@@ -199,11 +200,19 @@ class HealthMonitor:
     def evaluate(self, now: float) -> list[Alert]:
         """One evaluation pass; returns the alerts it emitted (if any)."""
         self.evaluations += 1
-        snapshot = self.registry.snapshot()
+        # Group the snapshot by bare metric name once, not once per rule.
+        by_metric: dict[str, list[Any]] = {}
+        for key, value in self.registry.snapshot().items():
+            name = key.split("{", 1)[0]
+            samples = by_metric.get(name)
+            if samples is None:
+                by_metric[name] = [value]
+            else:
+                samples.append(value)
         emitted: list[Alert] = []
         for rule in self.rules:
             state = self._states[rule.name]
-            value = self._observe(rule, snapshot, now)
+            value = self._observe(rule, by_metric.get(rule.metric, ()), now)
             if value is None:
                 continue  # metric absent (or no rate yet): no verdict
             state.last_value = value

@@ -191,16 +191,18 @@ class _LatencyReservoir:
     """
 
     __slots__ = ("size", "count", "refresh", "_samples", "_state", "_p99",
-                 "_since_refresh")
+                 "downsampled")
 
     def __init__(self, size: int, seed: int, refresh: int = 32) -> None:
         self.size = size
         self.count = 0
-        self.refresh = refresh
+        # The estimate goes stale every ``refresh``-th observation.
+        self.refresh = max(1, refresh)
         self._samples: list[float] = []
         self._state = (seed * 2862933555777941757 + 3037000493) & _MASK64
         self._p99: float | None = None
-        self._since_refresh = 0
+        #: Traces of this kind scored and dropped (not retained).
+        self.downsampled = 0
 
     def observe(self, value: float) -> None:
         count = self.count + 1
@@ -214,11 +216,8 @@ class _LatencyReservoir:
             j = state % count
             if j < size:
                 self._samples[j] = value
-        since = self._since_refresh + 1
-        if since >= self.refresh:
-            since = 0
+        if count % self.refresh == 0:
             self._p99 = None  # recompute lazily on next read
-        self._since_refresh = since
 
     def p99(self) -> float:
         estimate = self._p99
@@ -364,7 +363,6 @@ class FlightRecorder:
         self._reservoirs: dict[str, _LatencyReservoir] = {}
         self.completed_traces = 0
         self.downsampled_traces = 0
-        self.downsampled_by_kind: dict[str, int] = {}
         self.retained_evicted = 0
         self.postmortems: list[Postmortem] = []
         self.postmortems_dropped = 0
@@ -405,14 +403,15 @@ class FlightRecorder:
 
     def on_root_finish(self, root: "Span", now: float) -> None:
         """Tracer callback: score a completed root trace; retain or drop."""
-        children = self._inflight.pop(root.trace_id, None)
-        spans = [root] if children is None else [root, *children]
+        inflight = self._inflight
+        children = inflight.pop(root.trace_id, None) if inflight else None
         self.completed_traces += 1
         kind = root.kind
         reservoir = self._reservoirs.get(kind)
-        duration = root.end - root.start
-        reason = self._score(root, spans, reservoir, duration)
         if reservoir is None:
+            # Created empty before scoring: an empty reservoir never passes
+            # the p99 predicate, so the first trace of a kind scores as if
+            # there were none.
             reservoir = _LatencyReservoir(
                 self.config.reservoir_size,
                 # Per-kind seed by creation order: deterministic for a
@@ -421,27 +420,38 @@ class FlightRecorder:
                 self.config.p99_refresh,
             )
             self._reservoirs[kind] = reservoir
+        duration = root.end - root.start
+        reason = self._score(root, children, reservoir, duration)
         if reason is None:
             self.downsampled_traces += 1
-            by_kind = self.downsampled_by_kind
-            by_kind[kind] = by_kind.get(kind, 0) + 1
+            reservoir.downsampled += 1
         else:
+            spans = [root] if children is None else [root, *children]
             self._retain(root, spans, reason, now)
         # Feed the latency reservoir *after* scoring so the p99 predicate
         # compares against history, not against the sample being judged.
         reservoir.observe(duration)
 
+    @property
+    def downsampled_by_kind(self) -> dict[str, int]:
+        """Downsampled (not retained) root traces per span kind."""
+        return {
+            kind: reservoir.downsampled
+            for kind, reservoir in self._reservoirs.items()
+            if reservoir.downsampled
+        }
+
     def _score(
         self,
         root: "Span",
-        spans: list,
-        reservoir: _LatencyReservoir | None,
+        children: list | None,
+        reservoir: _LatencyReservoir,
         duration: float,
     ) -> str | None:
         """The retention verdict: a reason string, or None to downsample."""
         if root.status != "ok":
             return f"status:{root.status}"
-        for span in spans:
+        for span in (root,) if children is None else (root, *children):
             if span.error or span.attempt > 0:
                 return "span-error"
             if span.status not in ("ok", "open"):
@@ -449,12 +459,10 @@ class FlightRecorder:
             if span.kind in ANOMALY_KINDS:
                 return f"anomaly:{span.kind}"
         config = self.config
-        if (
-            reservoir is not None
-            and reservoir.count >= config.min_latency_samples
-            and duration > reservoir.p99()
-        ):
-            return f"p99:{root.kind}"
+        if reservoir.count >= config.min_latency_samples:
+            p99 = reservoir._p99  # the cached estimate, else recompute
+            if duration > (reservoir.p99() if p99 is None else p99):
+                return f"p99:{root.kind}"
         rate = config.tail_keep_rate
         if rate > 0.0:
             interval = max(1, round(1.0 / rate))
@@ -625,7 +633,6 @@ class FlightRecorder:
         self._reservoirs.clear()
         self.completed_traces = 0
         self.downsampled_traces = 0
-        self.downsampled_by_kind.clear()
         self.retained_evicted = 0
         self.postmortems.clear()
         self.postmortems_dropped = 0

@@ -13,6 +13,13 @@ the batch landed in the store, so a write-through ack still means durable,
 and under ``crash_silo`` an unflushed write is lost exactly like a write the
 crashed silo never issued (the caller never got its ack).  Per-entry
 conditional-check failures surface on exactly the caller that conflicted.
+
+No task carries a window.  The window is a ``scheduler.sleep`` future whose
+only done-callback is the writer's ``_close_window``, and a flush steps its
+``put_many`` coroutine eagerly inside the event that sealed the batch: a
+store that answers synchronously (``InMemoryKVStore``) costs no task at
+all, and one that suspends (a provisioned store's round trip) is handed to
+:meth:`Scheduler.adopt`, whose last step settles the tickets.
 """
 
 from __future__ import annotations
@@ -68,27 +75,23 @@ class GroupCommitWriter:
         if len(self._pending) >= self.max_batch:
             batch = self._pending
             self._pending = []
-            self.scheduler.spawn(self._flush(batch), name="groupcommit-full")
+            self._flush(batch)
         elif not self._window_open:
             self._window_open = True
-            self.scheduler.spawn(self._window(), name="groupcommit-window")
-        return ticket
-
-    async def _window(self) -> None:
-        if self.max_delay > 0:
-            await self.scheduler.sleep(self.max_delay)
-        else:
-            # One trip through the scheduler: every flush issued at this
+            # A zero window is still one timer: every flush issued at this
             # same virtual instant (one scheduler turn's worth of writes)
             # joins the batch, and nothing waits longer than "now".
-            await self.scheduler.sleep(0)
+            self.scheduler.sleep(self.max_delay)._cb0 = self._close_window
+        return ticket
+
+    def _close_window(self, _window: Future[None]) -> None:
         self._window_open = False
         batch = self._pending
         self._pending = []
         if batch:
-            await self._flush(batch)
+            self._flush(batch)
 
-    async def _flush(
+    def _flush(
         self, batch: list[tuple[str, Any, int | None, int | None, Future[int]]]
     ) -> None:
         self.batches += 1
@@ -100,6 +103,17 @@ class GroupCommitWriter:
         if size > 1:
             self.batched_writes += size
             self.round_trips_saved += size - 1
+        commit = self._commit(batch)
+        try:
+            yielded = commit.send(None)
+        except StopIteration:
+            return  # the store answered without waiting
+        self.scheduler.adopt(commit, yielded)
+
+    async def _commit(
+        self, batch: list[tuple[str, Any, int | None, int | None, Future[int]]]
+    ) -> None:
+        """One ``put_many`` round trip, then every ticket settled."""
         try:
             results = await self.store.put_many(
                 [(key, value, etag, fence) for key, value, etag, fence, _t in batch]

@@ -231,3 +231,56 @@ def test_constructor_validation(sched, net, landings):
         make_batcher(net, sched, landings, max_size=0)
     with pytest.raises(ValueError):
         make_batcher(net, sched, landings, max_delay=-0.1)
+
+
+def test_a_raising_land_surfaces_instead_of_wedging_the_path(sched, net):
+    """An error from ``land`` propagates out of the run, like one from the
+    unbatched arrival timer, instead of silently parking the path."""
+    landed = []
+
+    def land(member, elapsed, cohort):
+        if member == "first":
+            raise RuntimeError("land failed")
+        landed.append(member)
+
+    batcher = EnvelopeBatcher(
+        net, sched, land, lambda *args: None, max_size=4, max_delay=WINDOW
+    )
+    for name in ("first", "second", "third"):
+        batcher.join("client", "silo-a", (name,))
+    with pytest.raises(RuntimeError, match="land failed"):
+        sched.drain()
+    assert landed == []
+
+
+def test_windowed_envelope_costs_two_events_and_no_task(
+    sched, net, landings, monkeypatch
+):
+    """Window timer + wire timer: departure and landing run inside them."""
+    spawned = []
+    monkeypatch.setattr(sched, "spawn", lambda coro, name="": spawned.append(name))
+    net.set_path_latency("client", "silo-a", ConstantLatency(0.0005))
+    batcher = make_batcher(net, sched, landings, max_size=4, max_delay=WINDOW)
+    batcher.join("client", "silo-a", ("first",))
+    batcher.join("client", "silo-a", ("second",))
+    sched.drain()
+    assert landings.cohorts() == [2, 2]
+    assert sched.events_processed == 2
+    assert spawned == []
+
+
+def test_a_long_latency_inversion_lands_in_order(sched, net, landings):
+    """Thousands of envelopes queued behind one slow predecessor land in
+    FIFO order without nesting a call per waiting envelope."""
+    slow = [True]
+
+    class OneSlowSample:
+        def sample(self, rng):
+            return 5.0 if slow and slow.pop() else LAN
+
+    net.set_path_latency("client", "silo-a", OneSlowSample())
+    batcher = make_batcher(net, sched, landings, max_size=1, max_delay=WINDOW)
+    for index in range(3000):
+        batcher.join("client", "silo-a", (index,))
+    sched.drain()
+    assert landings.members() == list(range(3000))

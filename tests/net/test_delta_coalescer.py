@@ -3,11 +3,16 @@
 import pytest
 
 from repro.kernel import Scheduler
+from repro.kernel.futures import Future, completed, failed
 from repro.net.deltas import DeltaCoalescer
 
 
 class RecordingSend:
-    """Captures flushes; optionally delays or fails per call."""
+    """Captures flushes; optionally delays or fails per call.
+
+    Follows the coalescer's send contract: return a future that resolves
+    with the shard's ack (after ``delay`` virtual seconds) or rejects.
+    """
 
     def __init__(self, scheduler, delay=0.0):
         self.scheduler = scheduler
@@ -15,14 +20,23 @@ class RecordingSend:
         self.calls = []
         self.fail_next = False
 
-    async def __call__(self, shard_id, stream_id, seq, entries):
+    def __call__(self, shard_id, stream_id, seq, entries):
         if self.fail_next:
             self.fail_next = False
-            raise RuntimeError("injected flush failure")
-        if self.delay:
-            await self.scheduler.sleep(self.delay)
-        self.calls.append((shard_id, stream_id, seq, list(entries)))
-        return {"applied": sum(e[3] for e in entries), "duplicate": False}
+            return failed(RuntimeError("injected flush failure"))
+        call = (shard_id, stream_id, seq, list(entries))
+        ack = {"applied": sum(e[3] for e in entries), "duplicate": False}
+        if not self.delay:
+            self.calls.append(call)
+            return completed(ack)
+        reply = Future("flush-reply")
+
+        def landed(_timer):
+            self.calls.append(call)
+            reply.set_result(ack)
+
+        self.scheduler.sleep(self.delay).add_done_callback(landed)
+        return reply
 
 
 def test_constructor_validates_parameters():
@@ -153,3 +167,21 @@ def test_independent_shards_flush_independently():
     assert sorted(call[0] for call in send.calls) == ["shard-a", "shard-b"]
     # Each shard numbers its own stream from 1.
     assert [call[2] for call in send.calls] == [1, 1]
+
+
+def test_a_flush_spawns_no_task(monkeypatch):
+    scheduler = Scheduler()
+    send = RecordingSend(scheduler, delay=0.001)
+    coalescer = DeltaCoalescer(scheduler, send, "s1", max_delay=0.002)
+    spawned = []
+    monkeypatch.setattr(
+        scheduler, "spawn", lambda coro, name="": spawned.append(name)
+    )
+    tickets = [
+        coalescer.emit("shard", "g", "e1", 0.0, 1, 1.0, 1.0, 1.0),
+        coalescer.emit("shard", "g", "e2", 0.0, 1, 2.0, 2.0, 2.0),
+    ]
+    scheduler.drain()
+    assert [ticket.result() for ticket in tickets] == [2, 2]
+    assert len(send.calls) == 1
+    assert spawned == []

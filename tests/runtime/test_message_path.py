@@ -59,10 +59,10 @@ def build_runtime(sched, lan, *, cost=0.0, batching=False, tracer=None, silos=1)
 # -- guard: events and spawns per ask ------------------------------------------
 
 
-def one_warm_ask(monkeypatch, lan):
+def one_warm_ask(monkeypatch, lan, batching=False):
     """Kernel events and task spawns one ask costs once its activation exists."""
     sched = Scheduler()
-    runtime = build_runtime(sched, lan, cost=COST)
+    runtime = build_runtime(sched, lan, cost=COST, batching=batching)
     runtime.register_actor(Echo)
     ref = runtime.ref("Echo", "e")
     spawned = []
@@ -101,6 +101,14 @@ def test_zero_latency_ask_lands_inline(monkeypatch):
     # Both hops land inside the event that sent them: mailbox handover, CPU
     # timer, turn resume, caller resume (was 6 with the two spawned tasks).
     assert one_warm_ask(monkeypatch, lan=0.0) == (4, 0)
+
+
+def test_batched_ask_adds_only_the_window_timer(monkeypatch):
+    # The request rides an envelope: its window timer departs it and its wire
+    # timer lands it, then the unbatched path's last five events.  A window
+    # task used to add its first step, its resume after the window and its
+    # resume after the wire: 10 events and one spawn.
+    assert one_warm_ask(monkeypatch, lan=0.0005, batching=True) == (7, 0)
 
 
 # -- guard: no coroutine resumes on the callee's side ----------------------------

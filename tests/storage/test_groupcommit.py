@@ -176,3 +176,49 @@ def test_constructor_validation(sched):
         GroupCommitWriter(store, sched, max_batch=0)
     with pytest.raises(ValueError):
         GroupCommitWriter(store, sched, max_delay=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# Guards: a window is a timer callback, a flush a task only if it waits
+# ---------------------------------------------------------------------------
+
+
+def count_tasks(sched, monkeypatch):
+    """Record every task spawned or adopted on ``sched`` from now on."""
+    spawned, adopted = [], []
+    spawn, adopt = sched.spawn, sched.adopt
+    monkeypatch.setattr(
+        sched, "spawn", lambda coro, name="": spawned.append(name) or spawn(coro, name)
+    )
+    monkeypatch.setattr(
+        sched,
+        "adopt",
+        lambda coro, yielded: adopted.append(coro.__name__) or adopt(coro, yielded),
+    )
+    return spawned, adopted
+
+
+def test_window_over_a_synchronous_store_spawns_and_adopts_nothing(
+    sched, monkeypatch
+):
+    writer = GroupCommitWriter(InMemoryKVStore(), sched, max_batch=2, max_delay=0.0)
+    spawned, adopted = count_tasks(sched, monkeypatch)
+    tickets = [writer.put(f"k{i}", i) for i in range(3)]
+    sched.drain()
+    assert [ticket.result() for ticket in tickets] == [1, 1, 1]
+    assert writer.batches == 2
+    assert (spawned, adopted) == ([], [])
+
+
+def test_each_provisioned_batch_adopts_exactly_one_task(sched, monkeypatch):
+    store = ProvisionedKVStore(
+        sched, write_capacity_units=1000.0, latency=ConstantLatency(0.005)
+    )
+    writer = GroupCommitWriter(store, sched, max_batch=2, max_delay=0.001)
+    spawned, adopted = count_tasks(sched, monkeypatch)
+    tickets = [writer.put(f"k{i}", {"v": i}) for i in range(3)]
+    sched.drain()
+    assert [ticket.result() for ticket in tickets] == [1, 1, 1]
+    assert writer.batches == 2
+    assert spawned == []
+    assert len(adopted) == writer.batches
