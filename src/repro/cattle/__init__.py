@@ -20,6 +20,7 @@ from .model import (
 )
 from .platform import MODEL_A_ACTORS, CattlePlatform
 from .tracing import (
+    ProvenanceGraph,
     build_product_trace_graph,
     chain_path,
     origin_farms,
@@ -50,6 +51,7 @@ __all__ = [
     "MeatCut",
     "MeatCutStatus",
     "MeatProduct",
+    "ProvenanceGraph",
     "Retailer",
     "RetailerB",
     "Slaughterhouse",

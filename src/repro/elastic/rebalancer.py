@@ -131,7 +131,7 @@ class Rebalancer:
                         return picked
         ranked = sorted(
             (a for a in silo.activations() if not a.closing),
-            key=lambda a: (-len(a.mailbox), -a.messages_handled),
+            key=lambda a: (-len(a.mailbox or ()), -a.messages_handled),
         )
         for activation in ranked:
             if activation.key in resident and activation.key not in picked:

@@ -2,8 +2,8 @@
 
 All primitives are fair (FIFO) and deterministic.  They are deliberately
 minimal: an :class:`Event`, a :class:`Lock`, a counting :class:`Semaphore`,
-and an unbounded/bounded :class:`Queue`, which together cover everything the
-actor runtime and case studies need.
+and an unbounded :class:`Queue`, which together cover everything the actor
+runtime and case studies need.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Generic, TypeVar
 
-from ..errors import MailboxOverflowError
 from .futures import _PENDING, RESOLVED_NONE, Future, completed
 from .scheduler import Scheduler
 
@@ -19,12 +18,18 @@ T = TypeVar("T")
 
 
 class Event:
-    """A level-triggered flag tasks can wait on."""
+    """A level-triggered flag tasks can wait on.
+
+    Every activation owns one (``closed``) and most are never waited on,
+    so the waiter deque is allocated by the first :meth:`wait`.
+    """
+
+    __slots__ = ("_scheduler", "_set", "_waiters")
 
     def __init__(self, scheduler: Scheduler) -> None:
         self._scheduler = scheduler
         self._set = False
-        self._waiters: Deque[Future[None]] = deque()
+        self._waiters: Deque[Future[None]] | None = None
 
     def is_set(self) -> bool:
         """Return True if the event is currently set."""
@@ -35,8 +40,12 @@ class Event:
         if self._set:
             return
         self._set = True
-        while self._waiters:
-            waiter = self._waiters.popleft()
+        waiters = self._waiters
+        if waiters is None:
+            return
+        self._waiters = None
+        while waiters:
+            waiter = waiters.popleft()
             if not waiter.done():
                 waiter.set_result(None)
 
@@ -49,6 +58,8 @@ class Event:
         if self._set:
             return RESOLVED_NONE
         waiter: Future[None] = Future("event:wait")
+        if self._waiters is None:
+            self._waiters = deque()
         self._waiters.append(waiter)
         return waiter
 
@@ -137,35 +148,19 @@ class Semaphore:
 
 
 class Queue(Generic[T]):
-    """A FIFO queue connecting producer and consumer tasks.
+    """An unbounded FIFO queue connecting producer and consumer tasks."""
 
-    ``maxsize=0`` means unbounded.  A bounded queue raises
-    :class:`~repro.errors.MailboxOverflowError` on :meth:`put_nowait` when
-    full — actor mailboxes use this to surface overload explicitly instead
-    of buffering without bound.
-    """
-
-    def __init__(self, scheduler: Scheduler, maxsize: int = 0) -> None:
+    def __init__(self, scheduler: Scheduler) -> None:
         self._scheduler = scheduler
-        self._maxsize = maxsize
         self._items: Deque[T] = deque()
         self._getters: Deque[Future[T]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def maxsize(self) -> int:
-        """Capacity limit (0 = unbounded)."""
-        return self._maxsize
-
     def empty(self) -> bool:
         """Return True when no items are buffered."""
         return not self._items
-
-    def full(self) -> bool:
-        """Return True when a bounded queue is at capacity."""
-        return self._maxsize > 0 and len(self._items) >= self._maxsize
 
     def put_nowait(self, item: T) -> None:
         """Enqueue ``item``; hand it straight to a waiting getter if any."""
@@ -175,12 +170,7 @@ class Queue(Generic[T]):
             if getter._state is _PENDING:
                 getter.set_result(item)
                 return
-        items = self._items
-        if self._maxsize > 0 and len(items) >= self._maxsize:
-            raise MailboxOverflowError(
-                f"queue full (maxsize={self._maxsize}); item dropped by caller"
-            )
-        items.append(item)
+        self._items.append(item)
 
     def get(self) -> Future[T]:
         """Return a future resolving to the next item (FIFO).
@@ -197,9 +187,3 @@ class Queue(Generic[T]):
     def get_nowait(self) -> T:
         """Remove and return the head item; raises IndexError when empty."""
         return self._items.popleft()
-
-    def drain_nowait(self) -> list[T]:
-        """Remove and return all buffered items without waiting."""
-        items = list(self._items)
-        self._items.clear()
-        return items

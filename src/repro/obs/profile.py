@@ -231,10 +231,10 @@ def mailbox_backlogs(
     ``minimum`` queued messages are skipped.
     """
     depths = [
-        (activation.key.qualified(), len(activation.mailbox), silo.silo_id)
+        (activation.key.qualified(), len(activation.mailbox or ()), silo.silo_id)
         for silo in silos
         for activation in silo.activations()
-        if len(activation.mailbox) >= minimum
+        if len(activation.mailbox or ()) >= minimum
     ]
     depths.sort(key=lambda row: (-row[1], row[0]))
     return depths[:top]

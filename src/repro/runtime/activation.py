@@ -11,23 +11,32 @@ No task drives the mailbox: callbacks serve it, each continuing in one ready
 event where a task would resume, so the event order is a task's.  The rest
 of a turn (method, flush, reply), like boot and close, is a coroutine
 stepped in the turn's own event and adopted as a task only if it suspends.
+Timers are callbacks too (:class:`_Timer`).
+
+An idle activation is what a platform of one actor per sensor keeps
+resident by the hundred thousand, so it holds only what it uses: the mailbox
+deque exists only while messages queue, the timer table is created by the
+first timer, and method dispatch reads a table shared by every activation of
+the type (``AodbRuntime._method_table``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from ..errors import (
     ActorDeactivatedError,
     ActorMethodError,
     FencedWriteError,
+    MailboxOverflowError,
     ReentrancyError,
 )
 from ..kernel.futures import _PENDING, _RESOLVED, Future
 from ..kernel.scheduler import Task
-from ..kernel.sync import Event, Queue
+from ..kernel.sync import Event
 from ..storage.serde import snapshot
-from .actor import DEFAULT_METHOD_OPTIONS, Actor, ActorContext, method_options
+from .actor import Actor, ActorContext
 from .key import ActorKey
 from .messages import Invocation
 from .persistence import StateCell, WritePolicy
@@ -67,9 +76,9 @@ class Activation:
         context = ActorContext(runtime, key, silo.silo_id)
         context.activation = self  # type: ignore[attr-defined]
         self.instance = actor_class(context)
-        self.mailbox: Queue[Any] = Queue(
-            runtime.scheduler, maxsize=actor_class.mailbox_capacity
-        )
+        # Messages waiting for the serial path: None while none has to
+        # queue, and again once the serial path drains it and goes idle.
+        self.mailbox: deque[Any] | None = None
         self.closing = False
         self.closed = Event(runtime.scheduler)
         self.broken: BaseException | None = None
@@ -83,14 +92,11 @@ class Activation:
         self.active_span: Any = None
         self.last_used = runtime.scheduler.now
         self.messages_handled = 0
-        # Per-method dispatch cache: method name -> (bound method, options,
-        # resolved base cost).  Everything cached is stable for the life of
-        # the activation (config.method_costs is fixed at construction), so
-        # the getattr chain and cost resolution run once per method name.
-        self._method_cache: dict[str, tuple[Any, dict[str, Any], float]] = {}
+        # The type's method table, shared with every activation of it.
+        self._methods = runtime._method_table(key.type_name)
         # Turns started and not yet over, in start order.
         self._inflight: dict[_Turn, None] = {}
-        self._timers: dict[str, Task] = {}
+        self._timers: dict[str, _Timer] | None = None
         # What the serial path (boot, one-at-a-time turns, close) is parked
         # on: _IDLE, a CPU timer, _DRAIN or an adopted Task — None (or
         # settled) while it runs.  ``_handed``: a message handed over idle.
@@ -137,8 +143,16 @@ class Activation:
             self._wait = None
             self._handed = message
             self.runtime.scheduler._call_soon(Activation._serve, self)
-        else:
-            self.mailbox.put_nowait(message)
+            return
+        mailbox = self.mailbox
+        if mailbox is None:
+            self.mailbox = mailbox = deque()
+        capacity = self.actor_class.mailbox_capacity
+        if capacity > 0 and len(mailbox) >= capacity:
+            raise MailboxOverflowError(
+                f"queue full (maxsize={capacity}); item dropped by caller"
+            )
+        mailbox.append(message)
 
     def _interleave(self, invocation: Invocation) -> None:
         """Start a turn beside the serial path (reentrancy) in a ready event."""
@@ -147,7 +161,7 @@ class Activation:
     @property
     def busy(self) -> bool:
         """True while messages are queued or executing."""
-        return bool(len(self.mailbox) or self._inflight)
+        return bool(self.mailbox or self._inflight)
 
     def _serve(self) -> None:
         """Run messages in order until a turn waits or none is left."""
@@ -155,9 +169,12 @@ class Activation:
             return  # aborted: nothing is served any more
         message = self._handed
         self._handed = None
-        queued = self.mailbox._items
-        while message is not None or queued:
+        while True:
             if message is None:
+                # Re-read: a turn that ran inline may have queued the first.
+                queued = self.mailbox
+                if not queued:
+                    break
                 message = queued.popleft()
             if message is _CLOSE:
                 if not self._inflight:
@@ -172,6 +189,7 @@ class Activation:
                     return
             message = None
         self._wait = _IDLE
+        self.mailbox = None  # drained: an idle activation keeps no deque
 
     def _drive(self, coro: Any) -> None:
         """Step a lifecycle coroutine now; the kernel adopts it if it waits."""
@@ -282,7 +300,9 @@ class Activation:
                 record.storage_wait += elapsed
 
     def _fail_pending(self, exc: BaseException, in_flight: Any = ()) -> None:
-        for message in [*in_flight, *self.mailbox.drain_nowait()]:
+        queued = self.mailbox or ()
+        self.mailbox = None
+        for message in [*in_flight, *queued]:
             if message is _CLOSE:
                 continue
             if message.reply is not None and not message.reply.done():
@@ -313,7 +333,7 @@ class Activation:
         elif wait is not None and wait._state is _PENDING:
             # Parked: cancelling costs one ready event, as a task's does.
             self.runtime.scheduler._call_soon(Activation._serve, self)
-        for timer_name in list(self._timers):
+        for timer_name in list(self._timers or ()):
             self.cancel_timer(timer_name)
         # The requests it was executing go down with it: their replies fail
         # now, and the abandoned turns send nothing (they check ``broken``).
@@ -341,7 +361,7 @@ class Activation:
             status="parked",
             error=str(fault),
         )
-        for timer_name in list(self._timers):
+        for timer_name in list(self._timers or ()):
             self.cancel_timer(timer_name)
         self._fail_pending(fault)
 
@@ -359,9 +379,11 @@ class Activation:
             self._drive(self._finalize())
 
     async def _finalize(self) -> None:
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
+        timers = self._timers
+        if timers is not None:
+            self._timers = None
+            for timer in timers.values():
+                timer.cancel()
         try:
             await self.instance.on_deactivate()
             if (
@@ -383,51 +405,113 @@ class Activation:
         if period <= 0:
             raise ValueError("timer period must be positive")
         self.cancel_timer(name)
-
-        async def tick() -> None:
-            while not self.closing:
-                await self.runtime.scheduler.sleep(period)
-                if self.closing:
-                    return
-                invocation = Invocation(
-                    target=self.key,
-                    method=method,
-                    args=tuple(snapshot(arg) for arg in args),
-                    caller_endpoint=self.silo.silo_id,
-                    one_way=True,
-                )
-                tracer = self.runtime.tracer
-                if tracer.enabled:
-                    # Timer fires start fresh causal trees: nothing "called"
-                    # them, the clock did.
-                    invocation.span = tracer.begin(
-                        self.key,
-                        "timer",
-                        self.silo.silo_id,
-                        self.runtime.scheduler.now,
-                        method=method,
-                    )
-                try:
-                    self.enqueue(invocation)
-                except ActorDeactivatedError:
-                    tracer.finish(
-                        invocation.span,
-                        self.runtime.scheduler.now,
-                        status="error",
-                        error="actor deactivated",
-                    )
-                    return
-
-        self._timers[name] = self.runtime.scheduler.spawn(
-            tick(), name=f"timer:{self.key}:{name}"
-        )
+        if self._timers is None:
+            self._timers = {}
+        self._timers[name] = _Timer(self, period, method, args)
 
     def cancel_timer(self, name: str) -> bool:
         """Cancel a registered timer; returns True if it existed."""
+        if self._timers is None:
+            return False
         timer = self._timers.pop(name, None)
         if timer is None:
             return False
         timer.cancel()
+        return True
+
+
+#: ``_Timer.state`` values.  A timer arms in a ready event (``_STARTING``),
+#: waits on its sleep (``_ASLEEP``), ticks in a ready event after the sleep
+#: fires (``_FIRED``), and stops for good when cancelled or once it finds
+#: its activation closing (``_OVER``).
+_STARTING, _ASLEEP, _FIRED, _OVER = range(4)
+
+
+class _Timer:
+    """One activation timer, driven by callbacks where a task used to loop.
+
+    The timer is its sleep's only done-callback.  Registration queues one
+    ready event that arms the first sleep, and each fire queues one ready
+    event that enqueues the tick and arms the next sleep, at the
+    ``(when, seq)`` a timer task's first step and resumes ran at.  A cancel
+    leaves a pending sleep in the heap, as the cancelled task did, and
+    costs the one ready event the task's cancel step cost.
+    """
+
+    __slots__ = ("activation", "period", "method", "args", "state")
+
+    def __init__(
+        self, activation: Activation, period: float, method: str, args: tuple
+    ) -> None:
+        self.activation = activation
+        self.period = period
+        self.method = method
+        self.args = args
+        self.state = _STARTING
+        activation.runtime.scheduler._call_soon(_Timer.step, self)
+
+    def __call__(self, _sleep: Future[None]) -> None:
+        # The sleep fired: tick in one ready event, unless cancelled.
+        if self.state == _ASLEEP:
+            self.state = _FIRED
+            self.activation.runtime.scheduler._call_soon(_Timer.step, self)
+
+    def cancel(self) -> None:
+        # A pending sleep stays in the heap and fires into a no-op.
+        state = self.state
+        self.state = _OVER
+        if state == _ASLEEP:
+            self.activation.runtime.scheduler._call_soon(_Timer.step, self)
+
+    def step(self) -> None:
+        """Tick (after a fire) and arm the next sleep, unless closing."""
+        state = self.state
+        if state == _OVER:
+            return
+        activation = self.activation
+        if activation.closing:
+            self.state = _OVER
+            return
+        if state == _FIRED and not self.tick():
+            self.state = _OVER
+            return
+        self.state = _ASLEEP
+        activation.runtime.scheduler.sleep(self.period)._cb0 = self
+
+    def tick(self) -> bool:
+        """Enqueue one timer invocation; False if the activation refused
+        it for good.  A tick that finds the mailbox full is dropped, as a
+        message would be, and the timer keeps its period."""
+        activation = self.activation
+        runtime = activation.runtime
+        invocation = Invocation(
+            target=activation.key,
+            method=self.method,
+            args=tuple(snapshot(arg) for arg in self.args),
+            caller_endpoint=activation.silo.silo_id,
+            one_way=True,
+        )
+        tracer = runtime.tracer
+        if tracer.enabled:
+            # Timer fires start fresh causal trees: nothing "called" them,
+            # the clock did.
+            invocation.span = tracer.begin(
+                activation.key,
+                "timer",
+                activation.silo.silo_id,
+                runtime.scheduler.now,
+                method=self.method,
+            )
+        try:
+            activation.enqueue(invocation)
+        except Exception as exc:  # noqa: BLE001 - full, or parked for good
+            tracer.finish(
+                invocation.span, runtime.scheduler.now, status="error", error=str(exc)
+            )
+            if isinstance(exc, MailboxOverflowError):
+                runtime.stats.dropped_messages += 1
+                return True
+            return False
         return True
 
 
@@ -516,27 +600,9 @@ class _Turn:
                 activation.instance.mark_dirty()
                 runtime._reply(invocation, True, None, activation.silo.silo_id)
                 return self.end()
-        entry = activation._method_cache.get(method_name)
+        entry = activation._methods.get(method_name)
         if entry is None:
-            actor_class = activation.actor_class
-            method = getattr(activation.instance, method_name, None)
-            if method is None or method_name.startswith("_"):
-                entry = (None, DEFAULT_METHOD_OPTIONS, 0.0)
-            else:
-                options = method_options(getattr(actor_class, method_name, method))
-                cost = runtime.config.method_costs.get(
-                    (activation.key.type_name, method_name)
-                )
-                if cost is None:
-                    cost = options["cost"]
-                if cost is None:
-                    cost = (
-                        actor_class.default_method_cost
-                        if actor_class.default_method_cost is not None
-                        else runtime.config.default_method_cost
-                    )
-                entry = (method, options, cost)
-            activation._method_cache[method_name] = entry
+            entry = runtime._resolve_method(activation.key.type_name, method_name)
         self.method, self.options, cost = entry
         if cost > 0:
             overhead = runtime.config.dispatch_overhead_cost
@@ -615,7 +681,9 @@ class _Turn:
                 )
             activation.active_span = span
             try:
-                result = await method(*invocation.args, **invocation.kwargs)
+                result = await method(
+                    activation.instance, *invocation.args, **invocation.kwargs
+                )
             except GeneratorExit:
                 raise  # activation teardown, not an application error
             except BaseException as exc:  # noqa: BLE001 - forwarded to caller

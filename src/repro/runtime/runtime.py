@@ -52,7 +52,7 @@ from ..storage.system_store import SystemStore
 from ..storage.tsblocks import BlockStats
 from ..storage.wal import RedoJournal
 from .activation import Activation
-from .actor import Actor
+from .actor import DEFAULT_METHOD_OPTIONS, Actor, method_options
 from .config import RuntimeConfig
 from .directory import DirectoryCache, GrainDirectory
 from .key import ActorKey
@@ -80,6 +80,9 @@ DEFAULT_PLACEMENT = "random"
 # still makes progress (1 of 2 meets the bar; the system store is the
 # tiebreak, as in lease-based membership).
 EVICTION_QUORUM = 0.5
+
+#: The method-table entry of a name that is no method of the actor type.
+_NO_METHOD: tuple[Any, dict[str, Any], float] = (None, DEFAULT_METHOD_OPTIONS, 0.0)
 
 
 @dataclass
@@ -184,6 +187,11 @@ class AodbRuntime:
         )
         self.stats = RuntimeStats()
         self._actor_types: dict[str, type[Actor]] = {}
+        # Method dispatch, one table per actor type that all its activations
+        # share: method name -> (function, options, resolved base cost).
+        # An entry never changes (config.method_costs is fixed at
+        # construction), so resolution runs once per type and method name.
+        self._methods: dict[str, dict[str, tuple[Any, dict[str, Any], float]]] = {}
         self._silos: dict[str, Silo] = {}
         # Cluster services (collector, reminder pump, failure detector), in
         # spawn order; empty until start().
@@ -363,6 +371,47 @@ class AodbRuntime:
         if actor_class is None:
             raise UnknownActorTypeError(type_name)
         return actor_class
+
+    def _method_table(
+        self, type_name: str
+    ) -> dict[str, tuple[Any, dict[str, Any], float]]:
+        """The method table every activation of ``type_name`` dispatches on."""
+        table = self._methods.get(type_name)
+        if table is None:
+            table = self._methods[type_name] = {}
+        return table
+
+    def _resolve_method(
+        self, type_name: str, method_name: str
+    ) -> tuple[Any, dict[str, Any], float]:
+        """Resolve one method of ``type_name`` into its table and return it.
+
+        Only a public callable on the class is a method, and a turn calls it
+        with the actor instance first.  Anything else (a missing name, an
+        instance attribute such as ``state``, a flag such as ``reentrant``)
+        resolves to no method: the call fails with ActorMethodError and
+        costs no CPU.
+        """
+        actor_class = self.actor_type(type_name)
+        function = (
+            None if method_name[:1] == "_" else getattr(actor_class, method_name, None)
+        )
+        if not callable(function):
+            entry = _NO_METHOD
+        else:
+            options = method_options(function)
+            cost = self.config.method_costs.get((type_name, method_name))
+            if cost is None:
+                cost = options["cost"]
+            if cost is None:
+                cost = (
+                    actor_class.default_method_cost
+                    if actor_class.default_method_cost is not None
+                    else self.config.default_method_cost
+                )
+            entry = (function, options, cost)
+        self._method_table(type_name)[method_name] = entry
+        return entry
 
     # -- cluster management ----------------------------------------------------------
 

@@ -90,7 +90,7 @@ class Silo:
         snapshot is taken, so it costs nothing during normal execution.
         """
         return sum(
-            len(activation.mailbox) for activation in self._activations.values()
+            len(activation.mailbox or ()) for activation in self._activations.values()
         )
 
     def idle_candidates(self, idle_timeout: float) -> list["Activation"]:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import MailboxOverflowError
 from repro.kernel import Event, Lock, Queue, Scheduler, Semaphore
 
 
@@ -140,19 +139,10 @@ def test_queue_get_blocks_until_put(sched):
     assert got == ["late"]
 
 
-def test_bounded_queue_overflow(sched):
-    queue = Queue(sched, maxsize=2)
-    queue.put_nowait(1)
-    queue.put_nowait(2)
-    assert queue.full()
-    with pytest.raises(MailboxOverflowError):
-        queue.put_nowait(3)
-
-
-def test_queue_handoff_bypasses_capacity(sched):
-    # A waiting getter receives the item directly, so a full queue is not
-    # an error when someone is actively waiting.
-    queue = Queue(sched, maxsize=1)
+def test_queue_hands_items_to_waiting_getters(sched):
+    # A waiting getter receives the item directly, in FIFO order, without
+    # the item ever being buffered.
+    queue = Queue(sched)
     got = []
 
     async def consumer():
@@ -163,16 +153,9 @@ def test_queue_handoff_bypasses_capacity(sched):
         sched.spawn(consumer())
         await sched.sleep(0)
         queue.put_nowait("a")
+        assert queue.empty()
         queue.put_nowait("b")
         await sched.sleep(0)
 
     sched.run_until_complete(main())
     assert got == ["a", "b"]
-
-
-def test_queue_drain_nowait(sched):
-    queue = Queue(sched)
-    for i in range(4):
-        queue.put_nowait(i)
-    assert queue.drain_nowait() == [0, 1, 2, 3]
-    assert queue.empty()

@@ -120,6 +120,39 @@ def test_unknown_method_rejects_reply(sched, runtime):
     assert runtime.stats.errors == 1
 
 
+class Box(Actor):
+    reentrant = False
+
+    async def put(self, value):
+        self.state["value"] = value
+        return value
+
+
+@pytest.mark.parametrize("name", ["state", "reentrant", "context", "key"])
+def test_attributes_that_are_not_methods_reject_at_zero_cost(sched, runtime, name):
+    # Instance attributes (state, context), class flags (reentrant) and
+    # properties (key) are no methods: the reply is ActorMethodError, and
+    # no method cost is charged even with a heavy default.
+    runtime.config.default_method_cost = 0.5
+    runtime.register_actor(Box)
+    ref = runtime.ref("Box", "b")
+
+    async def main():
+        with pytest.raises(ActorMethodError) as raised:
+            await ref.ask(name)
+        return str(raised.value)
+
+    assert sched.run_until_complete(main()) == f"Box has no method {name!r}"
+    assert runtime.silo("silo-1").cpu.busy_seconds == 0.0
+    assert runtime.stats.errors == 1
+
+    async def then_a_method():
+        return await ref.put(7)
+
+    assert sched.run_until_complete(then_a_method()) == 7
+    assert runtime.silo("silo-1").cpu.busy_seconds == 0.5
+
+
 def test_private_methods_not_callable(sched, runtime):
     runtime.register_actor(Counter)
 

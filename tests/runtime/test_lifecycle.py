@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net import ConstantLatency, Network
-from repro.runtime import Actor, AodbRuntime, RuntimeConfig
+from repro.runtime import Actor, AodbRuntime, RuntimeConfig, WritePolicy
+from repro.storage import InMemoryKVStore
 
 
 def build_runtime(sched, **config_kwargs):
@@ -223,6 +224,74 @@ def test_timers_die_with_activation(sched):
 
     assert sched.run_until_complete(main()) == 1
     assert runtime.stats.activations_collected == 1
+
+
+class Cramped(Actor):
+    # Two queued messages fill the mailbox; three 0.6 s turns queued at
+    # t = 0.5 keep it full when the 1 s timer ticks at t = 1.0.
+    mailbox_capacity = 2
+    ticks = []
+
+    async def wake(self):
+        pass
+
+    async def begin(self):
+        self.context.register_timer("t", 1.0, "tick")
+
+    async def work(self, seconds):
+        await self.context.runtime.scheduler.sleep(seconds)
+        self.state["worked"] = self.state.get("worked", 0) + 1
+        self.mark_dirty()
+
+    async def tick(self):
+        Cramped.ticks.append(self.context.now)
+
+
+def crowd(sched, runtime, type_name, start):
+    """Call ``start`` at t = 0, then queue three 0.6 s turns at t = 0.5."""
+    ref = runtime.ref(type_name, "c")
+
+    async def main():
+        await ref.ask(start)
+        await sched.sleep(0.5 - sched.now)
+        for _ in range(3):
+            ref.tell("work", 0.6)
+        await sched.sleep(5.0)
+
+    sched.run_until_complete(main())
+
+
+def test_full_mailbox_drops_a_tick_and_keeps_the_timer(sched):
+    Cramped.ticks = []
+    runtime = build_runtime(sched)
+    runtime.register_actor(Cramped)
+    crowd(sched, runtime, "Cramped", start="begin")
+    # The tick at 1.0 found the mailbox full and was dropped, like a
+    # message; the timer kept its period (the 2.0 tick queued behind the
+    # last turn, which ends at 2.3).
+    assert runtime.stats.dropped_messages == 1
+    assert len(Cramped.ticks) == 4
+    assert Cramped.ticks[0] == pytest.approx(2.3)
+    assert Cramped.ticks[1:] == pytest.approx([3.0, 4.0, 5.0], abs=0.01)
+
+
+def test_full_mailbox_keeps_interval_flushes(sched):
+    class CrampedLedger(Cramped):
+        durable = True
+        write_policy = WritePolicy.INTERVAL
+        write_interval_seconds = 1.0
+
+    store = InMemoryKVStore()
+    config = RuntimeConfig(default_method_cost=0.0, activation_cost=0.0)
+    network = Network(sched, lan=ConstantLatency(0.0))
+    runtime = AodbRuntime(sched, config=config, network=network, grain_storage=store)
+    runtime.add_silo("s1", cores=2)
+    runtime.register_actor(CrampedLedger)
+    crowd(sched, runtime, "CrampedLedger", start="wake")
+    # The flush due at 1.0 was dropped; later ones persist the three turns.
+    assert runtime.stats.dropped_messages == 1
+    assert store.writes >= 1
+    assert store._items["state/CrampedLedger/c"].value == {"worked": 3}
 
 
 def test_reminder_delivered_and_survives_deactivation(sched):

@@ -5,9 +5,13 @@ CI runs ``ruff check`` and ``ruff format --check`` over ``src`` and
 that most often break: no unused imports (ruff's F401) and no line over 88
 columns (the formatter's width).  A line that must stay long says
 ``# noqa`` (as ruff would accept it).
+
+One rule is the project's own: ``src/`` imports nothing outside the
+standard library, since CI installs only the test tools.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,6 +104,32 @@ def test_lines_fit_in_88_columns():
     assert found == []
 
 
+def foreign_imports(path: Path) -> list[str]:
+    """Top-level modules ``path`` imports that are neither stdlib nor repro."""
+    foreign = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue  # a relative import stays inside repro
+        for module in modules:
+            top = module.split(".")[0]
+            if top != "repro" and top not in sys.stdlib_module_names:
+                foreign.append(f"line {node.lineno}: imports {top}")
+    return foreign
+
+
+def test_src_imports_only_the_standard_library():
+    found = [
+        f"{relative(path)} {entry}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for entry in foreign_imports(path)
+    ]
+    assert found == []
+
+
 def test_the_checks_can_fail(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text(
@@ -111,3 +141,14 @@ def test_the_checks_can_fail(tmp_path):
         "    return x\n"
     )
     assert unused_imports(sample) == ["line 1: unused os"]
+    sample.write_text(
+        "import os.path\n"
+        "from . import sibling\n"
+        "from repro.kernel import Scheduler\n"
+        "import networkx as nx\n"
+        "from numpy.linalg import norm\n"
+    )
+    assert foreign_imports(sample) == [
+        "line 4: imports networkx",
+        "line 5: imports numpy",
+    ]
