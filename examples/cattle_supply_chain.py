@@ -5,7 +5,8 @@ Walks the paper's Figure 3 model end to end:
 1. farmers with geo-fenced pastures and collar-equipped cows;
 2. an atomic cow sale between farm units (the §4.4 transaction principle);
 3. slaughter, distribution via Delivery actors, retail transformation;
-4. a consumer trace assembled into a provenance graph (networkx);
+4. a consumer trace assembled into a provenance graph (``ProvenanceGraph``,
+   a few dicts on the standard library: origin farms, entity counts);
 5. the same chain through model B (versioned non-actor objects, Figure 5)
    with a message-count comparison — the §4.3 trade-off, live.
 

@@ -428,14 +428,15 @@ _STARTING, _ASLEEP, _FIRED, _OVER = range(4)
 
 
 class _Timer:
-    """One activation timer, driven by callbacks where a task used to loop.
+    """One activation timer: the only done-callback of its current sleep.
 
-    The timer is its sleep's only done-callback.  Registration queues one
-    ready event that arms the first sleep, and each fire queues one ready
-    event that enqueues the tick and arms the next sleep, at the
-    ``(when, seq)`` a timer task's first step and resumes ran at.  A cancel
-    leaves a pending sleep in the heap, as the cancelled task did, and
-    costs the one ready event the task's cancel step cost.
+    Registration queues one ready event that arms the first sleep, and each
+    fire queues one ready event that enqueues the tick and arms the next
+    sleep.  Those events sit where a looping task's first step and resumes
+    would, so a timer costs the kernel the same events at the same
+    ``(when, seq)`` as one (``tests/runtime/test_timer_equivalence.py``).
+    A cancel leaves a pending sleep in the heap to fire into a no-op, and
+    costs the one ready event a cancelled task's step would.
     """
 
     __slots__ = ("activation", "period", "method", "args", "state")
