@@ -130,3 +130,68 @@ def test_subpackages_import():
     import repro.warehouse
 
     assert repro.bench.M5_LARGE.cores == 2
+
+
+# What an application may reach on a runtime; a split of the runtime into
+# modules must keep every name, and a new public name has to be argued in.
+RUNTIME_SURFACE = {
+    "acquire_fence", "actor_type", "add_silo", "collect_idle_activations",
+    "config", "cpu_imbalance", "crash_silo", "database", "deactivate",
+    "describe_cluster", "directory", "drain_silo", "enable_redo_journal",
+    "evict_dead_silos", "grain_storage", "group_commit", "metrics", "migrate",
+    "network", "pinned_placement", "profiler", "pump_reminders",
+    "quarantine_silo", "redo_journal", "ref", "register_actor",
+    "register_actors", "rejoin_silo", "rng", "scheduler", "send",
+    "send_one_way", "send_resilient", "shutdown_silo", "silo", "silos",
+    "start", "stats", "stop", "strategies", "system_store",
+    "total_activations", "tracer", "tsblock_stats",
+}
+
+
+def test_runtime_and_actor_context_surface():
+    from repro import Actor, AodbRuntime, Scheduler
+
+    runtime = AodbRuntime(Scheduler())
+    public = {name for name in dir(runtime) if not name.startswith("_")}
+    assert public == RUNTIME_SURFACE
+
+    class Peer(Actor):
+        async def where(self):
+            return self.context.silo_id
+
+        async def tick(self):
+            pass
+
+    class Probe(Actor):
+        async def use_everything(self):
+            context = self.context
+            context.register_timer("t", 1.0, "tick")
+            context.register_reminder("r", 60.0)
+            return (
+                context.runtime is runtime,
+                str(context.key),
+                context.silo_id,
+                context.now == runtime.scheduler.now,
+                await context.actor("Peer", "p").where(),
+                context.cancel_timer("t"),
+                context.unregister_reminder("r"),
+            )
+
+        async def tick(self):
+            pass
+
+    runtime.register_actors([Peer, Probe])
+    runtime.add_silo("silo-1")
+
+    async def main():
+        return await runtime.ref("Probe", "x").use_everything()
+
+    assert runtime.scheduler.run_until_complete(main()) == (
+        True,
+        "Probe/x",
+        "silo-1",
+        True,
+        "silo-1",
+        True,
+        True,
+    )
