@@ -148,7 +148,8 @@ class Activation:
         if mailbox is None:
             self.mailbox = mailbox = deque()
         capacity = self.actor_class.mailbox_capacity
-        if capacity > 0 and len(mailbox) >= capacity:
+        # The close barrier is no message: a full mailbox still takes it.
+        if 0 < capacity <= len(mailbox) and message is not _CLOSE:
             raise MailboxOverflowError(
                 f"queue full (maxsize={capacity}); item dropped by caller"
             )

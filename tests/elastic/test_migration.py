@@ -253,3 +253,34 @@ def test_directory_cache_invalidated_by_migration(sched, runtime):
         assert await ref.where() == target
 
     sched.run_until_complete(main())
+
+
+class Brimful(Actor):
+    # One queued ask behind a running 0.5 s turn fills the mailbox.
+    mailbox_capacity = 1
+
+    async def slow(self):
+        await self.context.runtime.scheduler.sleep(0.5)
+        return self.context.silo_id
+
+    async def where(self):
+        return self.context.silo_id
+
+
+def test_migrating_a_full_mailbox_hands_over(sched, runtime):
+    runtime.register_actor(Brimful)
+    ref = runtime.ref("Brimful", "b")
+
+    async def main():
+        source = await ref.where()
+        target = "silo-2" if source == "silo-1" else "silo-1"
+        slow, queued = ref.slow(), ref.where()
+        await sched.sleep(0.1)
+        moved = await runtime.migrate(ref.key, target)
+        later = await ref.ask("where", deadline=5.0)
+        return source, target, moved, await slow, await queued, later
+
+    source, target, moved, slow, queued, later = sched.run_until_complete(main())
+    # The source drains what it had queued; the successor takes over.
+    assert (moved, slow, queued, later) == (True, source, source, target)
+    assert runtime.stats.migrations == 1

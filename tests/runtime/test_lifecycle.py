@@ -294,6 +294,38 @@ def test_full_mailbox_keeps_interval_flushes(sched):
     assert store._items["state/CrampedLedger/c"].value == {"worked": 3}
 
 
+class Brimful(Actor):
+    # One queued ask behind a running 0.5 s turn fills the mailbox.
+    mailbox_capacity = 1
+
+    async def slow(self):
+        await self.context.runtime.scheduler.sleep(0.5)
+        return "slow"
+
+    async def ping(self):
+        return "pong"
+
+
+def test_closing_a_full_mailbox_drains_it(sched):
+    runtime = build_runtime(sched)
+    runtime.register_actor(Brimful)
+    ref = runtime.ref("Brimful", "b")
+
+    async def main():
+        await ref.ping()
+        slow, queued = ref.slow(), ref.ping()
+        await sched.sleep(0.1)
+        closed = await runtime.deactivate("Brimful", "b")
+        later = await ref.ask("ping", deadline=5.0)
+        return closed, await slow, await queued, later
+
+    # The close barrier is not a message: it enters a full mailbox, the
+    # queued ask still runs, and the next ask reaches a fresh activation.
+    assert sched.run_until_complete(main()) == (True, "slow", "pong", "pong")
+    assert runtime.stats.activations_created == 2
+    assert runtime.stats.dropped_messages == 0
+
+
 def test_reminder_delivered_and_survives_deactivation(sched):
     runtime = build_runtime(
         sched, idle_timeout=15.0, collection_interval=5.0, reminder_tick=10.0
