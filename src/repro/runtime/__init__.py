@@ -7,7 +7,7 @@ reminders, and graceful silo shutdown.
 """
 
 from .activation import Activation
-from .actor import Actor, ActorContext, actor_method
+from .actor import Actor, actor_method
 from .config import RuntimeConfig
 from .directory import GrainDirectory
 from .key import ActorKey
@@ -36,7 +36,6 @@ from .silo import Silo
 __all__ = [
     "Activation",
     "Actor",
-    "ActorContext",
     "ActorKey",
     "ActorRef",
     "AodbRuntime",

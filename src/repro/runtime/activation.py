@@ -36,12 +36,13 @@ from ..kernel.futures import _PENDING, _RESOLVED, Future
 from ..kernel.scheduler import Task
 from ..kernel.sync import Event
 from ..storage.serde import snapshot
-from .actor import Actor, ActorContext
+from .actor import Actor
 from .key import ActorKey
 from .messages import Invocation
 from .persistence import StateCell, WritePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .reference import ActorRef
     from .runtime import AodbRuntime
     from .silo import Silo
 
@@ -73,9 +74,8 @@ class Activation:
         self._qualified = key.qualified()
         self._self_chain = (self._qualified,)
         self.silo = silo
-        context = ActorContext(runtime, key, silo.silo_id)
-        context.activation = self  # type: ignore[attr-defined]
-        self.instance = actor_class(context)
+        self.silo_id = silo.silo_id
+        self.instance = actor_class(self)
         # Messages waiting for the serial path: None while none has to
         # queue, and again once the serial path drains it and goes idle.
         self.mailbox: deque[Any] | None = None
@@ -88,7 +88,7 @@ class Activation:
         self.parked: BaseException | None = None
         self.active_chain: tuple[str, ...] = ()
         # Span of the turn currently executing, so sub-calls made through
-        # ``context.actor(...)`` become its children (None when untraced).
+        # :meth:`actor` become its children (None when untraced).
         self.active_span: Any = None
         self.last_used = runtime.scheduler.now
         self.messages_handled = 0
@@ -119,21 +119,20 @@ class Activation:
             raise ActorDeactivatedError(self._qualified)
         if self.parked is not None:
             raise self.parked
+        invocation.enqueued_at = self.runtime.scheduler.now
         if (
             not self.instance.reentrant
             and self._inflight
             and self._qualified in invocation.chain
         ):
-            if getattr(self.actor_class, "allow_chain_reentrancy", False):
-                invocation.enqueued_at = self.runtime.scheduler.now
-                self._interleave(invocation)
-                return
-            raise ReentrancyError(
-                f"{invocation.describe()} would deadlock: call chain "
-                f"{' -> '.join(invocation.chain)} re-enters busy "
-                f"non-reentrant actor {self.key}"
-            )
-        invocation.enqueued_at = self.runtime.scheduler.now
+            if not self.actor_class.allow_chain_reentrancy:
+                raise ReentrancyError(
+                    f"{invocation.describe()} would deadlock: call chain "
+                    f"{' -> '.join(invocation.chain)} re-enters busy "
+                    f"non-reentrant actor {self.key}"
+                )
+            self._interleave(invocation)
+            return
         self._post(invocation)
 
     def _post(self, message: Any) -> None:
@@ -251,7 +250,7 @@ class Activation:
                 self.runtime.tracer.emit(
                     self.key,
                     "wal-replay",
-                    self.silo.silo_id,
+                    self.silo_id,
                     self.runtime.scheduler.now,
                     start=load_started,
                     method="redo-replay",
@@ -285,7 +284,7 @@ class Activation:
             self.runtime.tracer.emit(
                 self.key,
                 "fenced-write",
-                self.silo.silo_id,
+                self.silo_id,
                 scheduler.now,
                 start=started,
                 method="flush",
@@ -334,8 +333,7 @@ class Activation:
         elif wait is not None and wait._state is _PENDING:
             # Parked: cancelling costs one ready event, as a task's does.
             self.runtime.scheduler._call_soon(Activation._serve, self)
-        for timer_name in list(self._timers or ()):
-            self.cancel_timer(timer_name)
+        self._stop_timers()
         # The requests it was executing go down with it: their replies fail
         # now, and the abandoned turns send nothing (they check ``broken``).
         in_flight = [turn.invocation for turn in self._inflight]
@@ -356,23 +354,20 @@ class Activation:
         self.runtime.tracer.emit(
             self.key,
             "quarantine-park",
-            self.silo.silo_id,
+            self.silo_id,
             self.runtime.scheduler.now,
             method="park",
             status="parked",
             error=str(fault),
         )
-        for timer_name in list(self._timers or ()):
-            self.cancel_timer(timer_name)
+        self._stop_timers()
         self._fail_pending(fault)
 
     async def close(self) -> None:
         """Gracefully stop: drain the mailbox, persist, run on_deactivate."""
-        if self.closing:
-            await self.closed.wait()
-            return
-        self.closing = True
-        self._post(_CLOSE)
+        if not self.closing:
+            self.closing = True
+            self._post(_CLOSE)
         await self.closed.wait()
 
     def _close_now(self) -> None:
@@ -380,11 +375,7 @@ class Activation:
             self._drive(self._finalize())
 
     async def _finalize(self) -> None:
-        timers = self._timers
-        if timers is not None:
-            self._timers = None
-            for timer in timers.values():
-                timer.cancel()
+        self._stop_timers()
         try:
             await self.instance.on_deactivate()
             if (
@@ -397,18 +388,52 @@ class Activation:
         finally:
             self.closed.set()
 
-    # -- timers ---------------------------------------------------------------------
+    # -- what the actor asks of its runtime (``Actor.context``) -------------------
+
+    @property
+    def now(self) -> float:
+        """Current virtual time."""
+        return self.runtime.scheduler.now
+
+    def actor(self, type_name: str, actor_id: str) -> "ActorRef":
+        """A reference to another actor, calling from this silo.
+
+        The reference carries the current call chain, so cycles through
+        non-reentrant actors are detected instead of deadlocking.  It also
+        carries the current turn's trace span, so traced calls fan out into
+        a causal tree.
+        """
+        return self.runtime.ref(
+            type_name, actor_id, self.silo_id, self.active_chain, self.active_span
+        )
+
+    def register_reminder(self, name: str, period: float) -> None:
+        """Register a durable reminder; delivered to ``receive_reminder``."""
+        self.runtime.system_store.register_reminder(self._qualified, name, period)
+
+    def unregister_reminder(self, name: str) -> bool:
+        """Remove a durable reminder."""
+        return self.runtime.system_store.unregister_reminder(self._qualified, name)
 
     def register_timer(
         self, name: str, period: float, method: str, *args: Any
     ) -> None:
-        """Run ``method`` through the mailbox every ``period`` seconds."""
+        """Run ``method`` through the mailbox every ``period`` seconds.
+
+        Timers live and die with the activation (use reminders for timers
+        that must survive deactivation).
+        """
         if period <= 0:
             raise ValueError("timer period must be positive")
         self.cancel_timer(name)
         if self._timers is None:
             self._timers = {}
         self._timers[name] = _Timer(self, period, method, args)
+
+    def _stop_timers(self) -> None:
+        timers, self._timers = self._timers, None
+        for timer in (timers or {}).values():
+            timer.cancel()
 
     def cancel_timer(self, name: str) -> bool:
         """Cancel a registered timer; returns True if it existed."""
@@ -490,8 +515,7 @@ class _Timer:
             target=activation.key,
             method=self.method,
             args=tuple(snapshot(arg) for arg in self.args),
-            caller_endpoint=activation.silo.silo_id,
-            one_way=True,
+            caller_endpoint=activation.silo_id,
         )
         tracer = runtime.tracer
         if tracer.enabled:
@@ -500,7 +524,7 @@ class _Timer:
             invocation.span = tracer.begin(
                 activation.key,
                 "timer",
-                activation.silo.silo_id,
+                activation.silo_id,
                 runtime.scheduler.now,
                 method=self.method,
             )
@@ -553,14 +577,13 @@ class _Turn:
         runtime = activation.runtime
         scheduler = runtime.scheduler
         activation.last_used = self.started = started = scheduler.now
-        invocation.started_at = started
         span = invocation.span
         if span is not None and span.end is None:
             # Mailbox wait: from enqueue until this turn started.  For the
             # first message of a fresh activation this includes activation
             # start (CPU charge, state load, on_activate).
             span.queue += started - invocation.enqueued_at
-            span.silo_id = activation.silo.silo_id
+            span.silo_id = activation.silo_id
         if invocation.deadline is not None and started >= invocation.deadline:
             # The caller's deadline already failed the reply (the deadline
             # timer sorts before this dequeue at equal timestamps); running
@@ -589,7 +612,7 @@ class _Turn:
                     invocation,
                     snapshot(activation.instance.state),
                     None,
-                    activation.silo.silo_id,
+                    activation.silo_id,
                 )
                 return self.end()
             if method_name == "__txn_restore__":
@@ -600,7 +623,7 @@ class _Turn:
                 activation.instance.state.clear()
                 activation.instance.state.update(document)
                 activation.instance.mark_dirty()
-                runtime._reply(invocation, True, None, activation.silo.silo_id)
+                runtime._reply(invocation, True, None, activation.silo_id)
                 return self.end()
         entry = activation._methods.get(method_name)
         if entry is None:
@@ -714,7 +737,7 @@ class _Turn:
         if self.profile is not None and error is not None:
             for record in self.profile:
                 record.errors += 1
-        activation.runtime._reply(invocation, result, error, activation.silo.silo_id)
+        activation.runtime._reply(invocation, result, error, activation.silo_id)
 
     async def flush_state(self) -> None:
         activation = self.activation
@@ -727,12 +750,12 @@ class _Turn:
             error = exc
         if activation.broken is not None:
             return  # aborted mid-flush: the crash already failed the reply
-        activation.runtime._reply(self.invocation, None, error, activation.silo.silo_id)
+        activation.runtime._reply(self.invocation, None, error, activation.silo_id)
 
     def fail(self, exc: BaseException) -> bool:
         """Whatever a turn raises becomes its reply."""
         activation = self.activation
-        activation.runtime._reply(self.invocation, None, exc, activation.silo.silo_id)
+        activation.runtime._reply(self.invocation, None, exc, activation.silo_id)
         return self.end()
 
     def end(self) -> bool:

@@ -1,4 +1,4 @@
-"""Actor base class, method decorator and per-activation context.
+"""Actor base class and method decorator.
 
 User actors subclass :class:`Actor`, declare behaviour as ``async`` methods
 and (optionally) tune them with :func:`actor_method`.  Class-level attributes
@@ -30,8 +30,7 @@ from .key import ActorKey
 from .persistence import StateCell, WritePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .reference import ActorRef
-    from .runtime import AodbRuntime
+    from .activation import Activation
 
 _METHOD_MARKER = "_actor_method_options"
 
@@ -68,72 +67,14 @@ def method_options(func: Callable) -> dict[str, Any]:
     return getattr(func, _METHOD_MARKER, DEFAULT_METHOD_OPTIONS)
 
 
-class ActorContext:
-    """Everything an activation may ask of its runtime."""
-
-    def __init__(self, runtime: "AodbRuntime", key: ActorKey, silo_id: str) -> None:
-        self.runtime = runtime
-        self.key = key
-        self.silo_id = silo_id
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self.runtime.scheduler.now
-
-    def actor(self, type_name: str, actor_id: str) -> "ActorRef":
-        """A reference to another actor, calling from this silo.
-
-        The reference carries the current call chain, so cycles through
-        non-reentrant actors are detected instead of deadlocking.  It also
-        carries the current turn's trace span, so traced calls fan out into
-        a causal tree.
-        """
-        activation = self.activation  # type: ignore[attr-defined]
-        chain = getattr(activation, "active_chain", ())
-        span = getattr(activation, "active_span", None)
-        return self.runtime.ref(
-            type_name,
-            actor_id,
-            caller_endpoint=self.silo_id,
-            chain=chain,
-            trace=span,
-        )
-
-    def register_timer(self, name: str, period: float, method: str, *args: Any) -> None:
-        """Run ``method`` through this actor's mailbox every ``period`` s.
-
-        Timers live and die with the activation (use reminders for timers
-        that must survive deactivation).
-        """
-        self.activation.register_timer(  # type: ignore[attr-defined]
-            name, period, method, *args
-        )
-
-    def cancel_timer(self, name: str) -> bool:
-        """Cancel an activation-scoped timer."""
-        return self.activation.cancel_timer(name)  # type: ignore[attr-defined]
-
-    def register_reminder(self, name: str, period: float) -> None:
-        """Register a durable reminder; delivered to ``receive_reminder``."""
-        self.runtime.system_store.register_reminder(
-            self.key.qualified(), name, period
-        )
-
-    def unregister_reminder(self, name: str) -> bool:
-        """Remove a durable reminder."""
-        return self.runtime.system_store.unregister_reminder(
-            self.key.qualified(), name
-        )
-
-
 class Actor:
     """Base class for all virtual actors.
 
     Instances are *activations*: created on demand by the runtime, fed one
     message at a time, and collected when idle.  Application state lives in
     instance attributes; durable actors additionally get ``self.state``, a
-    dict persisted through the grain storage provider.
+    dict persisted through the grain storage provider.  ``self.context``
+    is the :class:`~repro.runtime.activation.Activation` hosting the actor.
     """
 
     reentrant: bool = False
@@ -151,7 +92,7 @@ class Actor:
     # surfaces overload as MailboxOverflowError instead of hiding it.
     mailbox_capacity: int = 0
 
-    def __init__(self, context: ActorContext) -> None:
+    def __init__(self, context: "Activation") -> None:
         self.context = context
         self.state: dict[str, Any] = {}
         self._state_cell: StateCell | None = None

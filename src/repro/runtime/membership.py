@@ -1,14 +1,11 @@
 """Membership: silo liveness, failure, partitions and the redo journal.
 
-:class:`Membership` is the part of :class:`~repro.runtime.runtime.AodbRuntime`
-that keeps the cluster view honest: per-silo heartbeats against the system
-store, crashes (announced or silent), the failure detector's quorum-gated
-eviction, lease-loss quarantine and rejoin, storage fences, and the
-write-ahead redo journal with its per-silo pumps.
-
-A mixin: the runtime owns ``config``, ``scheduler``, ``network``,
-``system_store``, ``directory``, ``stats`` and the silos; this class owns
-the suspicion set, the heartbeat and redo-pump tasks and the journal.
+:class:`Membership`, mixed into :class:`~repro.runtime.runtime.AodbRuntime`,
+keeps the cluster view honest: per-silo heartbeats against the system
+store, crashes (announced or silent), quorum-gated eviction, lease-loss
+quarantine and rejoin, storage fences, and the write-ahead redo journal
+with its per-silo pumps.  It owns the suspicion set, the heartbeat and
+redo-pump tasks and the journal; the runtime owns the rest.
 """
 
 from __future__ import annotations
@@ -107,17 +104,14 @@ class Membership:
             if self._store_reachable(silo_id):
                 if silo.quarantined:
                     self.rejoin_silo(silo_id)
-                    lease_until = (
-                        self.scheduler.now + self.system_store.lease_seconds
-                    )
-                    continue
-                try:
-                    self.system_store.refresh_lease(silo_id)
-                except SiloUnavailableError:
-                    # Our row went dead while we could not see the table
-                    # (evicted behind our back): the lease is gone for good,
-                    # only a fresh announce readmits us.
-                    self.rejoin_silo(silo_id)
+                else:
+                    try:
+                        self.system_store.refresh_lease(silo_id)
+                    except SiloUnavailableError:
+                        # Our row went dead while we could not see the table
+                        # (evicted behind our back): the lease is gone for
+                        # good, only a fresh announce readmits us.
+                        self.rejoin_silo(silo_id)
                 lease_until = self.scheduler.now + self.system_store.lease_seconds
             elif (
                 self.config.quarantine_on_lease_loss
@@ -277,7 +271,6 @@ class Membership:
                         status="bounced",
                         error=str(exc),
                     )
-                continue
         return parked
 
     def rejoin_silo(self, silo_id: str) -> bool:
@@ -340,11 +333,14 @@ class Membership:
             )
             self.redo_journal.register_metrics(self.metrics)
         for silo_id in self._silos:
-            if silo_id not in self._redo_pumps:
-                self._redo_pumps[silo_id] = self.scheduler.spawn(
-                    self._redo_pump(silo_id), name=f"redo-pump:{silo_id}"
-                )
+            self._start_redo_pump(silo_id)
         return self.redo_journal
+
+    def _start_redo_pump(self, silo_id: str) -> None:
+        if silo_id not in self._redo_pumps:
+            self._redo_pumps[silo_id] = self.scheduler.spawn(
+                self._redo_pump(silo_id), name=f"redo-pump:{silo_id}"
+            )
 
     async def _redo_pump(self, silo_id: str) -> None:
         # Every redo_lag window, journal the dirty state of lazily-flushed

@@ -27,7 +27,6 @@ class Invocation:
     args: tuple = ()
     kwargs: dict[str, Any] = field(default_factory=dict)
     caller_endpoint: str = "client"
-    one_way: bool = False
     reply: Future[Any] | None = None
     # Qualified keys of the actors in the call chain that produced this
     # invocation (used for cycle/deadlock detection on non-reentrant actors).
@@ -39,7 +38,6 @@ class Invocation:
     # Filled in by the runtime for metrics:
     sent_at: float = 0.0
     enqueued_at: float = 0.0
-    started_at: float = 0.0
 
     # How many messages shared this invocation's delivery envelope (1 when
     # batching is off).  The activation amortizes the per-message dispatch

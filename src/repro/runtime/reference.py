@@ -132,7 +132,6 @@ class ActorRef:
                 args,
                 kwargs,
                 caller_endpoint=self.caller_endpoint,
-                one_way=False,
                 chain=self.chain,
                 parent_span=self._trace,
             )

@@ -1,22 +1,18 @@
-"""Routing: how a call reaches its activation and its reply comes back.
+"""Routing: how a call reaches its activation and how its reply returns.
 
-:class:`Routing` is the part of :class:`~repro.runtime.runtime.AodbRuntime`
-that turns an ``ActorRef`` call into a delivered message: it interns actor
-keys, builds invocations, resolves (or places) the target activation
-through per-endpoint directory caches, puts the message on the wire
-(alone, or in an envelope of the batching fast path), queues it on the
-activation when it lands, and sends the turn's result back.  Retried and
-deadline-bounded asks wrap the plain ask.  No task runs per message: each
-hop (request or reply) is one timer event, or none at zero wire delay
-(DESIGN §11 has the event audit).
-
-A mixin: the runtime owns ``config``, ``scheduler``, ``network``,
-``directory``, ``stats`` and the silos; this class owns the caches, the
-interned keys, the envelope batcher and the ask-latency histogram.
+:class:`Routing`, mixed into :class:`~repro.runtime.runtime.AodbRuntime`,
+interns actor keys, builds invocations, resolves or places the target
+through per-endpoint directory caches, puts the message on the wire (alone
+or in a batching envelope), queues it where it lands and sends the result
+back; retried and deadline-bounded asks wrap the plain ask.  No task runs
+per message: each hop is one timer event, or none at zero wire delay
+(DESIGN §11).  It owns the caches, the interned keys, the envelope batcher
+and the ask-latency histogram; the runtime owns the rest.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Any
 
@@ -64,7 +60,7 @@ class Routing:
                 self.network,
                 self.scheduler,
                 self._arrive,
-                lambda invocation, _, exc: self._fail_invocation(invocation, exc),
+                lambda invocation, _, exc: self._reply(invocation, None, exc, None),
                 max_delay=self.config.batch_max_delay,
             )
 
@@ -123,7 +119,6 @@ class Routing:
         args: tuple,
         kwargs: dict[str, Any],
         caller_endpoint: str,
-        one_way: bool = False,
         chain: tuple[str, ...] = (),
         deadline_at: float | None = None,
         parent_span: Span | None = None,
@@ -138,20 +133,10 @@ class Routing:
         """
         self.stats.asks += 1
         invocation = self._make_invocation(
-            key, method, args, kwargs, caller_endpoint, one_way=False, chain=chain
+            key, method, args, kwargs, caller_endpoint, chain, "ask", parent_span
         )
-        if self.tracer.enabled:
-            span = self.tracer.begin(
-                key,
-                "ask",
-                caller_endpoint,
-                self.scheduler.now,
-                parent=parent_span,
-                method=method,
-            )
-            if span is not None and attempt:
-                span.attempt = attempt
-            invocation.span = span
+        if attempt and invocation.span is not None:
+            invocation.span.attempt = attempt
         invocation.deadline = deadline_at
         # Future() with the constructor frame elided: one reply per ask.
         reply: Future[Any] = Future.__new__(Future)
@@ -223,6 +208,7 @@ class Routing:
         retry.validate()
         outer: Future[Any] = Future("resilient")
         backoff_rng = self.rng.stream("retry")
+        limit = deadline_at if deadline_at is not None else math.inf
         # Retried asks get an umbrella span; each attempt hangs under it, so
         # the trace shows attempts (with their own breakdowns) *and* the
         # total the caller experienced, backoff sleeps included.
@@ -242,10 +228,7 @@ class Routing:
                 attempt_deadline = deadline_at
                 if retry.attempt_timeout is not None:
                     cap = self.scheduler.now + retry.attempt_timeout
-                    attempt_deadline = (
-                        cap if attempt_deadline is None
-                        else min(attempt_deadline, cap)
-                    )
+                    attempt_deadline = min(limit, cap)
                 inner = self.send(
                     key, method, args, kwargs, caller_endpoint,
                     chain=chain, deadline_at=attempt_deadline,
@@ -257,23 +240,15 @@ class Routing:
                 except BaseException as exc:  # noqa: BLE001 - policy decides
                     if outer.done():
                         return
-                    expired = (
-                        deadline_at is not None
-                        and self.scheduler.now >= deadline_at
-                    )
-                    if expired or not retry.should_retry(exc, attempt):
-                        outer.set_exception(exc)
-                        self.tracer.finish(
-                            call_span, self.scheduler.now,
-                            status="error", error=str(exc),
-                        )
-                        return
-                    delay = retry.delay_for(attempt, backoff_rng, exc)
+                    # Give up once the deadline has passed, the policy says
+                    # so, or the backoff leaves no room for another attempt.
+                    now = self.scheduler.now
                     if (
-                        deadline_at is not None
-                        and self.scheduler.now + delay >= deadline_at
+                        now >= limit
+                        or not retry.should_retry(exc, attempt)
+                        or now + (delay := retry.delay_for(attempt, backoff_rng, exc))
+                        >= limit
                     ):
-                        # No room for another attempt before the deadline.
                         outer.set_exception(exc)
                         self.tracer.finish(
                             call_span, self.scheduler.now,
@@ -311,8 +286,38 @@ class Routing:
         the reminder pump says "reminder", the ingest gateway "ingest".
         """
         self.stats.tells += 1
-        invocation = self._make_invocation(
-            key, method, args, kwargs, caller_endpoint, one_way=True, chain=chain
+        self._route(
+            self._make_invocation(
+                key, method, args, kwargs, caller_endpoint, chain, kind, parent_span
+            )
+        )
+        return DeliveryReceipt(key, method, self.scheduler.now)
+
+    def _make_invocation(
+        self,
+        key: ActorKey,
+        method: str,
+        args: tuple,
+        kwargs: dict[str, Any],
+        caller_endpoint: str,
+        chain: tuple[str, ...],
+        kind: str,
+        parent_span: Span | None,
+    ) -> Invocation:
+        """The invocation of one call, with its ``kind`` span open if tracing."""
+        if self.config.copy_messages:
+            args = tuple(snapshot(arg) for arg in args)
+            kwargs = {name: snapshot(value) for name, value in kwargs.items()}
+        else:
+            kwargs = dict(kwargs)
+        invocation = Invocation(
+            target=key,
+            method=method,
+            args=args,
+            kwargs=kwargs,
+            caller_endpoint=caller_endpoint,
+            sent_at=self.scheduler.now,
+            chain=chain,
         )
         if self.tracer.enabled:
             invocation.span = self.tracer.begin(
@@ -323,34 +328,7 @@ class Routing:
                 parent=parent_span,
                 method=method,
             )
-        self._route(invocation)
-        return DeliveryReceipt(key, method, self.scheduler.now)
-
-    def _make_invocation(
-        self,
-        key: ActorKey,
-        method: str,
-        args: tuple,
-        kwargs: dict[str, Any],
-        caller_endpoint: str,
-        one_way: bool,
-        chain: tuple[str, ...] = (),
-    ) -> Invocation:
-        if self.config.copy_messages:
-            args = tuple(snapshot(arg) for arg in args)
-            kwargs = {name: snapshot(value) for name, value in kwargs.items()}
-        else:
-            kwargs = dict(kwargs)
-        return Invocation(
-            target=key,
-            method=method,
-            args=args,
-            kwargs=kwargs,
-            caller_endpoint=caller_endpoint,
-            one_way=one_way,
-            sent_at=self.scheduler.now,
-            chain=chain,
-        )
+        return invocation
 
     # -- dispatch ---------------------------------------------------------------------
 
@@ -484,13 +462,13 @@ class Routing:
         source = invocation.caller_endpoint
         try:
             activation = self._resolve_activation(invocation.target, source)
-            target = activation.silo.silo_id
+            target = activation.silo_id
             if self._batcher is not None:
                 self._batcher.join(source, target, (invocation, activation))
                 return
             delay = self.network.plan_envelope(source, target, 1)
         except Exception as exc:  # noqa: BLE001 - surfaced on the reply
-            self._fail_invocation(invocation, exc)
+            self._reply(invocation, None, exc, None)
             return
         if delay is None:
             return  # lost on the wire: only the caller's deadline notices
@@ -520,7 +498,7 @@ class Routing:
             # closing) activation on a leaseless silo: fail the call fast.
             if isinstance(exc, MailboxOverflowError):
                 self.stats.dropped_messages += 1
-            self._fail_invocation(invocation, exc)
+            self._reply(invocation, None, exc, None)
             return
         except ActorDeactivatedError:
             # Closing: route to the successor, one event past the barrier so
@@ -535,7 +513,7 @@ class Routing:
             return
         network = self.network
         if network.faults is not None and network.should_duplicate(
-            invocation.caller_endpoint, activation.silo.silo_id
+            invocation.caller_endpoint, activation.silo_id
         ):
             # Chaos: the invocation arrives twice.  The one-shot reply
             # dedupes an ask; a one-way runs twice (at-least-once hazard).
@@ -544,28 +522,26 @@ class Routing:
             except Exception:  # noqa: BLE001 - duplicate best-effort
                 pass
 
-    def _fail_invocation(self, invocation: Invocation, exc: BaseException) -> None:
-        self.stats.errors += 1
-        self.stats.last_error = f"{invocation.describe()}: {exc}"
-        if invocation.reply is not None and not invocation.reply.done():
-            invocation.reply.set_exception(exc)
-        self.tracer.finish(
-            invocation.span, self.scheduler.now, status="error", error=str(exc)
-        )
-
     def _reply(
         self,
         invocation: Invocation,
         result: Any,
         error: BaseException | None,
-        from_silo: str,
+        from_silo: str | None,
     ) -> None:
-        """Send a method result (or error) back to the caller."""
+        """Send a method result (or error) back to the caller.
+
+        With no ``from_silo`` the call failed before it reached a turn
+        (routing, or an activation refusing it): the caller hears now.
+        """
         if error is not None:
             self.stats.errors += 1
             self.stats.last_error = f"{invocation.describe()}: {error}"
-        if invocation.reply is None:
+        reply = invocation.reply
+        if reply is None or from_silo is None:
             # One-way: handling is done the moment the method returns.
+            if reply is not None and not reply.done():
+                reply.set_exception(error)
             status, text = ("ok", "") if error is None else ("error", str(error))
             self.tracer.finish(invocation.span, self.scheduler.now, status, text)
             return

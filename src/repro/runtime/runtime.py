@@ -1,11 +1,12 @@
-"""The actor-oriented database runtime facade.
+"""The actor-oriented database runtime facade, and its lifecycle.
 
-:class:`AodbRuntime` ties the substrates together: it registers actor types,
-manages the cluster of silos, routes messages (placement → network →
-mailbox → turn → reply), runs the idle-activation collector and the
-durable-reminder pump, and exposes the statistics benchmarks read.  No task
-runs per message: each hop (request or reply) is one timer event, or none
-at zero wire delay (DESIGN §11 has the event audit).
+:class:`AodbRuntime` ties the substrates together, split by job over three
+modules: :mod:`.routing` carries calls to activations and replies back,
+:mod:`.membership` keeps the cluster view (heartbeats, crashes, eviction,
+quarantine, fences, the redo journal), and this module keeps lifecycle:
+construction, actor registration and the method table, silos, live
+migration and drain, deactivation, the idle collector, the reminder pump,
+and the statistics benchmarks read.
 
 The public surface an application touches is small::
 
@@ -18,7 +19,7 @@ The public surface an application touches is small::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable
 
 from ..errors import SiloUnavailableError, UnknownActorTypeError
@@ -195,21 +196,11 @@ class AodbRuntime(Routing, Membership):
         registry.register_probe(
             "kernel.timer_cancels", lambda: scheduler.timer_cancels
         )
-        for name in (
-            "asks", "tells", "replies", "errors", "dropped_messages",
-            "dropped_replies", "activations_created", "activations_collected",
-            "activations_crashed", "activation_failures",
-            "reminders_delivered", "calls_retried", "deadlines_exceeded",
-            "silos_suspected", "silos_evicted", "activations_replaced",
-            "silos_quarantined", "silos_rejoined",
-            "migrations", "migration_failures", "silos_drained",
-        ):
+        for name in (f.name for f in fields(stats) if isinstance(f.default, int)):
             registry.register_probe(
                 f"runtime.{name}", lambda n=name: getattr(stats, n)
             )
-        registry.register_probe(
-            "runtime.total_activations", lambda: self.total_activations()
-        )
+        registry.register_probe("runtime.total_activations", self.total_activations)
         registry.register_probe(
             "trace.spans_recorded", lambda: len(self.tracer)
         )
@@ -274,10 +265,7 @@ class AodbRuntime(Routing, Membership):
         self, type_name: str
     ) -> dict[str, tuple[Any, dict[str, Any], float]]:
         """The method table every activation of ``type_name`` dispatches on."""
-        table = self._methods.get(type_name)
-        if table is None:
-            table = self._methods[type_name] = {}
-        return table
+        return self._methods.setdefault(type_name, {})
 
     def _resolve_method(
         self, type_name: str, method_name: str
@@ -336,10 +324,8 @@ class AodbRuntime(Routing, Membership):
         self._heartbeats[silo_id] = self.scheduler.spawn(
             self._heartbeat_loop(silo_id), name=f"heartbeat:{silo_id}"
         )
-        if self.redo_journal is not None and silo_id not in self._redo_pumps:
-            self._redo_pumps[silo_id] = self.scheduler.spawn(
-                self._redo_pump(silo_id), name=f"redo-pump:{silo_id}"
-            )
+        if self.redo_journal is not None:
+            self._start_redo_pump(silo_id)
         self.metrics.register_probe(
             "silo.mailbox_depth", silo.mailbox_backlog, silo=silo_id
         )
@@ -422,23 +408,18 @@ class AodbRuntime(Routing, Membership):
         not accept activations (unknown, crashed, quarantined, draining, or
         stopping).
         """
-        try:
-            target = self.silo(target_silo_id)
-        except SiloUnavailableError:
-            self.stats.migration_failures += 1
-            raise
-        if not target.accepts_activations:
+        target = self._silos.get(target_silo_id)
+        if target is None or not target.accepts_activations:
             self.stats.migration_failures += 1
             raise SiloUnavailableError(
                 f"silo {target_silo_id!r} cannot accept migrations"
             )
         source_id = self.directory.lookup(key)
-        source = self._silos.get(source_id) if source_id is not None else None
+        source = self._silos.get(source_id)
         activation = source.get_activation(key) if source is not None else None
         if (
             activation is None
             or activation.closing
-            or source is None
             or source.crashed
             or source_id == target_silo_id
         ):
@@ -554,10 +535,10 @@ class AodbRuntime(Routing, Membership):
 
     def _forget(self, activation: Activation) -> None:
         """Unlink ``activation`` from catalog and directory, unless replaced."""
-        silo = self._silos.get(activation.silo.silo_id)
+        silo = self._silos.get(activation.silo_id)
         if silo is not None and silo.get_activation(activation.key) is activation:
             silo.remove_activation(activation.key)
-            if self.directory.lookup(activation.key) == activation.silo.silo_id:
+            if self.directory.lookup(activation.key) == activation.silo_id:
                 self.directory.unregister(activation.key)
 
     # -- lifecycle services ------------------------------------------------------------
@@ -570,10 +551,7 @@ class AodbRuntime(Routing, Membership):
     async def deactivate(self, type_name: str, actor_id: str) -> bool:
         """Explicitly deactivate one actor (persisting durable state)."""
         key = ActorKey(type_name, actor_id)
-        silo_id = self.directory.lookup(key)
-        if silo_id is None:
-            return False
-        silo = self._silos.get(silo_id)
+        silo = self._silos.get(self.directory.lookup(key))
         activation = silo.get_activation(key) if silo is not None else None
         if activation is None:
             return False

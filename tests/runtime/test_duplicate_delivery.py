@@ -17,7 +17,7 @@ from repro.runtime import Actor
 class Sink(Actor):
     async def record(self, payload, tag=""):
         seen = type(self).seen
-        seen.append((payload, tag, self.context.activation.active_chain))
+        seen.append((payload, tag, self.context.active_chain))
 
 
 class Relay(Actor):
