@@ -47,9 +47,9 @@ class _ChannelBase(Actor):
 
     def __init__(self, context):
         super().__init__(context)
-        self.window = self._new_window(
-            DEFAULT_WINDOW_CAPACITY, DEFAULT_BLOCK_SIZE
-        )
+        # ``self.window`` is built by on_activate, in the event that
+        # attaches the state it is restored from.
+        self.window: TieredSeries
         self.change = AccumulatedChange()
         # High-water mark of stored timestamps, used by the optional
         # duplicate filter; restored from the persisted window on activate.
@@ -65,7 +65,6 @@ class _ChannelBase(Actor):
     async def on_activate(self):
         window_capacity = self.state.get("window_capacity", DEFAULT_WINDOW_CAPACITY)
         block_size = self.state.get("block_size", DEFAULT_BLOCK_SIZE)
-        self.window.detach_stats()
         tsdoc = self.state.get("tsdoc")
         if tsdoc is not None:
             self.window = TieredSeries.from_document(

@@ -9,6 +9,7 @@ from repro.runtime import AodbRuntime, RuntimeConfig
 from repro.runtime.key import ActorKey
 from repro.shm import ShmPlatform, channel_id_for, sensor_id_for
 from repro.storage import ArchiveLog, InMemoryKVStore
+from repro.storage.tsblocks import TieredSeries
 
 
 @pytest.fixture
@@ -220,3 +221,29 @@ def test_configure_block_size_zero_disables_tiering(sched):
     assert stats["blocks"] == 0
     assert stats["head_points"] == 50
     assert raw == ramp(50)
+
+
+def test_a_channel_activation_builds_one_window(sched, monkeypatch):
+    platform = build_platform(sched)
+    built = []
+    init = TieredSeries.__init__
+
+    def counting_init(series, *args, **kwargs):
+        built.append(series)
+        init(series, *args, **kwargs)
+
+    async def main():
+        await platform.provision(total_sensors=1)
+        sensor_id = sensor_id_for("org-0", 0)
+        c0 = channel_id_for(sensor_id, 0)
+        await platform.ingest(sensor_id, {c0: ramp(20)})
+        await platform.runtime.deactivate("PhysicalSensorChannel", c0)
+        monkeypatch.setattr(TieredSeries, "__init__", counting_init)
+        # A fresh activation (no stored document) and a reactivation that
+        # restores its window from the document.
+        fresh = platform.runtime.ref("PhysicalSensorChannel", "fresh")
+        await fresh.storage_stats()
+        await platform.runtime.ref("PhysicalSensorChannel", c0).storage_stats()
+
+    sched.run_until_complete(main())
+    assert len(built) == 2
