@@ -6,8 +6,9 @@ that most often break: no unused imports (ruff's F401) and no line over 88
 columns (the formatter's width).  A line that must stay long says
 ``# noqa`` (as ruff would accept it).
 
-One rule is the project's own: ``src/`` imports nothing outside the
-standard library, since CI installs only the test tools.
+Two rules are the project's own: ``src/`` imports nothing outside the
+standard library, since CI installs only the test tools, and no module
+under ``src/`` grows past 1,000 lines (split it by job instead).
 """
 
 import ast
@@ -21,6 +22,7 @@ FILES = sorted(
     for path in (ROOT / top).rglob("*.py")
 )
 MAX_COLUMNS = 88
+MAX_MODULE_LINES = 1000
 
 
 def relative(path: Path) -> str:
@@ -130,6 +132,21 @@ def test_src_imports_only_the_standard_library():
     assert found == []
 
 
+def oversized(path: Path) -> list[str]:
+    """The module's line count, if it is over the cap."""
+    lines = len(path.read_text().splitlines())
+    return [f"{lines} lines"] if lines > MAX_MODULE_LINES else []
+
+
+def test_src_modules_stay_under_the_size_cap():
+    found = [
+        f"{relative(path)} {entry}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for entry in oversized(path)
+    ]
+    assert found == []
+
+
 def test_the_checks_can_fail(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text(
@@ -152,3 +169,7 @@ def test_the_checks_can_fail(tmp_path):
         "line 4: imports networkx",
         "line 5: imports numpy",
     ]
+    sample.write_text("pass\n" * MAX_MODULE_LINES)
+    assert oversized(sample) == []
+    sample.write_text("pass\n" * (MAX_MODULE_LINES + 1))
+    assert oversized(sample) == ["1001 lines"]
