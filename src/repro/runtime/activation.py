@@ -1,6 +1,8 @@
 """Activations: live instances of virtual actors.
 
-An activation owns the actor instance and its mailbox, and serves the
+An activation owns the actor instance and its mailbox, and is the actor's
+``context``: what an actor asks of the runtime (the time, references to
+other actors, timers, reminders) it asks of its activation.  It serves the
 mailbox with Orleans-style *turn-based* concurrency: one message runs to
 completion (including its awaits) before the next is dequeued, unless the
 actor class opted into reentrancy.  Every message execution charges its CPU

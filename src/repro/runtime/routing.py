@@ -539,7 +539,7 @@ class Routing:
             self.stats.last_error = f"{invocation.describe()}: {error}"
         reply = invocation.reply
         if reply is None or from_silo is None:
-            # One-way: handling is done the moment the method returns.
+            # One-way (done the moment the method returns), or no hop back.
             if reply is not None and not reply.done():
                 reply.set_exception(error)
             status, text = ("ok", "") if error is None else ("error", str(error))
