@@ -18,8 +18,9 @@ Timers are callbacks too (:class:`_Timer`).
 An idle activation is what a platform of one actor per sensor keeps
 resident by the hundred thousand, so it holds only what it uses: the mailbox
 deque exists only while messages queue, the timer table is created by the
-first timer, and method dispatch reads a table shared by every activation of
-the type (``AodbRuntime._method_table``).
+first timer, the ``closed`` event by its first reader, a turn table only
+while turns interleave, and method dispatch reads a table shared by every
+activation of the type (``AodbRuntime._method_table``).
 """
 
 from __future__ import annotations
@@ -59,6 +60,14 @@ _DRAIN: Future[None] = Future("drain")
 class Activation:
     """One in-memory incarnation of a virtual actor."""
 
+    __slots__ = (
+        "runtime", "_predecessor_closed", "actor_class", "key", "_qualified",
+        "_self_chain", "silo", "silo_id", "instance", "mailbox", "closing",
+        "_closed", "broken", "parked", "active_chain", "active_span",
+        "last_used", "messages_handled", "_methods", "_inflight", "_timers",
+        "_wait", "_handed",
+    )
+
     def __init__(
         self,
         runtime: "AodbRuntime",
@@ -82,7 +91,9 @@ class Activation:
         # queue, and again once the serial path drains it and goes idle.
         self.mailbox: deque[Any] | None = None
         self.closing = False
-        self.closed = Event(runtime.scheduler)
+        # The ``closed`` event once something reads it; until then a flag,
+        # True once closed (see :attr:`closed`).
+        self._closed: Event | bool = False
         self.broken: BaseException | None = None
         # Quarantine parking: set to the fault new messages should fail
         # with while the hosting silo has lost its membership lease.  The
@@ -96,8 +107,9 @@ class Activation:
         self.messages_handled = 0
         # The type's method table, shared with every activation of it.
         self._methods = runtime._method_table(key.type_name)
-        # Turns started and not yet over, in start order.
-        self._inflight: dict[_Turn, None] = {}
+        # Turns started and not yet over: None, the one turn, or, while
+        # turns interleave, a dict of them in start order.
+        self._inflight: _Turn | dict[_Turn, None] | None = None
         self._timers: dict[str, _Timer] | None = None
         # What the serial path (boot, one-at-a-time turns, close) is parked
         # on: _IDLE, a CPU timer, _DRAIN or an adopted Task — None (or
@@ -161,6 +173,28 @@ class Activation:
         self.runtime.scheduler._call_soon(_Turn.launch, _Turn(self, invocation, False))
 
     @property
+    def closed(self) -> Event:
+        """Set once the activation has closed.
+
+        Most activations close with nobody watching, so the event is built
+        by its first reader (already set if the activation closed before).
+        """
+        closed = self._closed
+        if type(closed) is not Event:
+            event = Event(self.runtime.scheduler)
+            if closed:
+                event.set()
+            self._closed = closed = event
+        return closed
+
+    def _set_closed(self) -> None:
+        closed = self._closed
+        if type(closed) is Event:
+            closed.set()
+        else:
+            self._closed = True
+
+    @property
     def busy(self) -> bool:
         """True while messages are queued or executing."""
         return bool(self.mailbox or self._inflight)
@@ -215,15 +249,17 @@ class Activation:
             self.closing = True
             self._fail_pending(exc)
             self.runtime._activation_failed(self, exc)
-            self.closed.set()
+            self._set_closed()
             return
         self._serve()
 
     async def _start(self) -> None:
-        if self._predecessor_closed is not None:
+        predecessor_closed = self._predecessor_closed
+        if predecessor_closed is not None:
             # A previous activation of this grain is still persisting its
             # state; wait so our state load observes its final flush.
-            await self._predecessor_closed.wait()
+            self._predecessor_closed = None
+            await predecessor_closed.wait()
         # Activation work (CPU charge + state load) is attributed to the
         # pseudo-method ``__activate__`` so profiler totals still sum to the
         # kernel's busy ledger.
@@ -338,11 +374,17 @@ class Activation:
         self._stop_timers()
         # The requests it was executing go down with it: their replies fail
         # now, and the abandoned turns send nothing (they check ``broken``).
-        in_flight = [turn.invocation for turn in self._inflight]
+        inflight = self._inflight
+        if inflight is None:
+            in_flight = []
+        elif type(inflight) is _Turn:
+            in_flight = [inflight.invocation]
+        else:
+            in_flight = [turn.invocation for turn in inflight]
         if self._handed is not None:
             in_flight.append(self._handed)
         self._fail_pending(fault, in_flight)
-        self.closed.set()
+        self._set_closed()
 
     def park(self, fault: BaseException) -> None:
         """Stop serving without tearing down (quarantine).
@@ -388,7 +430,7 @@ class Activation:
         except BaseException as exc:  # noqa: BLE001 - report, never hang
             self.runtime._activation_failed(self, exc)
         finally:
-            self.closed.set()
+            self._set_closed()
 
     # -- what the actor asks of its runtime (``Actor.context``) -------------------
 
@@ -565,7 +607,13 @@ class _Turn:
         self.invocation = invocation
         self.serial = serial
         self.profile: Any = None
-        activation._inflight[self] = None
+        inflight = activation._inflight
+        if inflight is None:
+            activation._inflight = self
+        elif type(inflight) is _Turn:
+            activation._inflight = {inflight: None, self: None}
+        else:
+            inflight[self] = None
 
     def launch(self) -> bool:
         try:
@@ -762,7 +810,13 @@ class _Turn:
 
     def end(self) -> bool:
         activation = self.activation
-        del activation._inflight[self]
+        inflight = activation._inflight
+        if inflight is self:
+            activation._inflight = None
+        else:
+            del inflight[self]
+            if not inflight:
+                activation._inflight = None
         if not activation._inflight and activation._wait is _DRAIN:
             # The last interleaved turn before close: close in a ready event.
             activation._wait = None

@@ -51,6 +51,11 @@ class StateCell:
     scheduler), if any.
     """
 
+    __slots__ = (
+        "_key", "_storage_key", "_store", "_writer", "fence", "_journal",
+        "_clock", "document", "_etag", "dirty", "loads", "flushes", "replayed",
+    )
+
     def __init__(
         self,
         key: ActorKey,

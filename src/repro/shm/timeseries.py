@@ -24,6 +24,8 @@ class AccumulatedChange:
     moved" even when they oscillate back.
     """
 
+    __slots__ = ("first_value", "last_value", "total", "count")
+
     def __init__(self) -> None:
         self.first_value: float | None = None
         self.last_value: float | None = None

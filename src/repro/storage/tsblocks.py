@@ -453,9 +453,10 @@ class SealedBlock:
 
 # -- shared counters -----------------------------------------------------------
 
-#: Nominal live-memory cost of one raw buffered point: the pair tuple, two
-#: float objects and the parallel bisect stamp.  Measured once per process
-#: so the head-memory probes track real CPython layout.
+#: Nominal live-memory cost of one raw buffered point, priced as the pair
+#: tuple and three float objects.  A head point holds two floats; the third
+#: stays because the committed ``bench tsblocks`` byte totals are priced with
+#: this figure.  Measured once per process.
 RAW_POINT_BYTES = (
     sys.getsizeof((0.0, 0.0)) + 2 * sys.getsizeof(0.0) + sys.getsizeof(0.0)
 )
@@ -569,7 +570,19 @@ class TieredSeries:
 
     ``block_size=0`` disables sealing entirely, degenerating to a raw
     pair window (the A-side of the tsbench A/B).
+
+    Every channel actor owns one and most sit idle, so a column list is
+    allocated by its first write; until then it is the shared empty tuple,
+    which every read treats as an empty column.  Stored pairs are always
+    ``(timestamp, value)`` tuples: a read returns the same shape from every
+    tier, and the head bisects on ``(t,)`` like blocks and ``_old`` do.
     """
+
+    __slots__ = (
+        "capacity", "block_size", "stats", "_old", "_blocks", "_block_last",
+        "_head", "_sealed_points", "total_appended", "_cache_block",
+        "_cache_pairs",
+    )
 
     #: Shared empty-eviction result; treat as read-only.
     _NO_EVICTIONS: list = []
@@ -588,12 +601,11 @@ class TieredSeries:
         self.block_size = block_size
         self.stats = stats
         # Oldest → newest: _old (decoded remainder of a part-evicted
-        # block) → _blocks → head.
-        self._old: list[tuple[float, float]] = []
-        self._blocks: list[SealedBlock] = []
-        self._block_last: list[float] = []  # parallel t_last, for bisect
-        self._head: list[tuple[float, float]] = []
-        self._head_stamps: list[float] = []
+        # block) → _blocks → head; each is () until its first write.
+        self._old: list[tuple[float, float]] | tuple = ()
+        self._blocks: list[SealedBlock] | tuple = ()
+        self._block_last: list[float] | tuple = ()  # parallel t_last, for bisect
+        self._head: list[tuple[float, float]] | tuple = ()
         self._sealed_points = 0  # running sum of block.count over _blocks
         self.total_appended = 0
         # Single-slot decode cache: recent-range queries that cross into
@@ -611,7 +623,7 @@ class TieredSeries:
     @property
     def last_timestamp(self) -> float | None:
         if self._head:
-            return self._head_stamps[-1]
+            return self._head[-1][0]
         if self._blocks:
             return self._blocks[-1].t_last
         if self._old:
@@ -631,12 +643,16 @@ class TieredSeries:
         :class:`SealedBlock` objects, oldest first — a block appears
         whenever the eviction boundary swallowed it entirely, so archival
         never decodes what it is about to recompress.
+
+        A pair that is not a tuple (a list from a decoded message, say) is
+        stored as one, so the series never holds the caller's containers.
         """
         if not pairs:
             return self._NO_EVICTIONS
         last = self.last_timestamp
         if last is None:
             last = float("-inf")
+        tuples = True
         for pair in pairs:
             timestamp = pair[0]
             # Not ``timestamp < last``: that is False for NaN, which would
@@ -646,8 +662,14 @@ class TieredSeries:
                     f"out-of-order point: {timestamp} after {last}"
                 )
             last = timestamp
-        self._head.extend(pairs)
-        self._head_stamps.extend(pair[0] for pair in pairs)
+            if type(pair) is not tuple:
+                tuples = False
+        if not tuples:
+            pairs = [pair if type(pair) is tuple else tuple(pair) for pair in pairs]
+        if self._head:
+            self._head.extend(pairs)
+        else:
+            self._head = list(pairs)
         self.total_appended += len(pairs)
         stats = self.stats
         if stats is not None:
@@ -663,10 +685,13 @@ class TieredSeries:
     def _seal_head_prefix(self, count: int) -> None:
         run = self._head[:count]
         del self._head[:count]
-        del self._head_stamps[:count]
         block = SealedBlock.seal(run)
-        self._blocks.append(block)
-        self._block_last.append(block.t_last)
+        if self._blocks:
+            self._blocks.append(block)
+            self._block_last.append(block.t_last)
+        else:
+            self._blocks = [block]
+            self._block_last = [block.t_last]
         self._sealed_points += block.count
         stats = self.stats
         if stats is not None:
@@ -713,7 +738,6 @@ class TieredSeries:
                 take = min(need, len(self._head))
                 evicted.extend(self._head[:take])
                 del self._head[:take]
-                del self._head_stamps[:take]
                 need -= take
                 if stats is not None:
                     stats.head_points -= take
@@ -750,7 +774,7 @@ class TieredSeries:
         """
         if not end > start:  # empty, or a NaN bound
             return []
-        out = _cut(self._old, start, end)
+        out = _cut(self._old, start, end) if self._old else []
         blocks = self._blocks
         if blocks:
             stats = self.stats
@@ -764,10 +788,7 @@ class TieredSeries:
                 stats.blocks_skipped += len(blocks) - (hi - lo)
             for block in blocks[lo:hi]:
                 out.extend(_cut(self._decode(block), start, end))
-        stamps = self._head_stamps
-        lo = bisect.bisect_left(stamps, start)
-        hi = bisect.bisect_left(stamps, end, lo)
-        out.extend(self._head[lo:hi])
+        out.extend(_cut(self._head, start, end))
         return out
 
     def tail(self, count: int) -> list[tuple[float, float]]:
@@ -809,7 +830,8 @@ class TieredSeries:
         folds: list[BlockSummary] = []
         edges: list[tuple[float, float]] = []
         if end > start:
-            edges = _cut(self._old, start, end)
+            if self._old:
+                edges = _cut(self._old, start, end)
             blocks = self._blocks
             if blocks:
                 stats = self.stats
@@ -827,10 +849,7 @@ class TieredSeries:
                             stats.summary_answers += 1
                     else:
                         edges.extend(_cut(self._decode(block), start, end))
-            stamps = self._head_stamps
-            lo = bisect.bisect_left(stamps, start)
-            hi = bisect.bisect_left(stamps, end, lo)
-            edges.extend(self._head[lo:hi])
+            edges.extend(_cut(self._head, start, end))
         if edges:
             folds.append(summarize(edges))
         return merge_folds(folds)
@@ -900,17 +919,20 @@ class TieredSeries:
             block_size=doc.get("block_size", 256),
             stats=stats,
         )
-        for block_doc in doc.get("blocks", ()):
-            block = SealedBlock.from_document(tuple(block_doc))
-            series._blocks.append(block)
-            series._block_last.append(block.t_last)
-            series._sealed_points += block.count
+        blocks = [
+            SealedBlock.from_document(tuple(block_doc))
+            for block_doc in doc.get("blocks", ())
+        ]
+        if blocks:
+            series._blocks = blocks
+            series._block_last = [block.t_last for block in blocks]
+            series._sealed_points = sum(block.count for block in blocks)
             if stats is not None:
-                stats.block_bytes += block.nbytes
-                stats.sealed_points += block.count
+                stats.block_bytes += sum(block.nbytes for block in blocks)
+                stats.sealed_points += series._sealed_points
         head = [tuple(pair) for pair in doc.get("head", ())]
-        series._head.extend(head)
-        series._head_stamps.extend(pair[0] for pair in head)
-        if stats is not None:
-            stats.head_points += len(head)
+        if head:
+            series._head = head
+            if stats is not None:
+                stats.head_points += len(head)
         return series

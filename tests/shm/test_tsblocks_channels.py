@@ -17,8 +17,12 @@ def sched():
     return Scheduler()
 
 
-def build_platform(sched, window_capacity=64, block_size=16, **kwargs):
-    config = RuntimeConfig(default_method_cost=0.0, activation_cost=0.0)
+def build_platform(
+    sched, window_capacity=64, block_size=16, copy_messages=True, **kwargs
+):
+    config = RuntimeConfig(
+        default_method_cost=0.0, activation_cost=0.0, copy_messages=copy_messages
+    )
     network = Network(sched, lan=ConstantLatency(0.0))
     runtime = AodbRuntime(
         sched, config=config, network=network,
@@ -221,6 +225,39 @@ def test_configure_block_size_zero_disables_tiering(sched):
     assert stats["blocks"] == 0
     assert stats["head_points"] == 50
     assert raw == ramp(50)
+
+
+@pytest.mark.parametrize("copy_messages", [True, False])
+def test_list_shaped_points_are_stored_as_tuples(sched, copy_messages):
+    # Points that arrive as lists read back as tuples from the head, from
+    # sealed blocks and after a reload alike, and the window keeps none of
+    # the caller's lists (which copy_messages=False hands over as they are).
+    platform = build_platform(
+        sched, window_capacity=8, block_size=4, copy_messages=copy_messages
+    )
+    sensor_id = sensor_id_for("org-0", 0)
+    c0 = channel_id_for(sensor_id, 0)
+    expected = [(1.0, 10.0), (2.0, 11.0), (3.0, 12.0), (4.0, 13.0), (5.0, 14.0)]
+
+    async def main():
+        await platform.provision(total_sensors=1)
+        first = [[1.0, 10.0], [2.0, 11.0]]
+        await platform.ingest(sensor_id, {c0: first})
+        head_only = await platform.raw_range(c0, 0.0, 100.0)
+        await platform.ingest(
+            sensor_id, {c0: [[3.0, 12.0], [4.0, 13.0], [5.0, 14.0]]}
+        )
+        first[0][1] = -1.0  # the caller reuses its rows
+        mixed = await platform.raw_range(c0, 0.0, 100.0)
+        await platform.runtime.deactivate("PhysicalSensorChannel", c0)
+        reloaded = await platform.raw_range(c0, 0.0, 100.0)
+        return head_only, mixed, reloaded
+
+    head_only, mixed, reloaded = sched.run_until_complete(main())
+    assert head_only == expected[:2]
+    assert mixed == reloaded == expected
+    for pairs in (head_only, mixed, reloaded):
+        assert all(type(pair) is tuple for pair in pairs)
 
 
 def test_a_channel_activation_builds_one_window(sched, monkeypatch):
