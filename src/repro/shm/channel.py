@@ -104,8 +104,9 @@ class _ChannelBase(Actor):
     def _store_points(self, points: list[tuple[float, float]]) -> int:
         """Append readings to the window; archive evicted ones.
 
-        Whole evicted blocks are handed to the archive still compressed;
-        only loose boundary points go through the raw append path.
+        Each eviction run goes to the archive in one call: a block the
+        window evicted whole stays compressed, a run of pairs is re-sealed
+        at the archive's own block boundaries.
         """
         if not points:
             return 0
@@ -119,11 +120,11 @@ class _ChannelBase(Actor):
         if evicted:
             archive = getattr(self.context.runtime, "archive", None)
             if archive is not None:
-                for item in evicted:
-                    if type(item) is SealedBlock:
-                        archive.append_block(self.actor_id, item)
+                for run in evicted:
+                    if type(run) is SealedBlock:
+                        archive.append_block(self.actor_id, run)
                     else:
-                        archive.append(self.actor_id, item[0], item[1])
+                        archive.extend(self.actor_id, run)
         return len(points)
 
     # -- queries --------------------------------------------------------------

@@ -2,60 +2,76 @@
 
 The paper's architecture (§5) exports data recorded in cloud storage into an
 analytical database (star schema) for historical queries, which it declares
-out of scope.  We keep the boundary honest: platforms *append* immutable
-records here (sensor windows evicted from actor state, supply-chain events),
-and a minimal query surface supports the kind of time-range retrieval a
-downstream warehouse loader would perform.
+out of scope.  We keep the boundary honest: sensor channels append the
+points their windows evict here, and a minimal query surface supports the
+kind of time-range retrieval a downstream warehouse loader would perform.
 
-Since the tsblocks engine landed, the cold path is no longer a stub holding
-raw per-record lists: numeric streams tier into sealed
-:class:`~repro.storage.tsblocks.SealedBlock` runs (delta-of-delta timestamps
-+ XOR-compressed values, plus a compressed sequence-number column so decoded
-records keep their exact global sequence), with a small raw head per stream
-that seals every ``block_size`` appends.  Sensor channels hand whole evicted
-blocks over via :meth:`ArchiveLog.append_block` — eviction never decodes
-what it is about to archive.  Streams with non-float payloads (supply-chain
-events, test fixtures) keep the legacy raw-record representation.
+A stream has the window's shape (:class:`~repro.storage.tsblocks.TieredSeries`):
+sealed blocks with a parallel ``t_last`` column to bisect on, then a raw head
+of ``(timestamp, value)`` tuples that seals every ``block_size`` points.
+Each point keeps its global sequence number, in a compressed column per
+block and an ``array('q')`` beside the head.  A channel hands over each
+eviction run in one call: a block its window evicted whole stays compressed
+(:meth:`ArchiveLog.append_block`); the points of a block the eviction
+boundary cut through were decoded by the window to split it, and arrive as a
+pair run that is re-sealed here (:meth:`ArchiveLog.extend`).  Records exist
+only in what reads return.
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+import math
+from array import array
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
-from .tsblocks import SealedBlock, cut_bounds, decode_uints, encode_uints
+from .tsblocks import SealedBlock, checked_points, cut_bounds, overlapping
+from .tsblocks import decode_uints, encode_uints
 
 
 @dataclass(frozen=True)
 class ArchiveRecord:
-    """One immutable archived record."""
+    """One archived point, as reads return it."""
 
     stream: str
     timestamp: float
-    payload: Any
+    payload: float
     sequence: int
 
 
-@dataclass
-class _Stream:
-    """One stream's tiers: sealed compressed runs plus a raw head."""
+def _records(stream: str, pairs: Sequence, sequences: Sequence[int]) -> list:
+    """Records of parallel pairs and sequence numbers (every read's builder)."""
+    return [ArchiveRecord(stream, t, v, seq) for (t, v), seq in zip(pairs, sequences)]
 
-    #: (block, compressed global-sequence column) pairs, oldest first.
-    sealed: list[tuple[SealedBlock, bytes]] = field(default_factory=list)
-    sealed_last: list[float] = field(default_factory=list)
-    head: list[ArchiveRecord] = field(default_factory=list)
-    head_stamps: list[float] = field(default_factory=list)
-    #: Set once a non-float payload arrives; the stream then stays raw.
-    raw_only: bool = False
-    last_ts: float = float("-inf")
-    count: int = 0
+
+class _Stream:
+    """One stream's tiers: sealed blocks, oldest first, then a raw head."""
+
+    __slots__ = ("blocks", "seqs", "block_last", "head", "head_seqs")
+
+    def __init__(self) -> None:
+        self.blocks: list[SealedBlock] = []
+        self.seqs: list[bytes] = []  # compressed global sequences, per block
+        self.block_last: list[float] = []  # parallel t_last, for bisect
+        self.head: list[tuple[float, float]] = []
+        self.head_seqs = array("q")
+
+    @property
+    def last_ts(self) -> float:
+        if self.head:
+            return self.head[-1][0]
+        return self.block_last[-1] if self.blocks else -math.inf
+
+    def add_block(self, block: SealedBlock, sequences: Sequence[int]) -> None:
+        self.blocks.append(block)
+        self.seqs.append(encode_uints(sequences))
+        self.block_last.append(block.t_last)
 
 
 class ArchiveLog:
     """Per-stream append-only logs with time-range reads.
 
-    Records within a stream must be appended with non-decreasing timestamps
+    Points within a stream must be appended with non-decreasing timestamps
     (enforced), which is what makes binary-searched range reads — and the
     per-block summary skipping — valid.
     """
@@ -71,129 +87,96 @@ class ArchiveLog:
 
     # -- writes ----------------------------------------------------------------
 
-    def append(self, stream: str, timestamp: float, payload: Any) -> ArchiveRecord:
-        """Append one record; timestamps per stream must not go backwards."""
-        entry = self._streams.setdefault(stream, _Stream())
-        # Not ``timestamp < last_ts``: that is False for NaN, which would slip
-        # through and break the sortedness range reads bisect on.
-        if not timestamp >= entry.last_ts:
-            raise ValueError(
-                f"archive stream {stream!r}: timestamp {timestamp} is older "
-                f"than last appended {entry.last_ts}"
-            )
-        self._sequence += 1
-        record = ArchiveRecord(stream, timestamp, payload, self._sequence)
-        entry.head.append(record)
-        entry.head_stamps.append(timestamp)
-        entry.last_ts = timestamp
-        entry.count += 1
-        if not entry.raw_only and type(payload) is not float:
-            entry.raw_only = True
-        if (
-            not entry.raw_only
-            and self.block_size
-            and len(entry.head) >= self.block_size
-        ):
-            self._seal_head(entry)
-        return record
+    def append(self, stream: str, timestamp: float, payload: float) -> int:
+        """Append one point: :meth:`extend` of a single pair."""
+        return self.extend(stream, ((timestamp, payload),))
 
-    def _seal_head(self, entry: _Stream) -> None:
-        records = entry.head
-        block = SealedBlock.seal([(r.timestamp, r.payload) for r in records])
-        seq_bytes = encode_uints([r.sequence for r in records])
-        entry.sealed.append((block, seq_bytes))
-        entry.sealed_last.append(block.t_last)
-        entry.head = []
-        entry.head_stamps = []
+    def extend(self, stream: str, pairs: Sequence[tuple[float, float]]) -> int:
+        """Append a time-ordered run of pairs; returns how many were stored.
+
+        The run passes the window's point rule
+        (:func:`~repro.storage.tsblocks.checked_points`): an out-of-order
+        timestamp or a non-numeric value raises ``ValueError`` and stores
+        nothing.  The head seals every ``block_size`` points.
+        """
+        entry = self._streams.get(stream)
+        pairs = checked_points(pairs, -math.inf if entry is None else entry.last_ts)
+        if not pairs:
+            return 0
+        if entry is None:
+            entry = self._streams[stream] = _Stream()
+        first = self._sequence + 1
+        self._sequence += len(pairs)
+        entry.head.extend(pairs)
+        entry.head_seqs.extend(range(first, self._sequence + 1))
+        while self.block_size and len(entry.head) >= self.block_size:
+            self._seal_head(entry, self.block_size)
+        return len(pairs)
+
+    def _seal_head(self, entry: _Stream, count: int) -> None:
+        entry.add_block(SealedBlock.seal(entry.head[:count]), entry.head_seqs[:count])
+        del entry.head[:count]
+        del entry.head_seqs[:count]
         self.blocks_sealed += 1
 
     def append_block(self, stream: str, block: SealedBlock) -> int:
-        """Archive a whole sealed block (e.g. a window-evicted run).
+        """Archive a whole sealed block (a run a window evicted whole).
 
-        The block's points get a fresh contiguous run of global sequence
-        numbers.  A pending raw head is sealed first (numeric streams) or
-        the block is unrolled into records (raw-fallback streams), so the
-        oldest-to-newest tier order always holds.
+        Its points get a fresh contiguous run of global sequence numbers.  A
+        pending head is sealed first, so the tiers stay in time order.
         """
-        entry = self._streams.setdefault(stream, _Stream())
-        if not block.t_first >= entry.last_ts:
+        entry = self._streams.get(stream)
+        last = -math.inf if entry is None else entry.last_ts
+        if not block.t_first >= last:
             raise ValueError(
                 f"archive stream {stream!r}: block starting {block.t_first} "
-                f"is older than last appended {entry.last_ts}"
+                f"is older than last appended {last}"
             )
-        if entry.raw_only:
-            for timestamp, value in block.decode():
-                self.append(stream, timestamp, value)
-            return block.count
-        if entry.head:
-            self._seal_head(entry)
-        first_seq = self._sequence + 1
+        if entry is None:
+            entry = self._streams[stream] = _Stream()
+        elif entry.head:
+            self._seal_head(entry, len(entry.head))
+        first = self._sequence + 1
         self._sequence += block.count
-        seq_bytes = encode_uints(list(range(first_seq, self._sequence + 1)))
-        entry.sealed.append((block, seq_bytes))
-        entry.sealed_last.append(block.t_last)
-        entry.last_ts = block.t_last
-        entry.count += block.count
+        entry.add_block(block, range(first, self._sequence + 1))
         return block.count
-
-    def extend(
-        self, stream: str, items: Iterable[tuple[float, Any]]
-    ) -> list[ArchiveRecord]:
-        """Append many (timestamp, payload) pairs; returns the records."""
-        return [self.append(stream, ts, payload) for ts, payload in items]
 
     # -- accounting ------------------------------------------------------------
 
     def streams(self) -> list[str]:
-        """Names of all streams with at least one record."""
-        return sorted(name for name, s in self._streams.items() if s.count)
+        """Names of all streams with at least one point."""
+        return sorted(self._streams)
 
     def __len__(self) -> int:
-        return sum(entry.count for entry in self._streams.values())
+        return self.sealed_records + sum(len(e.head) for e in self._streams.values())
 
     @property
     def block_bytes(self) -> int:
         """Total compressed bytes across all sealed archive blocks."""
         return sum(
-            block.nbytes + len(seq)
+            block.nbytes + len(seqs)
             for entry in self._streams.values()
-            for block, seq in entry.sealed
+            for block, seqs in zip(entry.blocks, entry.seqs)
         )
 
     @property
     def sealed_records(self) -> int:
-        """How many records live in sealed (compressed) blocks."""
+        """How many points live in sealed (compressed) blocks."""
         return sum(
-            block.count
-            for entry in self._streams.values()
-            for block, _seq in entry.sealed
+            block.count for entry in self._streams.values() for block in entry.blocks
         )
 
     # -- reads -----------------------------------------------------------------
 
-    def _decode(
-        self,
-        stream: str,
-        block: SealedBlock,
-        seq_bytes: bytes,
-        start: float | None = None,
-        end: float | None = None,
-    ) -> list[ArchiveRecord]:
-        """The block's records; with a range, only start <= timestamp < end."""
-        pairs = block.decode()
-        sequences = decode_uints(seq_bytes, block.count)
+    def _tier(self, entry: _Stream, index: int) -> tuple[list, Sequence[int]]:
+        """Pairs and sequences of block ``index``; the head one past the last."""
+        if index == len(entry.blocks):
+            return entry.head, entry.head_seqs
+        block = entry.blocks[index]
         self.records_decoded += block.count
-        if start is not None:  # records outside the cut are never built
-            lo, hi = cut_bounds(pairs, start, end)
-            pairs, sequences = pairs[lo:hi], sequences[lo:hi]
-        return [
-            ArchiveRecord(stream, timestamp, value, sequence)
-            for (timestamp, value), sequence in zip(pairs, sequences)
-        ]
+        return block.decode(), decode_uints(entry.seqs[index], block.count)
 
-    def read_range(
-        self, stream: str, start: float, end: float
-    ) -> list[ArchiveRecord]:
+    def read_range(self, stream: str, start: float, end: float) -> list[ArchiveRecord]:
         """Records in ``stream`` with start <= timestamp < end.
 
         Sealed blocks whose summary window misses the range are skipped
@@ -202,16 +185,12 @@ class ArchiveLog:
         entry = self._streams.get(stream)
         if entry is None or not end > start:  # empty, or a NaN bound
             return []
+        lo, hi = overlapping(entry.blocks, entry.block_last, start, end)
         out: list[ArchiveRecord] = []
-        if entry.sealed:
-            lo = bisect.bisect_left(entry.sealed_last, start)
-            for block, seq_bytes in entry.sealed[lo:]:
-                if block.t_first >= end:
-                    break
-                out.extend(self._decode(stream, block, seq_bytes, start, end))
-        lo = bisect.bisect_left(entry.head_stamps, start)
-        hi = bisect.bisect_left(entry.head_stamps, end, lo)
-        out.extend(entry.head[lo:hi])
+        for index in [*range(lo, hi), len(entry.blocks)]:
+            pairs, sequences = self._tier(entry, index)
+            cut = slice(*cut_bounds(pairs, start, end))
+            out.extend(_records(stream, pairs[cut], sequences[cut]))
         return out
 
     def tail(self, stream: str, count: int) -> list[ArchiveRecord]:
@@ -219,25 +198,17 @@ class ArchiveLog:
         if count < 0:
             raise ValueError("count must be >= 0")
         entry = self._streams.get(stream)
-        if count == 0 or entry is None:
-            return []
-        if count <= len(entry.head):
-            return entry.head[len(entry.head) - count:]
-        out = list(entry.head)
-        need = count - len(out)
-        for block, seq_bytes in reversed(entry.sealed):
-            if need <= 0:
-                break
-            records = self._decode(stream, block, seq_bytes)
-            take = records[-need:] if need < len(records) else records
-            out = take + out
-            need -= len(take)
+        index = -1 if entry is None else len(entry.blocks)
+        out: list[ArchiveRecord] = []
+        while len(out) < count and index >= 0:
+            pairs, sequences = self._tier(entry, index)
+            take = count - len(out)
+            out[:0] = _records(stream, pairs[-take:], sequences[-take:])
+            index -= 1
         return out
 
     def export(
-        self,
-        stream: str,
-        transform: Callable[[ArchiveRecord], Any] | None = None,
+        self, stream: str, transform: Callable[[ArchiveRecord], Any] | None = None
     ) -> list[Any]:
         """Export a full stream, optionally mapping each record.
 
@@ -245,12 +216,9 @@ class ArchiveLog:
         transform returns the records unchanged.
         """
         entry = self._streams.get(stream)
-        if entry is None:
-            return []
         records: list[ArchiveRecord] = []
-        for block, seq_bytes in entry.sealed:
-            records.extend(self._decode(stream, block, seq_bytes))
-        records.extend(entry.head)
+        for index in range(0 if entry is None else len(entry.blocks) + 1):
+            records.extend(_records(stream, *self._tier(entry, index)))
         if transform is None:
             return records
         return [transform(record) for record in records]

@@ -51,6 +51,7 @@ journal and live migration all hold with no special cases.
 from __future__ import annotations
 
 import bisect
+import math
 import struct
 import sys
 from dataclasses import dataclass
@@ -550,6 +551,58 @@ def _cut(
     return pairs[lo:hi]
 
 
+def overlapping(
+    blocks: Sequence[SealedBlock], block_last: Sequence[float],
+    start: float, end: float, stats: BlockStats | None = None,
+) -> tuple[int, int]:
+    """Index bounds of the time-ordered blocks that can hold [start, end).
+
+    ``block_last`` is the blocks' parallel ``t_last`` column; with ``stats``
+    the scan feeds the block-skip-rate probe.
+    """
+    lo = bisect.bisect_left(block_last, start)
+    hi = lo
+    while hi < len(blocks) and blocks[hi].t_first < end:
+        hi += 1
+    if stats is not None:
+        stats.blocks_considered += len(blocks)
+        stats.blocks_skipped += len(blocks) - (hi - lo)
+    return lo, hi
+
+
+def checked_points(
+    pairs: Sequence[tuple[float, float]], last: float
+) -> Sequence[tuple[float, float]]:
+    """The point rule of every series write, applied before anything is stored.
+
+    Timestamps may not fall below ``last`` or each other, and every value
+    must be a number; either fault raises ``ValueError``.  Returns ``pairs``
+    itself when each is already a ``(timestamp, float)`` tuple, otherwise a
+    copy in that shape: a series never holds the caller's containers, and an
+    ``int`` reads back as the ``float`` a sealed block would return.
+    """
+    clean = True
+    for pair in pairs:
+        timestamp = pair[0]
+        # Not ``timestamp < last``: that is False for NaN, which would slip
+        # through and break the sortedness every read bisects on.
+        if not timestamp >= last:
+            raise ValueError(f"out-of-order point: {timestamp} is older than {last}")
+        last = timestamp
+        if type(pair) is not tuple or type(pair[1]) is not float:
+            clean = False
+    return pairs if clean else [_as_point(pair) for pair in pairs]
+
+
+def _as_point(pair: Sequence) -> tuple[float, float]:
+    timestamp, value = pair
+    if type(value) is not float:
+        if not isinstance(value, (int, float)):
+            raise ValueError(f"point value {value!r} is not a number")
+        value = float(value)
+    return (timestamp, value)
+
+
 class TieredSeries:
     """A bounded, time-ordered series tiered into hot head + sealed blocks.
 
@@ -633,39 +686,26 @@ class TieredSeries:
     # -- writes ----------------------------------------------------------------
 
     def append(self, timestamp: float, value: float) -> list:
-        """Add one point; returns evicted items (pairs and/or blocks)."""
+        """Add one point; returns the evicted runs (see ``append_many``)."""
         return self.append_many([(timestamp, value)])
 
     def append_many(self, pairs: Sequence[tuple[float, float]]) -> list:
         """Append a time-ordered batch; returns everything evicted.
 
-        The result interleaves raw ``(timestamp, value)`` pairs and whole
-        :class:`SealedBlock` objects, oldest first — a block appears
-        whenever the eviction boundary swallowed it entirely, so archival
-        never decodes what it is about to recompress.
+        The batch passes :func:`checked_points` first, so an out-of-order
+        timestamp or a non-numeric value raises ``ValueError`` and stores
+        nothing.
 
-        A pair that is not a tuple (a list from a decoded message, say) is
-        stored as one, so the series never holds the caller's containers.
+        The result is a list of runs, oldest first.  A block the eviction
+        boundary swallowed entirely leaves as the :class:`SealedBlock`
+        itself, never decoded.  Anything else leaves as a list of
+        ``(timestamp, value)`` pairs: a slice of the head, or of a block the
+        boundary cut through, which was decoded once to split it.
         """
         if not pairs:
             return self._NO_EVICTIONS
         last = self.last_timestamp
-        if last is None:
-            last = float("-inf")
-        tuples = True
-        for pair in pairs:
-            timestamp = pair[0]
-            # Not ``timestamp < last``: that is False for NaN, which would
-            # slip through and break the sortedness every read bisects on.
-            if not timestamp >= last:
-                raise ValueError(
-                    f"out-of-order point: {timestamp} after {last}"
-                )
-            last = timestamp
-            if type(pair) is not tuple:
-                tuples = False
-        if not tuples:
-            pairs = [pair if type(pair) is tuple else tuple(pair) for pair in pairs]
+        pairs = checked_points(pairs, -math.inf if last is None else last)
         if self._head:
             self._head.extend(pairs)
         else:
@@ -706,7 +746,7 @@ class TieredSeries:
         while need > 0:
             if self._old:
                 take = min(need, len(self._old))
-                evicted.extend(self._old[:take])
+                evicted.append(self._old[:take])
                 del self._old[:take]
                 need -= take
                 if stats is not None:
@@ -736,7 +776,7 @@ class TieredSeries:
                     stats.sealed_points -= block.count
             else:
                 take = min(need, len(self._head))
-                evicted.extend(self._head[:take])
+                evicted.append(self._head[:take])
                 del self._head[:take]
                 need -= take
                 if stats is not None:
@@ -775,19 +815,9 @@ class TieredSeries:
         if not end > start:  # empty, or a NaN bound
             return []
         out = _cut(self._old, start, end) if self._old else []
-        blocks = self._blocks
-        if blocks:
-            stats = self.stats
-            # First block that can overlap: t_last >= start.
-            lo = bisect.bisect_left(self._block_last, start)
-            hi = lo
-            while hi < len(blocks) and blocks[hi].t_first < end:
-                hi += 1
-            if stats is not None:
-                stats.blocks_considered += len(blocks)
-                stats.blocks_skipped += len(blocks) - (hi - lo)
-            for block in blocks[lo:hi]:
-                out.extend(_cut(self._decode(block), start, end))
+        lo, hi = overlapping(self._blocks, self._block_last, start, end, self.stats)
+        for block in self._blocks[lo:hi]:
+            out.extend(_cut(self._decode(block), start, end))
         out.extend(_cut(self._head, start, end))
         return out
 
@@ -832,23 +862,15 @@ class TieredSeries:
         if end > start:
             if self._old:
                 edges = _cut(self._old, start, end)
-            blocks = self._blocks
-            if blocks:
-                stats = self.stats
-                lo = bisect.bisect_left(self._block_last, start)
-                hi = lo
-                while hi < len(blocks) and blocks[hi].t_first < end:
-                    hi += 1
-                if stats is not None:
-                    stats.blocks_considered += len(blocks)
-                    stats.blocks_skipped += len(blocks) - (hi - lo)
-                for block in blocks[lo:hi]:
-                    if start <= block.t_first and block.t_last < end:
-                        folds.append(block.summary)
-                        if stats is not None:
-                            stats.summary_answers += 1
-                    else:
-                        edges.extend(_cut(self._decode(block), start, end))
+            stats = self.stats
+            lo, hi = overlapping(self._blocks, self._block_last, start, end, stats)
+            for block in self._blocks[lo:hi]:
+                if start <= block.t_first and block.t_last < end:
+                    folds.append(block.summary)
+                    if stats is not None:
+                        stats.summary_answers += 1
+                else:
+                    edges.extend(_cut(self._decode(block), start, end))
             edges.extend(_cut(self._head, start, end))
         if edges:
             folds.append(summarize(edges))

@@ -108,7 +108,7 @@ def test_window_capacity_and_order_invariants(timestamps, capacity, block_size):
     window = TieredSeries(capacity, block_size)
     evicted = window.append_many([(ts, 0.0) for ts in timestamps])
     evicted_points = sum(
-        item.count if type(item) is SealedBlock else 1 for item in evicted
+        run.count if type(run) is SealedBlock else len(run) for run in evicted
     )
     assert len(window) == min(capacity, len(timestamps))
     assert evicted_points + len(window) == len(timestamps)

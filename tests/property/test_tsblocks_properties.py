@@ -156,11 +156,8 @@ def test_tiered_series_equals_raw_window_on_any_stream(stamps, data):
     tiered_evicted, raw_evicted = [], []
 
     def flatten(items, into):
-        for item in items:
-            if isinstance(item, SealedBlock):
-                into.extend(item.decode())
-            else:
-                into.append(item)
+        for run in items:
+            into.extend(run.decode() if isinstance(run, SealedBlock) else run)
 
     for offset in range(0, len(pairs), 5):
         batch = pairs[offset:offset + 5]

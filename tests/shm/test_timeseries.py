@@ -20,10 +20,10 @@ def block_size(request):
 
 
 def flatten(evicted):
-    """Evicted items as pairs (whole blocks decode to their points)."""
+    """Evicted runs as pairs (whole blocks decode to their points)."""
     pairs = []
-    for item in evicted:
-        pairs.extend(item.decode() if type(item) is SealedBlock else [item])
+    for run in evicted:
+        pairs.extend(run.decode() if type(run) is SealedBlock else run)
     return pairs
 
 

@@ -1,5 +1,8 @@
 """Channel actors over the tiered (compressed-block) storage engine."""
 
+import gc
+import types
+
 import pytest
 
 from repro.aodb import AodbDatabase
@@ -8,7 +11,7 @@ from repro.net import ConstantLatency, Network
 from repro.runtime import AodbRuntime, RuntimeConfig
 from repro.runtime.key import ActorKey
 from repro.shm import ShmPlatform, channel_id_for, sensor_id_for
-from repro.storage import ArchiveLog, InMemoryKVStore
+from repro.storage import ArchiveLog, ArchiveRecord, InMemoryKVStore
 from repro.storage.tsblocks import TieredSeries
 
 
@@ -158,6 +161,51 @@ def test_conservation_across_window_and_archive(sched):
 
     points, retained, archived = sched.run_until_complete(main())
     assert [(r.timestamp, r.payload) for r in archived] + retained == points
+
+
+def tracked_reach(root):
+    """How many GC-tracked objects ``root`` reaches (classes excluded)."""
+    opaque = (type, types.ModuleType, types.FunctionType)
+    seen = {id(root)}
+    frontier = [root]
+    tracked = 0
+    while frontier:
+        for referent in gc.get_referents(frontier.pop()):
+            if id(referent) in seen or isinstance(referent, opaque):
+                continue
+            seen.add(id(referent))
+            frontier.append(referent)
+            tracked += gc.is_tracked(referent)
+    return tracked
+
+
+def test_archive_keeps_no_object_per_evicted_point(sched):
+    # 10-point waves into 64-point windows of 16-point blocks: every wave
+    # evicts from inside a block, and 40 waves stay under one archive block.
+    archive = ArchiveLog(block_size=512)
+    platform = build_platform(sched, archive=archive)
+    sensor_id = sensor_id_for("org-0", 0)
+    channels = [channel_id_for(sensor_id, 0), channel_id_for(sensor_id, 1)]
+
+    async def waves(first, count):
+        for wave in range(first, first + count):
+            batch = ramp(10, t0=wave * 10.0)
+            await platform.ingest(sensor_id, {c: batch for c in channels})
+
+    def census():
+        gc.collect()
+        return len(archive), tracked_reach(archive)
+
+    sched.run_until_complete(platform.provision(total_sensors=1))
+    sched.run_until_complete(waves(0, 20))
+    points_n, objects_n = census()
+    sched.run_until_complete(waves(20, 20))
+    points_2n, objects_2n = census()
+    assert len(archive.streams()) == 3  # both channels and the virtual one
+    assert points_2n > points_n > 0
+    assert archive.blocks_sealed == 0
+    assert objects_2n == objects_n
+    assert not any(type(obj) is ArchiveRecord for obj in gc.get_objects())
 
 
 def test_sensor_storage_stats_fans_out(sched):

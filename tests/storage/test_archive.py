@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.storage import ArchiveLog
+from repro.storage import ArchiveLog, ArchiveRecord
 
 
 @pytest.fixture
@@ -14,22 +14,22 @@ def log():
 
 def test_append_and_read_range(log):
     for ts in [1.0, 2.0, 3.0, 4.0]:
-        log.append("chan-1", ts, {"v": ts})
+        log.append("chan-1", ts, ts * 10)
     records = log.read_range("chan-1", 2.0, 4.0)
     assert [r.timestamp for r in records] == [2.0, 3.0]
 
 
 def test_range_is_half_open(log):
-    log.append("s", 1.0, "a")
-    log.append("s", 2.0, "b")
+    log.append("s", 1.0, 0.5)
+    log.append("s", 2.0, 1.5)
     records = log.read_range("s", 1.0, 2.0)
-    assert [r.payload for r in records] == ["a"]
+    assert [r.payload for r in records] == [0.5]
 
 
 def test_out_of_order_append_rejected(log):
-    log.append("s", 5.0, "a")
+    log.append("s", 5.0, 0.5)
     with pytest.raises(ValueError):
-        log.append("s", 4.0, "b")
+        log.append("s", 4.0, 1.5)
 
 
 def test_nan_timestamp_is_rejected_as_out_of_order(log):
@@ -48,9 +48,9 @@ def test_nan_timestamp_is_rejected_as_out_of_order(log):
 
 
 def test_equal_timestamps_allowed(log):
-    log.append("s", 1.0, "a")
-    log.append("s", 1.0, "b")
-    assert [r.payload for r in log.read_range("s", 1.0, 1.5)] == ["a", "b"]
+    log.append("s", 1.0, 0.5)
+    log.append("s", 1.0, 1.5)
+    assert [r.payload for r in log.read_range("s", 1.0, 1.5)] == [0.5, 1.5]
 
 
 def test_streams_are_independent(log):
@@ -61,8 +61,9 @@ def test_streams_are_independent(log):
 
 
 def test_sequence_numbers_are_global_and_increasing(log):
-    first = log.append("a", 1.0, None)
-    second = log.append("b", 1.0, None)
+    log.append("a", 1.0, 0.5)
+    log.append("b", 1.0, 0.5)
+    (first,), (second,) = log.export("a"), log.export("b")
     assert second.sequence == first.sequence + 1
 
 
@@ -77,16 +78,36 @@ def test_tail(log):
 
 
 def test_extend_appends_many(log):
-    records = log.extend("s", [(1.0, "a"), (2.0, "b")])
-    assert len(records) == 2
+    assert log.extend("s", [(1.0, 0.5), (2.0, 1.5)]) == 2
     assert len(log) == 2
 
 
+def test_extend_is_all_or_nothing(log):
+    log.extend("s", [(1.0, 0.5)])
+    with pytest.raises(ValueError, match="older"):
+        log.extend("s", [(2.0, 1.5), (3.0, 2.5), (2.5, 3.5)])
+    with pytest.raises(ValueError, match="not a number"):
+        log.extend("s", [(2.0, 1.5), (3.0, "x")])
+    assert len(log) == 1
+    log.append("s", 2.0, 1.5)  # the rejected runs took no sequence numbers
+    assert [r.sequence for r in log.export("s")] == [1, 2]
+
+
+def test_non_numeric_payload_is_rejected(log):
+    for payload in ("event", {"v": 1.0}, None, [1.0]):
+        with pytest.raises(ValueError, match="not a number"):
+            log.append("s", 1.0, payload)
+    assert len(log) == 0 and log.streams() == []
+    log.append("s", 1.0, 7)  # an int is a number, archived as a float
+    (record,) = log.export("s")
+    assert record.payload == 7.0 and type(record.payload) is float
+
+
 def test_export_with_transform(log):
-    log.append("s", 1.0, {"value": 10})
-    log.append("s", 2.0, {"value": 20})
-    rows = log.export("s", transform=lambda r: (r.timestamp, r.payload["value"]))
-    assert rows == [(1.0, 10), (2.0, 20)]
+    log.append("s", 1.0, 10.0)
+    log.append("s", 2.0, 20.0)
+    rows = log.export("s", transform=lambda r: (r.timestamp, r.payload / 10))
+    assert rows == [(1.0, 1.0), (2.0, 2.0)]
 
 
 def test_export_missing_stream_is_empty(log):
@@ -117,7 +138,9 @@ def test_sealing_preserves_global_sequences():
     expected = []
     for ts in range(10):
         stream = "a" if ts % 2 == 0 else "b"
-        expected.append((stream, log.append(stream, float(ts), 1.0).sequence))
+        log.append(stream, float(ts), 1.0)
+        expected.append((stream, ts + 1))  # sequences count from 1
+    assert log.blocks_sealed == 2
     for stream in ("a", "b"):
         got = [r.sequence for r in log.read_range(stream, 0.0, 100.0)]
         assert got == [seq for s, seq in expected if s == stream]
@@ -145,10 +168,10 @@ def test_append_block_sequence_column_bytes():
 
     log = ArchiveLog()
     for i in range(5):
-        log.append("other", float(i), "x")  # advance the global sequence
+        log.append("other", float(i), 1.0)  # advance the global sequence
     pairs = [(float(i), 1.0) for i in range(256)]
     log.append_block("s", SealedBlock.seal(pairs))
-    ((_block, seq_bytes),) = log._streams["s"].sealed
+    (seq_bytes,) = log._streams["s"].seqs
     bits = 64 + 9 + 254
     pad = -bits % 8
     expected = ((6 << 9 | 0b10_0000010) << (254 + pad)).to_bytes(41, "big")
@@ -179,27 +202,6 @@ def test_append_block_out_of_order_rejected():
         log.append_block("s", SealedBlock.seal([(5.0, 1.0)]))
 
 
-def test_non_float_payload_keeps_stream_raw():
-    log = ArchiveLog(block_size=4)
-    for ts in range(10):
-        log.append("s", float(ts), {"v": ts})
-    assert log.blocks_sealed == 0
-    assert [r.payload["v"] for r in log.read_range("s", 0.0, 100.0)] == list(
-        range(10)
-    )
-
-
-def test_append_block_unrolls_into_raw_stream():
-    from repro.storage import SealedBlock
-
-    log = ArchiveLog(block_size=1000)
-    log.append("s", 1.0, "event")  # flips the stream to raw-only
-    log.append_block("s", SealedBlock.seal([(2.0, 0.5), (3.0, 0.75)]))
-    records = log.read_range("s", 0.0, 100.0)
-    assert [r.payload for r in records] == ["event", 0.5, 0.75]
-    assert log.blocks_sealed == 0
-
-
 def test_range_reads_skip_non_overlapping_blocks():
     log = ArchiveLog(block_size=10)
     for ts in range(100):
@@ -214,7 +216,8 @@ def test_range_cuts_on_block_edges_and_duplicate_timestamps():
     log = ArchiveLog(block_size=4)
     # Three sealed blocks of four, then one head point.
     stamps = [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 5.0, 5.0, 6.0]
-    records = [log.append("s", t, float(i)) for i, t in enumerate(stamps)]
+    log.extend("s", [(t, float(i)) for i, t in enumerate(stamps)])
+    records = [ArchiveRecord("s", t, float(i), i + 1) for i, t in enumerate(stamps)]
     assert log.blocks_sealed == 3
     for start in (0.0, 1.0, 2.0, 2.5, 4.0, 5.0, 6.0, 7.0):
         for end in (1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0, math.inf):

@@ -30,8 +30,8 @@ def random_batch(rng, last):
 
 def flatten(evicted):
     out = []
-    for item in evicted:
-        out.extend(item.decode() if type(item) is SealedBlock else [item])
+    for run in evicted:
+        out.extend(run.decode() if type(run) is SealedBlock else run)
     return out
 
 

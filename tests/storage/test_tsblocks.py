@@ -180,16 +180,37 @@ def test_nan_timestamp_is_rejected_as_out_of_order():
     TieredSeries().append(-math.inf, 1.0)  # any real timestamp may come first
 
 
+def test_non_numeric_value_is_rejected_before_anything_is_stored():
+    # Refused up front: a string in the head would make a later seal fail in
+    # the block summary after the run had left the head, losing the valid
+    # points and failing the caller whose data was fine.
+    series = TieredSeries(100, 4)
+    for value in ("x", None, {"v": 1.0}, (1.0,)):
+        with pytest.raises(ValueError, match="not a number"):
+            series.append_many([(0.0, 1.0), (1.0, value)])
+    assert len(series) == series.total_appended == 0
+    series.append_many([(0.0, 1.0), (1.0, 1.5)])
+    series.append_many([(2.0, 2.0), (3.0, 3.0)])
+    assert len(series) == series.total_appended == 4
+    assert series.all_pairs() == [(0.0, 1.0), (1.0, 1.5), (2.0, 2.0), (3.0, 3.0)]
+
+
+def test_int_values_are_stored_as_floats():
+    # A sealed block returns floats, so the head must too: one point reads
+    # the same from every tier.
+    series = TieredSeries(100, 4)
+    series.append_many([(0.0, 1), [1.0, 2]])
+    assert series.tail(2) == [(0.0, 1.0), (1.0, 2.0)]
+    assert all(type(value) is float for _, value in series.tail(2))
+
+
 def test_capacity_eviction_is_point_exact():
     series = TieredSeries(capacity=50, block_size=16)
     pairs = walk(173)
     evicted = []
     for offset in range(0, len(pairs), 7):
-        for item in series.append_many(pairs[offset:offset + 7]):
-            if isinstance(item, SealedBlock):
-                evicted.extend(item.decode())
-            else:
-                evicted.append(item)
+        for run in series.append_many(pairs[offset:offset + 7]):
+            evicted.extend(run.decode() if isinstance(run, SealedBlock) else run)
     assert len(series) == 50
     assert evicted + series.all_pairs() == pairs
 
@@ -201,8 +222,8 @@ def test_bulk_eviction_yields_whole_blocks():
     blocks = [item for item in evicted if isinstance(item, SealedBlock)]
     assert blocks, "a 64-point overflow should evict whole sealed blocks"
     decoded = []
-    for item in evicted:
-        decoded.extend(item.decode() if isinstance(item, SealedBlock) else [item])
+    for run in evicted:
+        decoded.extend(run.decode() if isinstance(run, SealedBlock) else run)
     assert decoded == walk(64)
 
 
@@ -274,7 +295,7 @@ def test_evicted_block_leaves_the_decode_cache():
     assert series._cache_block is series._blocks[0]
     # Partial eviction decodes the boundary block into the old side; the
     # cached copy would alias it and can never be hit again.
-    assert series.append_many(walk(3, t0=2000.0)) == walk(3)
+    assert series.append_many(walk(3, t0=2000.0)) == [walk(3)]
     assert series._cache_block is None and series._cache_pairs is None
     assert series._old == walk(8)[3:]
     assert stats.blocks_decoded == 1  # the eviction reused the cached decode
