@@ -5,8 +5,14 @@ The choosing-metrics §8 procedure every ROADMAP item-1 claim needs: run
 ``benchmarks/ledger/run.py`` (driver form, ``BENCHMARK.json``'s run length)
 in the parent and in the change checkout alternately, order flipped every
 pair, then print per end-to-end metric each side's median and quartiles, the
-pairs the change won / lost / tied, and whether the virtual-clock metrics are
-bit-identical across every run.  ``--workload`` repeats (``all`` = every
+pairs the change won / lost / tied, a verdict against the metric's
+``BENCHMARK.json`` bound, and whether the virtual-clock metrics are
+bit-identical across every run.
+
+The verdict is ``ok``, ``WORSE`` (the change's median is worse than the
+parent's by more than the bound) or ``unresolved`` (the parent's quartile
+spread exceeds the bound and not every change run beats every parent run,
+so the pairs cannot tell a worsening within the bound from noise).  ``--workload`` repeats (``all`` = every
 workload the parent's ``BENCHMARK.json`` declares); each gets its own table,
 printed as soon as its pairs are done.
 
@@ -25,8 +31,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent / "ledger"))
+from perfledger.stats import quartiles, relative_worsening, spread_share  # noqa: E402
+
 VIRTUAL = ("ops_per_sim_s", "ack_p50_ms", "ack_p99_ms")
-ROW = "{:<18}{:<30}{:<30}{:>8}  {}"
+ROW = "{:<18}{:<30}{:<30}{:>8}  {:<15}{}"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -41,10 +50,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def spread(values: list[float]) -> str:
-    if len(values) < 2:
-        return f"{values[0]:.4g}"
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = quartiles(values)
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def verdict(
+    parent: list[float], change: list[float], bound: float, better: str
+) -> str:
+    """``ok``, ``WORSE`` or ``unresolved`` for one metric against its bound."""
+    if better == "lower":
+        clean_win = max(change) < min(parent)
+    else:
+        clean_win = min(change) > max(parent)
+    if spread_share(parent) > bound and not clean_win:
+        return "unresolved"
+    worse = relative_worsening(
+        statistics.median(parent), statistics.median(change), better
+    )
+    return "WORSE" if worse > bound else "ok"
 
 
 def compare(
@@ -60,7 +83,9 @@ def compare(
         print(f"{workload}: pair {pair + 1}/{pairs} done", file=sys.stderr)
 
     print(f"{workload} seed={seed} pairs={pairs}: median [q1, q3]")
-    print(ROW.format("metric", "parent", "change", "delta", "won/lost/tied"))
+    print(
+        ROW.format("metric", "parent", "change", "delta", "won/lost/tied", "verdict")
+    )
     for metric in declared["end_to_end"]:
         name, sign = metric["name"], -1 if metric["better"] == "lower" else 1
         parent = [run[name] for run in runs["parent"]]
@@ -70,7 +95,13 @@ def compare(
         base = statistics.median(parent)
         delta = (statistics.median(change) - base) / base if base else 0.0
         tally = f"{won}/{lost}/{pairs - won - lost}"
-        print(ROW.format(name, spread(parent), spread(change), f"{delta:+.1%}", tally))
+        bound = metric["bound"]
+        judged = f"{verdict(parent, change, bound, metric['better'])} ({bound:.0%})"
+        print(
+            ROW.format(
+                name, spread(parent), spread(change), f"{delta:+.1%}", tally, judged
+            )
+        )
     identical = all(
         len({run[name] for side in runs.values() for run in side}) == 1
         for name in VIRTUAL
