@@ -7,7 +7,10 @@ in the parent and in the change checkout alternately, order flipped every
 pair, then print per end-to-end metric each side's median and quartiles, the
 pairs the change won / lost / tied, a verdict against the metric's
 ``BENCHMARK.json`` bound, and whether the virtual-clock metrics are
-bit-identical across every run.
+bit-identical across every run.  When the two sides' ``virtual_digest``s
+differ, one ``--trace 1`` run per side follows and every per-layer exact
+counter that differs is printed by name with both values, so a moved digest
+says what moved.
 
 The verdict is ``ok``, ``WORSE`` (the change's median is worse than the
 parent's by more than the bound) or ``unresolved`` (the parent's quartile
@@ -32,21 +35,46 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "ledger"))
+from perfledger.metrics import BY_NAME  # noqa: E402
 from perfledger.stats import quartiles, relative_worsening, spread_share  # noqa: E402
 
 VIRTUAL = ("ops_per_sim_s", "ack_p50_ms", "ack_p99_ms")
 ROW = "{:<18}{:<30}{:<30}{:>8}  {:<15}{}"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One driver-form ledger run in ``checkout``; returns metric -> value."""
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> tuple[dict, str]:
+    """One driver-form ledger run in ``checkout``.
+
+    Returns metric -> value (end-to-end with ``trace`` 0, per-layer with 1)
+    and the run's ``virtual_digest``.
+    """
     command = [sys.executable, "benchmarks/ledger/run.py", "--workload", workload]
-    command += ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(command, cwd=checkout, check=True, capture_output=True)
-    result = json.loads(done.stdout.splitlines()[-1])
+    command += ["--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(
+        command, cwd=checkout, check=True, capture_output=True, text=True
+    )
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{checkout}: incorrect or failed operations: {result}")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    digest = next(
+        line.split()[1] for line in lines if line.split()[:1] == ["virtual_digest"]
+    )
+    values = {name: metric["value"] for name, metric in result["metrics"].items()}
+    return values, digest
+
+
+def moved_counters(parent: dict, change: dict) -> list[tuple[str, float, float]]:
+    """``(name, parent, change)`` of every exact metric whose value differs."""
+    return [
+        (name, parent[name], change[name])
+        for name in parent
+        if name in change
+        and BY_NAME[name].clock == "exact"
+        and parent[name] != change[name]
+    ]
 
 
 def spread(values: list[float]) -> str:
@@ -76,10 +104,13 @@ def compare(
     """Run ``pairs`` alternating pairs of one workload and print its table."""
     seconds = declared["run_seconds"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    digests: dict[str, set[str]] = {"parent": set(), "change": set()}
     for pair in range(pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(sides[side], workload, seed, seconds))
+            values, digest = run_once(sides[side], workload, seed, seconds)
+            runs[side].append(values)
+            digests[side].add(digest)
         print(f"{workload}: pair {pair + 1}/{pairs} done", file=sys.stderr)
 
     print(f"{workload} seed={seed} pairs={pairs}: median [q1, q3]")
@@ -107,6 +138,20 @@ def compare(
         for name in VIRTUAL
     )
     print(f"virtual metrics bit-identical across all runs: {identical}", flush=True)
+    if digests["parent"] == digests["change"]:
+        print(f"virtual_digest unchanged: {min(digests['parent'])[:16]}", flush=True)
+        return
+    print(
+        f"virtual_digest moved: {sorted(digests['parent'])} -> "
+        f"{sorted(digests['change'])}; exact per-layer counters that differ:"
+    )
+    traced = {
+        side: run_once(checkout, workload, seed, seconds, trace=1)[0]
+        for side, checkout in sides.items()
+    }
+    for name, before, after in moved_counters(traced["parent"], traced["change"]):
+        print(f"  {name:<34} {before:.6g} -> {after:.6g}")
+    sys.stdout.flush()
 
 
 def main() -> int:

@@ -308,10 +308,16 @@ class Activation:
 
     async def _flush_if_dirty(self, span: Any = None, profile: Any = None) -> None:
         """Persist dirty state, charging the flush to the turn's ``span``
-        (``storage``) and ``profile`` rows (``storage_wait``) if given."""
+        (``storage``) and ``profile`` rows (``storage_wait``) if given.
+
+        The one flush path of a live activation (write-through, the interval
+        timer, ``write_state`` and deactivation): the actor's
+        ``snapshot_state`` runs first, so state kept outside the document
+        (a channel's window) is written as it is now."""
         cell = self.instance._state_cell
         if cell is None or not cell.dirty:
             return
+        self.instance.snapshot_state()
         scheduler = self.runtime.scheduler
         started = scheduler.now
         try:

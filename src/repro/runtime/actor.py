@@ -124,11 +124,12 @@ class Actor:
         """Serialize volatile in-memory structures into ``self.state``.
 
         Durable actors that keep working state outside the state dict (ring
-        buffers, accumulators) normally serialize it in ``on_deactivate``.
-        Override this *synchronous* hook with that serialization instead
-        (and call it from ``on_deactivate``): the redo-journal pump and the
-        quarantine scram flush call it to capture a consistent document
-        mid-life, without running the full deactivation path.
+        buffers, accumulators) override this *synchronous* hook with its
+        serialization, and call :meth:`mark_dirty` whenever that state
+        changes.  Every flush of a dirty cell (write-through, the interval
+        timer, :meth:`write_state`, deactivation), the redo-journal pump and
+        the quarantine scram flush call it first, so the document they write
+        is consistent mid-life, without the full deactivation path.
         """
 
     # -- persistence ----------------------------------------------------------
@@ -149,7 +150,7 @@ class Actor:
                 f"{type(self).__name__} is not durable; set durable=True"
             )
         self._state_cell.dirty = True
-        await self._state_cell.flush()
+        await self.context._flush_if_dirty()
 
     async def clear_state(self) -> None:
         """Delete the persisted state document."""

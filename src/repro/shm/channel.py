@@ -34,11 +34,13 @@ class _ChannelBase(Actor):
     The live window is a :class:`~repro.storage.tsblocks.TieredSeries`:
     the newest points stay raw (the mutable hot head), older runs are
     sealed into immutable compressed blocks with per-block summaries.  It
-    is serialized into ``self.state`` only on deactivation, which
-    reproduces the paper's benchmark durability configuration ("upload
-    ... only ... when the Orleans silo service is shut down") — and since
-    sealed blocks serialize as-is (bytes + scalars), a migrated channel
-    re-opens its blocks on the new silo without recompression.
+    is serialized into ``self.state`` by :meth:`snapshot_state` before every
+    flush of a dirty cell; the default write policy flushes only on
+    deactivation, which reproduces the paper's benchmark durability
+    configuration ("upload ... only ... when the Orleans silo service is
+    shut down").  Sealed blocks serialize as-is (bytes + scalars), so a
+    migrated channel re-opens its blocks on the new silo without
+    recompression.
     """
 
     durable = True
@@ -86,10 +88,13 @@ class _ChannelBase(Actor):
     def snapshot_state(self) -> None:
         """Serialize the live window into the state document.
 
-        Shared by deactivation, the redo-journal pump, and the quarantine
-        scram flush (see :meth:`repro.runtime.actor.Actor.snapshot_state`).
-        Blocks go in compressed — the document holds the same bytes the
-        window does, so a flush costs no recompression.
+        Shared by every flush, deactivation, the redo-journal pump and the
+        quarantine scram flush (see
+        :meth:`repro.runtime.actor.Actor.snapshot_state`).  The window hands
+        over its cached document for the current version (built once per
+        write, see :meth:`~repro.storage.tsblocks.TieredSeries.to_document`):
+        blocks go in with the bytes the window holds and the hot head as one
+        packed column, so a snapshot of an unchanged window costs O(1).
         """
         self.state["tsdoc"] = self.window.to_document()
         self.state["change"] = self.change.snapshot()
@@ -111,6 +116,9 @@ class _ChannelBase(Actor):
         if not points:
             return 0
         evicted = self.window.append_many(points)
+        # The window lives outside ``self.state``: the flush path snapshots
+        # it into the document whenever the cell is dirty.
+        self.mark_dirty()
         self.change.observe_pairs(points)
         # append_many validated the batch is time-ordered, so the last
         # timestamp is the batch maximum.

@@ -96,8 +96,8 @@ class ArchiveLog:
 
         The run passes the window's point rule
         (:func:`~repro.storage.tsblocks.checked_points`): an out-of-order
-        timestamp or a non-numeric value raises ``ValueError`` and stores
-        nothing.  The head seals every ``block_size`` points.
+        timestamp or a non-numeric timestamp or value raises ``ValueError``
+        and stores nothing.  The head seals every ``block_size`` points.
         """
         entry = self._streams.get(stream)
         pairs = checked_points(pairs, -math.inf if entry is None else entry.last_ts)

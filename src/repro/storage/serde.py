@@ -8,9 +8,12 @@ over the wire.  Its contract:
 - **Shared by identity:** values nobody can mutate — ``None``, ``bool``,
   ``int``, ``float``, ``complex``, ``str``, ``bytes``, ``range``, and tuples
   whose members all copy to themselves (``copy.deepcopy``'s own rule).  A
-  channel document's compressed block ``bytes`` and ``(ts, value)`` head
-  pairs are therefore the same objects in the live window, the store and
-  the redo journal — which is what keeps resident memory flat.
+  channel document (``TieredSeries.to_document``) is built once per window
+  version, its block documents a tuple and its hot head one packed
+  ``bytes`` column: one version's block tuple and head ``bytes`` are
+  therefore the same objects in the window's cached document, the store and
+  the redo journal, and a copy of the document walks a handful of leaves
+  however many points the head holds.
 - **Copied:** every plain ``dict`` and ``list`` (and any tuple that reaches
   one) becomes a fresh container.  References shared inside one value stay
   shared in the copy, and cycles survive, exactly as with ``deepcopy``.
@@ -27,8 +30,8 @@ Sharing leaves is safe for the reason single-writer actor databases give:
 only the owning activation can reach its document, a mutation needs a
 mutable container to happen in, and no mutable container is ever shared.
 
-A list of at least ``_LEAF_RUN`` members (a cattle herd, a channel's raw
-head of ``(ts, value)`` pairs) is first checked with one C-level type scan;
+A list of at least ``_LEAF_RUN`` members (a cattle herd, an ingest batch of
+``(ts, value)`` pairs) is first checked with one C-level type scan;
 if every member copies to itself the copy is one slice instead of a Python
 call per member.  Shorter lists take the per-member loop, so small
 documents pay nothing for the check.
@@ -110,7 +113,8 @@ def _copy(value: Any, memo: dict[int, Any]) -> Any:
     if cls in _LEAVES:
         return value
     if cls is tuple:
-        # The hot case, a ``(ts, value)`` head pair: nothing to copy or memo.
+        # The hot case, a ``(ts, value)`` point or a block document: nothing
+        # to copy or memo.
         for member in value:
             if type(member) not in _LEAVES:
                 break

@@ -55,7 +55,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import sub
 from typing import Iterable, Sequence
 
@@ -575,15 +575,19 @@ def checked_points(
 ) -> Sequence[tuple[float, float]]:
     """The point rule of every series write, applied before anything is stored.
 
-    Timestamps may not fall below ``last`` or each other, and every value
-    must be a number; either fault raises ``ValueError``.  Returns ``pairs``
-    itself when each is already a ``(timestamp, float)`` tuple, otherwise a
-    copy in that shape: a series never holds the caller's containers, and an
-    ``int`` reads back as the ``float`` a sealed block would return.
+    Timestamps and values must be numbers, and timestamps may not fall below
+    ``last`` or each other; any fault raises ``ValueError``.  Returns
+    ``pairs`` itself when each is already a ``(float, float)`` tuple,
+    otherwise a copy in that shape: a series never holds the caller's
+    containers, and an ``int`` reads back as the ``float`` a sealed block or
+    a stored document would return.
     """
     clean = True
     for pair in pairs:
         timestamp = pair[0]
+        if type(timestamp) is not float:
+            timestamp = _as_number(timestamp, "timestamp")
+            clean = False
         # Not ``timestamp < last``: that is False for NaN, which would slip
         # through and break the sortedness every read bisects on.
         if not timestamp >= last:
@@ -594,12 +598,21 @@ def checked_points(
     return pairs if clean else [_as_point(pair) for pair in pairs]
 
 
+def _as_number(number: object, what: str) -> float:
+    if isinstance(number, (int, float)):
+        try:
+            return float(number)
+        except OverflowError:  # an int past the float range is no number here
+            pass
+    raise ValueError(f"point {what} {number!r} is not a number")
+
+
 def _as_point(pair: Sequence) -> tuple[float, float]:
     timestamp, value = pair
+    if type(timestamp) is not float:
+        timestamp = float(timestamp)
     if type(value) is not float:
-        if not isinstance(value, (int, float)):
-            raise ValueError(f"point value {value!r} is not a number")
-        value = float(value)
+        value = _as_number(value, "value")
     return (timestamp, value)
 
 
@@ -634,7 +647,7 @@ class TieredSeries:
     __slots__ = (
         "capacity", "block_size", "stats", "_old", "_blocks", "_block_last",
         "_head", "_sealed_points", "total_appended", "_cache_block",
-        "_cache_pairs",
+        "_cache_pairs", "_document",
     )
 
     #: Shared empty-eviction result; treat as read-only.
@@ -665,6 +678,9 @@ class TieredSeries:
         # the newest sealed block decode it once, not per query.
         self._cache_block: SealedBlock | None = None
         self._cache_pairs: list[tuple[float, float]] | None = None
+        # This version's state document: built by the first ``to_document``
+        # after a write, dropped by the next write.
+        self._document: dict | None = None
 
     def __len__(self) -> int:
         return len(self._old) + self._sealed_points + len(self._head)
@@ -706,6 +722,8 @@ class TieredSeries:
             return self._NO_EVICTIONS
         last = self.last_timestamp
         pairs = checked_points(pairs, -math.inf if last is None else last)
+        # Every seal and eviction happens below: one new window version.
+        self._document = None
         if self._head:
             self._head.extend(pairs)
         else:
@@ -915,36 +933,40 @@ class TieredSeries:
         self.stats = None
 
     def to_document(self) -> dict:
-        """Serialize for an actor-state document.
+        """This window version's actor-state document, built once.
 
-        A partially-evicted old side is re-sealed into a (smaller) head
-        block so the document is always ``blocks + head`` — immutable
-        compressed runs plus the raw hot head.
+        The first call after a write (append, seal or eviction) builds it;
+        every later call returns the identical object until the next write,
+        so an unchanged window costs the redo pump, a flush and the store
+        nothing to re-serialize.  Treat it as read-only.  It shares no
+        mutable container with the live tiers: ``blocks`` is a tuple of
+        block documents, ``head`` one ``bytes`` column of interleaved float64
+        ``t, v`` values in native byte order (``array('d')`` layout, 16 B
+        per point).  A partially-evicted old side is re-sealed into a
+        (smaller) leading block, so the document is always ``blocks + head``.
         """
-        blocks = [block.as_document() for block in self._blocks]
-        if self._old:
-            blocks.insert(0, SealedBlock.seal(self._old).as_document())
-        return {
-            "capacity": self.capacity,
-            "block_size": self.block_size,
-            "blocks": blocks,
-            "head": list(self._head),
-        }
+        document = self._document
+        if document is None:
+            blocks = tuple(block.as_document() for block in self._blocks)
+            if self._old:
+                blocks = (SealedBlock.seal(self._old).as_document(),) + blocks
+            document = self._document = {
+                "capacity": self.capacity,
+                "block_size": self.block_size,
+                "blocks": blocks,
+                "head": struct.pack(
+                    "%dd" % (2 * len(self._head)), *chain.from_iterable(self._head)
+                ),
+            }
+        return document
 
     @classmethod
     def from_document(
         cls, doc: dict, stats: BlockStats | None = None
     ) -> "TieredSeries":
-        """Re-open a series from its document (e.g. after migration)."""
-        series = cls(
-            capacity=doc.get("capacity", 4096),
-            block_size=doc.get("block_size", 256),
-            stats=stats,
-        )
-        blocks = [
-            SealedBlock.from_document(tuple(block_doc))
-            for block_doc in doc.get("blocks", ())
-        ]
+        """Re-open a series from a :meth:`to_document` document."""
+        series = cls(doc["capacity"], doc["block_size"], stats=stats)
+        blocks = [SealedBlock.from_document(block_doc) for block_doc in doc["blocks"]]
         if blocks:
             series._blocks = blocks
             series._block_last = [block.t_last for block in blocks]
@@ -952,9 +974,10 @@ class TieredSeries:
             if stats is not None:
                 stats.block_bytes += sum(block.nbytes for block in blocks)
                 stats.sealed_points += series._sealed_points
-        head = [tuple(pair) for pair in doc.get("head", ())]
-        if head:
-            series._head = head
+        column = doc["head"]
+        if column:
+            flat = iter(struct.unpack("%dd" % (len(column) // 8), column))
+            series._head = list(zip(flat, flat))
             if stats is not None:
-                stats.head_points += len(head)
+                stats.head_points += len(series._head)
         return series

@@ -143,6 +143,44 @@ def test_manual_policy_explicit_write_state(sched):
     assert sched.run_until_complete(main()) == 5
 
 
+class BufferedManualCounter(ManualCounter):
+    """Keeps its count outside ``self.state`` until ``snapshot_state``."""
+
+    def __init__(self, context):
+        super().__init__(context)
+        self.buffered = 0
+
+    async def on_activate(self):
+        self.buffered = self.state.get("count", 0)
+
+    def snapshot_state(self):
+        self.state["count"] = self.buffered
+
+    async def increment(self, by=1):
+        self.buffered += by
+        self.mark_dirty()
+        return self.buffered
+
+    async def save(self):
+        await self.write_state()
+        return True
+
+
+def test_write_state_snapshots_state_kept_outside_the_document(sched):
+    store = InMemoryKVStore()
+    runtime = build_runtime(sched, store)
+    runtime.register_actor(BufferedManualCounter)
+
+    async def main():
+        ref = runtime.ref("BufferedManualCounter", "b")
+        await ref.increment(3)
+        await ref.save()
+        item = await store.get("state/BufferedManualCounter/b")
+        return item.value
+
+    assert sched.run_until_complete(main()) == {"count": 3}
+
+
 def test_interval_policy_flushes_periodically(sched):
     store = InMemoryKVStore()
     runtime = build_runtime(sched, store)

@@ -8,9 +8,14 @@ import pytest
 from repro.aodb import AodbDatabase
 from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network
-from repro.runtime import AodbRuntime, RuntimeConfig
+from repro.runtime import AodbRuntime, RuntimeConfig, WritePolicy
 from repro.runtime.key import ActorKey
-from repro.shm import ShmPlatform, channel_id_for, sensor_id_for
+from repro.shm import (
+    PhysicalSensorChannel,
+    ShmPlatform,
+    channel_id_for,
+    sensor_id_for,
+)
 from repro.storage import ArchiveLog, ArchiveRecord, InMemoryKVStore
 from repro.storage.tsblocks import TieredSeries
 
@@ -96,6 +101,36 @@ def test_state_document_without_tsdoc_opens_an_empty_window(sched):
     assert empty == []
     assert depth == 8
     assert stats["blocks"] >= 1
+
+
+FLUSHING_POLICIES = {
+    "interval": {"write_policy": WritePolicy.INTERVAL, "write_interval_seconds": 1.0},
+    "write_through": {"write_policy": WritePolicy.WRITE_THROUGH},
+}
+
+
+@pytest.mark.parametrize("policy", sorted(FLUSHING_POLICIES))
+def test_a_flushed_channel_document_holds_its_window(sched, monkeypatch, policy):
+    """Every flush of a live channel writes the window as it is now, not
+    only deactivation, the redo pump or a scram flush."""
+    for name, value in FLUSHING_POLICIES[policy].items():
+        monkeypatch.setattr(PhysicalSensorChannel, name, value)
+    platform = build_platform(sched)
+    store = platform.runtime.grain_storage
+
+    async def main():
+        await platform.provision(total_sensors=1)
+        sensor_id = sensor_id_for("org-0", 0)
+        c0 = channel_id_for(sensor_id, 0)
+        await platform.ingest(sensor_id, {c0: ramp(10)})
+        await sched.sleep(5.0)
+        key = ActorKey("PhysicalSensorChannel", c0).storage_key()
+        return (await store.get(key)).value, store.writes
+
+    document, writes = sched.run_until_complete(main())
+    assert writes >= 2
+    assert TieredSeries.from_document(document["tsdoc"]).all_pairs() == ramp(10)
+    assert document["change"]["count"] == 10
 
 
 def test_aggregate_range_matches_raw_fold(sched):

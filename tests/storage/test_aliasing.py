@@ -8,6 +8,8 @@ whole actor round trip — by mutating one side at every depth and reading
 the other.
 """
 
+from array import array
+
 import pytest
 
 from repro.kernel import Scheduler
@@ -35,28 +37,32 @@ def sched():
 
 
 def make_document():
-    """A channel-shaped document with a mutable container at every depth."""
+    """A channel-shaped document with a mutable container at every depth.
+
+    The ``tsdoc`` is in ``TieredSeries.to_document`` form: its only mutable
+    container is the dict itself (blocks are a tuple, the head is bytes).
+    """
     return {
         "name": "ch-1",
         "config": {"unit": "mm", "thresholds": [1.0, 2.0]},
         "tsdoc": {
             "capacity": 4096,
             "block_size": 256,
-            "blocks": [(b"\x01\x02", b"\x03", 2, 0.0, 1.0)],
-            "head": [(10.0, 0.5), (11.0, 0.75)],
+            "blocks": ((b"\x01\x02", b"\x03", 2, 0.0, 1.0),),
+            "head": array("d", [10.0, 0.5, 11.0, 0.75]).tobytes(),
         },
         "mixed": ("tag", [1, 2]),
     }
 
 
 def mutate_everywhere(document):
-    """Change ``document`` at the top, in a nested dict, in the tsdoc head
-    list, and in a list that sits inside a tuple."""
+    """Change ``document`` at the top, in a nested dict, in both members of
+    the tsdoc, and in a list that sits inside a tuple."""
     document["added"] = True
     document["config"]["unit"] = "inch"
     document["config"]["thresholds"].append(3.0)
-    document["tsdoc"]["head"].append((12.0, 1.0))
-    document["tsdoc"]["blocks"].clear()
+    document["tsdoc"]["head"] += array("d", [12.0, 1.0]).tobytes()
+    document["tsdoc"]["blocks"] = ()
     document["mixed"][1].append(3)
 
 

@@ -1,5 +1,6 @@
 """Unit tests for serialization helpers."""
 
+from array import array
 from collections import OrderedDict
 
 import pytest
@@ -90,9 +91,9 @@ def deepcopy_calls(monkeypatch):
     return calls
 
 
-def stored_shm_documents():
+def stored_shm_documents(head_points=255):
     """Real state documents: one organization, one sensor, a channel whose
-    window holds two sealed blocks and a near-full raw head."""
+    window holds two sealed blocks and a raw head of ``head_points``."""
     sched = Scheduler()
     store = InMemoryKVStore()
     config = RuntimeConfig(default_method_cost=0.0, activation_cost=0.0)
@@ -104,7 +105,9 @@ def stored_shm_documents():
         await platform.provision(total_sensors=1)
         sensor_id = sensor_id_for("org-0", 0)
         channel_id = channel_id_for(sensor_id, 0)
-        points = [(float(i), 20.0 + (i % 7) * 0.125) for i in range(3 * 256 - 1)]
+        points = [
+            (float(i), 20.0 + (i % 7) * 0.125) for i in range(2 * 256 + head_points)
+        ]
         await platform.ingest(sensor_id, {channel_id: points})
         await runtime.shutdown_silo("silo-1")
         return channel_id, await store.scan("state/")
@@ -117,7 +120,7 @@ def test_plain_state_documents_never_reach_the_deepcopy_fallback(deepcopy_calls)
     channel_id, documents = stored_shm_documents()
     channel = documents[f"state/PhysicalSensorChannel/{channel_id}"]
     assert len(channel["tsdoc"]["blocks"]) == 2
-    assert len(channel["tsdoc"]["head"]) == 255
+    assert len(channel["tsdoc"]["head"]) == 255 * 16  # packed float64 (t, v)
     assert channel["change"]["count"] == 3 * 256 - 1
     assert any(key.startswith("state/Organization/") for key in documents)
 
@@ -145,7 +148,12 @@ def journal_document():
     return {
         "name": "ch-1",
         "config": {"unit": "mm", "thresholds": [1.0, 2.0]},
-        "tsdoc": {"blocks": [], "head": [(float(i), i * 0.5) for i in range(40)]},
+        "tsdoc": {
+            "capacity": 4096,
+            "block_size": 256,
+            "blocks": (),
+            "head": array("d", [i * 0.5 for i in range(80)]).tobytes(),
+        },
     }
 
 
@@ -176,16 +184,25 @@ def test_journal_append_copies_the_document_once(copy_calls, flavour):
     assert stored["document"] is record.document
 
 
-def test_a_full_raw_head_is_copied_in_one_pass(copy_calls):
-    channel_id, documents = stored_shm_documents()
+def copies_of_a_stored_channel(copy_calls, head_points):
+    channel_id, documents = stored_shm_documents(head_points)
     channel = documents[f"state/PhysicalSensorChannel/{channel_id}"]
-    assert len(channel["tsdoc"]["head"]) == 255
+    assert len(channel["tsdoc"]["head"]) == head_points * 16
 
     copy_calls.clear()
     copied = snapshot(channel)
     assert copied == channel
-    assert copied["tsdoc"]["head"] is not channel["tsdoc"]["head"]
-    assert len(copy_calls) <= 16
+    # The packed head and the block documents are immutable: shared.
+    assert copied["tsdoc"]["head"] is channel["tsdoc"]["head"]
+    assert copied["tsdoc"]["blocks"] is channel["tsdoc"]["blocks"]
+    assert copied["tsdoc"] is not channel["tsdoc"]
+    return len(copy_calls)
+
+
+def test_a_raw_head_costs_no_copy_per_point(copy_calls):
+    full = copies_of_a_stored_channel(copy_calls, 255)
+    assert copies_of_a_stored_channel(copy_calls, 10) == full
+    assert full <= 16
 
 
 def test_other_types_take_the_deepcopy_fallback(deepcopy_calls):

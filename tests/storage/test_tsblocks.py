@@ -204,6 +204,26 @@ def test_int_values_are_stored_as_floats():
     assert all(type(value) is float for _, value in series.tail(2))
 
 
+def test_timestamps_are_stored_as_floats_in_every_tier():
+    # The fourth point seals a block; the head keeps the fifth.  Both tiers
+    # hand back float timestamps, as a stored document would.
+    series = TieredSeries(100, 4)
+    series.append_many([(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0), (4, 5.0)])
+    read = series.range(0, 10)
+    assert read == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0), (4.0, 5.0)]
+    assert all(type(timestamp) is float for timestamp, _ in read)
+
+
+def test_non_numeric_timestamp_is_rejected_before_anything_is_stored():
+    series = TieredSeries(100, 4)
+    series.append_many([(0.0, 1.0)])
+    for timestamp in ("5", None, b"5", 10**400):
+        with pytest.raises(ValueError, match="timestamp .* not a number"):
+            series.append_many([(1.0, 1.0), (timestamp, 2.0)])
+    assert series.all_pairs() == [(0.0, 1.0)]
+    assert series.total_appended == 1
+
+
 def test_capacity_eviction_is_point_exact():
     series = TieredSeries(capacity=50, block_size=16)
     pairs = walk(173)
@@ -381,6 +401,45 @@ def test_document_roundtrip_preserves_pairs_and_tiers():
     # capacity exactly.
     restored.append_many(walk(30, t0=9000.0))
     assert len(restored) == 100
+
+
+def test_the_document_is_built_once_per_window_version():
+    series = TieredSeries(capacity=10, block_size=4)
+    versions = []
+
+    def document_after(pairs):
+        series.append_many(pairs)
+        document = series.to_document()
+        assert series.to_document() is document  # until the next write
+        assert type(document["blocks"]) is tuple
+        assert type(document["head"]) is bytes
+        assert TieredSeries.from_document(document).all_pairs() == (
+            series.all_pairs()
+        )
+        versions.append(document)
+        return document
+
+    document_after(walk(2))
+    document_after(walk(1, t0=2000.0))  # a head append
+    assert series.sealed_blocks == 0
+    sealed = document_after(walk(1, t0=2001.0))  # the head reaches 4: seal
+    assert len(sealed["blocks"]) == 1 and sealed["head"] == b""
+    document_after(walk(4, t0=2002.0))
+    evicted = document_after(walk(4, t0=2006.0))  # 12 points > 10: evict 2
+    # The boundary cut the oldest block: its 2 survivors are the old side,
+    # re-sealed once into the leading block of this version's document.
+    assert series._old and len(series) == 10
+    assert len(evicted["blocks"]) == 3 and evicted["blocks"][0][2] == 2
+    document_after(walk(1, t0=2010.0))  # evicts from the old side
+    assert len({id(document) for document in versions}) == len(versions)
+
+
+def test_an_empty_batch_keeps_the_document():
+    series = TieredSeries(capacity=10, block_size=4)
+    series.append_many(walk(3))
+    document = series.to_document()
+    series.append_many([])
+    assert series.to_document() is document
 
 
 def test_document_restore_registers_stats():
