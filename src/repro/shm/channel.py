@@ -109,9 +109,10 @@ class _ChannelBase(Actor):
     def _store_points(self, points: list[tuple[float, float]]) -> int:
         """Append readings to the window; archive evicted ones.
 
-        Each eviction run goes to the archive in one call: a block the
-        window evicted whole stays compressed, a run of pairs is re-sealed
-        at the archive's own block boundaries.
+        Each eviction run goes to the archive in one call: a tiered window
+        evicts whole sealed blocks, which the archive keeps compressed as
+        they are; a raw window (``block_size=0``, or blocks larger than its
+        capacity) evicts runs of pairs, which the archive seals itself.
         """
         if not points:
             return 0

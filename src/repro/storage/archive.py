@@ -11,11 +11,11 @@ sealed blocks with a parallel ``t_last`` column to bisect on, then a raw head
 of ``(timestamp, value)`` tuples that seals every ``block_size`` points.
 Each point keeps its global sequence number, in a compressed column per
 block and an ``array('q')`` beside the head.  A channel hands over each
-eviction run in one call: a block its window evicted whole stays compressed
-(:meth:`ArchiveLog.append_block`); the points of a block the eviction
-boundary cut through were decoded by the window to split it, and arrive as a
-pair run that is re-sealed here (:meth:`ArchiveLog.extend`).  Records exist
-only in what reads return.
+eviction run in one call.  A tiered window evicts only whole blocks, which
+are kept as they come (:meth:`ArchiveLog.append_block`): nothing is decoded
+and nothing re-compressed.  A raw window (no blocks) evicts pair runs, which
+seal here at the archive's own boundaries (:meth:`ArchiveLog.extend`).
+Records exist only in what reads return.
 """
 
 from __future__ import annotations

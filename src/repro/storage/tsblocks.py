@@ -619,33 +619,34 @@ def _as_point(pair: Sequence) -> tuple[float, float]:
 class TieredSeries:
     """A bounded, time-ordered series tiered into hot head + sealed blocks.
 
-    The contract is that of a bounded raw window —
-    appends must be non-decreasing in time, ``capacity`` bounds the total
-    retained points, and whatever falls off the old end is returned from
-    ``append_many`` so callers can archive it — but the interior is
-    tiered: the newest ``< block_size`` points stay raw (the mutable hot
-    head); each time the head reaches ``block_size`` its points are
-    sealed into an immutable compressed block.
+    The contract is that of a bounded window — appends must be
+    non-decreasing in time, ``capacity`` is the floor of what is retained,
+    and whatever falls off the old end is returned from ``append_many`` so
+    callers can archive it — but the interior is tiered: the newest
+    ``< block_size`` points stay raw (the mutable hot head); each time the
+    head reaches ``block_size`` its points are sealed into an immutable
+    compressed block.
 
-    Capacity eviction is *point-exact* (so a capacity-15 series retains
-    exactly 15 points, like the raw window): whole blocks are evicted
-    as :class:`SealedBlock` objects — callers archive them without a
-    decode — and when the boundary falls inside a block, that block is
-    decoded once into a small "old side" buffer that serves subsequent
-    evictions and reads until drained.
+    The sealed block is the unit of eviction: the oldest block leaves,
+    whole and never decoded, while the points behind it still number at
+    least ``capacity``.  Once ``capacity`` points have arrived, a series
+    therefore retains between ``capacity`` and ``capacity + block_size - 1``
+    of the newest points.
 
-    ``block_size=0`` disables sealing entirely, degenerating to a raw
-    pair window (the A-side of the tsbench A/B).
+    A series without blocks is a raw pair window that evicts point by point
+    and retains exactly ``capacity``: ``block_size=0`` (the A-side of the
+    tsbench A/B), or a ``block_size`` above ``capacity``, which never seals
+    because no such block could be retained whole.
 
     Every channel actor owns one and most sit idle, so a column list is
     allocated by its first write; until then it is the shared empty tuple,
     which every read treats as an empty column.  Stored pairs are always
     ``(timestamp, value)`` tuples: a read returns the same shape from every
-    tier, and the head bisects on ``(t,)`` like blocks and ``_old`` do.
+    tier, and the head bisects on ``(t,)`` like blocks do.
     """
 
     __slots__ = (
-        "capacity", "block_size", "stats", "_old", "_blocks", "_block_last",
+        "capacity", "block_size", "stats", "_blocks", "_block_last",
         "_head", "_sealed_points", "total_appended", "_cache_block",
         "_cache_pairs", "_document",
     )
@@ -666,9 +667,7 @@ class TieredSeries:
         self.capacity = capacity
         self.block_size = block_size
         self.stats = stats
-        # Oldest → newest: _old (decoded remainder of a part-evicted
-        # block) → _blocks → head; each is () until its first write.
-        self._old: list[tuple[float, float]] | tuple = ()
+        # Oldest → newest: _blocks → head; each is () until its first write.
         self._blocks: list[SealedBlock] | tuple = ()
         self._block_last: list[float] | tuple = ()  # parallel t_last, for bisect
         self._head: list[tuple[float, float]] | tuple = ()
@@ -683,7 +682,7 @@ class TieredSeries:
         self._document: dict | None = None
 
     def __len__(self) -> int:
-        return len(self._old) + self._sealed_points + len(self._head)
+        return self._sealed_points + len(self._head)
 
     @property
     def sealed_blocks(self) -> int:
@@ -695,8 +694,6 @@ class TieredSeries:
             return self._head[-1][0]
         if self._blocks:
             return self._blocks[-1].t_last
-        if self._old:
-            return self._old[-1][0]
         return None
 
     # -- writes ----------------------------------------------------------------
@@ -712,11 +709,10 @@ class TieredSeries:
         timestamp or a non-numeric value raises ``ValueError`` and stores
         nothing.
 
-        The result is a list of runs, oldest first.  A block the eviction
-        boundary swallowed entirely leaves as the :class:`SealedBlock`
-        itself, never decoded.  Anything else leaves as a list of
-        ``(timestamp, value)`` pairs: a slice of the head, or of a block the
-        boundary cut through, which was decoded once to split it.
+        The result is a list of runs, oldest first: each evicted block as
+        the :class:`SealedBlock` itself, never decoded, or — only in a
+        series without blocks — one list of ``(timestamp, value)`` pairs
+        sliced off the head.
         """
         if not pairs:
             return self._NO_EVICTIONS
@@ -732,13 +728,12 @@ class TieredSeries:
         stats = self.stats
         if stats is not None:
             stats.head_points += len(pairs)
-        if self.block_size:
+        if 0 < self.block_size <= self.capacity:
             while len(self._head) >= self.block_size:
                 self._seal_head_prefix(self.block_size)
-        excess = len(self) - self.capacity
-        if excess <= 0:
+        if len(self) <= self.capacity:
             return self._NO_EVICTIONS
-        return self._evict(excess)
+        return self._evict()
 
     def _seal_head_prefix(self, count: int) -> None:
         run = self._head[:count]
@@ -758,45 +753,27 @@ class TieredSeries:
             stats.sealed_points += block.count
             stats.head_points -= block.count
 
-    def _evict(self, need: int) -> list:
+    def _evict(self) -> list:
         evicted: list = []
         stats = self.stats
-        while need > 0:
-            if self._old:
-                take = min(need, len(self._old))
-                evicted.append(self._old[:take])
-                del self._old[:take]
-                need -= take
-                if stats is not None:
-                    stats.head_points -= take
-            elif self._blocks:
-                block = self._blocks[0]
-                if block.count <= need:
-                    evicted.append(block)
-                    need -= block.count
-                else:
-                    # Boundary falls inside the oldest block: decode it
-                    # once; its remainder becomes the old-side buffer.
-                    self._old = self._decode(block)
-                    if stats is not None:
-                        stats.head_points += block.count
-                del self._blocks[0]
-                del self._block_last[0]
-                self._sealed_points -= block.count
-                if block is self._cache_block:
-                    # The block is gone and can never hit again; keeping the
-                    # slot would pin its pairs (and alias ``_old``, which
-                    # eviction goes on to mutate).
-                    self._cache_block = self._cache_pairs = None
-                if stats is not None:
-                    stats.blocks_evicted += 1
-                    stats.block_bytes -= block.nbytes
-                    stats.sealed_points -= block.count
-            else:
-                take = min(need, len(self._head))
+        blocks = self._blocks
+        while blocks and len(self) - blocks[0].count >= self.capacity:
+            block = blocks.pop(0)
+            del self._block_last[0]
+            self._sealed_points -= block.count
+            evicted.append(block)
+            if block is self._cache_block:
+                # Gone for good: the slot would only pin its decoded pairs.
+                self._cache_block = self._cache_pairs = None
+            if stats is not None:
+                stats.blocks_evicted += 1
+                stats.block_bytes -= block.nbytes
+                stats.sealed_points -= block.count
+        if not blocks:
+            take = len(self._head) - self.capacity
+            if take > 0:
                 evicted.append(self._head[:take])
                 del self._head[:take]
-                need -= take
                 if stats is not None:
                     stats.head_points -= take
         return evicted
@@ -820,8 +797,6 @@ class TieredSeries:
             return self._head[-1]
         if self._blocks:
             return self._decode(self._blocks[-1])[-1]
-        if self._old:
-            return self._old[-1]
         return None
 
     def range(self, start: float, end: float) -> list[tuple[float, float]]:
@@ -832,7 +807,7 @@ class TieredSeries:
         """
         if not end > start:  # empty, or a NaN bound
             return []
-        out = _cut(self._old, start, end) if self._old else []
+        out = []
         lo, hi = overlapping(self._blocks, self._block_last, start, end, self.stats)
         for block in self._blocks[lo:hi]:
             out.extend(_cut(self._decode(block), start, end))
@@ -854,13 +829,11 @@ class TieredSeries:
             take = pairs[-need:] if need < len(pairs) else pairs
             out = take + out
             need -= len(take)
-        if need > 0 and self._old:
-            out = self._old[-need:] + out
         return out
 
     def all_pairs(self) -> list[tuple[float, float]]:
         """Every retained pair, oldest first (decodes every block)."""
-        out = list(self._old)
+        out = []
         for block in self._blocks:
             out.extend(self._decode(block))
         out.extend(self._head)
@@ -878,8 +851,6 @@ class TieredSeries:
         folds: list[BlockSummary] = []
         edges: list[tuple[float, float]] = []
         if end > start:
-            if self._old:
-                edges = _cut(self._old, start, end)
             stats = self.stats
             lo, hi = overlapping(self._blocks, self._block_last, start, end, stats)
             for block in self._blocks[lo:hi]:
@@ -898,7 +869,7 @@ class TieredSeries:
 
     def memory_stats(self) -> dict:
         """Live-memory accounting of this series (estimated bytes)."""
-        head_points = len(self._head) + len(self._old)
+        head_points = len(self._head)
         block_bytes = sum(block.nbytes for block in self._blocks)
         sealed_points = sum(block.count for block in self._blocks)
         raw_equivalent = RAW_POINT_BYTES * (head_points + sealed_points)
@@ -926,7 +897,7 @@ class TieredSeries:
         stats = self.stats
         if stats is None:
             return
-        stats.head_points -= len(self._head) + len(self._old)
+        stats.head_points -= len(self._head)
         for block in self._blocks:
             stats.block_bytes -= block.nbytes
             stats.sealed_points -= block.count
@@ -942,18 +913,14 @@ class TieredSeries:
         mutable container with the live tiers: ``blocks`` is a tuple of
         block documents, ``head`` one ``bytes`` column of interleaved float64
         ``t, v`` values in native byte order (``array('d')`` layout, 16 B
-        per point).  A partially-evicted old side is re-sealed into a
-        (smaller) leading block, so the document is always ``blocks + head``.
+        per point): exactly the live ``blocks + head``, nothing re-sealed.
         """
         document = self._document
         if document is None:
-            blocks = tuple(block.as_document() for block in self._blocks)
-            if self._old:
-                blocks = (SealedBlock.seal(self._old).as_document(),) + blocks
             document = self._document = {
                 "capacity": self.capacity,
                 "block_size": self.block_size,
-                "blocks": blocks,
+                "blocks": tuple(block.as_document() for block in self._blocks),
                 "head": struct.pack(
                     "%dd" % (2 * len(self._head)), *chain.from_iterable(self._head)
                 ),

@@ -51,7 +51,7 @@ def test_smoke_payload_shape(smoke_payload):
     summary = smoke_payload["summary"]
     assert summary["memory_reclaimed_x"] >= MEMORY_RECLAIM_FLOOR
     assert summary["compression_ratio"] >= COMPRESSION_FLOOR
-    assert summary["archive_blocks_sealed"] > 0
+    assert summary["archive_sealed_records"] > 0
 
 
 def test_platform_leg_conserved_points_across_tiers(smoke_payload):
@@ -61,6 +61,10 @@ def test_platform_leg_conserved_points_across_tiers(smoke_payload):
         == platform["points_ingested"]
     )
     assert platform["points_archived"] > 0
+    # Windows evict whole blocks, which the archive keeps as they came.
+    assert platform["archive_sealed_records"] == platform["archive_points"]
+    assert platform["archive_points"] > platform["points_archived"]
+    assert platform["archive_blocks_sealed"] == 0
     assert platform["storage_compression_ratio"] >= COMPRESSION_FLOOR
     # The tiered window really holds less memory than raw buffering would.
     assert (

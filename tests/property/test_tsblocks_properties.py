@@ -164,14 +164,24 @@ def test_tiered_series_equals_raw_window_on_any_stream(stamps, data):
         flatten(tiered.append_many(batch), tiered_evicted)
         flatten(raw.append_many(batch), raw_evicted)
 
-    assert tiered.all_pairs() == raw.all_pairs()
-    assert tiered_evicted == raw_evicted
-    assert len(tiered) == len(raw) <= capacity
+    # The raw window is point-exact; the tiered one evicts whole 8-point
+    # blocks, so it holds the raw window's points plus up to 7 older ones.
+    retained = tiered.all_pairs()
+    extra = len(tiered) - len(raw)
+    assert len(raw) == min(capacity, len(pairs))
+    assert 0 <= extra <= 7
+    assert retained[extra:] == raw.all_pairs()
+    assert tiered_evicted + retained == raw_evicted + raw.all_pairs() == pairs
     t0, t1 = pairs[0][0], pairs[-1][0]
     mid = data.draw(st.floats(min_value=t0, max_value=max(t0, t1),
                               allow_nan=False))
-    assert tiered.range(mid, t1 + 1.0) == raw.range(mid, t1 + 1.0)
-    assert tiered.tail(7) == raw.tail(7)
+    tiered_range = tiered.range(mid, t1 + 1.0)
+    raw_range = raw.range(mid, t1 + 1.0)
+    assert tiered_range == [pair for pair in retained if mid <= pair[0]]
+    assert tiered_range[len(tiered_range) - len(raw_range):] == raw_range
+    newest = min(7, len(raw))
+    assert tiered.tail(newest) == raw.tail(newest)
+    assert tiered.tail(7) == retained[-7:]
 
 
 @given(stamps=timestamp_streams, data=st.data())
@@ -235,12 +245,17 @@ def test_range_and_aggregate_equal_brute_force_over_all_pairs(pairs, data):
     batch = data.draw(st.integers(min_value=1, max_value=11))
     series = TieredSeries(capacity, block_size=4)
     for offset in range(0, len(pairs), batch):
-        # Batches that do not divide the block size leave a part-evicted
-        # old side behind.
+        # Batches that do not divide the block size seal and evict blocks
+        # at every phase of the head.
         series.append_many(pairs[offset:offset + batch])
     retained = series.all_pairs()
-    assert retained == pairs[-capacity:]
     assert len(series) == len(retained)
+    # The newest points, between the capacity floor and one block short of
+    # a block over it; point-exact when no 4-point block fits the window.
+    assert retained == pairs[len(pairs) - len(retained):]
+    floor = min(capacity, len(pairs))
+    ceiling = floor if capacity < 4 else capacity + 3
+    assert floor <= len(retained) <= ceiling
     for _ in range(4):
         start, end = bounds_around(data, pairs)
         expected = [p for p in retained if start <= p[0] < end]

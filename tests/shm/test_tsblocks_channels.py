@@ -92,15 +92,16 @@ def test_state_document_without_tsdoc_opens_an_empty_window(sched):
         bare["window"] = [list(p) for p in ramp(10)]
         await platform.runtime.grain_storage.put(key, bare)
         empty = await platform.raw_range(c0, 0.0, 100.0)
-        # The fresh window honours the configured capacity and block size.
-        await platform.ingest(sensor_id, {c0: ramp(10, t0=100.0)})
+        # The fresh window honours the configured capacity and block size:
+        # 13 points seal 3 blocks, and the oldest leaves with 9 behind it.
+        await platform.ingest(sensor_id, {c0: ramp(13, t0=100.0)})
         channel = platform.runtime.ref("PhysicalSensorChannel", c0)
         return empty, await channel.depth(), await channel.storage_stats()
 
     empty, depth, stats = sched.run_until_complete(main())
     assert empty == []
-    assert depth == 8
-    assert stats["blocks"] >= 1
+    assert depth == 9
+    assert stats["blocks"] == 2 and stats["head_points"] == 1
 
 
 FLUSHING_POLICIES = {
@@ -214,11 +215,24 @@ def tracked_reach(root):
     return tracked
 
 
-def test_archive_keeps_no_object_per_evicted_point(sched):
-    # 10-point waves into 64-point windows of 16-point blocks: every wave
-    # evicts from inside a block, and 40 waves stay under one archive block.
+#: GC-tracked objects the archive gains per block a window hands it: the
+#: ``SealedBlock`` and its ``BlockSummary`` (bytes and floats are untracked).
+TRACKED_PER_ARCHIVED_BLOCK = 2
+
+
+def wave_census(window_capacity, block_size):
+    """Feed one sensor 10-point waves, 20 and then 20 more, with no reads.
+
+    Returns the runtime, the archive and a census after each half:
+    ``(archived points, tracked objects the archive reaches, tracked objects
+    the three channel windows reach)``.
+    """
     archive = ArchiveLog(block_size=512)
-    platform = build_platform(sched, archive=archive)
+    platform = build_platform(
+        Scheduler(), window_capacity=window_capacity, block_size=block_size,
+        archive=archive,
+    )
+    runtime = platform.runtime
     sensor_id = sensor_id_for("org-0", 0)
     channels = [channel_id_for(sensor_id, 0), channel_id_for(sensor_id, 1)]
 
@@ -229,18 +243,54 @@ def test_archive_keeps_no_object_per_evicted_point(sched):
 
     def census():
         gc.collect()
-        return len(archive), tracked_reach(archive)
+        windows = tuple(
+            activation.instance.window
+            for activation in runtime.silo("silo-1").activations()
+            if "SensorChannel" in activation.key.type_name
+        )
+        assert len(windows) == 3  # both channels and the virtual one
+        return len(archive), tracked_reach(archive), tracked_reach(windows)
 
-    sched.run_until_complete(platform.provision(total_sensors=1))
-    sched.run_until_complete(waves(0, 20))
-    points_n, objects_n = census()
-    sched.run_until_complete(waves(20, 20))
-    points_2n, objects_2n = census()
-    assert len(archive.streams()) == 3  # both channels and the virtual one
+    runtime.scheduler.run_until_complete(platform.provision(total_sensors=1))
+    runtime.scheduler.run_until_complete(waves(0, 20))
+    first = census()
+    runtime.scheduler.run_until_complete(waves(20, 20))
+    return runtime, archive, first, census()
+
+
+def test_archive_keeps_no_object_per_evicted_point():
+    # 10-point waves into 64-point windows of 16-point blocks: windows evict
+    # whole blocks, and the archive keeps each as it came, never re-sealed.
+    _runtime, archive, (points_n, objects_n, _), (points_2n, objects_2n, _) = (
+        wave_census(window_capacity=64, block_size=16)
+    )
+    assert len(archive.streams()) == 3
     assert points_2n > points_n > 0
     assert archive.blocks_sealed == 0
-    assert objects_2n == objects_n
+    assert archive.sealed_records == points_2n  # every point came compressed
+    blocks_added = (points_2n - points_n) // 16
+    assert blocks_added == 39
+    assert objects_2n - objects_n == TRACKED_PER_ARCHIVED_BLOCK * blocks_added
     assert not any(type(obj) is ArchiveRecord for obj in gc.get_objects())
+
+
+def test_steady_state_eviction_never_decodes():
+    # The fig deployments' shape, scaled down: window capacity == block size,
+    # so every eviction falls on a block edge only if blocks leave whole.
+    runtime, archive, first, second = wave_census(window_capacity=16, block_size=16)
+    assert runtime.tsblock_stats.blocks_decoded == 0
+    for activation in runtime.silo("silo-1").activations():
+        if "SensorChannel" in activation.key.type_name:
+            # No decoded tier: what is raw is the hot head, under one block.
+            assert activation.instance.window.memory_stats()["head_points"] <= 15
+    assert archive.blocks_sealed == 0
+    assert archive.sealed_records == second[0]
+    blocks_added = (second[0] - first[0]) // 16
+    assert blocks_added == 39
+    # Window + archive grow by the per-block constant, not per point: the
+    # windows reach as many objects after 40 waves as after 20.
+    assert second[1] - first[1] == TRACKED_PER_ARCHIVED_BLOCK * blocks_added
+    assert second[2] == first[2]
 
 
 def test_sensor_storage_stats_fans_out(sched):

@@ -5,8 +5,10 @@ by side: appends with duplicate timestamps, out-of-order appends (which must
 change nothing), and document round trips (bit-exact, ``-0.0`` and
 infinities included).  After every step each read
 (``len``, ``all_pairs``, ``range``, ``tail``, ``latest``, ``aggregate``)
-must agree with the list, eviction must hand back exactly the list's oldest
-points, and the shared ``BlockStats`` must balance against ``memory_stats``.
+must agree with the list, and the shared ``BlockStats`` must balance against
+``memory_stats``.  Eviction has its own oracle (:func:`check_eviction`): the
+retained points are the newest ones appended, and what left is every older
+point, in order, in whole blocks or, without blocks, in head slices.
 """
 
 import math
@@ -53,6 +55,30 @@ def flatten(evicted):
     return out
 
 
+def check_eviction(series, evicted, history, archived):
+    """The whole-block retention contract after one ``append_many``.
+
+    ``history`` is every point appended so far and ``archived`` every point
+    evicted before this call; the call's runs are added to ``archived``.
+    """
+    for run in evicted:
+        # Whole sealed blocks, or a head slice only in a series left without
+        # blocks (a raw window, or one whose blocks could never be retained).
+        assert type(run) is SealedBlock or (
+            type(run) is list and not series.sealed_blocks
+        )
+    archived.extend(flatten(evicted))
+    # Retained + evicted runs == every point appended, in order, so the
+    # retained points are exactly the newest ``len(series)`` of them.
+    assert archived + series.all_pairs() == history
+    capacity, block_size = series.capacity, series.block_size
+    floor = min(capacity, len(history))
+    if block_size == 0 or block_size > capacity:
+        assert len(series) == floor  # point-exact
+    else:
+        assert floor <= len(series) <= capacity + block_size - 1
+
+
 def check_agrees(series, model, stats, rng):
     assert len(series) == len(model)
     assert series.all_pairs() == model
@@ -82,6 +108,8 @@ def run_sequence(seed, block_size):
     stats = BlockStats()
     series = TieredSeries(capacity, block_size, stats=stats)
     model = []
+    history = []
+    archived = []
     last = 0.0
     for _ in range(STEPS):
         roll = rng.random()
@@ -101,10 +129,9 @@ def run_sequence(seed, block_size):
             if batch:
                 last = batch[-1][0]
             evicted = series.append_many(batch)
-            model.extend(tuple(pair) for pair in batch)
-            excess = max(0, len(model) - capacity)
-            assert flatten(evicted) == model[:excess]
-            del model[:excess]
+            history.extend(tuple(pair) for pair in batch)
+            check_eviction(series, evicted, history, archived)
+            model = history[len(archived):]
         check_agrees(series, model, stats, rng)
     assert all(type(pair) is tuple for pair in series.all_pairs())
 

@@ -224,15 +224,41 @@ def test_non_numeric_timestamp_is_rejected_before_anything_is_stored():
     assert series.total_appended == 1
 
 
-def test_capacity_eviction_is_point_exact():
-    series = TieredSeries(capacity=50, block_size=16)
-    pairs = walk(173)
-    evicted = []
+def feed_in_sevens(series, pairs):
+    """Append ``pairs`` in 7-point batches; return every evicted run."""
+    runs = []
     for offset in range(0, len(pairs), 7):
-        for run in series.append_many(pairs[offset:offset + 7]):
-            evicted.extend(run.decode() if isinstance(run, SealedBlock) else run)
-    assert len(series) == 50
+        runs.extend(series.append_many(pairs[offset:offset + 7]))
+    return runs
+
+
+def test_capacity_evicts_whole_blocks():
+    stats = BlockStats()
+    series = TieredSeries(capacity=50, block_size=16, stats=stats)
+    pairs = walk(173)
+    runs = feed_in_sevens(series, pairs)
+    # 10 blocks sealed; the oldest leaves while 50 points stay behind it, so
+    # 7 leave whole and 3 blocks + a 13-point head (61 points) are retained.
+    assert [type(run) for run in runs] == [SealedBlock] * 7
+    assert [run.count for run in runs] == [16] * 7
+    assert len(series) == 61 and series.sealed_blocks == 3
+    assert stats.blocks_evicted == 7 and stats.blocks_decoded == 0
+    evicted = [pair for run in runs for pair in run.decode()]
     assert evicted + series.all_pairs() == pairs
+
+
+@pytest.mark.parametrize("block_size", [0, 64], ids=["raw", "block-over-capacity"])
+def test_a_window_without_blocks_evicts_point_exactly(block_size):
+    stats = BlockStats()
+    series = TieredSeries(capacity=50, block_size=block_size, stats=stats)
+    pairs = walk(173)
+    runs = feed_in_sevens(series, pairs)
+    # A 64-point block could never be retained whole in a 50-point window,
+    # so none is sealed: both windows slice their evictions off the head.
+    assert all(type(run) is list for run in runs)
+    assert stats.blocks_sealed == 0 and series.sealed_blocks == 0
+    assert len(series) == 50
+    assert [pair for run in runs for pair in run] + series.all_pairs() == pairs
 
 
 def test_bulk_eviction_yields_whole_blocks():
@@ -253,7 +279,7 @@ def test_bulk_eviction_yields_whole_blocks():
 def test_range_stitches_old_blocks_and_head():
     series = TieredSeries(capacity=100, block_size=16)
     pairs = walk(230)
-    for offset in range(0, len(pairs), 9):  # force a part-evicted old side
+    for offset in range(0, len(pairs), 9):  # batches out of step with blocks
         series.append_many(pairs[offset:offset + 9])
     retained = pairs[-100:]
     t0, t1 = retained[3][0], retained[-3][0]
@@ -312,21 +338,17 @@ def test_evicted_block_leaves_the_decode_cache():
     series = TieredSeries(capacity=20, block_size=8, stats=stats)
     series.append_many(walk(20))  # blocks [0:8) [8:16), head [16:20)
     series.range(1000.0, 1004.0)  # decode + cache the oldest block
-    assert series._cache_block is series._blocks[0]
-    # Partial eviction decodes the boundary block into the old side; the
-    # cached copy would alias it and can never be hit again.
-    assert series.append_many(walk(3, t0=2000.0)) == [walk(3)]
-    assert series._cache_block is None and series._cache_pairs is None
-    assert series._old == walk(8)[3:]
-    assert stats.blocks_decoded == 1  # the eviction reused the cached decode
-    # Whole-block eviction of a cached block empties the slot as well.
-    series.range(1008.0, 1012.0)
     cached = series._cache_block
     assert cached is series._blocks[0]
-    evicted = series.append_many(walk(13, t0=3000.0))
-    assert cached in evicted
+    # 3 more points leave 15 behind the oldest block: it stays.
+    assert series.append_many(walk(3, t0=2000.0)) == []
+    assert series._cache_block is cached
+    # A seal leaves 20 behind it: it goes whole, and the slot, which could
+    # never hit again, lets go of its decoded pairs.
+    assert series.append_many(walk(5, t0=3000.0)) == [cached]
     assert series._cache_block is None and series._cache_pairs is None
-    everything = walk(20) + walk(3, t0=2000.0) + walk(13, t0=3000.0)
+    assert stats.blocks_decoded == 1  # the read's; eviction decodes nothing
+    everything = walk(20) + walk(3, t0=2000.0) + walk(5, t0=3000.0)
     assert series.all_pairs() == everything[-20:]
 
 
@@ -378,7 +400,8 @@ def test_stats_accounting_balances():
     assert stats.compression_ratio > 1.0
     # __len__ reads a running count; memory_stats() recounts the blocks.
     assert series._sealed_points == mem["sealed_points"]
-    assert len(series) == mem["points"] == 50
+    # 10 blocks + a 13-point head; 7 blocks evicted whole leave 61 points.
+    assert len(series) == mem["points"] == 61
     series.detach_stats()
     assert stats.head_points == 0
     assert stats.block_bytes == 0
@@ -397,8 +420,8 @@ def test_document_roundtrip_preserves_pairs_and_tiers():
     assert restored.all_pairs() == series.all_pairs()
     assert restored.capacity == series.capacity
     assert restored.block_size == series.block_size
-    # Appends keep working after a re-open, and eviction still honours
-    # capacity exactly.
+    # Appends keep working after a re-open, and eviction still evicts whole
+    # blocks down to the capacity floor.
     restored.append_many(walk(30, t0=9000.0))
     assert len(restored) == 100
 
@@ -425,12 +448,21 @@ def test_the_document_is_built_once_per_window_version():
     sealed = document_after(walk(1, t0=2001.0))  # the head reaches 4: seal
     assert len(sealed["blocks"]) == 1 and sealed["head"] == b""
     document_after(walk(4, t0=2002.0))
-    evicted = document_after(walk(4, t0=2006.0))  # 12 points > 10: evict 2
-    # The boundary cut the oldest block: its 2 survivors are the old side,
-    # re-sealed once into the leading block of this version's document.
-    assert series._old and len(series) == 10
-    assert len(evicted["blocks"]) == 3 and evicted["blocks"][0][2] == 2
-    document_after(walk(1, t0=2010.0))  # evicts from the old side
+    document_after(walk(4, t0=2006.0))  # 12 points, 8 behind the oldest block
+    assert series.sealed_blocks == 3
+    evicted = document_after(walk(3, t0=2010.0))  # 15: 11 behind it, evict it
+    assert series.sealed_blocks == 2 and len(series) == 11
+    # The document is the live blocks, byte for byte (nothing re-sealed),
+    # and the head.
+    assert evicted["blocks"] == tuple(
+        block.as_document() for block in series._blocks
+    )
+    assert all(
+        doc[0] is block.ts_bytes and doc[1] is block.val_bytes
+        for doc, block in zip(evicted["blocks"], series._blocks)
+    )
+    assert len(evicted["head"]) == 3 * 16
+    document_after(walk(1, t0=2013.0))  # a head append after an eviction
     assert len({id(document) for document in versions}) == len(versions)
 
 
