@@ -322,3 +322,59 @@ def test_group_commit_conflict_surfaces_conditional_check_failure(sched):
         return runtime.group_commit.batches >= 1
 
     assert sched.run_until_complete(main()) is True
+
+
+class SlowStateStore(InMemoryKVStore):
+    """State writes land ``delay`` virtual seconds after they are issued;
+    journal (``wal/``) writes stay instant."""
+
+    def __init__(self, sched, delay):
+        super().__init__()
+        self._sched = sched
+        self.delay = delay
+
+    async def put(self, key, value, expected_etag=None, fence=None):
+        if key.startswith("state/"):
+            await self._sched.sleep(self.delay)
+        return await super().put(key, value, expected_etag, fence)
+
+
+class EverySecondCounter(DurableCounter):
+    write_policy = WritePolicy.INTERVAL
+    write_interval_seconds = 1.0
+
+
+def test_a_flush_landing_keeps_a_record_journaled_while_it_was_in_flight(sched):
+    # Redo pump every 0.4 s, interval flush every 1.0 s, state puts take
+    # 0.5 s: the flush issued at 1.0 lands at 1.5, and the pump pass at 1.2
+    # journals the cell's document in between.  Landing may drop only the
+    # records journaled before the put was issued.
+    store = SlowStateStore(sched, delay=0.5)
+    config = RuntimeConfig(default_method_cost=0.0, activation_cost=0.0, redo_lag=0.4)
+    network = Network(sched, lan=ConstantLatency(0.0))
+    runtime = AodbRuntime(sched, config=config, grain_storage=store, network=network)
+    runtime.add_silo("s1", cores=2)
+    runtime.register_actor(EverySecondCounter)
+    journal = runtime.redo_journal
+    key = "state/EverySecondCounter/i"
+
+    async def main():
+        ref = runtime.ref("EverySecondCounter", "i")
+        await ref.increment()  # t=0
+        (activation,) = runtime.silo("s1").activations()
+        cell = activation.instance._state_cell
+        await sched.sleep(0.9)  # the 0.4 pump journaled count=1 (seq 1)
+        await ref.increment()  # count=2, journaled by no pump before 1.0
+        await sched.sleep(0.7)  # t=1.6: the first flush has landed
+        landed = (await store.get(key)).value
+        first = (journal.pending_records(key), cell.dirty, cell.flushes)
+        await sched.sleep(1.0)  # t=2.6: the next flush landed as well
+        second = (journal.pending_records(key), cell.dirty, cell.flushes)
+        return landed, first, second
+
+    landed, first, second = sched.run_until_complete(main())
+    assert landed == {"count": 2}
+    # The 1.2 record (seq 2) is newer than the journal at the put's issue: it
+    # survives the landing, and the cell stays dirty until a flush covers it.
+    assert first == (1, True, 1)
+    assert second == (0, False, 2)
