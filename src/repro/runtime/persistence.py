@@ -140,6 +140,9 @@ class StateCell:
             return
         storage_key = self._storage_key
         target = self._store if direct or self._writer is None else self._writer
+        journal = self._journal
+        # What this put covers: the records journaled before it is issued.
+        covered = 0 if journal is None else journal.last_seq
         try:
             self._etag = await target.put(
                 storage_key, self.document, expected_etag=self._etag, fence=self.fence
@@ -149,10 +152,14 @@ class StateCell:
             if recorder is not None:
                 recorder.storage.record("fenced-bounce", storage_key, self.fence)
             raise
-        self.dirty = False
         self.flushes += 1
-        if self._journal is not None:
-            self._journal.truncate(storage_key)
+        if journal is None:
+            self.dirty = False
+        else:
+            journal.truncate(storage_key, covered)
+            # A record journaled while the put was in flight survives, and the
+            # cell stays dirty until a later flush covers it.
+            self.dirty = journal.pending_records(storage_key) > 0
 
     async def clear(self) -> None:
         """Delete the stored document (actor-level hard delete)."""

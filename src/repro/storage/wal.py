@@ -170,9 +170,24 @@ class RedoJournal:
                 recorder.storage.record("wal-replay", key, best.seq)
         return best
 
-    def truncate(self, key: str) -> int:
-        """Drop every in-memory record for ``key`` (its state just flushed)."""
-        dropped = len(self._records.pop(key, ()))
+    @property
+    def last_seq(self) -> int:
+        """The sequence number of the newest record appended (0 before any)."""
+        return self._seq
+
+    def truncate(self, key: str, upto_seq: int) -> int:
+        """Drop ``key``'s records up to ``upto_seq`` (a flush covered them).
+
+        Newer records stay: one journaled while the flush's put was in flight
+        may hold a document newer than the one that landed.
+        """
+        records = self._records.get(key, ())
+        kept = [record for record in records if record.seq > upto_seq]
+        dropped = len(records) - len(kept)
+        if kept:
+            self._records[key] = kept
+        else:
+            self._records.pop(key, None)
         self.truncated_records += dropped
         if dropped:
             recorder = self._scheduler.recorder
