@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """What the fig7 deployment costs the host as it scales: objects, collections.
 
-For each scale factor, a fresh process builds the Figure 7 deployment
-(2,100 sensors per m5.xlarge silo, fast path; ``build_deployment`` and
-``provision`` from ``repro.bench``), runs its insert load (``run_load``) for
-the given virtual seconds and prints one row:
+For each scale factor and each horizon, a fresh process builds the Figure 7
+deployment (2,100 sensors per m5.xlarge silo, fast path; ``build_deployment``
+and ``provision`` from ``repro.bench``), runs its insert load (``run_load``)
+for that many virtual seconds and prints one row:
 
+- ``SF`` and ``secs``: the scale factor and the horizon in virtual seconds;
 - ``activations`` resident after provisioning;
 - ``objs/act``: GC-tracked objects that building and provisioning the
   deployment added (counted after a full collection), per activation;
@@ -13,9 +14,12 @@ the given virtual seconds and prints one row:
   load, with their seconds (timed through ``gc.callbacks``);
 - ``load_s`` and ``us/req``: host seconds of the load, and per insert;
 - ``peak_mb``: the point's peak RSS (one process per point, so points do
-  not inherit each other's high-water mark).
+  not inherit each other's high-water mark);
+- ``x_short``: ``us/req`` over that of the same scale factor's shortest
+  horizon, so flat host cost over virtual time reads as 1.00 on every row.
 
     python benchmarks/gc_scale.py --scale 1 8 --seconds 6
+    python benchmarks/gc_scale.py --scale 1 --seconds 6 30 120
     python benchmarks/gc_scale.py --smoke          # SF 1 for 2 virtual s
 """
 
@@ -37,8 +41,9 @@ from repro.bench.experiments import FIG7_SENSORS_PER_SERVER  # noqa: E402
 from repro.bench.workload import run_load  # noqa: E402
 
 HEADER = (
-    f"{'SF':>3} {'activations':>11} {'objs/act':>8} {'gen0':>12} {'gen1':>12} "
-    f"{'gen2':>12} {'load_s':>7} {'us/req':>7} {'peak_mb':>8}"
+    f"{'SF':>3} {'secs':>5} {'activations':>11} {'objs/act':>8} {'gen0':>12} "
+    f"{'gen1':>12} {'gen2':>12} {'load_s':>7} {'us/req':>7} {'peak_mb':>8} "
+    f"{'x_short':>7}"
 )
 
 
@@ -84,6 +89,7 @@ def measure_point(factor: int, seconds: float, seed: int) -> dict:
     requests = len(result.recorder.records("insert"))
     return {
         "factor": factor,
+        "seconds": seconds,
         "activations": activations,
         "objects_per_activation": objects / activations,
         "collections": clock.counts,
@@ -94,36 +100,56 @@ def measure_point(factor: int, seconds: float, seed: int) -> dict:
     }
 
 
-def format_row(point: dict) -> str:
+def format_row(point: dict, shortest: dict) -> str:
+    """One point's row; ``shortest`` is its scale factor's shortest horizon."""
     generations = [
         f"{count} {secs:.2f}s"
         for count, secs in zip(point["collections"], point["collection_s"])
     ]
+    base = shortest["us_per_request"]
+    ratio = point["us_per_request"] / base if base else 0.0
     return (
-        f"{point['factor']:>3} {point['activations']:>11} "
+        f"{point['factor']:>3} {point['seconds']:>5g} {point['activations']:>11} "
         f"{point['objects_per_activation']:>8.1f} "
         + " ".join(f"{text:>12}" for text in generations)
         + f" {point['load_s']:>7.2f} {point['us_per_request']:>7.1f}"
-        f" {point['peak_rss_mb']:>8.1f}"
+        f" {point['peak_rss_mb']:>8.1f} {ratio:>7.2f}"
     )
 
 
-def main() -> None:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=int, nargs="+", default=[1, 8])
-    parser.add_argument("--seconds", type=float, default=6.0)
+    parser.add_argument(
+        "--seconds", type=float, nargs="+", default=[6.0],
+        help="virtual seconds of load; several give one row per horizon",
+    )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--smoke", action="store_true", help="SF 1 for 2 s")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.smoke:
-        args.scale, args.seconds = [1], 2.0
-    print(f"fig7 deployment, {args.seconds:g} virtual s, seed {args.seed}")
+        args.scale, args.seconds = [1], [2.0]
+    args.seconds = sorted(args.seconds)
+    return args
+
+
+def main() -> None:
+    args = parse_args()
+    horizons = args.seconds
+    print(
+        f"fig7 deployment, {', '.join(f'{s:g}' for s in horizons)} virtual s, "
+        f"seed {args.seed}"
+    )
     print(HEADER, flush=True)
     spawn = multiprocessing.get_context("spawn")
     for factor in args.scale:
-        with ProcessPoolExecutor(1, mp_context=spawn) as pool:
-            point = pool.submit(measure_point, factor, args.seconds, args.seed)
-            print(format_row(point.result()), flush=True)
+        shortest = None
+        for seconds in horizons:
+            with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+                point = pool.submit(measure_point, factor, seconds, args.seed)
+                point = point.result()
+            shortest = shortest or point
+            print(format_row(point, shortest), flush=True)
 
 
 if __name__ == "__main__":
