@@ -110,7 +110,11 @@ def test_window_capacity_and_order_invariants(timestamps, capacity, block_size):
     evicted_points = sum(
         run.count if type(run) is SealedBlock else len(run) for run in evicted
     )
-    assert len(window) == min(capacity, len(timestamps))
+    floor = min(capacity, len(timestamps))
+    if block_size == 0 or block_size > capacity:
+        assert len(window) == floor  # no blocks: point-exact
+    else:  # whole blocks evict while `capacity` points stay behind them
+        assert floor <= len(window) <= capacity + block_size - 1
     assert evicted_points + len(window) == len(timestamps)
     pairs = window.all_pairs()
     assert [ts for ts, _ in pairs] == timestamps[-len(pairs):]
