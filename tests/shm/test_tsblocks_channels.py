@@ -268,8 +268,8 @@ def test_archive_keeps_no_object_per_evicted_point():
     assert points_2n > points_n > 0
     assert archive.blocks_sealed == 0
     assert archive.sealed_records == points_2n  # every point came compressed
-    blocks_added = (points_2n - points_n) // 16
-    assert blocks_added == 39
+    blocks_added = 39
+    assert points_2n - points_n == 16 * blocks_added
     assert objects_2n - objects_n == TRACKED_PER_ARCHIVED_BLOCK * blocks_added
     assert not any(type(obj) is ArchiveRecord for obj in gc.get_objects())
 
@@ -285,8 +285,8 @@ def test_steady_state_eviction_never_decodes():
             assert activation.instance.window.memory_stats()["head_points"] <= 15
     assert archive.blocks_sealed == 0
     assert archive.sealed_records == second[0]
-    blocks_added = (second[0] - first[0]) // 16
-    assert blocks_added == 39
+    blocks_added = 39
+    assert second[0] - first[0] == 16 * blocks_added
     # Window + archive grow by the per-block constant, not per point: the
     # windows reach as many objects after 40 waves as after 20.
     assert second[1] - first[1] == TRACKED_PER_ARCHIVED_BLOCK * blocks_added
