@@ -232,11 +232,18 @@ def feed_in_sevens(series, pairs):
     return runs
 
 
-def test_capacity_evicts_whole_blocks():
+def test_capacity_evicts_whole_blocks(monkeypatch):
     stats = BlockStats()
     series = TieredSeries(capacity=50, block_size=16, stats=stats)
     pairs = walk(173)
+    decoded = []
+    decode = SealedBlock.decode
+    monkeypatch.setattr(
+        SealedBlock, "decode", lambda block: decoded.append(block) or decode(block)
+    )
     runs = feed_in_sevens(series, pairs)
+    assert decoded == []  # appends, seals and evictions decode nothing
+    monkeypatch.undo()
     # 10 blocks sealed; the oldest leaves while 50 points stay behind it, so
     # 7 leave whole and 3 blocks + a 13-point head (61 points) are retained.
     assert [type(run) for run in runs] == [SealedBlock] * 7
