@@ -344,28 +344,38 @@ class EverySecondCounter(DurableCounter):
     write_interval_seconds = 1.0
 
 
-def test_a_flush_landing_keeps_a_record_journaled_while_it_was_in_flight(sched):
-    # Redo pump every 0.4 s, interval flush every 1.0 s, state puts take
-    # 0.5 s: the flush issued at 1.0 lands at 1.5, and the pump pass at 1.2
-    # journals the cell's document in between.  Landing may drop only the
-    # records journaled before the put was issued.
+def slow_flush_runtime(sched):
+    """Redo pump every 0.4 s, interval flush every 1.0 s, state puts take
+    0.5 s: the flush issued at 1.0 lands at 1.5, and the pump pass at 1.2
+    journals the cell's document in between."""
     store = SlowStateStore(sched, delay=0.5)
     config = RuntimeConfig(default_method_cost=0.0, activation_cost=0.0, redo_lag=0.4)
     network = Network(sched, lan=ConstantLatency(0.0))
     runtime = AodbRuntime(sched, config=config, grain_storage=store, network=network)
     runtime.add_silo("s1", cores=2)
     runtime.register_actor(EverySecondCounter)
+    return runtime, store
+
+
+async def increment_across_the_first_landing(sched, runtime):
+    """Two increments, then sleep to t=1.6, past the first flush's landing."""
+    ref = runtime.ref("EverySecondCounter", "i")
+    await ref.increment()  # t=0
+    await sched.sleep(0.9)  # the 0.4 pump journaled count=1 (seq 1)
+    await ref.increment()  # count=2, journaled by no pump before 1.0
+    await sched.sleep(0.7)  # t=1.6: the first flush has landed
+
+
+def test_a_flush_landing_keeps_a_record_journaled_while_it_was_in_flight(sched):
+    # Landing may drop only the records journaled before the put was issued.
+    runtime, store = slow_flush_runtime(sched)
     journal = runtime.redo_journal
     key = "state/EverySecondCounter/i"
 
     async def main():
-        ref = runtime.ref("EverySecondCounter", "i")
-        await ref.increment()  # t=0
+        await increment_across_the_first_landing(sched, runtime)
         (activation,) = runtime.silo("s1").activations()
         cell = activation.instance._state_cell
-        await sched.sleep(0.9)  # the 0.4 pump journaled count=1 (seq 1)
-        await ref.increment()  # count=2, journaled by no pump before 1.0
-        await sched.sleep(0.7)  # t=1.6: the first flush has landed
         landed = (await store.get(key)).value
         first = (journal.pending_records(key), cell.dirty, cell.flushes)
         await sched.sleep(1.0)  # t=2.6: the next flush landed as well
@@ -378,3 +388,18 @@ def test_a_flush_landing_keeps_a_record_journaled_while_it_was_in_flight(sched):
     # survives the landing, and the cell stays dirty until a flush covers it.
     assert first == (1, True, 1)
     assert second == (0, False, 2)
+
+
+def test_a_record_kept_across_a_landing_replays_on_the_landed_etag(sched):
+    # The record the 1.2 pump pass journaled was based on etag 0, but the
+    # store holds etag 1 once the flush lands.  A crash now re-loads etag 1,
+    # so the kept record must be based on it, or its acked point is lost.
+    runtime, store = slow_flush_runtime(sched)
+    journal = runtime.redo_journal
+    key = "state/EverySecondCounter/i"
+    sched.run_until_complete(increment_across_the_first_landing(sched, runtime))
+    assert sched.run_until_complete(store.get(key)).etag == 1
+    record = journal.replay_for(key, 1, None)
+    assert record is not None
+    assert (record.seq, record.base_etag) == (2, 1)
+    assert record.document == {"count": 2}
