@@ -156,9 +156,10 @@ class StateCell:
         if journal is None:
             self.dirty = False
         else:
-            journal.truncate(storage_key, covered)
-            # A record journaled while the put was in flight survives, and the
-            # cell stays dirty until a later flush covers it.
+            journal.truncate(storage_key, covered, self._etag)
+            # A record journaled while the put was in flight survives, re-based
+            # onto the landed etag, and the cell stays dirty until a later
+            # flush covers it.
             self.dirty = journal.pending_records(storage_key) > 0
 
     async def clear(self) -> None:

@@ -33,7 +33,7 @@ deliberately out of scope (real systems recycle segments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from .serde import Frozen, snapshot
@@ -175,14 +175,20 @@ class RedoJournal:
         """The sequence number of the newest record appended (0 before any)."""
         return self._seq
 
-    def truncate(self, key: str, upto_seq: int) -> int:
+    def truncate(self, key: str, upto_seq: int, base_etag: int) -> int:
         """Drop ``key``'s records up to ``upto_seq`` (a flush covered them).
 
         Newer records stay: one journaled while the flush's put was in flight
-        may hold a document newer than the one that landed.
+        may hold a document newer than the one that landed.  They are
+        re-based onto ``base_etag``, the etag the flush landed at, which is
+        what a crash now re-loads and :meth:`replay_for` matches against.
         """
         records = self._records.get(key, ())
-        kept = [record for record in records if record.seq > upto_seq]
+        kept = [
+            replace(record, base_etag=base_etag)
+            for record in records
+            if record.seq > upto_seq
+        ]
         dropped = len(records) - len(kept)
         if kept:
             self._records[key] = kept

@@ -84,7 +84,7 @@ def test_truncate_drops_records_after_flush(sched):
         await journal.append("b", {"n": 1}, base_etag=0, fence=1)
 
     run(sched, main())
-    assert journal.truncate("a", journal.last_seq) == 2
+    assert journal.truncate("a", journal.last_seq, 1) == 2
     assert journal.truncated_records == 2
     assert journal.pending_records() == 1
     assert journal.replay_for("a", stored_etag=0, fence=1) is None
@@ -95,10 +95,12 @@ def test_truncate_keeps_records_newer_than_the_flush(sched):
     run(sched, journal.append("a", {"n": 1}, base_etag=0, fence=1))
     covered = journal.last_seq  # a flush is issued here
     run(sched, journal.append("a", {"n": 2}, base_etag=0, fence=1))
-    assert journal.truncate("a", covered) == 1
+    assert journal.truncate("a", covered, 1) == 1  # the flush landed at etag 1
     assert journal.pending_records("a") == 1
-    assert journal.replay_for("a", stored_etag=0, fence=1).document == {"n": 2}
-    assert journal.truncate("a", journal.last_seq) == 1
+    # The survivor is re-based onto the landed etag, which a crash re-loads.
+    assert journal.replay_for("a", stored_etag=0, fence=1) is None
+    assert journal.replay_for("a", stored_etag=1, fence=1).document == {"n": 2}
+    assert journal.truncate("a", journal.last_seq, 2) == 1
     assert journal.pending_records() == 0
 
 
