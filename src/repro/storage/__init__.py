@@ -9,7 +9,6 @@ from .serde import NotSerializableError, ensure_serializable, estimate_size, sna
 from .system_store import MembershipEntry, Reminder, SystemStore
 from .tsblocks import (
     BlockStats,
-    BlockSummary,
     SealedBlock,
     TieredSeries,
     decode_floats,
@@ -24,7 +23,6 @@ __all__ = [
     "ArchiveLog",
     "ArchiveRecord",
     "BlockStats",
-    "BlockSummary",
     "SealedBlock",
     "TieredSeries",
     "ChaosKVStore",

@@ -7,15 +7,20 @@ points their windows evict here, and a minimal query surface supports the
 kind of time-range retrieval a downstream warehouse loader would perform.
 
 A stream has the window's shape (:class:`~repro.storage.tsblocks.TieredSeries`):
-sealed blocks with a parallel ``t_last`` column to bisect on, then a raw head
-of ``(timestamp, value)`` tuples that seals every ``block_size`` points.
-Each point keeps its global sequence number, in a compressed column per
-block and an ``array('q')`` beside the head.  A channel hands over each
-eviction run in one call.  A tiered window evicts only whole blocks, which
-are kept as they come (:meth:`ArchiveLog.append_block`): nothing is decoded
-and nothing re-compressed.  A raw window (no blocks) evicts pair runs, which
-seal here at the archive's own boundaries (:meth:`ArchiveLog.extend`).
-Records exist only in what reads return.
+sealed blocks, then a raw head of ``(timestamp, value)`` tuples that seals
+every ``block_size`` points.  A sealed block is kept as its document
+(:meth:`~repro.storage.tsblocks.SealedBlock.as_document`), a flat tuple of
+bytes and numbers: the collector stops tracking such a tuple, so an archived
+block costs no tracked object however long the archive grows.  Reads bisect
+on the documents' timestamp fields and re-open a ``SealedBlock`` only for a
+block they decode.  Each point keeps its global sequence number, in a
+compressed column per block and an ``array('q')`` beside the head.  A
+channel hands over each eviction run in one call.  A tiered window evicts
+only whole blocks, which are kept as they come
+(:meth:`ArchiveLog.append_block`): nothing is decoded and nothing
+re-compressed.  A raw window (no blocks) evicts pair runs, which seal here
+at the archive's own boundaries (:meth:`ArchiveLog.extend`).  Records exist
+only in what reads return.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from .tsblocks import SealedBlock, checked_points, cut_bounds, overlapping
@@ -44,15 +50,18 @@ def _records(stream: str, pairs: Sequence, sequences: Sequence[int]) -> list:
     return [ArchiveRecord(stream, t, v, seq) for (t, v), seq in zip(pairs, sequences)]
 
 
-class _Stream:
-    """One stream's tiers: sealed blocks, oldest first, then a raw head."""
+#: A block document's fields (:meth:`SealedBlock.as_document` order).
+_COUNT, _T_FIRST, _T_LAST = itemgetter(2), itemgetter(3), itemgetter(4)
 
-    __slots__ = ("blocks", "seqs", "block_last", "head", "head_seqs")
+
+class _Stream:
+    """One stream's tiers: block documents, oldest first, then a raw head."""
+
+    __slots__ = ("blocks", "seqs", "head", "head_seqs")
 
     def __init__(self) -> None:
-        self.blocks: list[SealedBlock] = []
+        self.blocks: list[tuple] = []  # SealedBlock.as_document() tuples
         self.seqs: list[bytes] = []  # compressed global sequences, per block
-        self.block_last: list[float] = []  # parallel t_last, for bisect
         self.head: list[tuple[float, float]] = []
         self.head_seqs = array("q")
 
@@ -60,12 +69,11 @@ class _Stream:
     def last_ts(self) -> float:
         if self.head:
             return self.head[-1][0]
-        return self.block_last[-1] if self.blocks else -math.inf
+        return _T_LAST(self.blocks[-1]) if self.blocks else -math.inf
 
     def add_block(self, block: SealedBlock, sequences: Sequence[int]) -> None:
-        self.blocks.append(block)
+        self.blocks.append(block.as_document())
         self.seqs.append(encode_uints(sequences))
-        self.block_last.append(block.t_last)
 
 
 class ArchiveLog:
@@ -154,16 +162,16 @@ class ArchiveLog:
     def block_bytes(self) -> int:
         """Total compressed bytes across all sealed archive blocks."""
         return sum(
-            block.nbytes + len(seqs)
+            len(doc[0]) + len(doc[1]) + len(seqs)
             for entry in self._streams.values()
-            for block, seqs in zip(entry.blocks, entry.seqs)
+            for doc, seqs in zip(entry.blocks, entry.seqs)
         )
 
     @property
     def sealed_records(self) -> int:
         """How many points live in sealed (compressed) blocks."""
         return sum(
-            block.count for entry in self._streams.values() for block in entry.blocks
+            _COUNT(doc) for entry in self._streams.values() for doc in entry.blocks
         )
 
     # -- reads -----------------------------------------------------------------
@@ -172,7 +180,7 @@ class ArchiveLog:
         """Pairs and sequences of block ``index``; the head one past the last."""
         if index == len(entry.blocks):
             return entry.head, entry.head_seqs
-        block = entry.blocks[index]
+        block = SealedBlock.from_document(entry.blocks[index])
         self.records_decoded += block.count
         return block.decode(), decode_uints(entry.seqs[index], block.count)
 
@@ -185,7 +193,9 @@ class ArchiveLog:
         entry = self._streams.get(stream)
         if entry is None or not end > start:  # empty, or a NaN bound
             return []
-        lo, hi = overlapping(entry.blocks, entry.block_last, start, end)
+        lo, hi = overlapping(
+            entry.blocks, start, end, t_first=_T_FIRST, t_last=_T_LAST
+        )
         out: list[ArchiveRecord] = []
         for index in [*range(lo, hi), len(entry.blocks)]:
             pairs, sequences = self._tier(entry, index)

@@ -36,10 +36,12 @@ encoders to reproduce it and decoders to invert it exactly) and by the byte
 totals ``bench tsblocks`` gates.  Speed the codec up freely; never re-tune
 a bucket, a header or the padding.
 
-Every sealed block carries a :class:`BlockSummary` (count / first & last
-timestamp / min / max / sum), so range queries skip non-overlapping
-blocks without decompression and aggregate folds over fully-covered
-blocks are answered from the summary alone.
+Every :class:`SealedBlock` carries its summary as fields of its own
+(count / first & last timestamp / min / max / sum), so range queries skip
+non-overlapping blocks without decompression and aggregate folds over
+fully-covered blocks are answered from the summary alone.  A block is one
+object; its document is a flat tuple of bytes and numbers, which the
+collector stops tracking, so the archive keeps documents, not blocks.
 
 :class:`TieredSeries` is the engine: a bounded-window surface
 (append / range / tail / eviction-on-capacity) whose interior is
@@ -56,11 +58,10 @@ import struct
 import sys
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import sub
-from typing import Iterable, Sequence
+from operator import attrgetter, sub
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
-    "BlockSummary",
     "BlockStats",
     "SealedBlock",
     "TieredSeries",
@@ -311,39 +312,15 @@ def decode_values(data: bytes, count: int) -> list[float]:
 # -- summaries -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockSummary:
-    """Per-block fold: what a range/aggregate query can answer decode-free.
-
-    ``v_min``/``v_max`` are ``None`` when every value in the block is NaN
-    (NaN readings count toward ``count`` and poison ``v_sum``, matching a
-    straight fold over the decoded points — see :func:`summarize`).
-    """
-
-    count: int
-    t_first: float
-    t_last: float
-    v_min: float | None
-    v_max: float | None
-    v_sum: float
-
-    def as_tuple(self) -> tuple:
-        return (
-            self.count, self.t_first, self.t_last,
-            self.v_min, self.v_max, self.v_sum,
-        )
-
-    @classmethod
-    def from_tuple(cls, doc: tuple) -> "BlockSummary":
-        return cls(*doc)
-
-
-def summarize(pairs: Sequence[tuple[float, float]]) -> BlockSummary:
-    """Fold ``(timestamp, value)`` pairs into a :class:`BlockSummary`.
+def summarize(pairs: Sequence[tuple[float, float]]) -> tuple:
+    """Fold ``(timestamp, value)`` pairs: ``(count, t_first, t_last, v_min,
+    v_max, v_sum)``, the summary fields of a :class:`SealedBlock` in order.
 
     This is *the* fold algebra: seal-time summaries and query-time folds
     over decoded points both call it, so summary-answered aggregates are
-    consistent with decompress-and-fold by construction.
+    consistent with decompress-and-fold by construction.  ``v_min`` and
+    ``v_max`` are ``None`` when every value is NaN (NaN readings count
+    toward ``count`` and poison ``v_sum``, as a straight fold would).
     """
     if not pairs:
         raise ValueError("cannot summarize an empty block")
@@ -357,29 +334,22 @@ def summarize(pairs: Sequence[tuple[float, float]]) -> BlockSummary:
                 v_min = value
             if v_max is None or value > v_max:
                 v_max = value
-    return BlockSummary(
-        count=len(pairs),
-        t_first=pairs[0][0],
-        t_last=pairs[-1][0],
-        v_min=v_min,
-        v_max=v_max,
-        v_sum=v_sum,
-    )
+    return len(pairs), pairs[0][0], pairs[-1][0], v_min, v_max, v_sum
 
 
-def merge_folds(folds: Iterable[BlockSummary]) -> dict:
-    """Combine block folds into one aggregate dict (commutative monoid)."""
+def merge_folds(folds: Iterable[tuple]) -> dict:
+    """Combine :func:`summarize` folds into one aggregate dict (a monoid)."""
     count = 0
     v_min: float | None = None
     v_max: float | None = None
     v_sum = 0.0
-    for fold in folds:
-        count += fold.count
-        v_sum += fold.v_sum
-        if fold.v_min is not None and (v_min is None or fold.v_min < v_min):
-            v_min = fold.v_min
-        if fold.v_max is not None and (v_max is None or fold.v_max > v_max):
-            v_max = fold.v_max
+    for n, _t_first, _t_last, low, high, total in folds:
+        count += n
+        v_sum += total
+        if low is not None and (v_min is None or low < v_min):
+            v_min = low
+        if high is not None and (v_max is None or high > v_max):
+            v_max = high
     return {
         "count": count,
         "min": v_min,
@@ -392,64 +362,62 @@ def merge_folds(folds: Iterable[BlockSummary]) -> dict:
 # -- sealed blocks -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SealedBlock:
-    """An immutable compressed run of points with its summary.
+    """An immutable compressed run of points with its summary fields.
 
     Contents are plain ``bytes`` + scalars, so a block is serializable
     as-is into actor state documents, the redo journal and the archive.
+    The fields are in document order: :meth:`as_document` is the flat
+    tuple of them, and ``SealedBlock(*doc)`` re-opens one.
     """
 
     ts_bytes: bytes
     val_bytes: bytes
-    summary: BlockSummary
+    count: int
+    t_first: float
+    t_last: float
+    v_min: float | None
+    v_max: float | None
+    v_sum: float
 
     @classmethod
     def seal(cls, pairs: Sequence[tuple[float, float]]) -> "SealedBlock":
         """Compress a time-ordered run of ``(timestamp, value)`` pairs."""
         summary = summarize(pairs)
         timestamps, values = zip(*pairs)
-        return cls(
-            ts_bytes=encode_floats(timestamps),
-            val_bytes=encode_values(values),
-            summary=summary,
-        )
-
-    @property
-    def count(self) -> int:
-        return self.summary.count
-
-    @property
-    def t_first(self) -> float:
-        return self.summary.t_first
-
-    @property
-    def t_last(self) -> float:
-        return self.summary.t_last
+        return cls(encode_floats(timestamps), encode_values(values), *summary)
 
     @property
     def nbytes(self) -> int:
         """Compressed payload size (the memory the block actually holds)."""
         return len(self.ts_bytes) + len(self.val_bytes)
 
+    @property
+    def summary(self) -> tuple:
+        """The :func:`summarize` fold of the block's points, without decoding."""
+        return (
+            self.count, self.t_first, self.t_last,
+            self.v_min, self.v_max, self.v_sum,
+        )
+
     def decode(self) -> list[tuple[float, float]]:
         """Decompress back to the exact ``(timestamp, value)`` pairs."""
-        count = self.summary.count
+        count = self.count
         timestamps = decode_floats(self.ts_bytes, count)
         values = decode_values(self.val_bytes, count)
         return list(zip(timestamps, values))
 
     def as_document(self) -> tuple:
-        """A flat, picklable representation for state documents."""
-        return (self.ts_bytes, self.val_bytes) + self.summary.as_tuple()
+        """A flat, picklable tuple of the fields, for state documents."""
+        return (
+            self.ts_bytes, self.val_bytes, self.count, self.t_first,
+            self.t_last, self.v_min, self.v_max, self.v_sum,
+        )
 
     @classmethod
     def from_document(cls, doc: tuple) -> "SealedBlock":
-        return cls(
-            ts_bytes=doc[0],
-            val_bytes=doc[1],
-            summary=BlockSummary.from_tuple(tuple(doc[2:])),
-        )
+        return cls(*doc)
 
 
 # -- shared counters -----------------------------------------------------------
@@ -552,18 +520,19 @@ def _cut(
 
 
 def overlapping(
-    blocks: Sequence[SealedBlock], block_last: Sequence[float],
-    start: float, end: float, stats: BlockStats | None = None,
+    blocks: Sequence, start: float, end: float, stats: BlockStats | None = None,
+    *, t_first: Callable = attrgetter("t_first"),
+    t_last: Callable = attrgetter("t_last"),
 ) -> tuple[int, int]:
     """Index bounds of the time-ordered blocks that can hold [start, end).
 
-    ``block_last`` is the blocks' parallel ``t_last`` column; with ``stats``
-    the scan feeds the block-skip-rate probe.
+    Both bounds bisect on the blocks themselves, through ``t_first`` and
+    ``t_last``, which read those fields off a block (the defaults read a
+    :class:`SealedBlock`'s; the archive passes getters for block documents).
+    With ``stats`` the search feeds the block-skip-rate probe.
     """
-    lo = bisect.bisect_left(block_last, start)
-    hi = lo
-    while hi < len(blocks) and blocks[hi].t_first < end:
-        hi += 1
+    lo = bisect.bisect_left(blocks, start, key=t_last)
+    hi = bisect.bisect_left(blocks, end, lo, key=t_first)
     if stats is not None:
         stats.blocks_considered += len(blocks)
         stats.blocks_skipped += len(blocks) - (hi - lo)
@@ -646,9 +615,8 @@ class TieredSeries:
     """
 
     __slots__ = (
-        "capacity", "block_size", "stats", "_blocks", "_block_last",
-        "_head", "_sealed_points", "total_appended", "_cache_block",
-        "_cache_pairs", "_document",
+        "capacity", "block_size", "stats", "_blocks", "_head", "_sealed_points",
+        "total_appended", "_cache_block", "_cache_pairs", "_document",
     )
 
     #: Shared empty-eviction result; treat as read-only.
@@ -669,7 +637,6 @@ class TieredSeries:
         self.stats = stats
         # Oldest → newest: _blocks → head; each is () until its first write.
         self._blocks: list[SealedBlock] | tuple = ()
-        self._block_last: list[float] | tuple = ()  # parallel t_last, for bisect
         self._head: list[tuple[float, float]] | tuple = ()
         self._sealed_points = 0  # running sum of block.count over _blocks
         self.total_appended = 0
@@ -741,10 +708,8 @@ class TieredSeries:
         block = SealedBlock.seal(run)
         if self._blocks:
             self._blocks.append(block)
-            self._block_last.append(block.t_last)
         else:
             self._blocks = [block]
-            self._block_last = [block.t_last]
         self._sealed_points += block.count
         stats = self.stats
         if stats is not None:
@@ -759,7 +724,6 @@ class TieredSeries:
         blocks = self._blocks
         while blocks and len(self) - blocks[0].count >= self.capacity:
             block = blocks.pop(0)
-            del self._block_last[0]
             self._sealed_points -= block.count
             evicted.append(block)
             if block is self._cache_block:
@@ -808,7 +772,7 @@ class TieredSeries:
         if not end > start:  # empty, or a NaN bound
             return []
         out = []
-        lo, hi = overlapping(self._blocks, self._block_last, start, end, self.stats)
+        lo, hi = overlapping(self._blocks, start, end, self.stats)
         for block in self._blocks[lo:hi]:
             out.extend(_cut(self._decode(block), start, end))
         out.extend(_cut(self._head, start, end))
@@ -848,11 +812,11 @@ class TieredSeries:
         the same :func:`summarize` algebra — so the answer is identical
         to folding the decoded range.
         """
-        folds: list[BlockSummary] = []
+        folds: list[tuple] = []
         edges: list[tuple[float, float]] = []
         if end > start:
             stats = self.stats
-            lo, hi = overlapping(self._blocks, self._block_last, start, end, stats)
+            lo, hi = overlapping(self._blocks, start, end, stats)
             for block in self._blocks[lo:hi]:
                 if start <= block.t_first and block.t_last < end:
                     folds.append(block.summary)
@@ -936,7 +900,6 @@ class TieredSeries:
         blocks = [SealedBlock.from_document(block_doc) for block_doc in doc["blocks"]]
         if blocks:
             series._blocks = blocks
-            series._block_last = [block.t_last for block in blocks]
             series._sealed_points = sum(block.count for block in blocks)
             if stats is not None:
                 stats.block_bytes += sum(block.nbytes for block in blocks)

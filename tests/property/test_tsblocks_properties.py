@@ -128,15 +128,13 @@ def test_sealed_block_roundtrips_and_summary_matches_fold(stamps, data):
     assert [bits_of(p) for p in decoded] == [bits_of(p) for p in pairs]
     # Summary-vs-decoded-fold consistency: the seal-time summary is the
     # same fold the query path would compute from the decoded points.
-    refold = summarize(decoded)
-    assert refold.count == block.summary.count
-    assert refold.t_first == block.summary.t_first
-    assert refold.t_last == block.summary.t_last
-    assert refold.v_min == block.summary.v_min
-    assert refold.v_max == block.summary.v_max
-    assert refold.v_sum == block.summary.v_sum or (
-        math.isnan(refold.v_sum) and math.isnan(block.summary.v_sum)
-    )
+    count, t_first, t_last, v_min, v_max, v_sum = summarize(decoded)
+    assert count == block.count
+    assert t_first == block.t_first
+    assert t_last == block.t_last
+    assert v_min == block.v_min
+    assert v_max == block.v_max
+    assert v_sum == block.v_sum or (math.isnan(v_sum) and math.isnan(block.v_sum))
 
 
 @given(stamps=timestamp_streams, data=st.data())

@@ -215,9 +215,10 @@ def tracked_reach(root):
     return tracked
 
 
-#: GC-tracked objects the archive gains per block a window hands it: the
-#: ``SealedBlock`` and its ``BlockSummary`` (bytes and floats are untracked).
-TRACKED_PER_ARCHIVED_BLOCK = 2
+#: GC-tracked objects the archive gains per block a window hands it.  It
+#: keeps the block's document, a flat tuple of bytes and numbers, and CPython
+#: stops tracking a tuple of untracked members at its first collection.
+TRACKED_PER_ARCHIVED_BLOCK = 0
 
 
 def wave_census(window_capacity, block_size):

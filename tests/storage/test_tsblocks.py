@@ -97,17 +97,19 @@ def test_asking_for_more_than_the_payload_holds_raises(encode, decode, column):
 
 def test_summary_fields():
     pairs = [(1.0, 5.0), (2.0, -1.0), (3.0, 4.0)]
-    summary = summarize(pairs)
-    assert summary.count == 3
-    assert summary.t_first == 1.0 and summary.t_last == 3.0
-    assert summary.v_min == -1.0 and summary.v_max == 5.0
-    assert summary.v_sum == 8.0
+    count, t_first, t_last, v_min, v_max, v_sum = summarize(pairs)
+    assert count == 3
+    assert t_first == 1.0 and t_last == 3.0
+    assert v_min == -1.0 and v_max == 5.0
+    assert v_sum == 8.0
 
 
 def test_summary_all_nan_extents_are_none():
-    summary = summarize([(1.0, math.nan), (2.0, math.nan)])
-    assert summary.v_min is None and summary.v_max is None
-    assert summary.count == 2
+    count, _t_first, _t_last, v_min, v_max, _v_sum = summarize(
+        [(1.0, math.nan), (2.0, math.nan)]
+    )
+    assert v_min is None and v_max is None
+    assert count == 2
 
 
 def test_summarize_empty_raises():
@@ -118,10 +120,10 @@ def test_summarize_empty_raises():
 def test_merge_folds_matches_flat_fold():
     pairs = walk(100)
     merged = merge_folds([summarize(pairs[:40]), summarize(pairs[40:])])
-    flat = summarize(pairs)
-    assert merged["count"] == flat.count
-    assert merged["min"] == flat.v_min and merged["max"] == flat.v_max
-    assert merged["sum"] == pytest.approx(flat.v_sum)
+    count, _t_first, _t_last, v_min, v_max, v_sum = summarize(pairs)
+    assert merged["count"] == count
+    assert merged["min"] == v_min and merged["max"] == v_max
+    assert merged["sum"] == pytest.approx(v_sum)
 
 
 def test_sealed_block_roundtrip_and_document():
@@ -132,7 +134,7 @@ def test_sealed_block_roundtrip_and_document():
     assert block.nbytes < 16 * 64  # actually compresses
     restored = SealedBlock.from_document(block.as_document())
     assert restored.decode() == pairs
-    assert restored.summary == block.summary
+    assert restored == block
 
 
 # -- TieredSeries: writes, sealing, eviction -----------------------------------
@@ -375,12 +377,14 @@ def test_aggregate_matches_raw_fold():
     pairs = walk(200)
     series.append_many(pairs)
     t0, t1 = pairs[10][0], pairs[150][0]
-    expected = summarize([p for p in pairs if t0 <= p[0] < t1])
+    count, _t_first, _t_last, v_min, v_max, v_sum = summarize(
+        [p for p in pairs if t0 <= p[0] < t1]
+    )
     got = series.aggregate(t0, t1)
-    assert got["count"] == expected.count
-    assert got["min"] == expected.v_min and got["max"] == expected.v_max
-    assert got["sum"] == pytest.approx(expected.v_sum)
-    assert got["mean"] == pytest.approx(expected.v_sum / expected.count)
+    assert got["count"] == count
+    assert got["min"] == v_min and got["max"] == v_max
+    assert got["sum"] == pytest.approx(v_sum)
+    assert got["mean"] == pytest.approx(v_sum / count)
 
 
 def test_aggregate_uses_summaries_for_covered_blocks():

@@ -21,7 +21,6 @@ import pytest
 
 from repro.storage import ArchiveLog, SealedBlock, TieredSeries
 from repro.storage.tsblocks import (
-    BlockSummary,
     decode_floats,
     decode_uints,
     decode_values,
@@ -78,15 +77,26 @@ def test_sealed_block_bytes_and_summary_are_frozen(case):
     assert block.ts_bytes == bytes.fromhex(case["ts_bytes"])
     assert block.val_bytes == bytes.fromhex(case["val_bytes"])
     expected = case["summary"]
-    assert block.summary.count == expected["count"]
-    for field in ("t_first", "t_last", "v_min", "v_max", "v_sum"):
-        assert same_float(getattr(block.summary, field), expected[field]), field
+    assert block.count == expected["count"]
+    fields = ("t_first", "t_last", "v_min", "v_max", "v_sum")
+    for field in fields:
+        assert same_float(getattr(block, field), expected[field]), field
     # Decode from the recorded bytes, not from what seal() just produced.
-    stored = SealedBlock(
-        bytes.fromhex(case["ts_bytes"]),
-        bytes.fromhex(case["val_bytes"]),
-        BlockSummary(case["count"], 0.0, 0.0, None, None, 0.0),
+    ts_bytes = bytes.fromhex(case["ts_bytes"])
+    val_bytes = bytes.fromhex(case["val_bytes"])
+    t_first, t_last, v_min, v_max, v_sum = (
+        None if expected[field] is None else floats_of(expected[field])[0]
+        for field in fields
     )
+    stored = SealedBlock(
+        ts_bytes=ts_bytes, val_bytes=val_bytes, count=case["count"],
+        t_first=t_first, t_last=t_last, v_min=v_min, v_max=v_max, v_sum=v_sum,
+    )
+    # State documents, the redo journal and WCU charges hold this layout.
+    assert stored.as_document() == (
+        ts_bytes, val_bytes, case["count"], t_first, t_last, v_min, v_max, v_sum
+    )
+    assert SealedBlock.from_document(stored.as_document()) == stored
     decoded = stored.decode()
     assert bits_of(p[0] for p in decoded) == words(case["timestamps"])
     assert bits_of(p[1] for p in decoded) == words(case["values"])
