@@ -86,6 +86,8 @@ def measure_point(factor: int, seconds: float, seed: int) -> dict:
         load_s = time.perf_counter() - started
     finally:
         gc.callbacks.remove(clock)
+    # Peak RSS first: counting requests builds a list of every insert.
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     requests = len(result.recorder.records("insert"))
     return {
         "factor": factor,
@@ -96,7 +98,7 @@ def measure_point(factor: int, seconds: float, seed: int) -> dict:
         "collection_s": clock.seconds,
         "load_s": load_s,
         "us_per_request": load_s / requests * 1e6 if requests else 0.0,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": peak_rss_mb,
     }
 
 
