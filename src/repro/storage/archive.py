@@ -28,11 +28,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Callable, Sequence
 
-from .tsblocks import SealedBlock, checked_points, cut_bounds, overlapping
-from .tsblocks import decode_uints, encode_uints
+from .tsblocks import (
+    SealedBlock, checked_points, cut_bounds, decode_uints, doc_count, doc_nbytes,
+    doc_t_first, doc_t_last, encode_uints, overlapping,
+)
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,6 @@ def _records(stream: str, pairs: Sequence, sequences: Sequence[int]) -> list:
     return [ArchiveRecord(stream, t, v, seq) for (t, v), seq in zip(pairs, sequences)]
 
 
-#: A block document's fields (:meth:`SealedBlock.as_document` order).
-_COUNT, _T_FIRST, _T_LAST = itemgetter(2), itemgetter(3), itemgetter(4)
-
-
 class _Stream:
     """One stream's tiers: block documents, oldest first, then a raw head."""
 
@@ -69,7 +66,7 @@ class _Stream:
     def last_ts(self) -> float:
         if self.head:
             return self.head[-1][0]
-        return _T_LAST(self.blocks[-1]) if self.blocks else -math.inf
+        return doc_t_last(self.blocks[-1]) if self.blocks else -math.inf
 
     def add_block(self, block: SealedBlock, sequences: Sequence[int]) -> None:
         self.blocks.append(block.as_document())
@@ -162,7 +159,7 @@ class ArchiveLog:
     def block_bytes(self) -> int:
         """Total compressed bytes across all sealed archive blocks."""
         return sum(
-            len(doc[0]) + len(doc[1]) + len(seqs)
+            doc_nbytes(doc) + len(seqs)
             for entry in self._streams.values()
             for doc, seqs in zip(entry.blocks, entry.seqs)
         )
@@ -171,7 +168,7 @@ class ArchiveLog:
     def sealed_records(self) -> int:
         """How many points live in sealed (compressed) blocks."""
         return sum(
-            _COUNT(doc) for entry in self._streams.values() for doc in entry.blocks
+            doc_count(doc) for entry in self._streams.values() for doc in entry.blocks
         )
 
     # -- reads -----------------------------------------------------------------
@@ -194,7 +191,7 @@ class ArchiveLog:
         if entry is None or not end > start:  # empty, or a NaN bound
             return []
         lo, hi = overlapping(
-            entry.blocks, start, end, t_first=_T_FIRST, t_last=_T_LAST
+            entry.blocks, start, end, t_first=doc_t_first, t_last=doc_t_last
         )
         out: list[ArchiveRecord] = []
         for index in [*range(lo, hi), len(entry.blocks)]:

@@ -58,7 +58,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import attrgetter, sub
+from operator import attrgetter, itemgetter, sub
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -418,6 +418,16 @@ class SealedBlock:
     @classmethod
     def from_document(cls, doc: tuple) -> "SealedBlock":
         return cls(*doc)
+
+
+#: Getters for block document fields (:meth:`SealedBlock.as_document` order),
+#: for holders that keep documents rather than blocks, like the archive.
+doc_count, doc_t_first, doc_t_last = itemgetter(2), itemgetter(3), itemgetter(4)
+
+
+def doc_nbytes(doc: tuple) -> int:
+    """A block document's compressed payload size (:attr:`SealedBlock.nbytes`)."""
+    return len(doc[0]) + len(doc[1])
 
 
 # -- shared counters -----------------------------------------------------------
