@@ -203,7 +203,7 @@ def build_micro(smoke: bool = False) -> GatedRun:
     """Mechanism-level counters proving where the fast path's win comes from.
 
     Runs one small single-silo load twice (fast path on/off) and reports the
-    batching, directory-cache and group-commit counters next to the A/B
+    batching and group-commit counters next to the A/B
     latency numbers — the profiler-style accounting the acceptance criteria
     ask for ("savings come from network/storage, not workload distortion").
 
@@ -258,8 +258,6 @@ def build_micro(smoke: bool = False) -> GatedRun:
         messages = metrics.get("net.messages", 0.0)
         envelopes = metrics.get("net.envelopes", 0.0)
         batched = metrics.get("net.batched_messages", 0.0)
-        hits = metrics.get("directory.cache_hits", 0.0)
-        misses = metrics.get("directory.cache_misses", 0.0)
         variants[label] = {
             "sensors": sensors,
             "duration_s": duration,
@@ -278,12 +276,6 @@ def build_micro(smoke: bool = False) -> GatedRun:
                 metrics.get("batch.immediate_flushes", 0.0)
                 / max(1.0, metrics.get("batch.flushes", 0.0)),
                 3,
-            ),
-            "directory_cache_hit_rate": round(
-                hits / max(1.0, hits + misses), 4
-            ),
-            "directory_cache_invalidations": metrics.get(
-                "directory.cache_invalidations", 0.0
             ),
             "groupcommit_batches": metrics.get("groupcommit.batches", 0.0),
             "groupcommit_round_trips_saved": metrics.get(
@@ -307,7 +299,6 @@ def build_micro(smoke: bool = False) -> GatedRun:
                 3,
             ),
             "avg_cohort": fast["avg_cohort"],
-            "directory_cache_hit_rate": fast["directory_cache_hit_rate"],
             "groupcommit_round_trips_saved": fast_durable[
                 "groupcommit_round_trips_saved"
             ],

@@ -3,8 +3,8 @@
 The runtime supplies the *mechanisms* — live activation migration
 (:meth:`~repro.runtime.runtime.AodbRuntime.migrate`), graceful silo drain
 (:meth:`~repro.runtime.runtime.AodbRuntime.drain_silo`) and load-aware
-placement (``power_of_two``, ``hash_ring``).  This package supplies the
-*policies* that drive them from the observability layer's signals:
+placement (``power_of_two``).  This package supplies the *policies* that
+drive them from the observability layer's signals:
 
 - :mod:`repro.elastic.load` — :class:`WindowedCpuLoad`: per-silo CPU
   utilization differentiated over the control interval (the cumulative

@@ -15,7 +15,6 @@ from .messages import DeliveryReceipt, Invocation
 from .persistence import StateCell, WritePolicy
 from .placement import (
     HashPlacement,
-    HashRingPlacement,
     PinnedPlacement,
     PlacementStrategy,
     PowerOfTwoPlacement,
@@ -45,7 +44,6 @@ __all__ = [
     "DeliveryReceipt",
     "GrainDirectory",
     "HashPlacement",
-    "HashRingPlacement",
     "Invocation",
     "NO_RETRY",
     "PinnedPlacement",

@@ -5,66 +5,13 @@ current activation.  We model it as a single consistent registry (the
 simulation is single-process, so the distributed-consensus aspect is out of
 scope — documented in DESIGN.md), with the same interface the runtime would
 use: lookup, register, unregister, and per-silo enumeration for shutdown.
-
-The ingestion fast path adds :class:`DirectoryCache`: a per-endpoint lookup
-cache on the send path, modeling the local directory cache each Orleans silo
-keeps so repeat sends skip the (conceptually remote) directory partition.
-Caches subscribe to the directory; every ``unregister`` — eviction,
-migration, crash cleanup, failure-detector repair all funnel through it —
-invalidates the key everywhere, so a cached route can never outlive its
-registration.  A hit is additionally validated against the live activation
-before use (crashed-silo semantics must be *identical* to the uncached
-path), so the cache changes cost accounting, never outcomes.
+A lookup here charges no virtual time, so there is nothing for an Orleans
+style per-silo directory cache to save: every call looks its key up here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .key import ActorKey
-
-
-@dataclass
-class DirectoryCacheStats:
-    """Per-endpoint cache effectiveness counters."""
-
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-
-
-class DirectoryCache:
-    """One endpoint's local cache of directory lookups."""
-
-    def __init__(self, endpoint: str) -> None:
-        self.endpoint = endpoint
-        self._entries: dict[ActorKey, str] = {}
-        self.stats = DirectoryCacheStats()
-
-    def get(self, key: ActorKey) -> str | None:
-        """The cached silo id for ``key``, or None (no stats side effects:
-        the runtime decides hit vs. miss after validating liveness)."""
-        return self._entries.get(key)
-
-    def put(self, key: ActorKey, silo_id: str) -> None:
-        """Remember that ``key`` resolved to ``silo_id``."""
-        self._entries[key] = silo_id
-
-    def invalidate(self, key: ActorKey) -> None:
-        """Drop the entry for ``key`` if present."""
-        if self._entries.pop(key, None) is not None:
-            self.stats.invalidations += 1
-
-    def clear(self) -> None:
-        """Drop everything (used when the cluster view is rebuilt)."""
-        self.stats.invalidations += len(self._entries)
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: ActorKey) -> bool:
-        return key in self._entries
 
 
 class GrainDirectory:
@@ -72,13 +19,6 @@ class GrainDirectory:
 
     def __init__(self) -> None:
         self._entries: dict[ActorKey, str] = {}
-        self.registrations = 0
-        self.unregistrations = 0
-        self._subscribers: list[DirectoryCache] = []
-
-    def subscribe(self, cache: DirectoryCache) -> None:
-        """Invalidate ``cache`` whenever a registration is removed."""
-        self._subscribers.append(cache)
 
     def lookup(self, key: ActorKey) -> str | None:
         """Return the hosting silo id, or None when not activated."""
@@ -92,21 +32,10 @@ class GrainDirectory:
                 f"{key} already registered on {existing}, cannot move to {silo_id}"
             )
         self._entries[key] = silo_id
-        self.registrations += 1
 
     def unregister(self, key: ActorKey) -> bool:
-        """Remove the entry for ``key``; returns True if present.
-
-        Every removal path — idle collection, explicit deactivation, silo
-        crash cleanup, failure-detector repair — runs through here, which is
-        what lets subscribed caches guarantee no stale route survives.
-        """
-        removed = self._entries.pop(key, None) is not None
-        if removed:
-            self.unregistrations += 1
-            for cache in self._subscribers:
-                cache.invalidate(key)
-        return removed
+        """Remove the entry for ``key``; returns True if present."""
+        return self._entries.pop(key, None) is not None
 
     def entries_on(self, silo_id: str) -> list[ActorKey]:
         """All keys currently placed on one silo."""

@@ -8,25 +8,17 @@ and aggregators to prefer-local (§5).  All three strategies used in the
 paper's discussion are implemented, plus a stable-hash strategy that gives
 deterministic spreading without randomness.
 
-The elasticity layer (``repro.elastic``) adds two more:
+The elasticity layer (``repro.elastic``) adds one more:
 
 - ``power_of_two`` — the classic "power of two choices": probe two random
   candidate silos and place on the less loaded one.  Near-optimal load
   spread at the cost of two load probes, and (unlike a full argmin scan) it
   does not herd every concurrent placement onto the same momentarily-idle
   silo.
-- ``hash_ring`` — consistent hashing with virtual nodes.  Where the modulo
-  ``hash`` strategy remaps almost every key when membership changes (any
-  churn reshuffles ``digest % N``), the ring remaps only ~1/N of the key
-  space per joining/leaving silo, which is what makes elastic membership
-  cheap.  Keep ``hash`` for reproducing the paper's fixed-membership
-  partitioning; prefer ``hash_ring`` when silos come and go.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import random
 import zlib
 from typing import Callable, Protocol, Sequence
@@ -89,53 +81,6 @@ class HashPlacement:
     ) -> str:
         digest = zlib.crc32(key.qualified().encode("utf-8"))
         return active_silos[digest % len(active_silos)]
-
-
-class HashRingPlacement:
-    """Consistent-hash-ring placement with virtual nodes.
-
-    Each silo owns ``virtual_nodes`` points on a 64-bit ring; a key is
-    placed on the silo owning the first point at or after the key's hash.
-    Membership changes therefore remap only the arcs adjacent to the
-    joining/leaving silo's points — ~1/N of the key space — instead of
-    reshuffling everything the way ``digest % N`` does.  Rings are cached
-    per membership set, so steady-state placement costs one hash plus one
-    binary search.
-    """
-
-    def __init__(self, virtual_nodes: int = 64) -> None:
-        if virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be >= 1")
-        self.virtual_nodes = virtual_nodes
-        self._rings: dict[tuple[str, ...], tuple[list[int], list[str]]] = {}
-
-    @staticmethod
-    def _hash(value: str) -> int:
-        digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big")
-
-    def _ring_for(self, members: tuple[str, ...]) -> tuple[list[int], list[str]]:
-        ring = self._rings.get(members)
-        if ring is None:
-            points: list[tuple[int, str]] = []
-            for silo_id in members:
-                for replica in range(self.virtual_nodes):
-                    points.append((self._hash(f"{silo_id}#{replica}"), silo_id))
-            points.sort()
-            ring = ([point for point, _ in points], [silo for _, silo in points])
-            self._rings[members] = ring
-        return ring
-
-    def choose(
-        self, key: ActorKey, caller_endpoint: str, active_silos: Sequence[str]
-    ) -> str:
-        members = tuple(sorted(active_silos))
-        points, silos = self._ring_for(members)
-        digest = self._hash(key.qualified())
-        index = bisect.bisect_left(points, digest)
-        if index == len(points):
-            index = 0  # wrap around the ring
-        return silos[index]
 
 
 class PowerOfTwoPlacement:
@@ -234,7 +179,6 @@ def build_strategies(
     strategies: dict[str, PlacementStrategy] = {
         "random": random_strategy,
         "hash": HashPlacement(),
-        "hash_ring": HashRingPlacement(),
     }
     if load_probe is not None:
         strategies["power_of_two"] = PowerOfTwoPlacement(rng, load_probe)

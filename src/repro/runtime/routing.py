@@ -1,13 +1,13 @@
 """Routing: how a call reaches its activation and how its reply returns.
 
 :class:`Routing`, mixed into :class:`~repro.runtime.runtime.AodbRuntime`,
-interns actor keys, builds invocations, resolves or places the target
-through per-endpoint directory caches, puts the message on the wire (alone
-or in a batching envelope), queues it where it lands and sends the result
-back; retried and deadline-bounded asks wrap the plain ask.  No task runs
-per message: each hop is one timer event, or none at zero wire delay
-(DESIGN §11).  It owns the caches, the interned keys, the envelope batcher
-and the ask-latency histogram; the runtime owns the rest.
+interns actor keys, builds invocations, resolves the target through the
+grain directory or places it, puts the message on the wire (alone or in a
+batching envelope), queues it where it lands and sends the result back;
+retried and deadline-bounded asks wrap the plain ask.  No task runs per
+message: each hop is one timer event, or none at zero wire delay
+(DESIGN §11).  It owns the interned keys, the envelope batcher and the
+ask-latency histogram; the runtime owns the rest.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from ..net.batching import EnvelopeBatcher
 from ..obs.trace import Span
 from ..storage.serde import snapshot
 from .activation import Activation
-from .directory import DirectoryCache
 from .key import ActorKey
 from .messages import DeliveryReceipt, Invocation
 from .reference import ActorRef
@@ -46,9 +45,6 @@ class Routing:
     """Ask, tell and reply paths of :class:`AodbRuntime`."""
 
     def _init_routing(self) -> None:
-        # Per-endpoint directory caches on the send path, invalidated via
-        # directory subscription (created lazily, one per caller endpoint).
-        self._directory_caches: dict[str, DirectoryCache] = {}
         # Interned ActorKeys: ref() runs once per outbound call, and keys
         # are immutable pure values, so the frozen-dataclass construction
         # (+ validation) is paid once per distinct actor instead of per call.
@@ -76,19 +72,6 @@ class Routing:
             batcher.cohort_histogram = registry.histogram(
                 "batch.cohort_size", boundaries=(1, 2, 4, 8, 16, 32, 64)
             )
-        caches = self._directory_caches
-        registry.register_probe(
-            "directory.cache_hits",
-            lambda: sum(c.stats.hits for c in caches.values()),
-        )
-        registry.register_probe(
-            "directory.cache_misses",
-            lambda: sum(c.stats.misses for c in caches.values()),
-        )
-        registry.register_probe(
-            "directory.cache_invalidations",
-            lambda: sum(c.stats.invalidations for c in caches.values()),
-        )
         # End-to-end ask latency feeds the p99 SLO rule; observed only on
         # profiled runs so the unprofiled reply path stays untouched.
         self._ask_latency = self.metrics.histogram("runtime.ask_latency_seconds")
@@ -332,34 +315,8 @@ class Routing:
 
     # -- dispatch ---------------------------------------------------------------------
 
-    def _directory_cache(self, endpoint: str) -> DirectoryCache:
-        """The (lazily created) directory cache for one caller endpoint."""
-        cache = self._directory_caches.get(endpoint)
-        if cache is None:
-            cache = DirectoryCache(endpoint)
-            self.directory.subscribe(cache)
-            self._directory_caches[endpoint] = cache
-        return cache
-
     def _resolve_activation(self, key: ActorKey, caller_endpoint: str) -> Activation:
         """Find or create (synchronously) the activation for ``key``."""
-        cache = self._directory_caches.get(caller_endpoint)
-        if cache is None:
-            cache = self._directory_cache(caller_endpoint)
-        cached = cache.get(key)
-        if cached is not None:
-            # A hit only short-circuits the *happy* path: the silo must
-            # be up and the activation live.  Anything less drops the
-            # entry and takes the authoritative path below, so crash and
-            # repair semantics are those of the directory lookup.
-            silo = self._silos.get(cached)
-            if silo is not None and not silo.crashed and not silo.quarantined:
-                activation = silo.get_activation(key)
-                if activation is not None and not activation.closing:
-                    cache.stats.hits += 1
-                    return activation
-            cache.invalidate(key)
-        cache.stats.misses += 1
         silo_id = self.directory.lookup(key)
         predecessor = None
         if silo_id is not None:
@@ -383,7 +340,6 @@ class Routing:
             else:
                 activation = silo.get_activation(key) if silo is not None else None
                 if activation is not None and not activation.closing:
-                    cache.put(key, silo_id)
                     return activation
                 # Stale entry (collected, closing, or silo gone): clear it
                 # and fall through to fresh placement.
@@ -437,7 +393,6 @@ class Routing:
             if predecessor is None:
                 predecessor = stale
         self.directory.register(key, silo_id)
-        cache.put(key, silo_id)
         activation = Activation(
             self,
             actor_class,

@@ -387,10 +387,8 @@ class AodbRuntime(Routing, Membership):
         so per-message semantics are identical to an ordinary deactivation:
 
         1. *Repoint* — in one atomic step (no awaits) the directory entry is
-           moved to the target (invalidating every ``DirectoryCache`` via
-           the ``unregister`` subscription) and a successor activation is
-           catalogued there.  From this instant new sends resolve to the
-           target.
+           moved to the target and a successor activation is catalogued
+           there.  From this instant new sends resolve to the target.
         2. *Drain* — the source activation closes: a barrier enters its
            mailbox, queued turns run to completion on the source, state
            persists through the normal persistence path, ``on_deactivate``
@@ -437,7 +435,7 @@ class AodbRuntime(Routing, Membership):
         # Atomic repoint: directory moves and the successor is catalogued
         # with no awaits in between, so every racer that re-resolves from
         # here on lands on the target.
-        self.directory.unregister(key)  # fans out to every DirectoryCache
+        self.directory.unregister(key)
         self.directory.register(key, target_silo_id)
         successor = Activation(
             self,

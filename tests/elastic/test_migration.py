@@ -236,25 +236,6 @@ def test_deadline_and_retry_semantics_unchanged_during_migration(sched, runtime)
     assert runtime.stats.deadlines_exceeded == 0
 
 
-def test_directory_cache_invalidated_by_migration(sched, runtime):
-    runtime.register_actor(Counter)
-
-    async def main():
-        ref = runtime.ref("Counter", "c1")
-        await ref.add()
-        source = runtime.directory.lookup(key())
-        target = "silo-2" if source == "silo-1" else "silo-1"
-        # Warm the client cache, then migrate: the unregister subscription
-        # must purge the stale route so the next send re-resolves.
-        cache = runtime._directory_cache("client")
-        cache.put(key(), source)
-        assert await runtime.migrate(key(), target)
-        assert cache.get(key()) is None
-        assert await ref.where() == target
-
-    sched.run_until_complete(main())
-
-
 class Brimful(Actor):
     # One queued ask behind a running 0.5 s turn fills the mailbox.
     mailbox_capacity = 1

@@ -1,79 +1,11 @@
-"""Elastic placement: hash_ring remap bounds, power_of_two, draining filters."""
+"""Elastic placement: power_of_two, the strategy registry, draining filters."""
 
 import random
 
 import pytest
 
 from repro.runtime import Actor, ActorKey, AodbRuntime, RuntimeConfig
-from repro.runtime.placement import (
-    HashPlacement,
-    HashRingPlacement,
-    PowerOfTwoPlacement,
-    build_strategies,
-)
-
-
-def keys(n=400):
-    return [ActorKey("Sensor", f"org-{i % 7}/s-{i}") for i in range(n)]
-
-
-# -- hash_ring ---------------------------------------------------------------------
-
-
-def test_hash_ring_is_stable_and_distributes():
-    strategy = HashRingPlacement()
-    silos = [f"silo-{i}" for i in range(4)]
-    first = {k: strategy.choose(k, "client", silos) for k in keys()}
-    again = {k: strategy.choose(k, "client", silos) for k in keys()}
-    assert first == again
-    counts = {s: 0 for s in silos}
-    for silo in first.values():
-        counts[silo] += 1
-    # With 64 virtual nodes per silo the spread is rough but every silo
-    # owns a meaningful share (ideal = 100 of 400).
-    assert all(count > 40 for count in counts.values())
-
-
-def test_hash_ring_remaps_about_one_over_n_on_leave():
-    """Removing one of four silos moves ~25% of keys; modulo moves ~75%."""
-    ring = HashRingPlacement()
-    modulo = HashPlacement()
-    silos = [f"silo-{i}" for i in range(4)]
-    survivors = silos[:-1]
-    sample = keys()
-
-    ring_before = [ring.choose(k, "client", silos) for k in sample]
-    ring_after = [ring.choose(k, "client", survivors) for k in sample]
-    ring_moved = sum(1 for b, a in zip(ring_before, ring_after) if b != a)
-
-    mod_before = [modulo.choose(k, "client", silos) for k in sample]
-    mod_after = [modulo.choose(k, "client", survivors) for k in sample]
-    mod_moved = sum(1 for b, a in zip(mod_before, mod_after) if b != a)
-
-    n = len(sample)
-    # Every key on the departed silo must move; little else should.
-    assert ring_moved >= sum(1 for b in ring_before if b == silos[-1])
-    assert ring_moved / n < 0.45  # ~1/N plus virtual-node jitter
-    assert mod_moved / n > 0.55  # modulo reshuffles most of the space
-    assert ring_moved < mod_moved
-
-
-def test_hash_ring_remaps_only_new_arcs_on_join():
-    ring = HashRingPlacement()
-    silos = ["silo-0", "silo-1", "silo-2"]
-    grown = silos + ["silo-3"]
-    sample = keys()
-    before = [ring.choose(k, "client", silos) for k in sample]
-    after = [ring.choose(k, "client", grown) for k in sample]
-    moved = [(b, a) for b, a in zip(before, after) if b != a]
-    # Keys only ever move *to* the joining silo, never between survivors.
-    assert moved and all(a == "silo-3" for _, a in moved)
-    assert len(moved) / len(sample) < 0.45
-
-
-def test_hash_ring_rejects_bad_virtual_nodes():
-    with pytest.raises(ValueError):
-        HashRingPlacement(virtual_nodes=0)
+from repro.runtime.placement import PowerOfTwoPlacement, build_strategies
 
 
 # -- power_of_two ------------------------------------------------------------------
@@ -113,9 +45,7 @@ def test_power_of_two_tie_is_deterministic():
 def test_build_strategies_gates_power_of_two_on_probe():
     without = build_strategies(random.Random(1))
     assert "power_of_two" not in without
-    assert {"random", "hash", "hash_ring", "prefer_local", "pinned"} <= set(
-        without
-    )
+    assert {"random", "hash", "prefer_local", "pinned"} <= set(without)
     with_probe = build_strategies(random.Random(1), load_probe=lambda s: 0)
     assert "power_of_two" in with_probe
 
@@ -154,8 +84,8 @@ class PinnedEcho(Echo):
     placement = "pinned"
 
 
-class RingEcho(Echo):
-    placement = "hash_ring"
+class HashEcho(Echo):
+    placement = "hash"
 
 
 def build_runtime(sched, silos=3):
@@ -163,7 +93,7 @@ def build_runtime(sched, silos=3):
     runtime = AodbRuntime(sched, config=config)
     for i in range(1, silos + 1):
         runtime.add_silo(f"silo-{i}", cores=2)
-    runtime.register_actors([Echo, LocalEcho, PinnedEcho, RingEcho])
+    runtime.register_actors([Echo, LocalEcho, PinnedEcho, HashEcho])
     return runtime
 
 
@@ -205,14 +135,14 @@ def test_pinned_skips_draining_target(sched):
     assert sched.run_until_complete(main()) != "silo-2"
 
 
-def test_hash_ring_through_runtime_avoids_draining_silo(sched):
+def test_hash_through_runtime_avoids_draining_silo(sched):
     runtime = build_runtime(sched)
     runtime.silo("silo-3").draining = True
 
     async def main():
         hosts = set()
         for i in range(30):
-            hosts.add(await runtime.ref("RingEcho", f"r{i}").where())
+            hosts.add(await runtime.ref("HashEcho", f"r{i}").where())
         return hosts
 
     hosts = sched.run_until_complete(main())

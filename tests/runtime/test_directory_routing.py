@@ -1,11 +1,10 @@
-"""Directory-cache correctness: hit accounting and stale-route invalidation.
+"""Routing through the grain directory after a registration goes away.
 
-The fast path caches grain-directory lookups per caller endpoint.  The
-cache must be *transparent*: every path that removes a registration —
-explicit deactivation, idle collection, detected crash, failure-detector
-eviction — must invalidate it, and an undetected (zombie) crash must fail
-exactly like the uncached runtime until membership repairs the view.  An
-ActorRef must never successfully send to a stale silo.
+Every path that removes a registration — explicit deactivation, idle
+collection, detected crash, failure-detector eviction — must leave the next
+call to re-place the actor and recover its persisted state, and an
+undetected (zombie) crash must fail the call until membership repairs the
+view.  An ActorRef must never successfully send to a stale silo.
 """
 
 import pytest
@@ -14,7 +13,6 @@ from repro.errors import SiloUnavailableError
 from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network
 from repro.runtime import Actor, ActorKey, AodbRuntime, RuntimeConfig, WritePolicy
-from repro.runtime.directory import DirectoryCache, GrainDirectory
 from repro.runtime.resilience import RetryPolicy
 from repro.storage import SystemStore
 
@@ -51,49 +49,7 @@ class Durable(Actor):
         return self.state.get("v")
 
 
-def client_cache(runtime) -> DirectoryCache:
-    return runtime._directory_cache("client")
-
-
-# ---------------------------------------------------------------------------
-# Unit behaviour
-# ---------------------------------------------------------------------------
-
-
-def test_cache_unit_semantics():
-    cache = DirectoryCache("client")
-    key = ActorKey("Durable", "a")
-    assert cache.get(key) is None
-    cache.put(key, "silo-1")
-    assert cache.get(key) == "silo-1"
-    assert key in cache and len(cache) == 1
-    cache.invalidate(key)
-    assert cache.get(key) is None
-    assert cache.stats.invalidations == 1
-    cache.invalidate(key)  # absent: no double count
-    assert cache.stats.invalidations == 1
-
-
-def test_directory_unregister_invalidates_every_subscriber():
-    directory = GrainDirectory()
-    key = ActorKey("Durable", "a")
-    caches = [DirectoryCache("client"), DirectoryCache("silo-0")]
-    for cache in caches:
-        directory.subscribe(cache)
-        cache.put(key, "silo-1")
-    directory.register(key, "silo-1")
-    assert directory.unregister(key)
-    for cache in caches:
-        assert cache.get(key) is None
-        assert cache.stats.invalidations == 1
-
-
-# ---------------------------------------------------------------------------
-# Runtime integration
-# ---------------------------------------------------------------------------
-
-
-def test_repeat_sends_hit_the_cache():
+def test_repeat_sends_reach_one_activation():
     sched = Scheduler()
     runtime = build_runtime(sched)
     runtime.register_actor(Durable)
@@ -102,16 +58,15 @@ def test_repeat_sends_hit_the_cache():
     async def main():
         ref = runtime.ref("Durable", "a")
         await ref.put(1)
-        for _ in range(5):
-            await ref.get()
+        return [await ref.get() for _ in range(5)], runtime.directory.lookup(ref.key)
 
-    sched.run_until_complete(main())
-    stats = client_cache(runtime).stats
-    assert stats.hits >= 5
-    assert stats.misses >= 1  # the first resolution
+    values, placed = sched.run_until_complete(main())
+    assert values == [1] * 5
+    assert placed == "silo-1"
+    assert runtime.stats.activations_created == 1
 
 
-def test_explicit_deactivation_invalidates_cached_route():
+def test_explicit_deactivation_reroutes():
     sched = Scheduler()
     runtime = build_runtime(sched)
     runtime.register_actor(Durable)
@@ -120,10 +75,9 @@ def test_explicit_deactivation_invalidates_cached_route():
     async def main():
         ref = runtime.ref("Durable", "a")
         await ref.put(2)
-        assert ref.key in client_cache(runtime)
         await runtime.deactivate("Durable", "a")
-        assert ref.key not in client_cache(runtime)
-        # Reactivation repopulates through the authoritative directory.
+        assert ref.key not in runtime.directory
+        # Reactivation re-registers through the directory.
         return await ref.get()
 
     assert sched.run_until_complete(main()) == 2
@@ -138,9 +92,7 @@ def test_detected_crash_invalidates_and_reroutes():
     async def main():
         ref = runtime.ref("Durable", "a")
         await ref.put(3)
-        assert client_cache(runtime).get(ref.key) == "silo-1"
         runtime.crash_silo("silo-1", detected=True)
-        assert ref.key not in client_cache(runtime)
         # Next send re-places on the survivor and recovers persisted state.
         value = await ref.get()
         return value, runtime.directory.lookup(ref.key)
@@ -150,14 +102,10 @@ def test_detected_crash_invalidates_and_reroutes():
     assert placed == "silo-0"
 
 
-def test_undetected_crash_cached_route_fails_like_uncached():
-    """A zombie silo's cached route must not change crash semantics.
-
-    Until the lease lapses, membership vouches for the crashed silo, so the
-    send fails with SiloUnavailableError — cache or no cache.  The cache
-    hit-validates against the live silo and steps aside; it must never
-    deliver to the dead endpoint.
-    """
+def test_undetected_crash_fails_until_the_lease_lapses():
+    """Until the lease lapses, membership vouches for the crashed silo, so
+    the send fails with SiloUnavailableError; it never reaches the dead
+    endpoint."""
     sched = Scheduler()
     runtime = build_runtime(sched, lease=2.0)
     runtime.register_actor(Durable)
@@ -166,12 +114,9 @@ def test_undetected_crash_cached_route_fails_like_uncached():
     async def main():
         ref = runtime.ref("Durable", "a")
         await ref.put(4)
-        assert client_cache(runtime).get(ref.key) == "silo-1"
         runtime.crash_silo("silo-1", detected=False)
         with pytest.raises(SiloUnavailableError):
             await ref.get()
-        # The validated hit was dropped; no stale route remains cached.
-        assert ref.key not in client_cache(runtime)
         # After the lease lapses, on-demand repair re-places the actor.
         await sched.at(2.5)
         return await ref.get(), runtime.directory.lookup(ref.key)
@@ -179,10 +124,9 @@ def test_undetected_crash_cached_route_fails_like_uncached():
     value, placed = sched.run_until_complete(main())
     assert value == 4
     assert placed == "silo-0"
-    assert client_cache(runtime).get(ActorKey("Durable", "a")) == "silo-0"
 
 
-def test_failure_detector_eviction_purges_cached_routes():
+def test_failure_detector_eviction_reroutes():
     """Chaos satellite: crash + failure-detector repair leaves no stale ref."""
     sched = Scheduler()
     runtime = build_runtime(
@@ -198,10 +142,9 @@ def test_failure_detector_eviction_purges_cached_routes():
     async def main():
         ref = runtime.ref("Durable", "b")
         await ref.put("survives")
-        assert client_cache(runtime).get(ref.key) == "silo-1"
         runtime.crash_silo("silo-1", detected=False)
         # A resilient call issued *during* the outage window must land on
-        # the repaired placement, never a stale cached silo.
+        # the repaired placement, never the crashed silo.
         value = await ref.get(
             retry=RetryPolicy(max_attempts=10, base_delay=0.5, jitter=0.0)
         )
@@ -211,12 +154,9 @@ def test_failure_detector_eviction_purges_cached_routes():
     assert value == "survives"
     assert placed == "silo-0"
     assert runtime.stats.silos_evicted == 1
-    # The eviction funneled through GrainDirectory.unregister, so the old
-    # route is gone from the client cache.
-    assert client_cache(runtime).get(ActorKey("Durable", "b")) == "silo-0"
 
 
-def test_idle_collection_invalidates_cached_route():
+def test_idle_collection_reroutes():
     sched = Scheduler()
     runtime = build_runtime(sched, idle_timeout=1.0, collection_interval=0.5)
     runtime.register_actor(Durable)
@@ -225,10 +165,9 @@ def test_idle_collection_invalidates_cached_route():
     async def main():
         ref = runtime.ref("Durable", "a")
         await ref.put(5)
-        assert ref.key in client_cache(runtime)
         await sched.sleep(2.0)
         await runtime.collect_idle_activations()
-        assert ref.key not in client_cache(runtime)
+        assert ref.key not in runtime.directory
         return await ref.get()
 
     assert sched.run_until_complete(main()) == 5

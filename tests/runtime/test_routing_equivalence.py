@@ -6,9 +6,9 @@ duplicated tell, an ask after idle collection and one racing a close, asks
 racing a migration's repoint, redo journaling through a silent crash and
 eviction into WAL replay, and the reminder pump.  For each one the test pins
 every kernel event the dispatch loop ran (count, plus a digest of their
-``(when, seq)`` keys in order), the non-zero ``RuntimeStats`` fields, every
-directory cache's hit/miss/invalidation counts and every reply outcome.  A
-refactor of the router or the membership code must reproduce them exactly.
+``(when, seq)`` keys in order), the non-zero ``RuntimeStats`` fields and
+every reply outcome.  A refactor of the router or the membership code must
+reproduce them exactly.
 """
 
 import hashlib
@@ -235,17 +235,12 @@ def record(name, monkeypatch):
     runtime.add_silo("silo-1", cores=1)
     results = sched.run_until_complete(scenario(sched, runtime))
     stats = {key: value for key, value in asdict(runtime.stats).items() if value}
-    caches = {
-        endpoint: (cache.stats.hits, cache.stats.misses, cache.stats.invalidations)
-        for endpoint, cache in sorted(runtime._directory_caches.items())
-    }
     assert len(log) == sched.events_processed
     return {
         "events": sched.events_processed,
         "order": hashlib.sha256(repr(log).encode()).hexdigest()[:16],
         "now": sched.now,
         "stats": stats,
-        "caches": caches,
         "results": results,
         "seen": list(SEEN),
     }
@@ -254,7 +249,6 @@ def record(name, monkeypatch):
 #: Recorded before the router and the membership services left runtime.py.
 PINNED = {
     "ask_after_idle_collection": {
-        "caches": {"client": (0, 5, 3), "silo-1": (0, 1, 0)},
         "events": 102,
         "now": 2.7110000000000007,
         "order": "d60d87064fa836a7",
@@ -275,7 +269,6 @@ PINNED = {
         },
     },
     "duplicated_tell": {
-        "caches": {"client": (2, 1, 0)},
         "events": 26,
         "now": 0.10600000000000001,
         "order": "d6cf44bee24ea56a",
@@ -290,7 +283,6 @@ PINNED = {
         "stats": {"activations_created": 1, "asks": 2, "replies": 2, "tells": 1},
     },
     "migrate_racing_asks": {
-        "caches": {"client": (9, 2, 1)},
         "events": 60,
         "now": 0.06100000000000001,
         "order": "65416d6bc954e1ef",
@@ -326,7 +318,6 @@ PINNED = {
         },
     },
     "redo_crash_evict_replay": {
-        "caches": {"client": (4, 7, 3)},
         "events": 194,
         "now": 3.5140000000000007,
         "order": "e19b1390a3013651",
@@ -357,7 +348,6 @@ PINNED = {
         },
     },
     "reminder_pump": {
-        "caches": {"client": (3, 1, 0)},
         "events": 85,
         "now": 3.604,
         "order": "7c12a33bcb46aeef",
@@ -375,7 +365,6 @@ PINNED = {
         },
     },
     "resilient_over_lossy_network": {
-        "caches": {"client": (10, 1, 0)},
         "events": 164,
         "now": 0.45200000000000023,
         "order": "a984d652f2a7c57c",
