@@ -12,12 +12,15 @@ differ, one ``--trace 1`` run per side follows and every per-layer exact
 counter that differs is printed by name with both values, so a moved digest
 says what moved.
 
-The verdict is ``ok``, ``WORSE`` (the change's median is worse than the
-parent's by more than the bound) or ``unresolved`` (the parent's quartile
-spread exceeds the bound and not every change run beats every parent run,
-so the pairs cannot tell a worsening within the bound from noise).  ``--workload`` repeats (``all`` = every
-workload the parent's ``BENCHMARK.json`` declares); each gets its own table,
-printed as soon as its pairs are done.
+The verdict is ``GAIN`` (choosing-metrics §8: the change wins at least
+nine tenths of the pairs, ties counting for neither side, and its median
+beats the parent's by more than the parent's quartile distance), ``ok``,
+``WORSE`` (the change's median is worse than the parent's by more than the
+bound) or ``unresolved`` (the parent's quartile spread exceeds the bound
+and not every change run beats every parent run, so the pairs cannot tell
+a worsening within the bound from noise).  ``--workload`` repeats (``all``
+= every workload the parent's ``BENCHMARK.json`` declares); each gets its
+own table, printed as soon as its pairs are done.
 
     python benchmarks/ab_pairs.py --parent /root/scratch/parent --change . \\
         --workload durable_scaleout --seed 2019 --pairs 10
@@ -82,6 +85,19 @@ def spread(values: list[float]) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def gained(parent: list[float], change: list[float], better: str) -> bool:
+    """The §8 gain rule over pairs ``zip(parent, change)``: the change wins
+    at least 9/10 of them (a tie is no win) and its median beats the
+    parent's by more than the parent's quartile distance."""
+    sign = -1 if better == "lower" else 1
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q1, median, q3 = quartiles(parent)
+    return (
+        10 * won >= 9 * len(parent)
+        and sign * (statistics.median(change) - median) > q3 - q1
+    )
+
+
 def verdict(
     parent: list[float], change: list[float], bound: float, better: str
 ) -> str:
@@ -127,7 +143,12 @@ def compare(
         delta = (statistics.median(change) - base) / base if base else 0.0
         tally = f"{won}/{lost}/{pairs - won - lost}"
         bound = metric["bound"]
-        judged = f"{verdict(parent, change, bound, metric['better'])} ({bound:.0%})"
+        judged = (
+            "GAIN"
+            if gained(parent, change, metric["better"])
+            else verdict(parent, change, bound, metric["better"])
+        )
+        judged = f"{judged} ({bound:.0%})"
         print(
             ROW.format(
                 name, spread(parent), spread(change), f"{delta:+.1%}", tally, judged

@@ -32,7 +32,7 @@ from typing import Any, Awaitable, Callable, Coroutine, Iterable
 
 from ..errors import CancelledError, DeadlockError, SchedulerStoppedError
 from ..errors import TimeoutError as KernelTimeoutError
-from .futures import _CANCELLED, _PENDING, _RESOLVED, Future
+from .futures import _CANCELLED, _PENDING, _RESOLVED, Future, completed
 
 _INF = float("inf")
 
@@ -108,6 +108,49 @@ class _Timeout:
                     f"timed out after {self.delay} virtual seconds"
                 )
             )
+
+
+class _Gather:
+    """Per-:meth:`Scheduler.gather` state: the done-callback of every input.
+
+    A gather lives as long as the request awaiting it, long enough to be
+    promoted, so it is one slotted object: no coroutine frame, closure or
+    cells.  The last input to settle settles ``result`` in its own
+    callback, and the awaiting task resumes in the one ready event that
+    queues.
+    """
+
+    __slots__ = ("futures", "remaining", "result")
+
+    def __init__(self, futures: list[Future[Any]], result: Future[list]) -> None:
+        self.futures = futures
+        self.remaining = len(futures)
+        self.result = result
+
+    def __call__(self, _settled: Future[Any]) -> None:
+        self.remaining = remaining = self.remaining - 1
+        if remaining:
+            return
+        result = self.result
+        if result._state is not _PENDING:
+            return  # its holder cancelled it
+        values: list[Any] = []
+        first_error: BaseException | None = None
+        for future in self.futures:
+            state = future._state
+            if state is _RESOLVED:
+                values.append(future._value)
+                continue
+            values.append(None)
+            if first_error is None:
+                if state is _CANCELLED:
+                    first_error = CancelledError(future.name or "future cancelled")
+                else:
+                    first_error = future._exception
+        if first_error is not None:
+            result.set_exception(first_error)
+        else:
+            result.set_result(values)
 
 
 class TimerHandle:
@@ -229,7 +272,7 @@ class Task:
         """Advance the coroutine with the stashed resume payload.
 
         The one function that drives the coroutine: the first step (payload
-        ``None``), every resume (payload stashed by :meth:`_on_future_done`)
+        ``None``), every resume (payload stashed by :meth:`__call__`)
         and cancellation (no payload, ``_cancel_requested`` set) queue it.
         """
         value = self._resume_value
@@ -277,11 +320,15 @@ class Task:
             and yielded._cb0 is None
             and yielded._callbacks is None
         ):
-            yielded._cb0 = self._on_future_done
+            yielded._cb0 = self
         else:
-            yielded.add_done_callback(self._on_future_done)
+            yielded.add_done_callback(self)
 
-    def _on_future_done(self, future: Future[Any]) -> None:
+    def __call__(self, future: Future[Any]) -> None:
+        """The awaited future settled: queue the step that resumes the task.
+
+        The task is its own done-callback, so parking allocates nothing.
+        """
         if self._waiting_on is not future:
             return  # detached by cancellation
         # Stash the resume payload on the task and queue the plain-function
@@ -680,57 +727,48 @@ class Scheduler:
 
     # -- structured helpers --------------------------------------------------
 
-    async def gather(self, awaitables: Iterable[Awaitable[Any]]) -> list[Any]:
-        """Await all ``awaitables`` concurrently; results in input order.
+    def gather(self, awaitables: Iterable[Awaitable[Any]]) -> Future[list[Any]]:
+        """A future of all ``awaitables``' results, in input order.
 
         Semantics are pinned regardless of input kind (Task, Future or plain
-        coroutine — coroutines are spawned in input order):
+        coroutine — coroutines are spawned in input order, by this call):
 
         - waits for **every** input to settle (no orphaned half-run inputs);
         - on success resolves to the results in input order;
-        - on failure raises the exception of the **lowest-index** failed
-          input (a cancelled input counts as failed with CancelledError),
-          independent of completion order;
-        - an empty iterable resolves immediately to ``[]``.
+        - on failure rejects with the exception of the **lowest-index**
+          failed input (a cancelled input counts as failed with
+          CancelledError), independent of completion order;
+        - an empty iterable returns a future already resolved to ``[]``.
+
+        A plain function, not a coroutine: one :class:`_Gather` is the done
+        callback of every input.  If a spawn raises (a stopped scheduler),
+        that coroutine and every coroutine input after it are closed before
+        the error propagates, so none is left never awaited.
         """
         futures: list[Future[Any]] = []
+        refused: BaseException | None = None
         for item in awaitables:
             if isinstance(item, Task):
                 futures.append(item.future)
             elif isinstance(item, Future):
                 futures.append(item)
+            elif refused is not None:
+                item.close()  # type: ignore[attr-defined]
             else:
-                futures.append(self.spawn(item).future)  # type: ignore[arg-type]
+                try:
+                    futures.append(self.spawn(item).future)  # type: ignore[arg-type]
+                except BaseException as exc:
+                    item.close()  # type: ignore[attr-defined]
+                    refused = exc
+        if refused is not None:
+            raise refused
         if not futures:
-            return []
-        all_settled: Future[None] = Future("gather")
-        remaining = len(futures)
-
-        def on_settled(_: Future[Any]) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                all_settled.set_result(None)
-
+            return completed([], "gather")
+        result: Future[list[Any]] = Future("gather")
+        state = _Gather(futures, result)
         for future in futures:
-            future.add_done_callback(on_settled)
-        await all_settled
-        results: list[Any] = []
-        first_error: BaseException | None = None
-        for future in futures:
-            state = future._state
-            if state is _RESOLVED:
-                results.append(future._value)
-                continue
-            results.append(None)
-            if first_error is None:
-                if state is _CANCELLED:
-                    first_error = CancelledError(future.name or "future cancelled")
-                else:
-                    first_error = future._exception
-        if first_error is not None:
-            raise first_error
-        return results
+            future.add_done_callback(state)
+        return result
 
 
 def run(coro: Coroutine[Any, Any, Any]) -> Any:

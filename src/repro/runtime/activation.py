@@ -11,9 +11,10 @@ hardware.
 
 No task drives the mailbox: callbacks serve it, each continuing in one ready
 event where a task would resume, so the event order is a task's.  The rest
-of a turn (method, flush, reply), like boot and close, is a coroutine
-stepped in the turn's own event and adopted as a task only if it suspends.
-Timers are callbacks too (:class:`_Timer`).
+of a turn (method, flush, reply) is a coroutine stepped in the turn's own
+event; if it suspends, the turn drives it on, one ready event per resume.
+Boot and close are stepped the same way and adopted as a task only if they
+suspend.  Timers are callbacks too (:class:`_Timer`).
 
 An idle activation is what a platform of one actor per sensor keeps
 resident by the hundred thousand, so it holds only what it uses: the mailbox
@@ -31,11 +32,12 @@ from typing import TYPE_CHECKING, Any
 from ..errors import (
     ActorDeactivatedError,
     ActorMethodError,
+    CancelledError,
     FencedWriteError,
     MailboxOverflowError,
     ReentrancyError,
 )
-from ..kernel.futures import _PENDING, _RESOLVED, Future
+from ..kernel.futures import _CANCELLED, _PENDING, _RESOLVED, Future
 from ..kernel.scheduler import Task
 from ..kernel.sync import Event
 from ..storage.serde import snapshot
@@ -112,8 +114,9 @@ class Activation:
         self._inflight: _Turn | dict[_Turn, None] | None = None
         self._timers: dict[str, _Timer] | None = None
         # What the serial path (boot, one-at-a-time turns, close) is parked
-        # on: _IDLE, a CPU timer, _DRAIN or an adopted Task — None (or
-        # settled) while it runs.  ``_handed``: a message handed over idle.
+        # on: _IDLE, a CPU timer, _DRAIN, a suspended _Turn or an adopted
+        # Task — None (or settled) while it runs.  ``_handed``: a message
+        # handed over idle.
         self._wait: Any = None
         self._handed: Any = None
         # Boot runs in its own ready event; its coroutine exists only then.
@@ -372,7 +375,7 @@ class Activation:
         self.broken = fault
         wait = self._wait
         self._wait = None
-        if type(wait) is Task:
+        if type(wait) is _Turn or type(wait) is Task:
             wait.cancel()
         elif wait is not None and wait._state is _PENDING:
             # Parked: cancelling costs one ready event, as a task's does.
@@ -594,7 +597,13 @@ class _Timer:
 class _Turn:
     """One message's turn, up to its CPU charge (:meth:`begin`) and after
     (:meth:`finish`).  Steps return True once the turn is over, False while
-    it waits on a kernel event whose callback resumes it."""
+    it waits on a kernel event whose callback resumes it.
+
+    The turn is the only done-callback of what it waits on: its CPU timer,
+    then whatever the rest of the turn (``coro``) awaits.  A suspended turn
+    drives its coroutine itself, one ready event per resume, as a task
+    would, but without a task, a task future or a bound method to hold
+    while the request is in flight."""
 
     __slots__ = (
         "activation",
@@ -604,6 +613,9 @@ class _Turn:
         "profile",
         "method",
         "options",
+        "coro",
+        "waiting",
+        "cancelled",
     )
 
     def __init__(
@@ -613,6 +625,9 @@ class _Turn:
         self.invocation = invocation
         self.serial = serial
         self.profile: Any = None
+        # The rest of the turn once it started; None while its CPU charge
+        # runs.  ``waiting`` / ``cancelled`` are set once it suspends.
+        self.coro: Any = None
         inflight = activation._inflight
         if inflight is None:
             activation._inflight = self
@@ -694,7 +709,7 @@ class _Turn:
                 # each pays work + overhead/K (Reactors-style batched
                 # execution).  Cohort 1 charges full cost, bit-identical
                 # to the unbatched runtime.
-                shared = min(overhead, cost)
+                shared = overhead if overhead <= cost else cost
                 cost = (cost - shared) + shared / invocation.batch_cohort
             timer = scheduler.at(activation.silo.cpu.book(cost, self.profile))
             timer._cb0 = self  # a fresh timer: its only callback
@@ -703,45 +718,110 @@ class _Turn:
             return False
         return self.run(self.finish())
 
-    def __call__(self, _timer: Future[None]) -> None:
-        # The CPU charge is done: continue in one ready event, unless an
-        # abort dropped the turn.
-        if self.activation.broken is None:
-            self.activation.runtime.scheduler._call_soon(_Turn.resume, self)
+    def __call__(self, settled: Future[Any]) -> None:
+        if self.coro is None:
+            # The CPU charge is done: continue in one ready event, unless an
+            # abort dropped the turn.
+            if self.activation.broken is None:
+                self.activation.runtime.scheduler._call_soon(_Turn.step, self)
+        elif settled is self.waiting:
+            # What the rest of the turn awaited settled (an abort detaches
+            # it first): resume in one ready event.
+            self.activation.runtime.scheduler._call_soon(_Turn.step, self)
 
-    def resume(self) -> None:
+    def step(self) -> None:
+        """The turn's ready event: once its CPU charge is done it starts the
+        rest of the turn, and once what that awaited settles it resumes it,
+        in the event a task's resume would take."""
         activation = self.activation
-        if activation.broken is not None:
-            return
-        span = self.invocation.span
-        if span is not None and span.end is None:
-            # Core-queueing plus service: the silo-contention signal.
-            span.cpu += activation.runtime.scheduler.now - self.started
-        if self.run(self.finish()) and self.serial:
+        coro = self.coro
+        starting = coro is None
+        value = exc = None
+        if starting:
+            if activation.broken is not None:
+                return
+            span = self.invocation.span
+            if span is not None and span.end is None:
+                # Core-queueing plus service: the silo-contention signal.
+                span.cpu += activation.runtime.scheduler.now - self.started
+            self.coro = coro = self.finish()
+            self.cancelled = False
+        else:
+            settled = self.waiting
+            self.waiting = None
+            if settled is not None:
+                state = settled._state
+                if state is _RESOLVED:
+                    value = settled._value
+                elif state is _CANCELLED:
+                    exc = CancelledError(settled.name or "future cancelled")
+                else:
+                    exc = settled._exception
+            if self.cancelled and exc is None:
+                exc = CancelledError(coro.__name__)
+        try:
+            yielded = coro.send(value) if exc is None else coro.throw(exc)
+        except StopIteration:
+            over = self.end()
+        except BaseException as error:  # noqa: BLE001 - errors become replies
+            over = self.fail(error)
+        else:
+            if starting and self.serial:
+                activation._wait = self
+            over = self.park(yielded)
+        if over and self.serial:
             activation._serve()
 
     def run(self, coro: Any) -> bool:
-        """Step the rest of the turn in this event; if it suspends, the
-        kernel adopts it and that task's last step ends the turn."""
+        """Start the rest of the turn in this event (no CPU charge to wait
+        for); True if it is over before it has to wait."""
+        self.coro = coro
+        self.cancelled = False
         try:
             yielded = coro.send(None)
         except StopIteration:
             return self.end()
         except BaseException as exc:  # noqa: BLE001 - errors become replies
             return self.fail(exc)
-        task = self.activation.runtime.scheduler.adopt(coro, yielded)
         if self.serial:
-            self.activation._wait = task
-        task.future.add_done_callback(self.adopted_done)
+            self.activation._wait = self
+        return self.park(yielded)
+
+    def park(self, yielded: Any) -> bool:
+        """Wait on the future the rest of the turn yielded, as its only
+        callback; anything else is thrown back in, as a task would.  True
+        if that ended the turn."""
+        while type(yielded) is not Future and not isinstance(yielded, Future):
+            error = TypeError(
+                f"turn {self.coro.__name__!r} awaited a non-kernel awaitable: "
+                f"{yielded!r}"
+            )
+            try:
+                yielded = self.coro.throw(error)
+            except StopIteration:
+                return self.end()
+            except BaseException as exc:  # noqa: BLE001 - errors become replies
+                return self.fail(exc)
+        self.waiting = yielded
+        # A yielded future is normally pending with no callback yet.
+        if (
+            yielded._state is _PENDING
+            and yielded._cb0 is None
+            and yielded._callbacks is None
+        ):
+            yielded._cb0 = self
+        else:
+            yielded.add_done_callback(self)
         return False
 
-    def adopted_done(self, future: Future[None]) -> None:
-        if future._state is _RESOLVED:
-            self.end()
-        else:  # finish() raised past its own handlers (its reply failed)
-            self.fail(future._exception)
-        if self.serial:
-            self.activation._serve()
+    def cancel(self) -> None:
+        """Abort: CancelledError at the await, delivered in one ready event,
+        or by the resume already queued if what it awaited has settled."""
+        self.cancelled = True
+        waiting = self.waiting
+        if waiting is not None and waiting._state is _PENDING:
+            self.waiting = None  # detached: its settling resumes nothing
+            self.activation.runtime.scheduler._call_soon(_Turn.step, self)
 
     async def finish(self) -> None:
         activation, invocation, method = self.activation, self.invocation, self.method

@@ -6,14 +6,14 @@ grain directory or places it, puts the message on the wire (alone or in a
 batching envelope), queues it where it lands and sends the result back;
 retried and deadline-bounded asks wrap the plain ask.  No task runs per
 message: each hop is one timer event, or none at zero wire delay
-(DESIGN §11).  It owns the interned keys, the envelope batcher and the
-ask-latency histogram; the runtime owns the rest.
+(DESIGN §11), and the timer carries the hop as one argument tuple to a
+landing method bound once per runtime.  It owns the interned keys, the
+envelope batcher and the ask-latency histogram; the runtime owns the rest.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Any
 
 from ..errors import (
@@ -49,6 +49,10 @@ class Routing:
         # are immutable pure values, so the frozen-dataclass construction
         # (+ validation) is paid once per distinct actor instead of per call.
         self._actor_keys: dict[tuple[str, str], ActorKey] = {}
+        # A hop with wire delay is a timer whose argument is the hop's tuple:
+        # these landing methods are bound once here, not once per hop.
+        self._land_request = self._arrive_hop
+        self._land_reply = self._reply_landed
         # Ingestion fast path: coalesce same-path deliveries into envelopes.
         self._batcher: EnvelopeBatcher | None = None
         if self.config.batch_max_delay is not None:
@@ -428,10 +432,18 @@ class Routing:
         if delay is None:
             return  # lost on the wire: only the caller's deadline notices
         if delay > 0:
-            arrive = partial(self._arrive, invocation, activation, delay)
-            self.scheduler.call_at(self.scheduler.now + delay, arrive)
+            self.scheduler.call_at(
+                self.scheduler.now + delay,
+                self._land_request,
+                (invocation, activation, delay),
+            )
         else:
             self._arrive(invocation, activation, 0.0)
+
+    def _arrive_hop(self, hop: tuple) -> None:
+        """The wire timer of one unbatched request: ``hop`` is
+        ``(invocation, activation, delay)``."""
+        self._arrive(*hop)
 
     def _arrive(
         self,
@@ -519,18 +531,18 @@ class Routing:
         if delay is None:
             return  # lost on the wire: only the caller's deadline notices
         if delay > 0:
-            land = partial(self._reply_landed, invocation, result, error, delay)
-            self.scheduler.call_at(self.scheduler.now + delay, land)
+            self.scheduler.call_at(
+                self.scheduler.now + delay,
+                self._land_reply,
+                (invocation, result, error, delay),
+            )
         else:
-            self._reply_landed(invocation, result, error, 0.0)
+            self._reply_landed((invocation, result, error, 0.0))
 
-    def _reply_landed(
-        self,
-        invocation: Invocation,
-        result: Any,
-        error: BaseException | None,
-        delay: float,
-    ) -> None:
+    def _reply_landed(self, hop: tuple) -> None:
+        """The reply lands: ``hop`` is ``(invocation, result, error, delay)``
+        (one tuple, so the wire timer needs no partial)."""
+        invocation, result, error, delay = hop
         span = invocation.span
         if span is not None and span.end is None:
             span.network += delay

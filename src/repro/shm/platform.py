@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..aodb.database import AodbDatabase
+from ..kernel.futures import Future
 from ..storage.archive import ArchiveLog
 from .aggregator import Aggregator
 from .channel import (
@@ -232,51 +233,52 @@ class ShmPlatform:
 
     # -- request entry points (the benchmark's three request types) -------------
 
-    async def ingest(
+    # The four request entry points return the ask's reply future itself
+    # (await it): a coroutine around it would only add a frame per request.
+
+    def ingest(
         self,
         sensor_id: str,
         batches: dict[str, list[tuple[float, float]]],
         trace=None,
-    ) -> int:
+    ) -> Future[int]:
         """Data-insertion request: one sensor's batch for each channel.
 
         ``trace`` optionally parents the dispatch under an existing span
         (the ingest gateway passes its per-envelope span here).
         """
-        return await self.runtime.ref("Sensor", sensor_id, trace=trace).ingest(
-            batches
-        )
+        return self.runtime.ref("Sensor", sensor_id, trace=trace).ingest(batches)
 
-    async def live_data(
+    def live_data(
         self, org_id: str, user_id: str | None = None, trace=None
-    ) -> dict:
+    ) -> Future[dict]:
         """Live-data request: latest value of every channel of a tenant."""
-        return await self.runtime.ref("Organization", org_id, trace=trace).live_data(
+        return self.runtime.ref("Organization", org_id, trace=trace).live_data(
             user_id=user_id
         )
 
-    async def raw_range(
+    def raw_range(
         self,
         channel_id: str,
         start: float,
         end: float,
         virtual: bool = False,
         trace=None,
-    ) -> list[tuple[float, float]]:
+    ) -> Future[list[tuple[float, float]]]:
         """Raw-data request: a time range from one sensor channel actor."""
         type_name = "VirtualSensorChannel" if virtual else "PhysicalSensorChannel"
-        return await self.runtime.ref(type_name, channel_id, trace=trace).query_range(
+        return self.runtime.ref(type_name, channel_id, trace=trace).query_range(
             start, end
         )
 
     # -- additional online services ------------------------------------------------
 
-    async def aggregates(
+    def aggregates(
         self, channel_id: str, level: str, start: float, end: float
-    ) -> list[tuple[int, dict]]:
+    ) -> Future[list[tuple[int, dict]]]:
         """Statistical aggregate series for plots (functional requirement 6)."""
         aggregator_id = aggregator_id_for(channel_id, level)
-        return await self.runtime.ref("Aggregator", aggregator_id).series(start, end)
+        return self.runtime.ref("Aggregator", aggregator_id).series(start, end)
 
     async def range_aggregate(
         self, channel_id: str, start: float, end: float, virtual: bool = False

@@ -53,6 +53,50 @@ def test_a_clean_win_over_a_noisy_parent_is_ok(verdict):
     assert verdict(NOISY, [value + 80.0 for value in NOISY], 0.2, "higher") == "ok"
 
 
+def test_a_gain_wins_nine_tenths_by_more_than_the_parent_spread(ab_pairs):
+    gained = ab_pairs.gained
+    # 5 % faster in every pair; the parent's quartile distance is ~0.5 %.
+    assert gained(TIGHT, [value * 0.95 for value in TIGHT], "lower")
+    assert gained(TIGHT, [value * 1.05 for value in TIGHT], "higher")
+    assert not gained(TIGHT, [value * 1.05 for value in TIGHT], "lower")
+    # 9 of 10 pairs won is enough; 8 is not, and a tie wins for neither.
+    nine = [value * 0.95 for value in TIGHT[:9]] + [TIGHT[9] * 1.01]
+    assert gained(TIGHT, nine, "lower")
+    tied = [value * 0.95 for value in TIGHT[:9]] + [TIGHT[9]]
+    assert gained(TIGHT, tied, "lower")
+    eight = [value * 0.95 for value in TIGHT[:8]] + TIGHT[8:]
+    assert not gained(TIGHT, eight, "lower")
+    # Every pair won, but by less than the noisy parent's quartile distance.
+    assert not gained(NOISY, [value - 10.0 for value in NOISY], "lower")
+    assert gained(NOISY, [value - 80.0 for value in NOISY], "lower")
+
+
+def test_the_table_reports_a_gain_beside_the_regression_verdicts(
+    ab_pairs, monkeypatch, capsys
+):
+    host = {"parent": iter(TIGHT), "change": iter(v * 0.9 for v in TIGHT)}
+    rss = {"parent": iter(TIGHT), "change": iter(v * 1.1 for v in TIGHT)}
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        side = checkout.name
+        values = dict(ops_per_sim_s=1.0, ack_p50_ms=2.0, ack_p99_ms=3.0)
+        values["host_us_per_op"] = next(host[side])
+        values["host_peak_rss_mb"] = next(rss[side])
+        return values, "abc123"
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    declared = {"run_seconds": 1.0, "end_to_end": [
+        {"name": "host_us_per_op", "better": "lower", "bound": 0.2},
+        {"name": "host_peak_rss_mb", "better": "lower", "bound": 0.2},
+    ]}
+    sides = {"parent": Path("parent"), "change": Path("change")}
+    ab_pairs.compare(sides, declared, "w", 1, len(TIGHT))
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    # A clean win is GAIN; 10 % worse within a 20 % bound stays "ok".
+    assert rows["host_us_per_op"].endswith("GAIN (20%)")
+    assert rows["host_peak_rss_mb"].endswith("ok (20%)")
+
+
 def test_moved_counters_names_only_exact_metrics_that_differ(ab_pairs):
     parent = {
         "storage.wcu_per_op": 5.37,

@@ -6,6 +6,7 @@ edge cases around cancellation, timer ties and heap compaction.
 """
 
 import gc
+import inspect
 import warnings
 
 import pytest
@@ -196,6 +197,32 @@ def test_gather_raises_lowest_index_error_not_first_to_fail():
 
     with pytest.raises(ValueError, match="lowest-index"):
         sched.run_until_complete(main())
+
+
+def test_gather_on_a_stopped_scheduler_closes_its_coroutines():
+    """The spawn that raises closes its coroutine and every coroutine input
+    after it, so none is left to warn "never awaited" when collected."""
+    sched = Scheduler()
+
+    async def child() -> None:  # pragma: no cover - must not start
+        raise AssertionError("stopped scheduler ran a gathered coroutine")
+
+    first, second = child(), child()
+    pending: Future[None] = Future()
+    sched.stop()
+
+    async def main() -> None:
+        await sched.gather([first, pending, second])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        driver = main()
+        with pytest.raises(SchedulerStoppedError):
+            driver.send(None)
+        states = [inspect.getcoroutinestate(coro) for coro in (first, second)]
+        assert states == [inspect.CORO_CLOSED, inspect.CORO_CLOSED]
+        del driver, first, second
+        gc.collect()
 
 
 # -- S4: dispatch edge cases ---------------------------------------------------

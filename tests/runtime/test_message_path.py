@@ -19,6 +19,7 @@ from repro.kernel import Scheduler, Task
 from repro.net import ConstantLatency, Network, NetworkFaultInjector
 from repro.obs.trace import Tracer
 from repro.runtime import Actor, ActorKey, AodbRuntime, RuntimeConfig
+from repro.runtime.activation import _Turn
 
 COST = 0.001
 
@@ -119,9 +120,10 @@ class Relay(Actor):
         return await self.context.actor("Echo", "e").echo(value)
 
 
-def callee_tasks(monkeypatch, target, method):
+def callee_tasks(monkeypatch, target, method, turn_resumes=None):
     """Task steps outside the caller's own task, and the tasks spawned and
-    adopted, during one warm ask of ``method`` on actor ``target``."""
+    adopted, during one warm ask of ``method`` on actor ``target``; the
+    resumes of suspended turns go to ``turn_resumes`` if given."""
     sched = Scheduler()
     runtime = build_runtime(sched, 0.0005, cost=COST)
     runtime.register_actors([Echo, Relay])
@@ -131,6 +133,15 @@ def callee_tasks(monkeypatch, target, method):
     monkeypatch.setattr(
         Task, "_step", lambda task: steps.append(task.name) or step(task)
     )
+    if turn_resumes is not None:
+        turn_step = _Turn.step
+
+        def counted_step(turn):
+            if turn.coro is not None:  # not the start after the CPU charge
+                turn_resumes.append(turn.invocation.method)
+            turn_step(turn)
+
+        monkeypatch.setattr(_Turn, "step", counted_step)
     spawn = sched.spawn
     monkeypatch.setattr(
         sched, "spawn", lambda coro, name="": spawned.append(name) or spawn(coro, name)
@@ -149,6 +160,8 @@ def callee_tasks(monkeypatch, target, method):
     sched.run_until_complete(ask())  # warm: the activations exist
     for log in (steps, spawned, adopted):
         log.clear()
+    if turn_resumes is not None:
+        turn_resumes.clear()
     sched.run_until_complete(ask())
     callee_steps = [name for name in steps if name != "main"]
     return callee_steps, [name for name in spawned if name != "main"], adopted
@@ -161,11 +174,13 @@ def test_synchronous_turn_resumes_no_coroutine(monkeypatch):
     assert callee_tasks(monkeypatch, "Echo/e", "echo") == ([], [], [])
 
 
-def test_suspending_turn_adopts_exactly_one_task(monkeypatch):
-    # forward() suspends on its sub-ask: the kernel adopts the rest of the
-    # turn once, and that task's one resume finishes it.
-    steps, spawned, adopted = callee_tasks(monkeypatch, "Relay/r", "forward")
-    assert (len(steps), spawned, adopted) == (1, [], ["finish"])
+def test_suspending_turn_adopts_no_task_and_resumes_once(monkeypatch):
+    # forward() suspends on its sub-ask: the turn parks on the reply future
+    # itself, and its one resume (where an adopted task's step used to be)
+    # finishes it.  No task is adopted, spawned or stepped.
+    resumes = []
+    assert callee_tasks(monkeypatch, "Relay/r", "forward", resumes) == ([], [], [])
+    assert resumes == ["forward"]
 
 
 # -- semantics the rewrite keeps --------------------------------------------------
