@@ -233,7 +233,7 @@ class ShmPlatform:
 
     # -- request entry points (the benchmark's three request types) -------------
 
-    # The four request entry points return the ask's reply future itself
+    # These three and ``aggregates`` return the ask's reply future itself
     # (await it): a coroutine around it would only add a frame per request.
 
     def ingest(
