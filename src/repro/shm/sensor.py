@@ -100,9 +100,10 @@ class Sensor(Actor):
             fresh_batches: dict[str, list[tuple[float, float]]] = {}
             for channel_id, points in batches.items():
                 mark = watermarks.get(channel_id)
-                fresh = [
-                    p for p in points if mark is None or p[0] > mark
-                ]
+                fresh = []
+                for point in points:
+                    if mark is None or point[0] > mark:
+                        fresh.append(point)
                 if fresh:
                     watermarks[channel_id] = max(p[0] for p in fresh)
                     fresh_batches[channel_id] = fresh
@@ -110,12 +111,12 @@ class Sensor(Actor):
             batches = fresh_batches
             if not batches:
                 return 0
-        futures = [
-            self.context.actor("PhysicalSensorChannel", channel_id).ask(
-                "ingest", points
-            )
-            for channel_id, points in batches.items()
-        ]
+        # Plain loops, not comprehensions: on Python 3.11 a comprehension
+        # that closes over a local holds a cell for as long as the request.
+        futures = []
+        for channel_id, points in batches.items():
+            channel = self.context.actor("PhysicalSensorChannel", channel_id)
+            futures.append(channel.ask("ingest", points))
         # Incremental view maintenance rides the same ack: fold the fresh
         # points into this sensor's running stats (the pull fallback reads
         # them via view_sample) and, when standing queries are registered

@@ -48,6 +48,14 @@ collector stops tracking, so the archive keeps documents, not blocks.
 head + blocks.  Blocks are plain ``bytes`` + floats, so they ride the
 ordinary actor-state path — group-commit flushes, fencing, the redo
 journal and live migration all hold with no special cases.
+
+Decoded blocks are shared, not kept per series: each runtime's
+:class:`BlockStats` holds one LRU cache of decodes, keyed by block content
+and bounded by :data:`DECODE_CACHE_BYTES`, with each block as two
+``array('d')`` columns (16 B per point; as ``(t, v)`` tuples a 256-point
+block took ~28.7 KB).  Reads bisect the timestamp column and build tuples
+only for the points they return.  A series without stats decodes on every
+read.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ import bisect
 import math
 import struct
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import attrgetter, itemgetter, sub
@@ -402,11 +411,22 @@ class SealedBlock:
         )
 
     def decode(self) -> list[tuple[float, float]]:
-        """Decompress back to the exact ``(timestamp, value)`` pairs."""
+        """Decompress back to the exact ``(timestamp, value)`` pairs.
+
+        The one decode entry point: :meth:`columns` decodes through it.
+        """
         count = self.count
         timestamps = decode_floats(self.ts_bytes, count)
         values = decode_values(self.val_bytes, count)
         return list(zip(timestamps, values))
+
+    def columns(self) -> tuple[array, array]:
+        """The decoded points as two ``array('d')`` columns: timestamps, values.
+
+        16 bytes per point, against ~112 as ``(t, v)`` tuples of floats.
+        """
+        timestamps, values = zip(*self.decode())
+        return array("d", timestamps), array("d", values)
 
     def as_document(self) -> tuple:
         """A flat, picklable tuple of the fields, for state documents."""
@@ -441,18 +461,25 @@ RAW_POINT_BYTES = (
 )
 
 
+#: Decoded bytes one runtime's decode cache may hold: two float64 columns,
+#: 16 B per point, so 1,024 blocks of 256 points.
+DECODE_CACHE_BYTES = 4 << 20
+
+
 class BlockStats:
     """Cluster-wide tsblocks counters, exported as ``storage.*`` probes.
 
     One instance per runtime (``runtime.tsblock_stats``); every
     :class:`TieredSeries` the runtime's actors create feeds it, so the
     probes aggregate across all sensors like the other storage metrics.
+    It also holds the runtime's one decode cache (:meth:`columns`).
     """
 
     __slots__ = (
         "blocks_sealed", "blocks_evicted", "blocks_decoded",
         "blocks_skipped", "blocks_considered", "summary_answers",
         "block_bytes", "sealed_points", "head_points",
+        "decode_cache_bytes", "_decoded",
     )
 
     def __init__(self) -> None:
@@ -465,6 +492,36 @@ class BlockStats:
         self.block_bytes = 0
         self.sealed_points = 0
         self.head_points = 0
+        self.decode_cache_bytes = 0  # resident decoded bytes, 16 per point
+        # (ts_bytes, val_bytes, count) -> columns, least recently used first.
+        self._decoded: dict[tuple, tuple[array, array]] = {}
+
+    def columns(self, block: SealedBlock) -> tuple[array, array]:
+        """``block.columns()`` through the cache: read them, never mutate.
+
+        Decoding is a pure function of the key, the block's content, so no
+        entry goes stale when a block is evicted, migrated or re-opened, and
+        series holding equal blocks share one entry.  A hit moves its entry
+        to the newest end; a miss (counted in ``blocks_decoded``) drops the
+        least recently used entries until the new one fits the
+        :data:`DECODE_CACHE_BYTES` budget.
+        """
+        key = (block.ts_bytes, block.val_bytes, block.count)
+        cache = self._decoded
+        columns = cache.pop(key, None)
+        if columns is None:
+            columns = block.columns()
+            self.blocks_decoded += 1
+            size = 16 * block.count
+            if size > DECODE_CACHE_BYTES:
+                return columns
+            self.decode_cache_bytes += size
+            while self.decode_cache_bytes > DECODE_CACHE_BYTES:
+                oldest = next(iter(cache))
+                del cache[oldest]
+                self.decode_cache_bytes -= 16 * oldest[2]
+        cache[key] = columns
+        return columns
 
     @property
     def head_bytes(self) -> int:
@@ -504,6 +561,9 @@ class BlockStats:
         )
         registry.register_probe(
             "storage.summary_answers", lambda: self.summary_answers
+        )
+        registry.register_probe(
+            "storage.decode_cache_bytes", lambda: self.decode_cache_bytes
         )
 
 
@@ -626,7 +686,7 @@ class TieredSeries:
 
     __slots__ = (
         "capacity", "block_size", "stats", "_blocks", "_head", "_sealed_points",
-        "total_appended", "_cache_block", "_cache_pairs", "_document",
+        "total_appended", "_document",
     )
 
     #: Shared empty-eviction result; treat as read-only.
@@ -650,10 +710,6 @@ class TieredSeries:
         self._head: list[tuple[float, float]] | tuple = ()
         self._sealed_points = 0  # running sum of block.count over _blocks
         self.total_appended = 0
-        # Single-slot decode cache: recent-range queries that cross into
-        # the newest sealed block decode it once, not per query.
-        self._cache_block: SealedBlock | None = None
-        self._cache_pairs: list[tuple[float, float]] | None = None
         # This version's state document: built by the first ``to_document``
         # after a write, dropped by the next write.
         self._document: dict | None = None
@@ -736,9 +792,6 @@ class TieredSeries:
             block = blocks.pop(0)
             self._sealed_points -= block.count
             evicted.append(block)
-            if block is self._cache_block:
-                # Gone for good: the slot would only pin its decoded pairs.
-                self._cache_block = self._cache_pairs = None
             if stats is not None:
                 stats.blocks_evicted += 1
                 stats.block_bytes -= block.nbytes
@@ -752,16 +805,19 @@ class TieredSeries:
                     stats.head_points -= take
         return evicted
 
-    def _decode(self, block: SealedBlock) -> list[tuple[float, float]]:
-        """The block's pairs, shared with the cache slot: read, never mutate."""
-        if block is self._cache_block:
-            return self._cache_pairs
-        pairs = block.decode()
-        if self.stats is not None:
-            self.stats.blocks_decoded += 1
-        self._cache_block = block
-        self._cache_pairs = pairs
-        return pairs
+    def _columns(self, block: SealedBlock) -> tuple[array, array]:
+        """The block's columns: cached by the runtime's stats, if any."""
+        stats = self.stats
+        return block.columns() if stats is None else stats.columns(block)
+
+    def _cut_block(
+        self, block: SealedBlock, start: float, end: float
+    ) -> Iterable[tuple[float, float]]:
+        """The block's pairs with start <= timestamp < end, built for the cut."""
+        timestamps, values = self._columns(block)
+        lo = bisect.bisect_left(timestamps, start)
+        hi = bisect.bisect_left(timestamps, end, lo)
+        return zip(timestamps[lo:hi], values[lo:hi])
 
     # -- reads -----------------------------------------------------------------
 
@@ -770,7 +826,8 @@ class TieredSeries:
         if self._head:
             return self._head[-1]
         if self._blocks:
-            return self._decode(self._blocks[-1])[-1]
+            timestamps, values = self._columns(self._blocks[-1])
+            return (timestamps[-1], values[-1])
         return None
 
     def range(self, start: float, end: float) -> list[tuple[float, float]]:
@@ -784,7 +841,7 @@ class TieredSeries:
         out = []
         lo, hi = overlapping(self._blocks, start, end, self.stats)
         for block in self._blocks[lo:hi]:
-            out.extend(_cut(self._decode(block), start, end))
+            out.extend(self._cut_block(block, start, end))
         out.extend(_cut(self._head, start, end))
         return out
 
@@ -799,17 +856,17 @@ class TieredSeries:
         for block in reversed(self._blocks):
             if need <= 0:
                 break
-            pairs = self._decode(block)
-            take = pairs[-need:] if need < len(pairs) else pairs
-            out = take + out
-            need -= len(take)
+            timestamps, values = self._columns(block)
+            take = min(need, len(timestamps))
+            out[:0] = zip(timestamps[-take:], values[-take:])
+            need -= take
         return out
 
     def all_pairs(self) -> list[tuple[float, float]]:
         """Every retained pair, oldest first (decodes every block)."""
         out = []
         for block in self._blocks:
-            out.extend(self._decode(block))
+            out.extend(zip(*self._columns(block)))
         out.extend(self._head)
         return out
 
@@ -833,7 +890,7 @@ class TieredSeries:
                     if stats is not None:
                         stats.summary_answers += 1
                 else:
-                    edges.extend(_cut(self._decode(block), start, end))
+                    edges.extend(self._cut_block(block, start, end))
             edges.extend(_cut(self._head, start, end))
         if edges:
             folds.append(summarize(edges))

@@ -14,12 +14,14 @@ Example counts come from the hypothesis profile (``tests/conftest.py``):
 
 import math
 import struct
+from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.storage import (
     ArchiveLog,
+    BlockStats,
     SealedBlock,
     TieredSeries,
     decode_floats,
@@ -28,6 +30,7 @@ from repro.storage import (
     encode_uints,
     summarize,
 )
+from repro.storage import tsblocks
 from repro.storage.tsblocks import decode_values, encode_values, merge_folds
 
 any_floats = st.floats(allow_nan=True, allow_infinity=True)
@@ -282,3 +285,146 @@ def test_archive_read_range_equals_brute_force_over_the_export(pairs, data):
         start, end = bounds_around(data, pairs)
         expected = [r for r in records if start <= r.timestamp < end]
         assert log.read_range("s", start, end) == expected
+
+
+# -- the runtime's decode cache ------------------------------------------------
+
+# Small-integer values beside NaN, ±inf and -0.0: every block sum is exact in
+# any order, a block holding NaN or both infinities sums to NaN, and -0.0 only
+# survives a round trip that never leaves bit space.
+cache_values = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(float),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+)
+cache_streams = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.5, 1.0]), cache_values),
+    min_size=12,
+    max_size=60,
+).map(
+    lambda steps: list(
+        zip(monotone_timestamps(10.0, [gap for gap, _ in steps]),
+            [value for _, value in steps])
+    )
+)
+
+
+def pair_bits(pairs):
+    return [struct.pack(">dd", *pair) for pair in pairs]
+
+
+def fold_bits(result):
+    return [
+        None if value is None else struct.pack(">d", value)
+        for value in (result[key] for key in sorted(result))
+    ]
+
+
+def resident_bytes(stats):
+    return sum(16 * count for _ts, _values, count in stats._decoded)
+
+
+@given(
+    streams=st.lists(cache_streams, min_size=2, max_size=2),
+    capacity=st.integers(min_value=1, max_value=16),
+    bound=st.sampled_from([64, 192, tsblocks.DECODE_CACHE_BYTES]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["append", "append", "append", "reopen", "range", "range",
+                 "aggregate", "tail", "latest", "all"]
+            ),
+            st.integers(min_value=0, max_value=2),  # which series
+            st.integers(min_value=0, max_value=59),  # batch size / bound index
+            st.integers(min_value=0, max_value=59),  # the other bound index
+        ),
+        min_size=8,
+        max_size=60,
+    ),
+)
+def test_shared_decode_cache_reads_equal_the_plain_decode(
+    streams, capacity, bound, ops
+):
+    # Series 0 and 2 are fed the same stream, so their blocks (sealed at the
+    # same offsets whatever the batches) have equal content and share
+    # entries; series 1 has its own.  A twin without stats decodes on every
+    # read: the cache may change what is decoded, never what a read returns.
+    stats = BlockStats()
+    cached = [TieredSeries(capacity, 4, stats=stats) for _ in range(3)]
+    twins = [TieredSeries(capacity, 4) for _ in range(3)]
+    fed = [0, 0, 0]
+    with mock.patch.object(tsblocks, "DECODE_CACHE_BYTES", bound):
+        for op, index, a, b in ops:
+            stream = streams[index % 2]
+            series, twin = cached[index], twins[index]
+            if op == "append":
+                batch = stream[fed[index]:fed[index] + 1 + a % 9]
+                fed[index] += len(batch)
+                series.append_many(batch)
+                twin.append_many(batch)
+            elif op == "reopen":  # as a deactivated or migrated actor does
+                series.detach_stats()
+                cached[index] = TieredSeries.from_document(
+                    series.to_document(), stats
+                )
+                series = cached[index]
+            # The plain decoded model: every retained block through
+            # ``SealedBlock.decode``, then the head.
+            model = [pair for block in series._blocks for pair in block.decode()]
+            model += series._head
+            assert pair_bits(model) == pair_bits(stream[fed[index] - len(model):
+                                                        fed[index]])
+            start = stream[a % len(stream)][0] - 0.25 * (b % 3)
+            end = stream[b % len(stream)][0] + 0.25 * (a % 3)
+            if op == "range":
+                expected = [p for p in model if start <= p[0] < end]
+                assert pair_bits(series.range(start, end)) == pair_bits(expected)
+            elif op == "aggregate":
+                assert fold_bits(series.aggregate(start, end)) == fold_bits(
+                    twin.aggregate(start, end)
+                )
+            elif op == "tail":
+                count = a % 13
+                assert pair_bits(series.tail(count)) == pair_bits(
+                    model[max(0, len(model) - count):] if count else []
+                )
+            elif op == "latest":
+                latest = series.latest()
+                assert (latest is None) == (not model)
+                if model:
+                    assert pair_bits([latest]) == pair_bits(model[-1:])
+            elif op == "all":
+                assert pair_bits(series.all_pairs()) == pair_bits(model)
+            assert stats.decode_cache_bytes == resident_bytes(stats) <= bound
+
+
+@given(
+    blocks=st.integers(min_value=3, max_value=12),
+    data=st.data(),
+)
+def test_decode_cache_is_a_byte_bounded_lru(blocks, data):
+    # Timestamps step by one, so a read of one block's span touches no other.
+    held = data.draw(st.integers(min_value=1, max_value=blocks - 1))
+    order = data.draw(st.permutations(range(blocks)))
+    order += data.draw(st.lists(st.integers(0, blocks - 1), max_size=40))
+    stats = BlockStats()
+    series = TieredSeries(capacity=1000, block_size=4, stats=stats)
+    series.append_many([(float(i), float(i % 3)) for i in range(4 * blocks)])
+    keys = [
+        (block.ts_bytes, block.val_bytes, block.count) for block in series._blocks
+    ]
+    lru: list = []  # the reference: least recently used first
+    misses = 0
+    with mock.patch.object(tsblocks, "DECODE_CACHE_BYTES", held * 4 * 16):
+        for index in order:
+            block = series._blocks[index]
+            got = series.range(block.t_first, block.t_last + 0.5)
+            assert got == block.decode()
+            if keys[index] in lru:
+                lru.remove(keys[index])
+            else:
+                misses += 1
+            lru = (lru + [keys[index]])[-held:]
+            assert list(stats._decoded) == lru
+            assert stats.blocks_decoded == misses
+            assert stats.decode_cache_bytes == len(lru) * 4 * 16 <= held * 4 * 16
+    assert misses >= blocks > held  # more distinct blocks than the bound holds

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.storage import tsblocks
 from repro.storage.tsblocks import (
     BlockStats,
     SealedBlock,
@@ -234,15 +235,21 @@ def feed_in_sevens(series, pairs):
     return runs
 
 
-def test_capacity_evicts_whole_blocks(monkeypatch):
-    stats = BlockStats()
-    series = TieredSeries(capacity=50, block_size=16, stats=stats)
-    pairs = walk(173)
+def count_decodes(monkeypatch):
+    """Record every block that enters ``SealedBlock.decode``, the one decode."""
     decoded = []
     decode = SealedBlock.decode
     monkeypatch.setattr(
         SealedBlock, "decode", lambda block: decoded.append(block) or decode(block)
     )
+    return decoded
+
+
+def test_capacity_evicts_whole_blocks(monkeypatch):
+    stats = BlockStats()
+    series = TieredSeries(capacity=50, block_size=16, stats=stats)
+    pairs = walk(173)
+    decoded = count_decodes(monkeypatch)
     runs = feed_in_sevens(series, pairs)
     assert decoded == []  # appends, seals and evictions decode nothing
     monkeypatch.undo()
@@ -327,8 +334,8 @@ def test_range_cuts_on_block_edges_and_duplicate_timestamps():
 
 def test_reads_do_not_hand_out_the_cached_decode():
     # The decode cache is read in place (no defensive copy), so nothing a
-    # caller may mutate can be the cached list itself.
-    series = TieredSeries(capacity=1000, block_size=8)
+    # caller may mutate can be a cached column itself.
+    series = TieredSeries(capacity=1000, block_size=8, stats=BlockStats())
     pairs = walk(20)
     series.append_many(pairs)
     for read in (
@@ -342,23 +349,31 @@ def test_reads_do_not_hand_out_the_cached_decode():
     assert series.all_pairs() == pairs
 
 
-def test_evicted_block_leaves_the_decode_cache():
+def test_eviction_decodes_nothing_and_the_cache_stays_in_budget(monkeypatch):
+    bound = 2 * 8 * 16  # two decoded 8-point blocks
+    monkeypatch.setattr(tsblocks, "DECODE_CACHE_BYTES", bound)
+    decoded = count_decodes(monkeypatch)
     stats = BlockStats()
     series = TieredSeries(capacity=20, block_size=8, stats=stats)
     series.append_many(walk(20))  # blocks [0:8) [8:16), head [16:20)
-    series.range(1000.0, 1004.0)  # decode + cache the oldest block
-    cached = series._cache_block
-    assert cached is series._blocks[0]
-    # 3 more points leave 15 behind the oldest block: it stays.
-    assert series.append_many(walk(3, t0=2000.0)) == []
-    assert series._cache_block is cached
-    # A seal leaves 20 behind it: it goes whole, and the slot, which could
-    # never hit again, lets go of its decoded pairs.
-    assert series.append_many(walk(5, t0=3000.0)) == [cached]
-    assert series._cache_block is None and series._cache_pairs is None
-    assert stats.blocks_decoded == 1  # the read's; eviction decodes nothing
-    everything = walk(20) + walk(3, t0=2000.0) + walk(5, t0=3000.0)
+    oldest = series._blocks[0]
+    series.range(1000.0, 1004.0)  # decodes the oldest block
+    assert decoded == [oldest] and stats.decode_cache_bytes == 8 * 16
+    # A seal leaves 20 points behind the oldest block: it goes whole, and
+    # neither the seal nor the eviction decodes.
+    assert series.append_many(walk(8, t0=2000.0)) == [oldest]
+    assert decoded == [oldest] and stats.blocks_decoded == 1
+    # Reading both retained blocks overflows the budget: the least recently
+    # used entry, the evicted block's, makes room.
+    everything = walk(20) + walk(8, t0=2000.0)
     assert series.all_pairs() == everything[-20:]
+    assert decoded == [oldest, *series._blocks] and stats.blocks_decoded == 3
+    assert stats.decode_cache_bytes == bound
+    assert list(stats._decoded) == [
+        (block.ts_bytes, block.val_bytes, block.count) for block in series._blocks
+    ]
+    assert series.all_pairs() == everything[-20:]
+    assert stats.blocks_decoded == 3  # hits decode nothing
 
 
 def test_tail_and_latest():

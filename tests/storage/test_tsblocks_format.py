@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.storage import ArchiveLog, SealedBlock, TieredSeries
+from repro.storage import ArchiveLog, BlockStats, SealedBlock, TieredSeries
 from repro.storage.tsblocks import (
     decode_floats,
     decode_uints,
@@ -189,11 +189,18 @@ def codec_calls(monkeypatch):
 def test_series_reads_and_seals_go_through_the_sealed_block_entry_points(
     codec_calls,
 ):
+    pairs = [(float(i), i * 0.5) for i in range(40)]
     series = TieredSeries(capacity=1000, block_size=16)
-    series.append_many([(float(i), i * 0.5) for i in range(40)])
+    series.append_many(pairs)
     assert codec_calls == {"decode": 0, "seal": 2}  # head overflowed twice
     assert len(series.range(3.0, 9.0)) == 6  # cold: cuts into block 0
     assert codec_calls["decode"] == 1
+    # With a runtime's BlockStats the same read decodes once, then hits.
+    cached = TieredSeries(capacity=1000, block_size=16, stats=BlockStats())
+    cached.append_many(pairs)
+    for decodes in (2, 2):
+        assert len(cached.range(3.0, 9.0)) == 6
+        assert codec_calls["decode"] == decodes
 
 
 def test_archive_reads_and_seals_go_through_the_sealed_block_entry_points(
