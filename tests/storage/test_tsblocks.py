@@ -376,6 +376,16 @@ def test_eviction_decodes_nothing_and_the_cache_stays_in_budget(monkeypatch):
     assert stats.blocks_decoded == 3  # hits decode nothing
 
 
+def test_a_block_over_the_budget_is_decoded_but_not_cached(monkeypatch):
+    monkeypatch.setattr(tsblocks, "DECODE_CACHE_BYTES", 8 * 16 - 1)
+    stats = BlockStats()
+    series = TieredSeries(capacity=100, block_size=8, stats=stats)
+    series.append_many(walk(10))  # one 8-point block, 128 decoded bytes
+    for decodes in (1, 2):
+        assert series.range(1000.0, 1004.0) == walk(4)
+        assert stats.blocks_decoded == decodes and stats.decode_cache_bytes == 0
+
+
 def test_tail_and_latest():
     series = TieredSeries(capacity=10_000, block_size=16)
     pairs = walk(100)
