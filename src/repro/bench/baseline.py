@@ -383,7 +383,7 @@ def gate_points(fresh: dict, base_payload: dict) -> list[str]:
     Gates every point of every series the two payloads share (the fast
     path must not regress, and the seed series doubles as a
     calibration-drift alarm).  A bench whose numbers are not virtual-time
-    throughput registers its own gate instead (``speed``, ``tsblocks``).
+    throughput registers its own gate instead (``tsblocks``).
     """
     failures: list[str] = []
     fresh_series = fresh["series"]

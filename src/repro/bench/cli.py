@@ -2,7 +2,7 @@
 
 Every bench is one :class:`Bench` entry in :data:`BENCHES`: how to run it
 (full or ``--smoke``), the invariants its result must keep and, for the
-eight with a committed ``BENCH_<name>.json``, how a fresh payload is gated
+seven with a committed ``BENCH_<name>.json``, how a fresh payload is gated
 against it.  ``python -m repro.bench --help`` lists them all::
 
     python -m repro.bench fig6            # one bench, full scale
@@ -14,7 +14,7 @@ against it.  ``python -m repro.bench --help`` lists them all::
 Every run, full or smoke, ends with its ``check``: each violated invariant
 is printed and the exit status is 1.
 
-Perf baselines (fig6 fig7 micro elastic partition speed views tsblocks)::
+Perf baselines (fig6 fig7 micro elastic partition views tsblocks)::
 
     python -m repro.bench fig6 --write-baseline BENCH_fig6.json
                                           # run full + smoke sweeps, commit
@@ -136,11 +136,6 @@ BENCHES: dict[str, Bench] = {
         _late("partition", "build_partition"),
         _late("partition", "check_partition"),
         gate_points,
-    ),
-    "speed": Bench(
-        _late("speed", "build_speed"),
-        _late("speed", "check_speed"),
-        _late("speed", "gate_speed"),
     ),
     "views": Bench(
         _late("views", "build_views"), _late("views", "check_views"), gate_points

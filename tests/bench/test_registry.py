@@ -78,7 +78,7 @@ def test_gated_benches_are_the_committed_baselines():
 
 
 @pytest.mark.parametrize("mode", ["full", "smoke"])
-@pytest.mark.parametrize("name", ["fig6", "fig7", "micro", "speed", "tsblocks"])
+@pytest.mark.parametrize("name", ["fig6", "fig7", "micro", "tsblocks"])
 def test_committed_payloads_pass_their_checks(name, mode):
     assert violations(name, GatedRun(committed(name, mode))) == []
 
@@ -108,12 +108,6 @@ def test_fast_series_does_not_have_the_papers_shape(name, mode, offender):
 def doctored_micro():
     payload = committed("micro")
     payload["series"]["fast"]["avg_cohort"] = 1.0  # batching never engaged
-    return GatedRun(payload)
-
-
-def doctored_speed():
-    payload = committed("speed")
-    payload["series"]["ask"]["events"] = 0
     return GatedRun(payload)
 
 
@@ -298,7 +292,6 @@ DOCTORED = {
     "micro": doctored_micro,
     "elastic": lambda: GatedRun({}, [elastic_day(lost=1)]),
     "partition": lambda: GatedRun({}, [partition_audit(stored_points=23)]),
-    "speed": doctored_speed,
     "views": doctored_views,
     "tsblocks": doctored_tsblocks,
     "trace": unfinished_trace,
