@@ -6,11 +6,11 @@ synchronization primitives, contended-resource models (CPUs, token buckets)
 and seeded random streams.  No wall-clock time and no :mod:`asyncio`.
 """
 
-from .futures import Future, all_of, any_of, completed, failed
+from .futures import Future, completed, failed
 from .resources import CpuResource, TokenBucket
 from .rng import RngRegistry, derive_seed
 from .scheduler import Scheduler, Task, TimerHandle, run
-from .sync import Event, Lock, Queue, Semaphore
+from .sync import Event, Lock, Queue
 
 __all__ = [
     "CpuResource",
@@ -20,12 +20,9 @@ __all__ = [
     "Queue",
     "RngRegistry",
     "Scheduler",
-    "Semaphore",
     "Task",
     "TimerHandle",
     "TokenBucket",
-    "all_of",
-    "any_of",
     "completed",
     "derive_seed",
     "failed",

@@ -14,7 +14,7 @@ overflow list is only allocated for the second callback onwards.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Generic, Iterable, TypeVar
+from typing import Any, Callable, Generator, Generic, TypeVar
 
 from ..errors import CancelledError, InvalidStateError
 
@@ -120,22 +120,7 @@ class Future(Generic[T]):
         """Cancel the future; returns False if it was already done."""
         if self._state is not _PENDING:
             return False
-        self._transition(_CANCELLED)
-        return True
-
-    def _transition(
-        self,
-        state: str,
-        value: T | None = None,
-        exception: BaseException | None = None,
-    ) -> None:
-        if self._state is not _PENDING:
-            raise InvalidStateError(
-                f"future {self.name or id(self)} already {self._state}"
-            )
-        self._state = state
-        self._value = value
-        self._exception = exception
+        self._state = _CANCELLED
         cb0 = self._cb0
         if cb0 is not None:
             self._cb0 = None
@@ -144,6 +129,7 @@ class Future(Generic[T]):
             callbacks, self._callbacks = self._callbacks, None
             for callback in callbacks:
                 callback(self)
+        return True
 
     # -- callbacks ----------------------------------------------------------
 
@@ -234,59 +220,3 @@ def failed(exc: BaseException, name: str = "") -> Future[Any]:
 #: because a resolved future is immutable: awaiting it returns immediately,
 #: ``add_done_callback`` invokes synchronously, and ``cancel()`` is a no-op.
 RESOLVED_NONE: Future[None] = completed(None, "resolved")
-
-
-def all_of(futures: Iterable[Future[Any]], name: str = "all") -> Future[list]:
-    """Combine futures into one resolving to the list of results.
-
-    The combined future rejects with the first exception observed (in
-    completion order) and resolves only when every input resolved.
-    Cancellation of an input counts as rejection with CancelledError.
-    """
-    futures = list(futures)
-    combined: Future[list] = Future(name)
-    if not futures:
-        combined.set_result([])
-        return combined
-    results: list[Any] = [None] * len(futures)
-    remaining = len(futures)
-
-    def make_callback(index: int) -> Callable[[Future[Any]], None]:
-        def callback(done_future: Future[Any]) -> None:
-            nonlocal remaining
-            if combined.done():
-                return
-            try:
-                results[index] = done_future.result()
-            except BaseException as exc:  # noqa: BLE001 - deliberate funnel
-                combined.set_exception(exc)
-                return
-            remaining -= 1
-            if remaining == 0:
-                combined.set_result(results)
-
-        return callback
-
-    for position, future in enumerate(futures):
-        future.add_done_callback(make_callback(position))
-    return combined
-
-
-def any_of(futures: Iterable[Future[Any]], name: str = "any") -> Future[Any]:
-    """Combine futures into one mirroring the first to complete."""
-    futures = list(futures)
-    if not futures:
-        raise ValueError("any_of() requires at least one future")
-    combined: Future[Any] = Future(name)
-
-    def callback(done_future: Future[Any]) -> None:
-        if combined.done():
-            return
-        try:
-            combined.set_result(done_future.result())
-        except BaseException as exc:  # noqa: BLE001 - deliberate funnel
-            combined.set_exception(exc)
-
-    for future in futures:
-        future.add_done_callback(callback)
-    return combined

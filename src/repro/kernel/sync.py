@@ -1,9 +1,8 @@
 """Synchronization primitives for kernel coroutines.
 
 All primitives are fair (FIFO) and deterministic.  They are deliberately
-minimal: an :class:`Event`, a :class:`Lock`, a counting :class:`Semaphore`,
-and an unbounded :class:`Queue`, which together cover everything the actor
-runtime and case studies need.
+minimal: an :class:`Event`, a :class:`Lock` and an unbounded :class:`Queue`,
+which together cover everything the actor runtime and case studies need.
 """
 
 from __future__ import annotations
@@ -99,47 +98,6 @@ class Lock:
         self._locked = False
 
     async def __aenter__(self) -> "Lock":
-        await self.acquire()
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        self.release()
-
-
-class Semaphore:
-    """A fair counting semaphore."""
-
-    def __init__(self, scheduler: Scheduler, value: int) -> None:
-        if value < 0:
-            raise ValueError("semaphore initial value must be >= 0")
-        self._scheduler = scheduler
-        self._value = value
-        self._waiters: Deque[Future[None]] = deque()
-
-    @property
-    def value(self) -> int:
-        """Current number of free permits."""
-        return self._value
-
-    def acquire(self) -> Future[None]:
-        """Return a future resolving once a permit is granted."""
-        if self._value > 0:
-            self._value -= 1
-            return RESOLVED_NONE
-        waiter: Future[None] = Future("sem:wait")
-        self._waiters.append(waiter)
-        return waiter
-
-    def release(self) -> None:
-        """Return a permit, waking the oldest waiter if any."""
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.done():
-                waiter.set_result(None)
-                return
-        self._value += 1
-
-    async def __aenter__(self) -> "Semaphore":
         await self.acquire()
         return self
 

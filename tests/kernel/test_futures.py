@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CancelledError, InvalidStateError
-from repro.kernel import Future, all_of, any_of, completed, failed
+from repro.kernel import Future, completed, failed
 
 
 def test_future_starts_pending():
@@ -81,62 +81,3 @@ def test_completed_and_failed_helpers():
     assert completed("v").result() == "v"
     with pytest.raises(KeyError):
         failed(KeyError("k")).result()
-
-
-def test_all_of_empty_resolves_immediately():
-    combined = all_of([])
-    assert combined.done()
-    assert combined.result() == []
-
-
-def test_all_of_preserves_order():
-    futures = [Future(str(i)) for i in range(3)]
-    combined = all_of(futures)
-    futures[2].set_result("c")
-    futures[0].set_result("a")
-    assert not combined.done()
-    futures[1].set_result("b")
-    assert combined.result() == ["a", "b", "c"]
-
-
-def test_all_of_rejects_on_first_error():
-    futures = [Future(), Future()]
-    combined = all_of(futures)
-    futures[1].set_exception(RuntimeError("first"))
-    assert combined.done()
-    with pytest.raises(RuntimeError, match="first"):
-        combined.result()
-    # Later resolutions of remaining inputs must not corrupt the result.
-    futures[0].set_result(1)
-    with pytest.raises(RuntimeError, match="first"):
-        combined.result()
-
-
-def test_all_of_treats_cancellation_as_error():
-    futures = [Future(), Future()]
-    combined = all_of(futures)
-    futures[0].cancel()
-    with pytest.raises(CancelledError):
-        combined.result()
-
-
-def test_any_of_mirrors_first_completion():
-    futures = [Future(), Future()]
-    combined = any_of(futures)
-    futures[1].set_result("winner")
-    assert combined.result() == "winner"
-    futures[0].set_result("late")
-    assert combined.result() == "winner"
-
-
-def test_any_of_requires_inputs():
-    with pytest.raises(ValueError):
-        any_of([])
-
-
-def test_any_of_mirrors_first_error():
-    futures = [Future(), Future()]
-    combined = any_of(futures)
-    futures[0].set_exception(ValueError("bad"))
-    with pytest.raises(ValueError, match="bad"):
-        combined.result()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import Event, Lock, Queue, Scheduler, Semaphore
+from repro.kernel import Event, Lock, Queue, Scheduler
 
 
 @pytest.fixture
@@ -80,32 +80,6 @@ def test_lock_mutual_exclusion_and_fifo(sched):
 def test_lock_release_unlocked_raises(sched):
     with pytest.raises(RuntimeError):
         Lock(sched).release()
-
-
-def test_semaphore_limits_concurrency(sched):
-    sem = Semaphore(sched, 2)
-    concurrent = 0
-    peak = 0
-
-    async def worker():
-        nonlocal concurrent, peak
-        async with sem:
-            concurrent += 1
-            peak = max(peak, concurrent)
-            await sched.sleep(1)
-            concurrent -= 1
-
-    async def main():
-        await sched.gather([sched.spawn(worker()) for _ in range(6)])
-
-    sched.run_until_complete(main())
-    assert peak == 2
-    assert sem.value == 2
-
-
-def test_semaphore_negative_value_rejected(sched):
-    with pytest.raises(ValueError):
-        Semaphore(sched, -1)
 
 
 def test_queue_fifo_order(sched):
