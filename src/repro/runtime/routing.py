@@ -51,7 +51,7 @@ class Routing:
         self._actor_keys: dict[tuple[str, str], ActorKey] = {}
         # A hop with wire delay is a timer whose argument is the hop's tuple:
         # these landing methods are bound once here, not once per hop.
-        self._land_request = self._arrive_hop
+        self._land_request = self._arrive
         self._land_reply = self._reply_landed
         # Ingestion fast path: coalesce same-path deliveries into envelopes.
         self._batcher: EnvelopeBatcher | None = None
@@ -440,20 +440,22 @@ class Routing:
         else:
             self._arrive(invocation, activation, 0.0)
 
-    def _arrive_hop(self, hop: tuple) -> None:
-        """The wire timer of one unbatched request: ``hop`` is
-        ``(invocation, activation, delay)``."""
-        self._arrive(*hop)
-
     def _arrive(
         self,
-        invocation: Invocation,
-        activation: Activation,
-        delay: float,
+        invocation: Invocation | tuple,
+        activation: Activation | None = None,
+        delay: float = 0.0,
         cohort: int = 1,
     ) -> None:
         """The message lands after ``delay`` (wire time, plus the batch wait
-        when it rode an envelope of ``cohort``): queue it on the activation."""
+        when it rode an envelope of ``cohort``): queue it on the activation.
+
+        The envelope batcher passes all four; the wire timer of an unbatched
+        hop passes its one argument, the tuple ``(invocation, activation,
+        delay)``.
+        """
+        if activation is None:
+            invocation, activation, delay = invocation
         invocation.batch_cohort = cohort
         span = invocation.span
         if span is not None and span.end is None:
