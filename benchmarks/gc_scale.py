@@ -86,9 +86,8 @@ def measure_point(factor: int, seconds: float, seed: int) -> dict:
         load_s = time.perf_counter() - started
     finally:
         gc.callbacks.remove(clock)
-    # Peak RSS first: counting requests builds a list of every insert.
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    requests = len(result.recorder.records("insert"))
+    requests = result.recorder.count("insert")
     return {
         "factor": factor,
         "seconds": seconds,

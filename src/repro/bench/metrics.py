@@ -12,6 +12,7 @@ parameter; the trimming protocol is the same.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 
@@ -78,23 +79,53 @@ class Summary:
 
 
 class LatencyRecorder:
-    """Collects request records and reduces them the paper's way."""
+    """Collects completed requests and reduces them the paper's way.
+
+    A request is kept as numbers only: per kind, one ``array('d')`` column
+    of send times and one of latencies, in recording order.  A
+    :class:`Record` is built only when :meth:`records` is read, so a long
+    run keeps no object per request.
+    """
 
     def __init__(self) -> None:
-        self._records: list[Record] = []
+        #: kind -> (sent_at column, latency column), kinds in first-seen order.
+        self._columns: dict[str, tuple[array, array]] = {}
 
     def record(self, kind: str, sent_at: float, latency: float) -> None:
         """Store one completed request."""
-        self._records.append(Record(kind, sent_at, latency))
+        columns = self._columns.get(kind)
+        if columns is None:
+            columns = self._columns[kind] = (array("d"), array("d"))
+        columns[0].append(sent_at)
+        columns[1].append(latency)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(len(sent) for sent, _ in self._columns.values())
+
+    def count(self, kind: str) -> int:
+        """How many requests of ``kind`` were recorded."""
+        columns = self._columns.get(kind)
+        return len(columns[0]) if columns is not None else 0
 
     def records(self, kind: str | None = None) -> list[Record]:
-        """All records, optionally filtered by request kind."""
-        if kind is None:
-            return list(self._records)
-        return [r for r in self._records if r.kind == kind]
+        """The requests of ``kind`` as new :class:`Record` objects, in
+        recording order; with no ``kind``, every kind's in turn (kinds in the
+        order they were first recorded)."""
+        kinds = self._columns if kind is None else (kind,)
+        return [
+            Record(name, sent_at, latency)
+            for name in kinds
+            for sent_at, latency in zip(*self._columns.get(name, ((), ())))
+        ]
+
+    def _latencies(self, kind: str, start: float, end: float):
+        """``(completed_at, latency)`` of every ``kind`` request completing
+        in ``[start, end)``, in recording order."""
+        sent, latencies = self._columns.get(kind, ((), ()))
+        for sent_at, latency in zip(sent, latencies):
+            completed_at = sent_at + latency
+            if start <= completed_at < end:
+                yield completed_at, latency
 
     def window_stats(
         self,
@@ -112,23 +143,20 @@ class LatencyRecorder:
         """
         if window_seconds <= 0:
             raise ValueError("window must be positive")
-        records = [
-            r for r in self._records if r.kind == kind and start <= r.completed_at < end
-        ]
-        buckets: dict[int, list[Record]] = {}
-        for record in records:
+        buckets: dict[int, list[float]] = {}
+        for completed_at, latency in self._latencies(kind, start, end):
             buckets.setdefault(
-                int((record.completed_at - start) // window_seconds), []
-            ).append(record)
+                int((completed_at - start) // window_seconds), []
+            ).append(latency)
         # Guard against float dust: (start+D) - start can be a hair under D,
         # which would silently drop the last window.
         window_count = int((end - start) / window_seconds + 1e-9)
         stats = []
         for index in range(window_count):
             members = buckets.get(index, [])
-            mean_latency = (
-                sum(r.latency for r in members) / len(members) if members else 0.0
-            )
+            # sum() over the same floats in recording order: Python 3.12+
+            # compensates it, so a running total would not be bit-identical.
+            mean_latency = sum(members) / len(members) if members else 0.0
             stats.append(
                 WindowStat(
                     start=start + index * window_seconds,
@@ -159,9 +187,8 @@ class LatencyRecorder:
         measured_start = stats[0].start
         measured_end = stats[-1].start + window_seconds
         latencies = sorted(
-            r.latency
-            for r in self._records
-            if r.kind == kind and measured_start <= r.completed_at < measured_end
+            latency
+            for _, latency in self._latencies(kind, measured_start, measured_end)
         )
         if not latencies:
             return None

@@ -1,8 +1,10 @@
 """Unit tests for benchmark metrics (percentiles, windows, summaries)."""
 
+import gc
+
 import pytest
 
-from repro.bench import LatencyRecorder, percentile
+from repro.bench import LatencyRecorder, Record, percentile
 
 
 # -- percentile --------------------------------------------------------------
@@ -116,6 +118,29 @@ def test_records_filter():
     recorder = fill_recorder()
     assert len(recorder.records("raw")) == 10
     assert len(recorder.records()) == 1010
+    assert recorder.count("insert") == 1000 and recorder.count("live") == 0
+
+
+def test_records_without_a_kind_group_by_kind():
+    recorder = LatencyRecorder()
+    recorder.record("raw", 0.0, 0.5)
+    recorder.record("insert", 0.1, 0.01)
+    recorder.record("raw", 0.2, 0.5)
+    assert [(r.kind, r.sent_at) for r in recorder.records()] == [
+        ("raw", 0.0), ("raw", 0.2), ("insert", 0.1),
+    ]
+
+
+def test_recording_keeps_no_record_object():
+    def live_records():
+        gc.collect()
+        return sum(isinstance(obj, Record) for obj in gc.get_objects())
+
+    before = live_records()
+    recorder = fill_recorder()
+    assert recorder.summarize("insert", 1.0, 0.0, 10.0) is not None
+    assert live_records() == before
+    assert len(recorder) == 1010
 
 
 # -- edge cases ----------------------------------------------------------------
