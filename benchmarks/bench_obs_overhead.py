@@ -41,7 +41,7 @@ import tracemalloc
 
 from repro.bench.instances import M5_LARGE
 from repro.bench.workload import LoadConfig, build_deployment, execute, provision
-from repro.kernel import Scheduler
+from repro.kernel import Future, Queue, Scheduler
 from repro.net import ConstantLatency, Network
 from repro.obs.health import HealthMonitor, default_slo_rules
 from repro.obs.metrics import MetricsRegistry
@@ -403,23 +403,77 @@ def test_recorder_not_sampled_path_allocates_nothing():
 # -- kernel allocation budget -------------------------------------------------
 
 
+def run_ask_workload(clients: int, rounds: int) -> Scheduler:
+    """Ask-shaped kernel traffic: N clients round-tripping through servers.
+
+    Each round is one simulated ask: enqueue to a server's mailbox, the
+    server charges a small service sleep and resolves the reply future, and
+    the client awaits that reply under a 0.25s deadline (the common case:
+    the reply beats the deadline every time, which is exactly the traffic
+    pattern that used to leak one dead timer per call).
+    """
+    scheduler = Scheduler()
+    servers = 8
+    queues = [Queue(scheduler) for _ in range(servers)]
+    service = 0.0005
+    think = 0.002
+    deadline = 0.25
+
+    async def server(queue: Queue) -> None:
+        get = queue.get
+        get_nowait = queue.get_nowait
+        empty = queue.empty
+        sleep = scheduler.sleep
+        while True:
+            # Buffered fast path: identical scheduling either way (awaiting
+            # a completed future never suspends), minus a future per item.
+            if empty():
+                payload, reply = await get()
+            else:
+                payload, reply = get_nowait()
+            if payload is None:
+                return
+            await sleep(service)
+            reply.set_result(payload)
+
+    async def client(index: int) -> None:
+        queue = queues[index % servers]
+        put = queue.put_nowait
+        timeout = scheduler.timeout
+        sleep = scheduler.sleep
+        for round_no in range(rounds):
+            reply: Future[int] = Future()
+            put((round_no, reply))
+            await timeout(reply, deadline)
+            await sleep(think)
+
+    async def main() -> None:
+        server_tasks = [scheduler.spawn(server(q)) for q in queues]
+        client_tasks = [scheduler.spawn(client(i)) for i in range(clients)]
+        await scheduler.gather(client_tasks)
+        for queue in queues:
+            queue.put_nowait((None, None))
+        await scheduler.gather(server_tasks)
+
+    scheduler.run_until_complete(main())
+    return scheduler
+
+
 def test_allocations_per_event_within_budget():
     """Steady-state kernel allocations stay bounded per processed event.
 
-    Measured exactly like ``repro.bench speed``: tracemalloc's peak traced
-    size over a deadline-wrapped ask workload, divided by the events the
-    scheduler processed.  The pooled/fused kernel sits around 4-8 bytes per
+    tracemalloc's peak traced size over a deadline-wrapped ask workload
+    (:func:`run_ask_workload`), divided by the events the scheduler
+    processed.  The pooled/fused kernel sits around 4-8 bytes per
     event; the budget leaves allocator-jitter headroom while still failing
     loudly if a per-event allocation (a leaked deadline timer, an unpooled
     invocation envelope, a per-message closure) sneaks back in.
     """
-    from repro.bench.speed import _run_ask_workload
-
-    _run_ask_workload(10, 30, None)  # warm code objects and caches
+    run_ask_workload(10, 30)  # warm code objects and caches
     tracemalloc.start()
     tracemalloc.clear_traces()
     try:
-        sched, _events = _run_ask_workload(40, 150, None)
+        sched = run_ask_workload(40, 150)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
