@@ -14,6 +14,7 @@ envelope batcher and the ask-latency histogram; the runtime owns the rest.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any
 
 from ..errors import (
@@ -49,8 +50,8 @@ class Routing:
         # are immutable pure values, so the frozen-dataclass construction
         # (+ validation) is paid once per distinct actor instead of per call.
         self._actor_keys: dict[tuple[str, str], ActorKey] = {}
-        # A hop with wire delay is a timer whose argument is the hop's tuple:
-        # these landing methods are bound once here, not once per hop.
+        # A hop with wire delay is a timer that lands it: these landing
+        # methods are bound once here, not once per hop.
         self._land_request = self._arrive
         self._land_reply = self._reply_landed
         # Ingestion fast path: coalesce same-path deliveries into envelopes.
@@ -434,28 +435,24 @@ class Routing:
         if delay > 0:
             self.scheduler.call_at(
                 self.scheduler.now + delay,
-                self._land_request,
-                (invocation, activation, delay),
+                partial(self._land_request, invocation, activation, delay, 1),
             )
         else:
-            self._arrive(invocation, activation, 0.0)
+            self._arrive(invocation, activation, 0.0, 1)
 
     def _arrive(
         self,
-        invocation: Invocation | tuple,
-        activation: Activation | None = None,
-        delay: float = 0.0,
-        cohort: int = 1,
+        invocation: Invocation,
+        activation: Activation,
+        delay: float,
+        cohort: int,
     ) -> None:
         """The message lands after ``delay`` (wire time, plus the batch wait
         when it rode an envelope of ``cohort``): queue it on the activation.
 
-        The envelope batcher passes all four; the wire timer of an unbatched
-        hop passes its one argument, the tuple ``(invocation, activation,
-        delay)``.
+        The envelope batcher, an unbatched hop's wire timer and a zero-delay
+        hop all call it alike (an unbatched message is a cohort of 1).
         """
-        if activation is None:
-            invocation, activation, delay = invocation
         invocation.batch_cohort = cohort
         span = invocation.span
         if span is not None and span.end is None:
