@@ -464,10 +464,13 @@ def test_allocations_per_event_within_budget():
 
     tracemalloc's peak traced size over a deadline-wrapped ask workload
     (:func:`run_ask_workload`), divided by the events the scheduler
-    processed.  The pooled/fused kernel sits around 4-8 bytes per
+    processed.  The pooled/fused kernel sits around 3-8 bytes per
     event; the budget leaves allocator-jitter headroom while still failing
-    loudly if a per-event allocation (a leaked deadline timer, an unpooled
-    invocation envelope, a per-message closure) sneaks back in.
+    loudly if a per-event allocation that lives for the run (an unpooled
+    invocation envelope, a per-message closure kept alive) sneaks back in.
+    A deadline timer that is never cancelled reads about 55 bytes per event
+    here, under the budget: the timer-leak tests in
+    ``tests/kernel/test_speed_overhaul.py`` are what catch that one.
     """
     run_ask_workload(10, 30)  # warm code objects and caches
     tracemalloc.start()
