@@ -81,12 +81,8 @@ def _run(sensors: int, seed: int) -> dict:
     platform = deployment.platform
 
     # The observability stack under test: recorder on the tracer + rings,
-    # monitor on the stock rules (goodput rule neutralized — a tiny smoke
-    # fleet's ingest rate is not the signal this bench probes), alerts
-    # wired to snapshot postmortems.
-    monitor = HealthMonitor(
-        runtime.metrics, default_slo_rules(min_ingest_rate=0.0)
-    )
+    # monitor on the stock rules, alerts wired to snapshot postmortems.
+    monitor = HealthMonitor(runtime.metrics, default_slo_rules())
     recorder = FlightRecorder(
         scheduler, RecorderConfig(tail_keep_rate=0.02), seed=seed
     )

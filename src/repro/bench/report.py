@@ -46,8 +46,6 @@ _APPENDIX_METRICS = (
     "storage.wcu_consumed",
     "storage.throttled_reads",
     "storage.throttled_writes",
-    "ingest.accepted",
-    "ingest.shed",
     "placement.decisions",
 )
 

@@ -53,7 +53,7 @@ class SloRule:
     combined per ``aggregate``).  ``value_field`` selects a field from
     histogram summaries (``p99``, ``mean`` …).  ``mode="rate"`` evaluates
     the per-second delta between consecutive snapshots, which is how
-    cumulative counters (ingest goodput, error totals) become levels.
+    cumulative counters (error totals) become levels.
     A rule whose metric is absent from the snapshot is skipped — rules may
     be declared for subsystems that are not deployed.
     """
@@ -282,7 +282,6 @@ class HealthMonitor:
 
 def default_slo_rules(
     p99_ask_latency: float = 0.5,
-    min_ingest_rate: float = 1.0,
     max_backlog: float = 1000.0,
     max_error_rate: float = 1.0,
     max_cpu_imbalance: float = 3.0,
@@ -291,9 +290,9 @@ def default_slo_rules(
 ) -> list[SloRule]:
     """The stock rule set an SHM-platform operator would start from.
 
-    Rules whose metric is not deployed (e.g. ``ingest.accepted`` without a
-    gateway, ``runtime.ask_latency_seconds`` without the profiler) simply
-    never evaluate, so the set is safe on any runtime.
+    Rules whose metric is not deployed (e.g. ``runtime.ask_latency_seconds``
+    without the profiler) simply never evaluate, so the set is safe on any
+    runtime.
     """
     return [
         SloRule(
@@ -306,17 +305,6 @@ def default_slo_rules(
             clear_seconds=2.0,
             severity="critical",
             description="p99 ask latency above SLO",
-        ),
-        SloRule(
-            name="ingest-goodput",
-            metric="ingest.accepted",
-            mode="rate",
-            op="<",
-            threshold=min_ingest_rate,
-            for_seconds=2.0,
-            clear_seconds=2.0,
-            severity="critical",
-            description="ingest goodput below SLO",
         ),
         SloRule(
             name="heartbeat-misses",

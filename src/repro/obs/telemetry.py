@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: self-telemetry stream unless explicitly included.
 TELEMETRY_PREFIXES = (
     "runtime.", "silo.", "kernel.", "net.", "storage.",
-    "ingest.", "placement.", "cluster.", "health.", "profile.", "trace.",
+    "placement.", "cluster.", "health.", "profile.", "trace.",
 )
 
 #: Histogram-summary fields worth keeping as time series, with how samples

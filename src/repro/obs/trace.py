@@ -1,7 +1,7 @@
 """Causal tracing of actor invocations in virtual time.
 
 Every traced message (ask, tell, retry attempt, timer fire, reminder
-delivery, ingest dispatch) becomes one :class:`Span`.  Spans link to their
+delivery) becomes one :class:`Span`.  Spans link to their
 parent — the invocation whose handler issued them — so one client request
 reconstructs as the complete caller→callee tree, e.g. an organization
 live-data request fanning out to every channel actor of the tenant.
@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 SPAN_KINDS = (
-    "ask", "tell", "timer", "reminder", "ingest", "retrying-ask", "client",
+    "ask", "tell", "timer", "reminder", "retrying-ask", "client",
     "migrate", "wal-journal", "wal-replay", "fenced-write", "quarantine-park",
     "view-fold",
 )

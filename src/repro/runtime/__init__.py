@@ -22,13 +22,7 @@ from .placement import (
     RandomPlacement,
 )
 from .reference import ActorRef
-from .resilience import (
-    DEFAULT_RETRY_POLICY,
-    NO_RETRY,
-    CircuitBreaker,
-    ResilienceStats,
-    RetryPolicy,
-)
+from .resilience import DEFAULT_RETRY_POLICY, NO_RETRY, RetryPolicy
 from .runtime import CLIENT_ENDPOINT, AodbRuntime, RuntimeStats
 from .silo import Silo
 
@@ -39,7 +33,6 @@ __all__ = [
     "ActorRef",
     "AodbRuntime",
     "CLIENT_ENDPOINT",
-    "CircuitBreaker",
     "DEFAULT_RETRY_POLICY",
     "DeliveryReceipt",
     "GrainDirectory",
@@ -51,7 +44,6 @@ __all__ = [
     "PowerOfTwoPlacement",
     "PreferLocalPlacement",
     "RandomPlacement",
-    "ResilienceStats",
     "RetryPolicy",
     "RuntimeConfig",
     "RuntimeStats",

@@ -1,30 +1,26 @@
-"""Fault-tolerance policies: call deadlines, retries, circuit breaking.
+"""Fault-tolerance policy: call deadlines and retries.
 
 The paper's pitch (§5) is that an actor-oriented database gives IoT
 platforms Orleans-style resilience: virtual actors re-place after a silo
 failure and callers see a transient error, not lost state.  This module
 holds the *policy* half of that story — the mechanism (failure detection,
-directory repair, re-activation) lives in :mod:`repro.runtime.runtime`:
+directory repair, re-activation) lives in :mod:`repro.runtime.runtime`.
 
-- :class:`RetryPolicy` — declarative retry behaviour applied transparently
-  by :class:`~repro.runtime.reference.ActorRef` to ask-style calls.
-  One-way tells are never retried: a tell acknowledges *enqueue*, so the
-  caller observes no failure to react to, and blind re-sends would break
-  at-most-once expectations for non-idempotent handlers.
-- :class:`CircuitBreaker` — failure-rate gate used by the ingest gateway to
-  degrade to bounded queueing (load shedding) while storage is throttling.
-
-Both are deterministic: backoff jitter is drawn from a seeded RNG stream
-and all clocks are the virtual scheduler clock.
+:class:`RetryPolicy` is declarative retry behaviour applied transparently
+by :class:`~repro.runtime.reference.ActorRef` to ask-style calls.  One-way
+tells are never retried: a tell acknowledges *enqueue*, so the caller
+observes no failure to react to, and blind re-sends would break at-most-once
+expectations for non-idempotent handlers.  It is deterministic: backoff
+jitter is drawn from a seeded RNG stream and all clocks are the virtual
+scheduler clock.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import DeadlineExceededError, SiloUnavailableError, ThrottledError
-from ..kernel.scheduler import Scheduler
 
 #: Error classes a retry policy treats as transient unless told otherwise.
 DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (
@@ -97,85 +93,3 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 #: Explicit "never retry" policy, clearer at call sites than None.
 NO_RETRY = RetryPolicy(max_attempts=1)
 
-
-class CircuitBreaker:
-    """A failure-rate gate with closed → open → half-open transitions.
-
-    ``record_failure`` trips the breaker open after ``failure_threshold``
-    consecutive failures; while open, :meth:`allow` answers False so callers
-    shed or queue work instead of piling onto a struggling dependency.
-    After ``reset_timeout`` virtual seconds the breaker half-opens: probes
-    are allowed through, one success closes it, one failure re-opens it.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(
-        self,
-        scheduler: Scheduler,
-        failure_threshold: int = 5,
-        reset_timeout: float = 5.0,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if reset_timeout <= 0:
-            raise ValueError("reset_timeout must be positive")
-        self._scheduler = scheduler
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self._consecutive_failures = 0
-        self._opened_at: float | None = None
-        self.opens = 0
-
-    @property
-    def state(self) -> str:
-        """Current state: ``closed``, ``open`` or ``half_open``."""
-        if self._opened_at is None:
-            return self.CLOSED
-        if self._scheduler.now - self._opened_at >= self.reset_timeout:
-            return self.HALF_OPEN
-        return self.OPEN
-
-    def allow(self) -> bool:
-        """Whether a request may proceed right now."""
-        return self.state != self.OPEN
-
-    def seconds_until_probe(self) -> float:
-        """Virtual seconds until an open breaker half-opens (0 otherwise)."""
-        if self._opened_at is None:
-            return 0.0
-        return max(0.0, self._opened_at + self.reset_timeout - self._scheduler.now)
-
-    def record_success(self) -> None:
-        """Note a success; closes a half-open breaker."""
-        self._consecutive_failures = 0
-        self._opened_at = None
-
-    def record_failure(self) -> None:
-        """Note a failure; may trip (or re-trip) the breaker open."""
-        if self._opened_at is not None:
-            # A failed half-open probe re-opens the full timeout window.
-            self._opened_at = self._scheduler.now
-            self.opens += 1
-            return
-        self._consecutive_failures += 1
-        if self._consecutive_failures >= self.failure_threshold:
-            self._opened_at = self._scheduler.now
-            self.opens += 1
-
-
-@dataclass
-class ResilienceStats:
-    """Counters for one retry/deadline-aware call site (e.g. the chaos bench)."""
-
-    attempts: int = 0
-    retries: int = 0
-    deadline_failures: int = 0
-    exhausted: int = 0
-    errors_by_type: dict[str, int] = field(default_factory=dict)
-
-    def note_error(self, error: BaseException) -> None:
-        name = type(error).__name__
-        self.errors_by_type[name] = self.errors_by_type.get(name, 0) + 1

@@ -271,7 +271,7 @@ class Routing:
         """Route a tell-style invocation (no reply).
 
         ``kind`` names the span kind when tracing: plain tells say "tell",
-        the reminder pump says "reminder", the ingest gateway "ingest".
+        the reminder pump says "reminder".
         """
         self.stats.tells += 1
         self._route(

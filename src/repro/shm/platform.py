@@ -244,8 +244,7 @@ class ShmPlatform:
     ) -> Future[int]:
         """Data-insertion request: one sensor's batch for each channel.
 
-        ``trace`` optionally parents the dispatch under an existing span
-        (the ingest gateway passes its per-envelope span here).
+        ``trace`` optionally parents the dispatch under an existing span.
         """
         return self.runtime.ref("Sensor", sensor_id, trace=trace).ingest(batches)
 

@@ -246,7 +246,6 @@ def test_default_rules_are_valid_and_cover_the_objectives():
     names = {rule.name for rule in rules}
     assert names == {
         "ask-p99-latency",
-        "ingest-goodput",
         "heartbeat-misses",
         "silo-quarantined",
         "mailbox-backlog",

@@ -1,4 +1,4 @@
-"""Fault-tolerance layer: deadlines, retries, circuit breaking, detection."""
+"""Fault-tolerance layer: deadlines, retries, failure detection."""
 
 import random
 
@@ -14,7 +14,6 @@ from repro.net import ConstantLatency, Network, NetworkFaultInjector
 from repro.runtime import (
     Actor,
     AodbRuntime,
-    CircuitBreaker,
     NO_RETRY,
     RetryPolicy,
     RuntimeConfig,
@@ -459,42 +458,3 @@ def test_abort_fails_queued_calls_with_the_fault():
 
     sched.run_until_complete(main())
 
-
-# ---------------------------------------------------------------------------
-# CircuitBreaker
-# ---------------------------------------------------------------------------
-
-
-def test_circuit_breaker_lifecycle():
-    sched = Scheduler()
-    breaker = CircuitBreaker(sched, failure_threshold=3, reset_timeout=1.0)
-    assert breaker.state == CircuitBreaker.CLOSED
-    breaker.record_failure()
-    breaker.record_failure()
-    assert breaker.allow()
-    breaker.record_failure()  # third consecutive failure trips it
-    assert breaker.state == CircuitBreaker.OPEN
-    assert not breaker.allow()
-    assert breaker.seconds_until_probe() == pytest.approx(1.0)
-    assert breaker.opens == 1
-
-    async def main():
-        await sched.sleep(1.0)
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.allow()
-        breaker.record_failure()  # failed probe re-opens the full window
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.opens == 2
-        await sched.sleep(1.0)
-        breaker.record_success()  # successful probe closes it
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    sched.run_until_complete(main())
-
-
-def test_circuit_breaker_validation():
-    sched = Scheduler()
-    with pytest.raises(ValueError):
-        CircuitBreaker(sched, failure_threshold=0)
-    with pytest.raises(ValueError):
-        CircuitBreaker(sched, reset_timeout=0.0)

@@ -121,13 +121,11 @@ def test_subpackages_import():
     import repro.aodb
     import repro.bench
     import repro.cattle
-    import repro.ingest
     import repro.kernel
     import repro.net
     import repro.runtime
     import repro.shm
     import repro.storage
-    import repro.warehouse
 
     assert repro.bench.M5_LARGE.cores == 2
 
