@@ -102,11 +102,6 @@ class RunResult:
         )
 
     @property
-    def insert_throughput(self) -> float:
-        summary = self.summary("insert")
-        return summary.throughput_mean if summary else 0.0
-
-    @property
     def mean_utilization(self) -> float:
         if not self.utilization:
             return 0.0

@@ -40,9 +40,6 @@ class DataPoint:
     timestamp: float
     value: float
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.timestamp, self.value)
-
 
 @dataclass
 class Project:
