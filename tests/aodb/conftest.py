@@ -3,14 +3,8 @@
 import pytest
 
 from repro.aodb import AodbDatabase
-from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network
 from repro.runtime import AodbRuntime, RuntimeConfig
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 @pytest.fixture

@@ -202,6 +202,9 @@ def test_short_leases_swap_the_store_and_reannounce_every_silo():
     default_store = deployment.runtime.system_store
     use_short_leases(deployment, 1.5)
     store = deployment.runtime.system_store
+    # Nothing runs: stop() closes the silos' queued heartbeat loops now,
+    # instead of leaving their coroutines to the collector.
+    deployment.scheduler.stop()
     assert store is not default_store
     assert store.lease_seconds == 1.5
     assert store.epoch == 2  # one view change per announced silo

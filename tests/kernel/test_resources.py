@@ -5,11 +5,6 @@ import pytest
 from repro.kernel import CpuResource, Scheduler, TokenBucket
 
 
-@pytest.fixture
-def sched():
-    return Scheduler()
-
-
 def test_single_core_serializes_work(sched):
     cpu = CpuResource(sched, cores=1)
     finish_times = []

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.kernel import Event, Lock, Queue, Scheduler
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
+from repro.kernel import Event, Lock, Queue
 
 
 def test_event_wait_and_set(sched):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import RngRegistry, Scheduler
+from repro.kernel import RngRegistry
 from repro.net import ConstantLatency, Network
 from repro.net.batching import (
     PROBE_INTERVAL,
@@ -12,11 +12,6 @@ from repro.net.batching import (
 
 LAN = 0.001
 WINDOW = 0.01
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 @pytest.fixture

@@ -10,11 +10,6 @@ from repro.runtime import Actor, AodbRuntime, RuntimeConfig
 
 
 @pytest.fixture
-def sched():
-    return Scheduler()
-
-
-@pytest.fixture
 def net(sched):
     network = Network(
         sched,

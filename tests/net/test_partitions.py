@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.kernel import RngRegistry, Scheduler
+from repro.kernel import RngRegistry
 from repro.net import ConstantLatency, Network, PartitionInjector
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 @pytest.fixture

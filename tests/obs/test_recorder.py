@@ -453,3 +453,4 @@ def test_firing_alert_snapshots_a_postmortem_cleared_does_not():
     assert len(recorder.postmortems) == 1
     assert recorder.postmortems[0].trigger["rule"] == "r"
     assert recorder.postmortems[0].trigger["state"] == "firing"
+    scheduler.stop()  # never run: close the silos' queued heartbeat loops

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network
 from repro.obs.health import HealthMonitor, SloRule
 from repro.obs.telemetry import TELEMETRY_PREFIXES, TelemetryPump, flatten_snapshot
@@ -67,19 +66,18 @@ def test_default_prefixes_cover_the_platform_subsystems():
 
 
 @pytest.fixture()
-def cluster():
-    scheduler = Scheduler()
+def cluster(sched):
     config = RuntimeConfig(
         default_method_cost=0.0, activation_cost=0.0, copy_messages=False
     )
     runtime = AodbRuntime(
-        scheduler,
+        sched,
         config=config,
-        network=Network(scheduler, lan=ConstantLatency(0.0)),
+        network=Network(sched, lan=ConstantLatency(0.0)),
     )
     runtime.add_silo("s1", cores=2)
     runtime.add_silo("s2", cores=2)
-    return scheduler, runtime
+    return sched, runtime
 
 
 def test_silo_monitor_records_and_answers_range_queries(cluster):

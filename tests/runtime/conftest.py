@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.kernel import Scheduler
 from repro.runtime import AodbRuntime, RuntimeConfig
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 @pytest.fixture

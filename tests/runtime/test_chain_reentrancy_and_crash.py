@@ -222,3 +222,4 @@ def test_crash_unknown_silo_raises():
     runtime = build_runtime(sched)
     with pytest.raises(SiloUnavailableError):
         runtime.crash_silo("ghost")
+    sched.stop()  # never run: close the silo's queued heartbeat loop

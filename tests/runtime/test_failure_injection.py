@@ -148,6 +148,7 @@ def test_unknown_type_in_directory_path():
     runtime = build_runtime(sched)
     with pytest.raises(UnknownActorTypeError):
         runtime.actor_type("Ghost")
+    sched.stop()  # never run: close the silo's queued heartbeat loop
 
 
 def test_stale_directory_entry_self_heals():
@@ -181,6 +182,7 @@ def test_double_silo_registration_rejected():
     runtime = build_runtime(sched)
     with pytest.raises(ValueError):
         runtime.add_silo("silo-0")
+    sched.stop()  # never run: close the silo's queued heartbeat loop
 
 
 def test_shutdown_unknown_silo_raises():

@@ -7,7 +7,6 @@ from repro.errors import (
     QuarantinedSiloError,
     SiloUnavailableError,
 )
-from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network, PartitionInjector
 from repro.runtime import Actor, AodbRuntime, RuntimeConfig, WritePolicy
 from repro.runtime.runtime import SYSTEM_STORE_ENDPOINT
@@ -25,11 +24,6 @@ class DurableNote(Actor):
 
     async def get(self):
         return self.state.get("value")
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 def build(sched, silos=1, lease_seconds=1.0, **config_kwargs):

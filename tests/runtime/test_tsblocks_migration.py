@@ -6,19 +6,11 @@ state-movement path the runtime has — live migration, silo drain, and
 crash recovery — with no lost or duplicated points.
 """
 
-import pytest
-
 from repro.aodb import AodbDatabase
-from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network
 from repro.runtime import ActorKey, AodbRuntime, RuntimeConfig
 from repro.shm import ShmPlatform, channel_id_for, sensor_id_for
 from repro.storage import InMemoryKVStore
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 def build_platform(sched, silos=2):

@@ -3,15 +3,9 @@
 import pytest
 
 from repro.aodb import AodbDatabase
-from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network
 from repro.runtime import AodbRuntime, RuntimeConfig
 from repro.shm import ShmPlatform
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 @pytest.fixture

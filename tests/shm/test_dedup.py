@@ -2,18 +2,10 @@
 
 import random
 
-import pytest
-
 from repro.aodb import AodbDatabase
-from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network, NetworkFaultInjector
 from repro.runtime import AodbRuntime, RuntimeConfig
 from repro.shm import ShmPlatform
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 def build_platform(sched, dedup_ingest):

@@ -20,11 +20,6 @@ from repro.storage import ArchiveLog, ArchiveRecord, InMemoryKVStore
 from repro.storage.tsblocks import TieredSeries
 
 
-@pytest.fixture
-def sched():
-    return Scheduler()
-
-
 def build_platform(
     sched, window_capacity=64, block_size=16, copy_messages=True, **kwargs
 ):

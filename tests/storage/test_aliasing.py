@@ -12,7 +12,6 @@ from array import array
 
 import pytest
 
-from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network
 from repro.runtime import (
     Actor,
@@ -29,11 +28,6 @@ from repro.storage import (
     RedoJournal,
 )
 from repro.storage.groupcommit import GroupCommitWriter
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 def make_document():

@@ -10,13 +10,7 @@ from repro.errors import (
     ThrottledError,
     ThrottlingError,
 )
-from repro.kernel import Scheduler
 from repro.storage import ChaosKVStore, InMemoryKVStore, ProvisionedKVStore
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 def chaos_store(sched, **kwargs):

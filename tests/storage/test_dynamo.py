@@ -3,14 +3,8 @@
 import pytest
 
 from repro.errors import ThrottlingError
-from repro.kernel import Scheduler
 from repro.net import ConstantLatency
 from repro.storage import ProvisionedKVStore
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 def make_store(sched, **kwargs):

@@ -13,7 +13,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ConditionalCheckFailedError, FencedWriteError
-from repro.kernel import Scheduler
 from repro.net import ConstantLatency
 from repro.obs.recorder import FlightRecorder
 from repro.runtime.key import ActorKey
@@ -22,11 +21,6 @@ from repro.storage import ChaosKVStore, InMemoryKVStore, ProvisionedKVStore
 from repro.storage.groupcommit import GroupCommitWriter
 
 ROUND_TRIP = 0.001
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 @pytest.fixture(params=["memory", "provisioned", "chaos"])

@@ -3,15 +3,9 @@
 import pytest
 
 from repro.errors import ConditionalCheckFailedError, ThrottledError
-from repro.kernel import Scheduler
 from repro.net.latency import ConstantLatency
 from repro.storage import InMemoryKVStore, ProvisionedKVStore
 from repro.storage.groupcommit import GroupCommitWriter
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 # ---------------------------------------------------------------------------

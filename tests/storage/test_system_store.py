@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import SiloUnavailableError
-from repro.kernel import Scheduler
 from repro.storage import SystemStore
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 @pytest.fixture

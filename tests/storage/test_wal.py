@@ -2,16 +2,10 @@
 
 import pytest
 
-from repro.kernel import Scheduler
 from repro.obs import MetricsRegistry
 from repro.runtime import ActorKey, StateCell
 from repro.storage import InMemoryKVStore, RedoJournal
 from repro.storage.groupcommit import GroupCommitWriter
-
-
-@pytest.fixture
-def sched():
-    return Scheduler()
 
 
 def run(sched, coro):
