@@ -19,7 +19,7 @@ Each span carries a breakdown of where its virtual time went:
     request plus reply transfer time on the simulated network;
 ``storage``
     grain-storage latency and throttle stalls charged inside the turn
-    (state loads/flushes through the activation's state cell);
+    (the activation's state loads and flushes);
 ``other``
     the residual — dominated by awaiting child calls, whose time is
     itemized by the child spans themselves.

@@ -12,7 +12,7 @@ from .config import RuntimeConfig
 from .directory import GrainDirectory
 from .key import ActorKey
 from .messages import DeliveryReceipt, Invocation
-from .persistence import StateCell, WritePolicy
+from .persistence import WritePolicy
 from .placement import (
     HashPlacement,
     PinnedPlacement,
@@ -48,7 +48,6 @@ __all__ = [
     "RuntimeConfig",
     "RuntimeStats",
     "Silo",
-    "StateCell",
     "WritePolicy",
     "actor_method",
 ]

@@ -44,7 +44,7 @@ from ..storage.serde import snapshot
 from .actor import Actor
 from .key import ActorKey
 from .messages import Invocation
-from .persistence import StateCell, WritePolicy
+from .persistence import WritePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .reference import ActorRef
@@ -67,7 +67,7 @@ class Activation:
         "_self_chain", "silo", "silo_id", "instance", "mailbox", "closing",
         "_closed", "broken", "parked", "active_chain", "active_span",
         "last_used", "messages_handled", "_methods", "_inflight", "_timers",
-        "_wait", "_handed",
+        "_wait", "_handed", "fence", "etag", "dirty",
     )
 
     def __init__(
@@ -119,6 +119,13 @@ class Activation:
         # handed over idle.
         self._wait: Any = None
         self._handed: Any = None
+        # Durable state (the document is ``instance.state``): the fence token
+        # every write carries, None until a durable activation has loaded
+        # (and for good in a plain one); the etag the next conditional write
+        # is based on; and whether the document changed since it was written.
+        self.fence: int | None = None
+        self.etag = 0
+        self.dirty = False
         # Boot runs in its own ready event; its coroutine exists only then.
         runtime.scheduler._call_soon(Activation._boot, self)
 
@@ -275,17 +282,8 @@ class Activation:
                 self.runtime.config.activation_cost, profile=profile
             )
         if self.actor_class.durable:
-            cell = StateCell(
-                self.key,
-                self.runtime.grain_storage,
-                self.runtime.scheduler,
-                writer=self.runtime.group_commit,
-                fence=self.runtime.acquire_fence(self),
-                journal=self.runtime.redo_journal,
-            )
             load_started = self.runtime.scheduler.now
-            await cell.load()
-            if cell.replayed:
+            if await self._load_state():
                 # Crash recovery ran: the redo-journal suffix was applied
                 # over the stored document.  The span covers the whole load.
                 self.runtime.tracer.emit(
@@ -300,7 +298,6 @@ class Activation:
                 elapsed = self.runtime.scheduler.now - load_started
                 for record in profile:
                     record.storage_wait += elapsed
-            self.instance._attach_state_cell(cell)
             if self.actor_class.write_policy is WritePolicy.INTERVAL:
                 self.register_timer(
                     "__state_flush__",
@@ -308,6 +305,86 @@ class Activation:
                     "__flush_state__",
                 )
         await self.instance.on_activate()
+
+    async def _load_state(self) -> bool:
+        """Load the state document into ``instance.state``; True if the redo
+        journal replayed a record over it.
+
+        First the activation acquires its fence and raises the store's (and
+        journal's) fence floor to it: from then on a zombie predecessor's
+        in-flight write is rejected, even one that lands before this
+        activation's first.  Then the fenced redo suffix is replayed over
+        the stored document: the recovered state is dirty (it has not been
+        written) but no longer lost.  The journal is the runtime's at call
+        time, so an activation loaded before ``enable_redo_journal()`` is
+        called replays nothing, and its later writes truncate the journal.
+        """
+        runtime = self.runtime
+        store = runtime.grain_storage
+        journal = runtime.redo_journal
+        storage_key = "state/" + self._qualified
+        fence = runtime.acquire_fence(self)
+        await store.advance_fence(storage_key, fence)
+        if journal is not None:
+            journal.advance_fence(storage_key, fence)
+        item = await store.try_get(storage_key)
+        instance = self.instance
+        if item is None:
+            instance.state = {}
+            self.etag = 0
+        else:
+            instance.state = dict(item.value)
+            self.etag = item.etag
+        self.dirty = False
+        replayed = False
+        if journal is not None:
+            record = journal.replay_for(storage_key, self.etag, fence)
+            if record is not None:
+                # The journal's record outlives this activation (the next
+                # append is deduplicated against it, a later replay reads
+                # it again), so the live document must share no container
+                # with it.
+                instance.state = snapshot(record.document)
+                self.dirty = replayed = True
+        self.fence = fence  # loaded: writes, the redo pump and scram may run
+        return replayed
+
+    async def _write_state(self, direct: bool = False) -> None:
+        """Write the state document: a put conditional on the etag and
+        stamped with the fence, so the store rejects a stale writer.
+
+        ``direct=True`` bypasses the group-commit writer (the quarantine
+        scram flush must not sit in a commit window while the silo is being
+        fenced off).  A fence bounce is recorded in the ``storage`` ring of
+        the attached flight recorder, whichever store layer raised it.  A
+        landed write truncates the journal records it covers; one journaled
+        while the put was in flight survives, re-based onto the landed
+        etag, and the state stays dirty until a later write covers it.
+        """
+        runtime = self.runtime
+        storage_key = "state/" + self._qualified
+        writer = runtime.group_commit
+        target = runtime.grain_storage if direct or writer is None else writer
+        journal = runtime.redo_journal
+        # What this put covers: the records journaled before it is issued.
+        covered = 0 if journal is None else journal.last_seq
+        try:
+            self.etag = await target.put(
+                storage_key,
+                self.instance.state,
+                expected_etag=self.etag,
+                fence=self.fence,
+            )
+        except FencedWriteError:
+            recorder = runtime.scheduler.recorder
+            if recorder is not None:
+                recorder.storage.record("fenced-bounce", storage_key, self.fence)
+            raise
+        if journal is None:
+            self.dirty = False
+        else:
+            journal.truncate(storage_key, covered, self.etag)
+            self.dirty = journal.pending_records(storage_key) > 0
 
     async def _flush_if_dirty(self, span: Any = None, profile: Any = None) -> None:
         """Persist dirty state, charging the flush to the turn's ``span``
@@ -317,14 +394,13 @@ class Activation:
         timer, ``write_state`` and deactivation): the actor's
         ``snapshot_state`` runs first, so state kept outside the document
         (a channel's window) is written as it is now."""
-        cell = self.instance._state_cell
-        if cell is None or not cell.dirty:
+        if not self.dirty or self.fence is None:
             return
         self.instance.snapshot_state()
         scheduler = self.runtime.scheduler
         started = scheduler.now
         try:
-            await cell.flush()
+            await self._write_state()
         except FencedWriteError as exc:
             # A successor fenced this activation out: the write bounced
             # off the storage fence floor (split-brain averted).

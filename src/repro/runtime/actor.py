@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import ActorMethodError
 from .key import ActorKey
-from .persistence import StateCell, WritePolicy
+from .persistence import WritePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .activation import Activation
@@ -95,7 +95,6 @@ class Actor:
     def __init__(self, context: "Activation") -> None:
         self.context = context
         self.state: dict[str, Any] = {}
-        self._state_cell: StateCell | None = None
 
     # -- identity helpers ------------------------------------------------------
 
@@ -126,7 +125,7 @@ class Actor:
         Durable actors that keep working state outside the state dict (ring
         buffers, accumulators) override this *synchronous* hook with its
         serialization, and call :meth:`mark_dirty` whenever that state
-        changes.  Every flush of a dirty cell (write-through, the interval
+        changes.  Every flush of dirty state (write-through, the interval
         timer, :meth:`write_state`, deactivation), the redo-journal pump and
         the quarantine scram flush call it first, so the document they write
         is consistent mid-life, without the full deactivation path.
@@ -134,29 +133,27 @@ class Actor:
 
     # -- persistence ----------------------------------------------------------
 
-    def _attach_state_cell(self, cell: StateCell) -> None:
-        self._state_cell = cell
-        self.state = cell.document
-
     def mark_dirty(self) -> None:
         """Note that ``self.state`` changed (flushed per the write policy)."""
-        if self._state_cell is not None:
-            self._state_cell.dirty = True
+        self.context.dirty = True
 
     async def write_state(self) -> None:
         """Force the state document to grain storage now."""
-        if self._state_cell is None:
+        if not self.durable:
             raise ActorMethodError(
                 f"{type(self).__name__} is not durable; set durable=True"
             )
-        self._state_cell.dirty = True
+        self.context.dirty = True
         await self.context._flush_if_dirty()
 
     async def clear_state(self) -> None:
         """Delete the persisted state document."""
-        if self._state_cell is not None:
-            await self._state_cell.clear()
-            self.state = self._state_cell.document
+        if self.durable:
+            context = self.context
+            await context.runtime.grain_storage.delete(self.key.storage_key())
+            self.state = {}
+            context.etag = 0
+            context.dirty = False
 
     # -- indexing (AODB feature) -----------------------------------------------
 

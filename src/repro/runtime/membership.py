@@ -249,13 +249,12 @@ class Membership:
             parked += 1
         self._silo_event(silo_id, "quarantine", parked)
         for activation in silo.activations():
-            cell = activation.instance._state_cell
-            if cell is None:
-                continue
+            if activation.fence is None:
+                continue  # no durable state loaded
             try:
                 activation.instance.snapshot_state()
-                if cell.dirty:
-                    await cell.flush(direct=True)
+                if activation.dirty:
+                    await activation._write_state(direct=True)
             except ReproError as exc:
                 # Fenced/conflicted/throttled: the successor (or the redo
                 # journal) owns this state now; losing the scram write is
@@ -363,14 +362,16 @@ class Membership:
                     or activation.broken is not None
                 ):
                     continue
-                cell = activation.instance._state_cell
-                if cell is None or activation.actor_class.write_policy not in lazy:
+                if (
+                    activation.fence is None
+                    or activation.actor_class.write_policy not in lazy
+                ):
                     continue
                 try:
                     activation.instance.snapshot_state()
                 except Exception:  # noqa: BLE001 - actor bug must not kill pump
                     continue
-                if not cell.dirty:
+                if not activation.dirty:
                     continue
                 span = None
                 if self.tracer.enabled:
@@ -384,9 +385,9 @@ class Membership:
                 try:
                     await self.redo_journal.append(
                         activation.key.storage_key(),
-                        cell.document,
-                        base_etag=cell.etag,
-                        fence=cell.fence,
+                        activation.instance.state,
+                        base_etag=activation.etag,
+                        fence=activation.fence,
                     )
                 except Exception:  # noqa: BLE001 - journal write best-effort
                     self.tracer.finish(

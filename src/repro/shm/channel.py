@@ -35,7 +35,7 @@ class _ChannelBase(Actor):
     the newest points stay raw (the mutable hot head), older runs are
     sealed into immutable compressed blocks with per-block summaries.  It
     is serialized into ``self.state`` by :meth:`snapshot_state` before every
-    flush of a dirty cell; the default write policy flushes only on
+    flush of dirty state; the default write policy flushes only on
     deactivation, which reproduces the paper's benchmark durability
     configuration ("upload ... only ... when the Orleans silo service is
     shut down").  Sealed blocks serialize as-is (bytes + scalars), so a
@@ -118,7 +118,7 @@ class _ChannelBase(Actor):
             return 0
         evicted = self.window.append_many(points)
         # The window lives outside ``self.state``: the flush path snapshots
-        # it into the document whenever the cell is dirty.
+        # it into the document whenever the state is dirty.
         self.mark_dirty()
         self.change.observe_pairs(points)
         # append_many validated the batch is time-ordered, so the last

@@ -2,7 +2,7 @@
 
 Under ingestion load many activations flush state within the same scheduler
 window; each flush is an independent :meth:`KeyValueStore.put` round trip.
-The :class:`GroupCommitWriter` sits between :class:`StateCell` and the
+The :class:`GroupCommitWriter` sits between a durable activation and the
 store: puts issued within a bounded window (``max_delay`` virtual seconds,
 ``max_batch`` entries) collapse into a single :meth:`put_many` call — one
 storage round trip for N writes (TritanDB's write batching; the classic WAL

@@ -5,8 +5,8 @@ The paper's benchmarked ``ON_DEACTIVATE`` policy (and the cheaper
 everything since the last flush.  The :class:`RedoJournal` turns that
 unbounded window into a configurable one — a background pump snapshots
 dirty durable actors every ``redo_lag`` virtual seconds and appends their
-state documents here, and :class:`~repro.runtime.persistence.StateCell`
-replays the journal suffix on re-activation.
+state documents here, and a re-activating
+:class:`~repro.runtime.activation.Activation` replays the journal suffix.
 
 Replay is *fenced*: each record carries the appending activation's fence
 token and the etag its document was based on, and a successor only applies
@@ -148,9 +148,9 @@ class RedoJournal:
     def replay_for(
         self, key: str, stored_etag: int, fence: int | None
     ) -> RedoRecord | None:
-        """The newest record a re-activating cell may safely apply.
+        """The newest record a re-activating actor may safely apply.
 
-        ``stored_etag`` is the etag the cell just loaded (0 when the key is
+        ``stored_etag`` is the etag the actor just loaded (0 when the key is
         absent); ``fence`` is the successor's own token.  Records based on a
         different etag are stale branches; records fenced *newer* than the
         caller are from a later activation and are never applied.

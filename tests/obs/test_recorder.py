@@ -406,7 +406,7 @@ def test_redo_journal_enabled_after_attach_feeds_the_storage_ring():
 @pytest.mark.parametrize("wrapper", ["provisioned", "chaos"])
 def test_fence_bounce_behind_a_wrapped_store_reaches_the_storage_ring(wrapper):
     # The zombie's scram flush bounces inside the wrapped store; the bounce
-    # is recorded where the fence is stamped (the state cell), so it lands
+    # is recorded where the fence is stamped (the activation), so it lands
     # in the ring no matter how many layers wrap the backing store.
     scheduler = Scheduler()
     if wrapper == "provisioned":
@@ -421,7 +421,7 @@ def test_fence_bounce_behind_a_wrapped_store_reaches_the_storage_ring(wrapper):
         ref = runtime.ref("DurableNote", "n")
         await ref.set("zombie-view")
         silo = runtime.silo(runtime.directory.lookup(ref.key))
-        zombie_fence = silo.get_activation(ref.key).instance._state_cell.fence
+        zombie_fence = silo.get_activation(ref.key).fence
         successor_fence = runtime.system_store.acquire_fence(key)
         await store.advance_fence(key, successor_fence)
         await runtime.quarantine_silo(silo.silo_id)

@@ -154,11 +154,15 @@ def test_attributes_that_are_not_methods_reject_at_zero_cost(sched, runtime, nam
 
 
 def test_private_methods_not_callable(sched, runtime):
-    runtime.register_actor(Counter)
+    class Guarded(Counter):
+        async def _reset(self):
+            self.count = 0
+
+    runtime.register_actor(Guarded)
 
     async def main():
         with pytest.raises(ActorMethodError):
-            await runtime.ref("Counter", "c").ask("_attach_state_cell", None)
+            await runtime.ref("Guarded", "c").ask("_reset")
 
     sched.run_until_complete(main())
 

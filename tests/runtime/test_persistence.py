@@ -375,17 +375,17 @@ def test_a_flush_landing_keeps_a_record_journaled_while_it_was_in_flight(sched):
     async def main():
         await increment_across_the_first_landing(sched, runtime)
         (activation,) = runtime.silo("s1").activations()
-        cell = activation.instance._state_cell
         landed = (await store.get(key)).value
-        first = (journal.pending_records(key), cell.dirty, cell.flushes)
+        # The etag counts the flushes landed, from 0 for a fresh key.
+        first = (journal.pending_records(key), activation.dirty, activation.etag)
         await sched.sleep(1.0)  # t=2.6: the next flush landed as well
-        second = (journal.pending_records(key), cell.dirty, cell.flushes)
+        second = (journal.pending_records(key), activation.dirty, activation.etag)
         return landed, first, second
 
     landed, first, second = sched.run_until_complete(main())
     assert landed == {"count": 2}
     # The 1.2 record (seq 2) is newer than the journal at the put's issue: it
-    # survives the landing, and the cell stays dirty until a flush covers it.
+    # survives the landing, and the state stays dirty until a flush covers it.
     assert first == (1, True, 1)
     assert second == (0, False, 2)
 

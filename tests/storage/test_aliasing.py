@@ -13,20 +13,8 @@ from array import array
 import pytest
 
 from repro.net import ConstantLatency, Network
-from repro.runtime import (
-    Actor,
-    ActorKey,
-    AodbRuntime,
-    RuntimeConfig,
-    StateCell,
-    WritePolicy,
-)
-from repro.storage import (
-    ChaosKVStore,
-    InMemoryKVStore,
-    ProvisionedKVStore,
-    RedoJournal,
-)
+from repro.runtime import Actor, ActorKey, AodbRuntime, RuntimeConfig, WritePolicy
+from repro.storage import ChaosKVStore, InMemoryKVStore, ProvisionedKVStore
 from repro.storage.groupcommit import GroupCommitWriter
 
 
@@ -114,30 +102,6 @@ def test_mutating_a_read_reaches_neither_store_nor_other_readers(
     assert third == make_document()
 
 
-def test_journal_record_and_replay_are_isolated_from_the_live_document(sched):
-    store = InMemoryKVStore()
-    journal = RedoJournal(sched, store=store)
-    grain = ActorKey("Channel", "ch-1")
-    document = make_document()
-
-    async def main():
-        record = await journal.append(grain.storage_key(), document, base_etag=0)
-        mutate_everywhere(document)
-        assert record.document == make_document()
-        durable = await store.get(f"wal/{grain.storage_key()}/{record.seq}")
-        assert durable.value["document"] == make_document()
-
-        cell = StateCell(grain, store, sched, journal=journal)
-        await cell.load()
-        mutate_everywhere(cell.document)
-        assert record.document == make_document()
-        other = StateCell(grain, store, sched, journal=journal)
-        await other.load()
-        return other.document
-
-    assert sched.run_until_complete(main()) == make_document()
-
-
 class Probe(Actor):
     """Writes its state, then keeps mutating it without writing again."""
 
@@ -153,15 +117,47 @@ class Probe(Actor):
         return self.state  # copied at the reply boundary
 
 
-def test_actor_round_trip_reads_back_the_state_as_of_the_write(sched):
+def probe_runtime(sched, **config):
     network = Network(sched, lan=ConstantLatency(0.0))
-    config = RuntimeConfig(default_method_cost=0.0, activation_cost=0.0)
+    config = RuntimeConfig(default_method_cost=0.0, activation_cost=0.0, **config)
     runtime = AodbRuntime(
         sched, config=config, grain_storage=InMemoryKVStore(), network=network
     )
     runtime.add_silo("s1", cores=2)
-    runtime.add_silo("s2", cores=2)
     runtime.register_actor(Probe)
+    return runtime
+
+
+def test_journal_record_and_replay_are_isolated_from_the_live_document(sched):
+    # A journal that never pumps on its own (the Probe is MANUAL anyway).
+    runtime = probe_runtime(sched, redo_lag=3600.0)
+    journal, store = runtime.redo_journal, runtime.grain_storage
+    grain = ActorKey("Probe", "p")
+    document = make_document()
+
+    async def main():
+        record = await journal.append(grain.storage_key(), document, base_etag=0)
+        mutate_everywhere(document)
+        assert record.document == make_document()
+        durable = await store.get(f"wal/{grain.storage_key()}/{record.seq}")
+        assert durable.value["document"] == make_document()
+
+        ref = runtime.ref("Probe", "p")
+        assert await ref.read() == make_document()  # replayed at activation
+        mutate_everywhere(runtime.silo("s1").get_activation(grain).instance.state)
+        assert record.document == make_document()
+        # MANUAL: deactivation writes nothing, so the next activation
+        # replays the same record again.
+        await runtime.deactivate("Probe", "p")
+        return await ref.read()
+
+    assert sched.run_until_complete(main()) == make_document()
+    assert journal.replayed_records == 2
+
+
+def test_actor_round_trip_reads_back_the_state_as_of_the_write(sched):
+    runtime = probe_runtime(sched)
+    runtime.add_silo("s2", cores=2)
 
     async def main():
         ref = runtime.ref("Probe", "p")

@@ -13,10 +13,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ConditionalCheckFailedError, FencedWriteError
-from repro.net import ConstantLatency
+from repro.net import ConstantLatency, Network
 from repro.obs.recorder import FlightRecorder
-from repro.runtime.key import ActorKey
-from repro.runtime.persistence import StateCell
+from repro.runtime import Actor, AodbRuntime, RuntimeConfig, WritePolicy
 from repro.storage import ChaosKVStore, InMemoryKVStore, ProvisionedKVStore
 from repro.storage.groupcommit import GroupCommitWriter
 
@@ -82,8 +81,20 @@ def test_stale_fence_is_rejected_and_counted(sched, layer):
         assert store.wcu_consumed == pytest.approx(2.0)
 
 
+class Grain(Actor):
+    durable = True
+    write_policy = WritePolicy.MANUAL
+
+    async def fence(self):
+        return self.context.fence
+
+    async def write(self, value):
+        self.state["v"] = value
+        await self.write_state()
+
+
 def test_fence_bounce_is_journalled(sched):
-    # The state cell stamps the fence, so it records the bounce: into the
+    # The activation stamps the fence, so it records the bounce: into the
     # storage ring of the recorder attached to its clock, whichever store
     # layer (wrapped or not) rejected the write.
     recorder = FlightRecorder(sched)
@@ -93,20 +104,32 @@ def test_fence_bounce_is_journalled(sched):
         ProvisionedKVStore(sched, latency=ConstantLatency(ROUND_TRIP)),
         ChaosKVStore(sched, InMemoryKVStore()),
     ]
+    config = RuntimeConfig(default_method_cost=0.0, activation_cost=0.0)
 
     async def main():
+        fences = []
         for index, store in enumerate(stores):
-            cell = StateCell(ActorKey("Grain", f"g{index}"), store, sched, fence=3)
-            await store.advance_fence(cell._storage_key, 7)
-            cell.document = {"v": "zombie"}
-            cell.dirty = True
+            network = Network(sched, lan=ConstantLatency(0.0))
+            runtime = AodbRuntime(
+                sched, config=config, grain_storage=store, network=network
+            )
+            runtime.add_silo(f"s{index}", cores=1)
+            runtime.register_actor(Grain)
+            ref = runtime.ref("Grain", f"g{index}")
+            fence = await ref.fence()
+            await store.advance_fence(f"state/Grain/g{index}", fence + 4)
             with pytest.raises(FencedWriteError):
-                await cell.flush()
+                await ref.write("zombie")
+            fences.append(fence)
+        return fences
 
-    run(sched, main())
+    fences = run(sched, main())
     assert [
         (kind, a, b) for _t, kind, a, b in recorder.journal("storage").entries()
-    ] == [("fenced-bounce", f"state/Grain/g{index}", 3) for index in range(3)]
+    ] == [
+        ("fenced-bounce", f"state/Grain/g{index}", fence)
+        for index, fence in enumerate(fences)
+    ]
 
 
 def test_fence_is_checked_before_the_etag(sched, layer):

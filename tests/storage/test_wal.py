@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.net import ConstantLatency, Network
 from repro.obs import MetricsRegistry
-from repro.runtime import ActorKey, StateCell
+from repro.runtime import Actor, ActorKey, AodbRuntime, RuntimeConfig, WritePolicy
 from repro.storage import InMemoryKVStore, RedoJournal
 from repro.storage.groupcommit import GroupCommitWriter
 
@@ -103,29 +104,58 @@ def test_truncate_keeps_records_newer_than_the_flush(sched):
 GRAIN = ActorKey("Structure", "bridge-1")
 
 
-def recovered_cell(sched, journal, store):
-    """A fresh activation's cell, loaded (and so replayed) from ``journal``."""
-    cell = StateCell(GRAIN, store, sched, journal=journal)
-    run(sched, cell.load())
-    assert cell.replayed == 1
-    return cell
+class Structure(Actor):
+    """A durable grain that writes only when told (MANUAL): neither the redo
+    pump nor its deactivation touches the journal."""
+
+    durable = True
+    write_policy = WritePolicy.MANUAL
+
+    async def touch(self):
+        pass
 
 
 @pytest.fixture
 def journaled(sched):
+    """A one-silo runtime whose redo journal holds one record for GRAIN."""
     store = InMemoryKVStore()
-    journal = RedoJournal(sched, store=store)
+    config = RuntimeConfig(
+        default_method_cost=0.0, activation_cost=0.0, redo_lag=3600.0
+    )
+    network = Network(sched, lan=ConstantLatency(0.0))
+    runtime = AodbRuntime(sched, config=config, grain_storage=store, network=network)
+    runtime.add_silo("s1", cores=1)
+    runtime.register_actor(Structure)
     record = run(
         sched,
-        journal.append(GRAIN.storage_key(), {"sensors": {"a": 1}}, base_etag=0),
+        runtime.redo_journal.append(
+            GRAIN.storage_key(), {"sensors": {"a": 1}}, base_etag=0
+        ),
     )
-    return journal, store, record
+    return runtime, store, record
+
+
+def recovered_state(sched, runtime):
+    """A fresh activation's state, loaded (and so replayed) from the journal;
+    the activation is deactivated again (without a write: MANUAL)."""
+
+    async def main():
+        await runtime.ref("Structure", GRAIN.actor_id).touch()
+        activation = runtime.silo("s1").get_activation(GRAIN)
+        assert activation.dirty  # replayed, not yet written
+        await runtime.deactivate("Structure", GRAIN.actor_id)
+        return activation.instance.state
+
+    replayed = runtime.redo_journal.replayed_records
+    state = run(sched, main())
+    assert runtime.redo_journal.replayed_records == replayed + 1
+    return state
 
 
 def test_replayed_state_does_not_alias_the_journal_record(sched, journaled):
-    journal, store, record = journaled
-    cell = recovered_cell(sched, journal, store)
-    cell.document["sensors"]["b"] = 2
+    runtime, _, record = journaled
+    state = recovered_state(sched, runtime)
+    state["sensors"]["b"] = 2
     assert record.document == {"sensors": {"a": 1}}
 
 
@@ -133,10 +163,11 @@ def test_change_after_replay_is_journaled_not_deduplicated(sched, journaled):
     # With the record aliased, the tail "already equals" the mutated document
     # and the unfenced append is skipped: the durable wal/ copy never sees an
     # acknowledged change.
-    journal, store, _ = journaled
-    cell = recovered_cell(sched, journal, store)
-    cell.document["sensors"]["b"] = 2
-    again = run(sched, journal.append(GRAIN.storage_key(), cell.document, base_etag=0))
+    runtime, store, _ = journaled
+    journal = runtime.redo_journal
+    state = recovered_state(sched, runtime)
+    state["sensors"]["b"] = 2
+    again = run(sched, journal.append(GRAIN.storage_key(), state, base_etag=0))
     assert again is not None
     assert journal.skipped_appends == 0
     durable = run(sched, store.get(f"wal/{GRAIN.storage_key()}/{again.seq}"))
@@ -144,11 +175,11 @@ def test_change_after_replay_is_journaled_not_deduplicated(sched, journaled):
 
 
 def test_two_replays_of_one_record_share_no_container(sched, journaled):
-    journal, store, _ = journaled
-    first = recovered_cell(sched, journal, store)
-    second = recovered_cell(sched, journal, store)
-    assert second.document == first.document
-    assert second.document["sensors"] is not first.document["sensors"]
+    runtime, _, _ = journaled
+    first = recovered_state(sched, runtime)
+    second = recovered_state(sched, runtime)
+    assert second == first
+    assert second["sensors"] is not first["sensors"]
 
 
 def test_durable_copies_land_under_wal_prefix(sched):
