@@ -97,21 +97,6 @@ class IndexRegistry:
                     f"{new_value!r}"
                 ) from exc
 
-    def remove_actor(self, key: ActorKey) -> None:
-        """Purge an actor from every index and its extent (hard delete)."""
-        for (type_name, _attr), index in self._indexes.items():
-            if type_name != key.type_name:
-                continue
-            empty = [
-                value
-                for value, bucket in index.items()
-                if bucket.discard(key.actor_id) or not bucket
-            ]
-            for value in empty:
-                if not index[value]:
-                    del index[value]
-        self._extents[key.type_name].discard(key.actor_id)
-
     # -- extent ---------------------------------------------------------------
 
     def note_instance(self, type_name: str, actor_id: str) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 from .tsblocks import (
     SealedBlock, checked_points, cut_bounds, decode_uints, doc_count, doc_nbytes,
@@ -214,18 +214,10 @@ class ArchiveLog:
             index -= 1
         return out
 
-    def export(
-        self, stream: str, transform: Callable[[ArchiveRecord], Any] | None = None
-    ) -> list[Any]:
-        """Export a full stream, optionally mapping each record.
-
-        This is the hook a star-schema loader would use; the default
-        transform returns the records unchanged.
-        """
+    def export(self, stream: str) -> list[ArchiveRecord]:
+        """Export a full stream, oldest record first."""
         entry = self._streams.get(stream)
         records: list[ArchiveRecord] = []
         for index in range(0 if entry is None else len(entry.blocks) + 1):
             records.extend(_records(stream, *self._tier(entry, index)))
-        if transform is None:
-            return records
-        return [transform(record) for record in records]
+        return records

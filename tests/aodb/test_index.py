@@ -118,17 +118,6 @@ def test_lookup_many_requires_criteria():
         registry.lookup_many("Cow", {})
 
 
-def test_remove_actor_purges_everything():
-    registry = IndexRegistry()
-    registry.declare("Cow", "owner_id")
-    key = ActorKey("Cow", "c1")
-    registry.note_instance("Cow", "c1")
-    registry.update(key, "owner_id", None, "f1")
-    registry.remove_actor(key)
-    assert registry.lookup("Cow", "owner_id", "f1") == []
-    assert registry.extent("Cow") == []
-
-
 def test_extent_tracking():
     registry = IndexRegistry()
     registry.note_instance("Cow", "c2")

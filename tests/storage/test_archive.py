@@ -103,13 +103,6 @@ def test_non_numeric_payload_is_rejected(log):
     assert record.payload == 7.0 and type(record.payload) is float
 
 
-def test_export_with_transform(log):
-    log.append("s", 1.0, 10.0)
-    log.append("s", 2.0, 20.0)
-    rows = log.export("s", transform=lambda r: (r.timestamp, r.payload / 10))
-    assert rows == [(1.0, 1.0), (2.0, 2.0)]
-
-
 def test_export_missing_stream_is_empty(log):
     assert log.export("nothing") == []
 
@@ -244,6 +237,4 @@ def test_tail_and_export_cross_tiers():
     assert [r.timestamp for r in log.tail("s", 6)] == [
         14.0, 15.0, 16.0, 17.0, 18.0, 19.0,
     ]
-    assert log.export("s", transform=lambda r: r.timestamp) == [
-        float(t) for t in range(20)
-    ]
+    assert [r.timestamp for r in log.export("s")] == [float(t) for t in range(20)]
