@@ -61,7 +61,7 @@ def build():
         network=Network(sched, lan=ConstantLatency(0.0005)),
     )
     runtime.add_silo("s1", cores=2)
-    runtime.register_actors([Plain, Flushed, Durable])
+    runtime.register_actors([Plain, Flushed])
     return sched, runtime
 
 
